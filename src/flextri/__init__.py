@@ -6,7 +6,6 @@ from .numeric import (
     FieldContext,
     LinearSolution,
     QuadExt,
-    Rational,
     parse_rational,
     solve_linear,
 )

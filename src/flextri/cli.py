@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .numeric import QuadExt, parse_rational
 from .surfaces import SURFACE_NAMES, build_graph, enumerate_cliques3
-from .verify import verify_catalog
+from .verify import EmbeddingVerifier, verify_catalog, verify_embedding
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,7 +85,7 @@ def construction_points(cli_name: str, k_text: str | None):
     if k_text is not None:
         try:
             params = RealizationParams(parse_rational(k_text))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"cannot parse k = {k_text!r} as an exact rational")
     elif internal in DEFAULT_PARAMS:
         params = DEFAULT_PARAMS[internal]
@@ -212,7 +212,12 @@ def cmd_verify(args) -> int:
     points, graph_name, surface = construction_points(args.construction, args.k)
     catalog = build_catalog(graph_name, surface)
     ids = _selected_ids(args, catalog)
-    reports = verify_catalog(points, catalog)
+    verifier = EmbeddingVerifier(points)
+    reports = {}
+    for i in ids:
+        tri = catalog.triangulations[i]
+        g = GeometricComplex(tri, {v: points[v] for v in tri.graph.vertices})
+        reports[i] = verify_embedding(g, identity=str(i), verifier=verifier)
     rows = []
     ok = True
     for i in ids:

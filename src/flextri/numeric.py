@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
-
 
 class ContextMismatchError(ValueError):
     """Raised when combining values from different field contexts."""
@@ -58,63 +56,75 @@ CTX_SQRT2_SQRT3 = FieldContext(2, 3)
 CTX_SQRT5 = FieldContext(5, 1)
 
 
-def _sgn(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_quad(p: Fraction, q: Fraction, d: int) -> int:
-    """Exact sign of p + q*sqrt(d)."""
-    if d == 1:
-        return _sgn(p + q)
-    sp, sq = _sgn(p), _sgn(q)
-    if sq == 0:
-        return sp
-    if sp == 0:
+def _sign_quad(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) for integers p, q."""
+    if not q:
+        return (p > 0) - (p < 0)
+    sq = 1 if q > 0 else -1
+    if not p or (p > 0) == (q > 0):
         return sq
-    if sp == sq:
-        return sp
     # opposite signs: compare p^2 against d*q^2
-    return sp * _sgn(p * p - d * q * q)
+    s = p * p - d * q * q
+    return -sq if s > 0 else (sq if s < 0 else 0)
 
 
 class QuadExt:
-    """An element a + b*sqrt(d1) + c*sqrt(d2) + e*sqrt(d1*d2) of a fixed context.
+    """An element (A + B*sqrt(d1) + C*sqrt(d2) + E*sqrt(d1*d2)) / D of a fixed
+    context.
 
-    Immutable; coefficients are arbitrary-precision rationals.  Degenerate
-    contexts (d2 = 1, or d1 = 1) fold the redundant basis coefficients at
-    construction time so equality and hashing stay canonical.
+    Immutable.  The numerators A, B, C, E and the denominator D are Python
+    ints with D > 0 and gcd(A, B, C, E, D) = 1.  That lowest-terms form is
+    canonical, so equality and hashing are structural.  Degenerate contexts
+    (d2 = 1, or d1 = 1) fold the redundant basis coefficients at construction
+    time, and every operation keeps them zero.  The coefficients a, b, c, e
+    read back as ``Fraction``.
     """
 
-    __slots__ = ("a", "b", "c", "e", "ctx")
+    __slots__ = ("_n", "ctx")
 
     def __init__(self, a, b=0, c=0, e=0, ctx: FieldContext = QQ):
         a, b, c, e = Fraction(a), Fraction(b), Fraction(c), Fraction(e)
         if ctx.d2 == 1:
-            a, c = a + c, Fraction(0)
-            b, e = b + e, Fraction(0)
+            a, c = a + c, 0
+            b, e = b + e, 0
         if ctx.d1 == 1:
-            a, b = a + b, Fraction(0)
-            c, e = c + e, Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "ctx", ctx)
+            a, b = a + b, 0
+            c, e = c + e, 0
+        # the lcm of lowest-terms denominators keeps the whole in lowest terms
+        d = math.lcm(a.denominator, b.denominator, c.denominator, e.denominator)
+        _set_n(self, tuple(q.numerator * (d // q.denominator) for q in (a, b, c, e)) + (d,))
+        _set_ctx(self, ctx)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._n[0], self._n[4])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._n[1], self._n[4])
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._n[2], self._n[4])
+
+    @property
+    def e(self) -> Fraction:
+        return Fraction(self._n[3], self._n[4])
 
     # -- coercion ---------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError(
                     f"cannot combine contexts {self.ctx} and {other.ctx}"
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, ctx=self.ctx)
+            return _reduced(self.ctx, other.numerator, 0, 0, 0, other.denominator)
         return NotImplemented
 
     # -- ring / field operations -----------------------------------------
@@ -123,18 +133,37 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.c + o.c, self.e + o.e, self.ctx)
+        a1, b1, c1, e1, den1 = self._n
+        a2, b2, c2, e2, den2 = o._n
+        if den1 == den2:
+            return _reduced(self.ctx, a1 + a2, b1 + b2, c1 + c2, e1 + e2, den1)
+        return _reduced(
+            self.ctx,
+            a1 * den2 + a2 * den1, b1 * den2 + b2 * den1,
+            c1 * den2 + c2 * den1, e1 * den2 + e2 * den1,
+            den1 * den2,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, -self.c, -self.e, self.ctx)
+        a, b, c, e, den = self._n
+        return _reduced(self.ctx, -a, -b, -c, -e, den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.c - o.c, self.e - o.e, self.ctx)
+        a1, b1, c1, e1, den1 = self._n
+        a2, b2, c2, e2, den2 = o._n
+        if den1 == den2:
+            return _reduced(self.ctx, a1 - a2, b1 - b2, c1 - c2, e1 - e2, den1)
+        return _reduced(
+            self.ctx,
+            a1 * den2 - a2 * den1, b1 * den2 - b2 * den1,
+            c1 * den2 - c2 * den1, e1 * den2 - e2 * den1,
+            den1 * den2,
+        )
 
     def __rsub__(self, other):
         return -(self - other)
@@ -144,35 +173,41 @@ class QuadExt:
         if o is NotImplemented:
             return NotImplemented
         d1, d2 = self.ctx.d1, self.ctx.d2
-        a1, b1, c1, e1 = self.a, self.b, self.c, self.e
-        a2, b2, c2, e2 = o.a, o.b, o.c, o.e
-        return QuadExt(
+        a1, b1, c1, e1, den1 = self._n
+        a2, b2, c2, e2, den2 = o._n
+        return _reduced(
+            self.ctx,
             a1 * a2 + d1 * b1 * b2 + d2 * c1 * c2 + d1 * d2 * e1 * e2,
             a1 * b2 + b1 * a2 + d2 * (c1 * e2 + e1 * c2),
             a1 * c2 + c1 * a2 + d1 * (b1 * e2 + e1 * b2),
             a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
-            self.ctx,
+            den1 * den2,
         )
 
     __rmul__ = __mul__
 
-    def conj_d2(self) -> "QuadExt":
-        """Galois conjugate negating sqrt(d2)."""
-        return QuadExt(self.a, self.b, -self.c, -self.e, self.ctx)
-
-    def conj_d1(self) -> "QuadExt":
-        """Galois conjugate negating sqrt(d1)."""
-        return QuadExt(self.a, -self.b, self.c, -self.e, self.ctx)
-
     def inverse(self) -> "QuadExt":
-        if self.is_zero():
+        a, b, c, e, den = self._n
+        d1, d2 = self.ctx.d1, self.ctx.d2
+        if c or e:
+            # push down the tower: N * conj_d2(N) = p + q*sqrt(d1), and
+            # (p + q*sqrt(d1)) * (p - q*sqrt(d1)) = norm, a nonzero integer
+            p = a * a + d1 * b * b - d2 * (c * c + d1 * e * e)
+            q = 2 * (a * b - d2 * c * e)
+            norm = p * p - d1 * q * q
+            # conj_d2(N) * (p - q*sqrt(d1))
+            num = (a * p - d1 * b * q, b * p - a * q, d1 * e * q - c * p, c * q - e * p)
+        elif b:
+            norm = a * a - d1 * b * b
+            num = (a, -b, 0, 0)
+        elif a:
+            norm = a
+            num = (1, 0, 0, 0)
+        else:
             raise ZeroDivisionError("QuadExt division by zero")
-        # push down the tower: x * conj_d2(x) lies in Q(sqrt(d1))
-        n2 = self * self.conj_d2()
-        p, q, d1 = n2.a, n2.b, self.ctx.d1
-        norm = p * p - d1 * q * q  # rational, nonzero for nonzero x
-        inv_n2 = QuadExt(p / norm, -q / norm, ctx=self.ctx)
-        return self.conj_d2() * inv_n2
+        if norm < 0:
+            norm, den = -norm, -den
+        return _reduced(self.ctx, num[0] * den, num[1] * den, num[2] * den, num[3] * den, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -186,37 +221,37 @@ class QuadExt:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.e)
+        return self._n == _ZERO
 
     def sign(self) -> int:
-        """Exact sign by recursive descent through the field tower."""
-        d1, d2 = self.ctx.d1, self.ctx.d2
-        s_x = _sign_quad(self.a, self.b, d1)
-        s_y = _sign_quad(self.c, self.e, d1)
-        if s_y == 0:
+        """Exact sign by recursive descent through the field tower; the
+        denominator is positive, so only the numerators matter."""
+        a, b, c, e, _ = self._n
+        d1 = self.ctx.d1
+        s_x = _sign_quad(a, b, d1)
+        s_y = _sign_quad(c, e, d1)
+        if s_y == 0 or s_x == s_y:
             return s_x
         if s_x == 0:
             return s_y
-        if s_x == s_y:
-            return s_x
-        # x = X + Y*sqrt(d2) with sign(X) = -sign(Y): compare X^2 vs d2*Y^2
-        x2a = self.a * self.a + d1 * self.b * self.b
-        x2b = 2 * self.a * self.b
-        y2a = self.c * self.c + d1 * self.e * self.e
-        y2b = 2 * self.c * self.e
-        return s_x * _sign_quad(x2a - d2 * y2a, x2b - d2 * y2b, d1)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other, ctx=self.ctx)
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        return self.ctx == other.ctx and (
-            self.a == other.a and self.b == other.b
-            and self.c == other.c and self.e == other.e
+        # X + Y*sqrt(d2) with sign(X) = -sign(Y): compare X^2 vs d2*Y^2
+        d2 = self.ctx.d2
+        return s_x * _sign_quad(
+            a * a + d1 * b * b - d2 * (c * c + d1 * e * e),
+            2 * (a * b - d2 * c * e),
+            d1,
         )
 
+    def __eq__(self, other):
+        if isinstance(other, QuadExt):
+            return self._n == other._n and self.ctx == other.ctx
+        if isinstance(other, (int, Fraction)):
+            return self._n == (other.numerator, 0, 0, 0, other.denominator)
+        return NotImplemented
+
     def __hash__(self):
+        # the hash of the Fraction coefficients, so that the iteration order
+        # of a set of exact values does not depend on the representation
         return hash((self.a, self.b, self.c, self.e, self.ctx))
 
     def __lt__(self, other):
@@ -237,41 +272,42 @@ class QuadExt:
     # -- conversion -------------------------------------------------------
 
     def __float__(self):
+        # int / int rounds correctly, exactly as float(Fraction) does
+        a, b, c, e, den = self._n
         d1, d2 = self.ctx.d1, self.ctx.d2
         return (
-            float(self.a)
-            + float(self.b) * math.sqrt(d1)
-            + float(self.c) * math.sqrt(d2)
-            + float(self.e) * math.sqrt(d1 * d2)
+            a / den
+            + b / den * math.sqrt(d1)
+            + c / den * math.sqrt(d2)
+            + e / den * math.sqrt(d1 * d2)
         )
-
-    def is_rational(self) -> bool:
-        return not (self.b or self.c or self.e)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def __repr__(self):
         d1, d2 = self.ctx.d1, self.ctx.d2
-        parts = [str(self.a)] if self.a or self.is_zero() else []
+        parts = [str(self.a)] if self._n[0] or self.is_zero() else []
         for coef, rad in ((self.b, d1), (self.c, d2), (self.e, d1 * d2)):
             if coef:
                 parts.append(f"{coef}√{rad}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def sqrt_d1(ctx: FieldContext) -> QuadExt:
-    return QuadExt(0, 1, ctx=ctx)
+_ZERO = (0, 0, 0, 0, 1)
+_new = object.__new__
+_set_n = QuadExt._n.__set__
+_set_ctx = QuadExt.ctx.__set__
 
 
-def sqrt_d2(ctx: FieldContext) -> QuadExt:
-    return QuadExt(0, 0, 1, ctx=ctx)
-
-
-def sqrt_d1d2(ctx: FieldContext) -> QuadExt:
-    return QuadExt(0, 0, 0, 1, ctx=ctx)
+def _reduced(ctx: FieldContext, a: int, b: int, c: int, e: int, den: int) -> QuadExt:
+    """Internal constructor: integer numerators over den > 0, brought to
+    lowest terms, without the public constructor's coercion."""
+    if den != 1:
+        g = math.gcd(a, b, c, e, den)
+        if g != 1:
+            a, b, c, e, den = a // g, b // g, c // g, e // g, den // g
+    x = _new(QuadExt)
+    _set_n(x, (a, b, c, e, den))
+    _set_ctx(x, ctx)
+    return x
 
 
 # -- exact linear algebra --------------------------------------------------

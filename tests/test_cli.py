@@ -56,9 +56,31 @@ def test_verify_k_out_of_range(capsys):
 
 
 def test_verify_bad_k_literal(capsys):
-    code, _, err = run(capsys, "verify", "--construction", "suspension",
-                       "--all", "--k", "pi")
-    assert code == 2
+    for k in ("pi", "1/0"):
+        code, _, err = run(capsys, "verify", "--construction", "suspension",
+                           "--all", "--k", k)
+        assert code == 2
+        assert "cannot parse k" in err
+        assert "Traceback" not in err
+
+
+def test_verify_out_json(capsys, tmp_path):
+    out = tmp_path / "verify.json"
+    code, _, _ = run(capsys, "verify", "--construction", "suspension",
+                     "--all", "--out", str(out))
+    assert code == 4
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["construction"] == "suspension"
+    reports = doc["reports"]
+    assert [r["id"] for r in reports] == list(range(12))
+    assert sum(r["verdict"] == "embedded" for r in reports) == 6
+    known = {"containment", "coplanar_overlap", "edge_through_face",
+             "interior_crossing", "vertex_in_face", "degenerate_face"}
+    for r in reports:
+        assert (r["verdict"] == "embedded") == (not r["violations"])
+        for v in r["violations"]:
+            assert v["kind"] in known
+            assert len(v["faces"]) == 2
 
 
 def test_verify_id_out_of_range(capsys):

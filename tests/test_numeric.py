@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -65,6 +66,14 @@ def test_division_by_self_is_one():
 def test_degenerate_context_folds():
     x = QuadExt(1, 2, 3, 4, ctx=CTX_SQRT5)  # 1 + 2√5 + 3 + 4√5
     assert (x.a, x.b, x.c, x.e) == (4, 6, 0, 0)
+
+
+def test_immutable():
+    x = qx(1, 2)
+    for name in ("a", "ctx", "_n"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    assert x == qx(1, 2)
 
 
 def test_context_mismatch_rejected():
@@ -136,30 +145,68 @@ def test_float_roundtrip_error_bound():
 
 # -- field laws (hypothesis) ----------------------------------------------
 
-small = st.integers(min_value=-6, max_value=6)
-quadexts = st.builds(lambda a, b, c, e: qx(a, b, c, e), small, small, small, small)
+rationals = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+quadexts = st.builds(lambda a, b, c, e: qx(a, b, c, e), rationals, rationals, rationals, rationals)
+
+
+def assert_canonical(x: QuadExt):
+    """Integer numerators over a positive denominator, in lowest terms."""
+    *nums, den = x._n
+    assert all(type(n) is int for n in x._n)
+    assert den > 0
+    assert math.gcd(*nums, den) == 1
+
+
+def assert_same(x: QuadExt, y: QuadExt):
+    assert_canonical(x)
+    assert_canonical(y)
+    assert x == y
+    assert hash(x) == hash(y)
 
 
 @given(quadexts, quadexts, quadexts)
 @settings(max_examples=200, deadline=None)
 def test_ring_laws(x, y, z):
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
+    assert_same(x + y, y + x)
+    assert_same(x * y, y * x)
+    assert_same((x + y) + z, x + (y + z))
+    assert_same((x * y) * z, x * (y * z))
+    assert_same(x * (y + z), x * y + x * z)
+    assert_same((x - y) + y, x)
+    assert_same(x - y, -(y - x))
+
+
+@given(quadexts, rationals)
+@settings(max_examples=200, deadline=None)
+def test_rational_operands(x, r):
+    assert_same(x + r, x + qx(r))
+    assert_same(r - x, qx(r) - x)
+    assert_same(x * r, qx(r) * x)
+    assert qx(r) == r
 
 
 @given(quadexts)
 @settings(max_examples=200, deadline=None)
 def test_multiplicative_inverse(x):
     if not x.is_zero():
-        assert x * x.inverse() == qx(1)
+        assert_canonical(x.inverse())
+        assert_same(x * x.inverse(), qx(1))
+        assert_same(x.inverse().inverse(), x)
+
+
+@given(quadexts, quadexts)
+@settings(max_examples=200, deadline=None)
+def test_division(x, y):
+    if not y.is_zero():
+        assert_same((x / y) * y, x)
 
 
 @given(quadexts, quadexts)
 @settings(max_examples=200, deadline=None)
 def test_difference_sign_matches_oracle(x, y):
+    assert_canonical(x - y)
     assert (x - y).sign() == oracle_sign(x - y)
 
 
