@@ -41,7 +41,6 @@ from .verify import (
     orientation_sign,
     pair_intersection_check,
     verify_catalog,
-    verify_embedding,
 )
 
 __version__ = "0.1.0"

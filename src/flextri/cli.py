@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .numeric import QuadExt, parse_rational
 from .surfaces import SURFACE_NAMES, build_graph, enumerate_cliques3
-from .verify import EmbeddingVerifier, verify_catalog, verify_embedding
+from .verify import verify_catalog
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -212,16 +212,10 @@ def cmd_verify(args) -> int:
     points, graph_name, surface = construction_points(args.construction, args.k)
     catalog = build_catalog(graph_name, surface)
     ids = _selected_ids(args, catalog)
-    verifier = EmbeddingVerifier(points)
-    reports = {}
-    for i in ids:
-        tri = catalog.triangulations[i]
-        g = GeometricComplex(tri, {v: points[v] for v in tri.graph.vertices})
-        reports[i] = verify_embedding(g, identity=str(i), verifier=verifier)
+    reports = verify_catalog(points, catalog, ids)
     rows = []
     ok = True
-    for i in ids:
-        r = reports[i]
+    for i, r in zip(ids, reports):
         if r.embedded:
             rows.append(f"{i:3d}  PASS")
         else:
@@ -230,7 +224,7 @@ def cmd_verify(args) -> int:
             rows.append(f"{i:3d}  FAIL  {len(r.violations)} violations ({', '.join(kinds)})")
     table = "\n".join(rows) + "\n"
     print(table, end="")
-    n_pass = sum(reports[i].embedded for i in ids)
+    n_pass = sum(r.embedded for r in reports)
     print(f"{n_pass}/{len(ids)} embedded")
     if args.out:
         doc = {
@@ -239,16 +233,16 @@ def cmd_verify(args) -> int:
             "reports": [
                 {
                     "id": i,
-                    "verdict": reports[i].verdict,
+                    "verdict": r.verdict,
                     "violations": [
                         {
                             "faces": [list(f) for f in v.faces],
                             "kind": v.kind,
                         }
-                        for v in reports[i].violations
+                        for v in r.violations
                     ],
                 }
-                for i in ids
+                for i, r in zip(ids, reports)
             ],
         }
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -46,13 +46,6 @@ class Catalog:
     def ids(self) -> range:
         return range(len(self.triangulations))
 
-    def index_of(self, faces) -> int:
-        enc = tuple(sorted(map(tuple, faces)))
-        for i, t in enumerate(self.triangulations):
-            if t.faces == enc:
-                return i
-        raise KeyError("face set not in catalog")
-
 
 def _triangle_edges(t: Triangle):
     return (

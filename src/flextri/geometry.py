@@ -85,20 +85,21 @@ class GeometricComplex:
     placement: dict  # VertexLabel -> Point
 
     def __post_init__(self):
-        labels = self.triangulation.graph.vertices
-        missing = [v for v in labels if v not in self.placement]
-        if missing:
-            raise ValueError(f"placement missing vertices {missing}")
-        pts = [self.placement[v] for v in labels]
-        if len({p.coords for p in pts}) != len(pts):
-            raise ValueError("placement maps distinct labels to equal points")
+        check_placement(self.triangulation.graph.vertices, self.placement)
 
     @property
     def dim(self) -> int:
         return next(iter(self.placement.values())).dim
 
-    def face_points(self, face) -> tuple[Point, Point, Point]:
-        return tuple(self.placement[v] for v in face)
+
+def check_placement(labels, placement: dict) -> None:
+    """Raise ValueError unless every label has a point and no two share one."""
+    missing = [v for v in labels if v not in placement]
+    if missing:
+        raise ValueError(f"placement missing vertices {missing}")
+    pts = [placement[v] for v in labels]
+    if len({p.coords for p in pts}) != len(pts):
+        raise ValueError("placement maps distinct labels to equal points")
 
 
 def face_is_degenerate(a: Point, b: Point, c: Point) -> bool:

@@ -8,6 +8,7 @@ decided exactly, with no floating point on the decision path.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,9 +18,20 @@ class ContextMismatchError(ValueError):
     """Raised when combining values from different field contexts."""
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a decimal string like "2.8" as an exact rational."""
-    return Fraction(text.strip())
+    """Parse "p/q" or a decimal string like "2.8" as an exact rational.
+
+    Only an optional sign, digits and an optional "/digits" or ".digits" are
+    accepted; anything else (exponents such as "1e999999" included) raises
+    ValueError.
+    """
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(text)
 
 
 def _is_square_free(n: int) -> bool:

@@ -13,13 +13,6 @@ from itertools import combinations
 Triangle = tuple[str, str, str]  # sorted label triple
 
 
-def make_triangle(u: str, v: str, w: str) -> Triangle:
-    t = tuple(sorted((u, v, w)))
-    if len(set(t)) != 3:
-        raise ValueError(f"degenerate triangle {t}")
-    return t
-
-
 @dataclass(frozen=True)
 class LabeledGraph:
     name: str
@@ -98,10 +91,6 @@ class Triangulation:
                 raise ValueError(f"face edge {sorted(e)} not in graph")
             if c > 2:
                 raise ValueError(f"edge {sorted(e)} lies in {c} > 2 faces")
-
-    def encoding(self) -> tuple[Triangle, ...]:
-        """Canonical identity: the sorted face tuple."""
-        return self.faces
 
 
 def edge_face_counts(t: Triangulation) -> dict:
@@ -234,19 +223,14 @@ def classify_surface(t: Triangulation, orientation_start: int = 0) -> SurfaceCla
     F = len(t.faces)
     euler = V - E + F
 
-    shapes = [_link_shape(_link_graph(t, v)) for v in t.graph.vertices]
+    links = {v: _link_graph(t, v) for v in t.graph.vertices}
     counts = edge_face_counts(t)
     manifold = (
-        all(s in ("cycle", "path") for s in shapes)
+        all(_link_shape(link) in ("cycle", "path") for link in links.values())
         and all(1 <= counts.get(e, 0) <= 2 for e in t.graph.edges)
+        # a cycle link must use every graph neighbor of the vertex
+        and all(set(links[v]) == set(t.graph.neighbors(v)) for v in links)
     )
-    # a cycle link must use every graph neighbor of the vertex
-    if manifold:
-        for v, s in zip(t.graph.vertices, shapes):
-            link = _link_graph(t, v)
-            if set(link) != set(t.graph.neighbors(v)):
-                manifold = False
-                break
 
     boundary = _boundary_components(t)
     orientable = _orientable(t, orientation_start)

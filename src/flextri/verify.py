@@ -10,10 +10,9 @@ collinear contact) are decided by case analysis, never perturbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
-from .geometry import GeometricComplex, Point, face_is_degenerate
+from .geometry import Point, check_placement, face_is_degenerate
 from .numeric import QuadExt, solve_linear
 
 
@@ -382,9 +381,15 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
         return PairVerdict((t1, t2), 3, "violation", "coplanar_overlap", t1)
 
     if n_shared == 2:
-        # non-coplanar triangles on a common edge meet exactly in that edge
-        if orientation_sign_safe(t1, t2) != 0:
-            return PairVerdict((t1, t2), 2, "admissible")
+        # non-coplanar triangles on a common edge meet exactly in that edge;
+        # the four points are coplanar iff every 3x3 minor of their three
+        # difference vectors vanishes (one minor in R^3, four in R^4)
+        (i0, j0), (i1, j1) = shared
+        base = t1[i0]
+        vecs = [t1[i1] - base, t1[3 - i0 - i1] - base, t2[3 - j0 - j1] - base]
+        for cols in combinations(range(base.dim), 3):
+            if not _det([[v.coords[c] for c in cols] for v in vecs]).is_zero():
+                return PairVerdict((t1, t2), 2, "admissible")
 
     dim = t1[0].dim
     if dim == 3:
@@ -398,80 +403,41 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     return PairVerdict((t1, t2), n_shared, "violation", kind, witness)
 
 
-def orientation_sign_safe(t1, t2) -> int:
-    """Coplanarity test of the two triangles' affine hulls via the third
-    vertices, valid when they share an edge; 0 means coplanar."""
-    shared = [p for p in t1 if any(p.coords == q.coords for q in t2)]
-    others1 = [p for p in t1 if all(p.coords != q.coords for q in shared)]
-    others2 = [p for p in t2 if all(p.coords != q.coords for q in shared)]
-    pts = shared + others1 + others2
-    if t1[0].dim == 3 and len(pts) == 4:
-        return orientation_sign(pts)
-    if t1[0].dim == 4 and len(pts) == 4:
-        # coplanar in R^4 iff the three difference vectors have rank < 3
-        base = pts[0]
-        vecs = [p - base for p in pts[1:]]
-        for cols in combinations(range(4), 3):
-            rows = [[v.coords[c] for c in cols] for v in vecs]
-            if _det(rows).sign() != 0:
-                return 1
-        return 0
-    return 0
+def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
+    """Certify the triangulations ``ids`` of a catalog (default: all) on one
+    placement, one report per id in the order given.
 
-
-class EmbeddingVerifier:
-    """Face-pair certifier with a verdict cache, for re-use across the many
-    triangulations drawn from one 3-clique pool on one placement."""
-
-    def __init__(self, placement: dict):
-        self.placement = placement
-        self._cache: dict = {}
-
-    def check(self, f1, f2) -> PairVerdict:
-        key = (f1, f2) if f1 <= f2 else (f2, f1)
-        if key not in self._cache:
-            a, b = key
-            t1 = tuple(self.placement[v] for v in a)
-            t2 = tuple(self.placement[v] for v in b)
-            shared = [
-                (i, j)
-                for i, u in enumerate(a)
-                for j, w in enumerate(b)
-                if u == w
-            ]
-            self._cache[key] = pair_intersection_check(t1, t2, shared)
-        return self._cache[key]
-
-
-def verify_embedding(
-    g: GeometricComplex, identity: str = "", verifier: EmbeddingVerifier | None = None
-) -> EmbeddingReport:
-    """Certify that a geometric complex is free from self-intersections."""
-    if verifier is None:
-        verifier = EmbeddingVerifier(g.placement)
-    violations = []
-    for f in g.triangulation.faces:
-        if face_is_degenerate(*g.face_points(f)):
-            violations.append(
-                PairVerdict((f, f), 3, "violation", "degenerate_face")
-            )
-    pairs = list(combinations(g.triangulation.faces, 2))
-    for f1, f2 in pairs:
-        v = verifier.check(f1, f2)
-        if not v.admissible:
-            violations.append(
-                PairVerdict((f1, f2), v.shared, v.verdict, v.kind, v.witness)
-            )
-    verdict = "embedded" if not violations else "not_embedded"
-    return EmbeddingReport(identity, verdict, violations, len(pairs))
-
-
-def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
-    """Verify every triangulation of a catalog on one placement, sharing a
-    pair-verdict cache across the runs."""
-    verifier = EmbeddingVerifier(placement)
+    All triangulations draw their faces from the catalog's 3-cliques, so the
+    verdicts come from one table for the placement: each face is tested for
+    degeneracy once, and each clique pair that occurs together in a selected
+    triangulation is checked once (faces are in canonical order, so the
+    smaller face comes first).
+    """
+    check_placement(catalog.task.graph.vertices, placement)
+    ids = list(catalog.ids if ids is None else ids)
+    tris = [catalog.triangulations[i] for i in ids]
+    points = {f: tuple(placement[v] for v in f) for t in tris for f in t.faces}
+    degenerate = {f: face_is_degenerate(*pts) for f, pts in points.items()}
+    table: dict = {}
     reports = []
-    for i, tri in enumerate(catalog.triangulations):
-        g = GeometricComplex(tri, {v: placement[v] for v in tri.graph.vertices})
-        reports.append(verify_embedding(g, identity=str(i), verifier=verifier))
+    for i, tri in zip(ids, tris):
+        violations = [
+            PairVerdict((f, f), 3, "violation", "degenerate_face")
+            for f in tri.faces
+            if degenerate[f]
+        ]
+        pairs = list(combinations(tri.faces, 2))
+        for a, b in pairs:
+            if (a, b) not in table:
+                shared = [
+                    (j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w
+                ]
+                table[a, b] = pair_intersection_check(points[a], points[b], shared)
+            v = table[a, b]
+            if not v.admissible:
+                violations.append(
+                    PairVerdict((a, b), v.shared, v.verdict, v.kind, v.witness)
+                )
+        verdict = "embedded" if not violations else "not_embedded"
+        reports.append(EmbeddingReport(str(i), verdict, violations, len(pairs)))
     return reports

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +60,7 @@ def test_verify_k_out_of_range(capsys):
 
 
 def test_verify_bad_k_literal(capsys):
-    for k in ("pi", "1/0"):
+    for k in ("pi", "1/0", "1e999999"):
         code, _, err = run(capsys, "verify", "--construction", "suspension",
                            "--all", "--k", k)
         assert code == 2
@@ -222,3 +226,24 @@ def test_report_json_shape(capsys):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert any(l.startswith("[count-k2222] PASS") for l in doc["lines"])
+
+
+# -- scripts ---------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_reproduce_results_script(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_results.py"),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    artifacts = ["report.txt", "catalog_k2222.json", "catalog_k6.json",
+                 "catalog_k5.json", "torus_16cell.off", "torus_suspension.off",
+                 "moebius.off", "rp2_simplex.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(artifacts)
+    reference = ROOT / "perfbench" / "references" / "report.txt"
+    assert (tmp_path / "report.txt").read_bytes() == reference.read_bytes()

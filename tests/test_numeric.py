@@ -94,6 +94,8 @@ def test_square_free_context_rejected():
 def test_parse_rational_decimal():
     assert parse_rational("2.8") == Fraction(14, 5)
     assert parse_rational("14/5") == Fraction(14, 5)
+    with pytest.raises(ValueError):
+        parse_rational("28e-1")
 
 
 # -- sign ------------------------------------------------------------------

@@ -12,11 +12,9 @@ from flextri.geometry import (
 )
 from flextri.numeric import CTX_SQRT2_SQRT3, QQ, QuadExt, solve_linear
 from flextri.verify import (
-    EmbeddingVerifier,
     orientation_sign,
     pair_intersection_check,
     verify_catalog,
-    verify_embedding,
 )
 
 CTX = CTX_SQRT2_SQRT3
@@ -118,11 +116,10 @@ def test_verdict_symmetric_under_swap():
 
 # -- documented violations on the suspension placement ---------------------
 
-def test_suspension_equator_containments(suspension_points, torus_catalog):
-    verifier = EmbeddingVerifier(suspension_points)
-    fgh = ("F", "G", "H")
-    for face in (("C", "D", "F"), ("B", "C", "D"), ("B", "G", "H")):
-        v = verifier.check(face, fgh)
+def test_suspension_equator_containments(suspension_points):
+    fgh = tuple(suspension_points[v] for v in "FGH")
+    for face in ("CDF", "BCD", "BGH"):
+        v = pair_intersection_check(tuple(suspension_points[u] for u in face), fgh)
         assert not v.admissible
         assert v.kind == "containment"
 
@@ -171,6 +168,45 @@ def test_full_catalogs_embed_on_reference_placements(
         assert all(r.pairs_checked == len(
             list(combinations(catalog.triangulations[0].faces, 2))
         ) for r in reports)
+
+
+def test_verify_catalog_table_checks_and_selection(
+    moebius_points, moebius_catalog, suspension_points, torus_catalog
+):
+    # E moved to 2B puts A, B, E on one line: face ABE is degenerate, and
+    # every report containing it says so, first for the face itself and
+    # then for each pair the face is in
+    collinear = dict(moebius_points, E=moebius_points["B"].scale(2))
+    abe = ("A", "B", "E")
+    reports = verify_catalog(collinear, moebius_catalog)
+    with_abe = [
+        (r, tri) for r, tri in zip(reports, moebius_catalog.triangulations)
+        if abe in tri.faces
+    ]
+    assert with_abe
+    for r, tri in with_abe:
+        assert not r.embedded
+        flagged = [v for v in r.violations if v.faces == (abe, abe)]
+        assert [v.kind for v in flagged] == ["degenerate_face"]
+        for f in tri.faces:
+            if f != abe:
+                pair = (abe, f) if abe < f else (f, abe)
+                (v,) = [v for v in r.violations if v.faces == pair]
+                assert v.kind == "degenerate_face"
+
+    # the placement is checked once per call: a missing label, and two
+    # labels on one point, are refused
+    missing = {v: p for v, p in moebius_points.items() if v != "C"}
+    with pytest.raises(ValueError):
+        verify_catalog(missing, moebius_catalog)
+    doubled = dict(moebius_points, C=moebius_points["D"])
+    with pytest.raises(ValueError):
+        verify_catalog(doubled, moebius_catalog)
+
+    # a selection is the same reports as the full run, in the order asked
+    full = verify_catalog(suspension_points, torus_catalog)
+    assert verify_catalog(suspension_points, torus_catalog, [8, 3]) == [full[8], full[3]]
+    assert [full[8].identity, full[3].identity] == ["8", "3"]
 
 
 def test_verdicts_invariant_under_scaling(moebius_points, moebius_catalog):
@@ -265,7 +301,6 @@ def _in_triangle_r4(x, tri):
 
 
 def test_r4_admissible_pairs_have_no_sampled_overlap(rp2_points, rp2_catalog):
-    verifier = EmbeddingVerifier(rp2_points)
     faces = rp2_catalog.triangulations[0].faces
     grid = [
         (Fraction(i, 5), Fraction(j, 5))
@@ -275,9 +310,9 @@ def test_r4_admissible_pairs_have_no_sampled_overlap(rp2_points, rp2_catalog):
     for f1, f2 in combinations(faces, 2):
         if set(f1) & set(f2):
             continue
-        verdict = verifier.check(f1, f2)
         t1 = tuple(rp2_points[v] for v in f1)
         t2 = tuple(rp2_points[v] for v in f2)
+        verdict = pair_intersection_check(t1, t2)
         a, b, c = t1
         for s, t in grid:
             x = a + (b - a).scale(s) + (c - a).scale(t)
