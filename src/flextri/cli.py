@@ -83,6 +83,8 @@ def construction_points(cli_name: str, k_text: str | None):
     internal, graph_name, surface = CONSTRUCTIONS[cli_name]
     params = None
     if k_text is not None:
+        if internal not in DEFAULT_PARAMS:
+            raise UsageError(f"{cli_name} takes no parameter k")
         try:
             params = RealizationParams(parse_rational(k_text))
         except (ValueError, ZeroDivisionError):
@@ -282,6 +284,12 @@ def cmd_export(args) -> int:
     points, graph_name, surface = construction_points(args.construction, args.k)
     if args.project_drop_axis is not None:
         axis = "xyzw".index(args.project_drop_axis)
+        dim = next(iter(points.values())).dim
+        if axis >= dim:
+            raise UsageError(
+                f"cannot drop axis {args.project_drop_axis}: "
+                f"{args.construction} has dim {dim}"
+            )
         points = orthogonal_project(points, axis)
     catalog = build_catalog(graph_name, surface)
     ids = _selected_ids(args, catalog)

@@ -102,16 +102,22 @@ def check_placement(labels, placement: dict) -> None:
         raise ValueError("placement maps distinct labels to equal points")
 
 
+def plane_axes(u: Point, w: Point) -> tuple[int, int] | None:
+    """The coordinate pair (i, j) on which span(u, w) projects one-to-one:
+    the last pair in lexicographic order whose 2x2 minor is nonzero, or None
+    iff u and w are linearly dependent.  In R^3 that is (1, 2), then (0, 2),
+    then (0, 1): the axis dropped is the first nonzero component of u x w."""
+    n = len(u.coords)
+    for i in range(n - 2, -1, -1):
+        for j in range(n - 1, i, -1):
+            if not (u.coords[i] * w.coords[j] - u.coords[j] * w.coords[i]).is_zero():
+                return i, j
+    return None
+
+
 def face_is_degenerate(a: Point, b: Point, c: Point) -> bool:
     """True iff the three points are affinely dependent."""
-    u, w = b - a, c - a
-    n = len(u.coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            minor = u.coords[i] * w.coords[j] - u.coords[j] * w.coords[i]
-            if not minor.is_zero():
-                return False
-    return True
+    return plane_axes(b - a, c - a) is None
 
 
 # -- named constructions ---------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .geometry import Point, check_placement, face_is_degenerate
+from .geometry import Point, check_placement, face_is_degenerate, plane_axes
 from .numeric import QuadExt, solve_linear
 
 
@@ -124,12 +124,8 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     """p on the closed segment [a, b] (any dimension), exactly."""
     u = b - a
     w = p - a
-    # collinearity: all 2x2 minors vanish
-    n = len(u.coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (u.coords[i] * w.coords[j] - u.coords[j] * w.coords[i]).is_zero():
-                return False
+    if plane_axes(u, w) is not None:
+        return False
     t_num = w.dot(u)
     t_den = u.norm_sq()
     return t_num.sign() >= 0 and (t_den - t_num).sign() >= 0
@@ -143,10 +139,71 @@ def _in_shared_hull(p: Point, shared_pts) -> bool:
     return _on_segment(p, shared_pts[0], shared_pts[1])
 
 
+# -- line clipping and the kind rule --------------------------------------
+
+def _interval(constraints, lo=None, hi=None):
+    """The closed interval of lam with coef * lam + const >= 0 for every
+    (coef, const) in ``constraints``, within [lo, hi] (None: unbounded);
+    returns (lo, hi), or None when it is empty."""
+    for coef, const in constraints:
+        s = coef.sign()
+        if s == 0:
+            if const.sign() < 0:
+                return None
+            continue
+        bound = -const / coef
+        if s > 0:
+            if lo is None or (bound - lo).sign() > 0:
+                lo = bound
+        elif hi is None or (bound - hi).sign() < 0:
+            hi = bound
+    if lo is None or hi is None:
+        raise ValueError("unbounded parameter interval from degenerate input")
+    if (hi - lo).sign() < 0:
+        return None
+    return lo, hi
+
+
+def _line_hit(start: Point, direction: Point, span):
+    """The points start + lam * direction at the ends of ``span``, low end
+    first; one point when the span is a single value, none when empty."""
+    if span is None:
+        return []
+    lo, hi = span
+    pts = [start + direction.scale(lo)]
+    if (hi - lo).sign() > 0:
+        pts.append(start + direction.scale(hi))
+    return pts
+
+
+def _line_verdict(hit, t1, t2, shared_pts, along_t2_edge: bool):
+    """Verdict for the points where T2 meets T1 along one line: the trace of
+    T2 on T1's plane (R^3) or the line where the two planes meet (R^4).
+    Returns (admissible, witness, kind)."""
+    offenders = [p for p in hit if not _in_shared_hull(p, shared_pts)]
+    if not offenders:
+        return True, (), None
+    if len(hit) >= 2:
+        kind = "edge_through_face" if along_t2_edge else "interior_crossing"
+    else:
+        on_vertex = any(offenders[0].coords == q.coords for q in t1 + t2)
+        kind = "vertex_in_face" if on_vertex else "edge_through_face"
+    return False, tuple(offenders), kind
+
+
 # -- coplanar overlap ------------------------------------------------------
 
-def _coplanar_check_2d(t1, t2, shared_pts):
-    """Both triangles in R^2.  Returns (admissible, witness, kind)."""
+def _project(p: Point, axes) -> Point:
+    i, j = axes
+    return Point((p.coords[i], p.coords[j]))
+
+
+def _coplanar_check(t1, t2, shared_pts, axes):
+    """Both triangles in one 2-flat, which projects one-to-one onto the
+    coordinate pair ``axes``; decided, and witnessed, in that projection.
+    Returns (admissible, witness, kind)."""
+    t1, t2 = (tuple(_project(p, axes) for p in t) for t in (t1, t2))
+    shared_pts = [_project(p, axes) for p in shared_pts]
     clip = _positively_oriented(t1)
     poly = list(t2)
     for i in range(3):
@@ -163,67 +220,26 @@ def _coplanar_check_2d(t1, t2, shared_pts):
 
 # -- dimension 3 -----------------------------------------------------------
 
-def _drop_axis_for_plane(a: Point, b: Point, c: Point) -> int:
-    n = (b - a).cross(c - a)
-    for i in range(3):
-        if not n.coords[i].is_zero():
-            return i
-    raise ValueError("degenerate triangle has no plane normal")
-
-
-def _project2d(p: Point, axis: int) -> Point:
-    return Point(tuple(c for i, c in enumerate(p.coords) if i != axis))
-
-
-def _plane_values(tri, pts):
+def _edge_constraints(tri, x: Point, y: Point):
+    """For each edge (p, q) of a positively oriented 2-D triangle, the
+    (coef, const) of orient2d(p, q, x + lam (y - x)) >= 0, lazily."""
     a, b, c = tri
-    n = (b - a).cross(c - a)
-    return [n.dot(q - a) for q in pts]
-
-
-def _clip_segment_by_tri_2d(x: Point, y: Point, tri, axis: int):
-    """Intersect 3D segment [x, y] with a triangle coplanar with it, working
-    in the 2D projection along `axis`; returns 3D endpoints of the result."""
-    a, b, c = _positively_oriented(tuple(_project2d(p, axis) for p in tri))
-    x2, y2 = _project2d(x, axis), _project2d(y, axis)
-    lo = QuadExt(0, ctx=x.coords[0].ctx)
-    hi = QuadExt(1, ctx=x.coords[0].ctx)
-    for u, v in ((a, b), (b, c), (c, a)):
-        hx, hy = _orient2d(u, v, x2), _orient2d(u, v, y2)
-        coef = hy - hx  # h(t) = hx + t*(hy-hx) >= 0 required
-        s = coef.sign()
-        if s == 0:
-            if hx.sign() < 0:
-                return []
-        elif s > 0:
-            t = -hx / coef
-            if (t - lo).sign() > 0:
-                lo = t
-        else:
-            t = -hx / coef
-            if (t - hi).sign() < 0:
-                hi = t
-    if (hi - lo).sign() < 0:
-        return []
-    seg = y - x
-    pts = [x + seg.scale(lo)]
-    if (hi - lo).sign() > 0:
-        pts.append(x + seg.scale(hi))
-    return pts
+    for p, q in ((a, b), (b, c), (c, a)):
+        hx = _orient2d(p, q, x)
+        yield _orient2d(p, q, y) - hx, hx
 
 
 def _check_dim3(t1, t2, shared_pts):
-    d2 = _plane_values(t1, t2)
+    a, b, c = t1
+    u, w = b - a, c - a
+    normal = u.cross(w)
+    d2 = [normal.dot(q - a) for q in t2]
     s2 = [v.sign() for v in d2]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return True, (), None
+    axes = plane_axes(u, w)
     if all(s == 0 for s in s2):
-        axis = _drop_axis_for_plane(*t1)
-        return _coplanar_check_2d(
-            tuple(_project2d(p, axis) for p in t1),
-            tuple(_project2d(p, axis) for p in t2),
-            [_project2d(p, axis) for p in shared_pts],
-        )
+        return _coplanar_check(t1, t2, shared_pts, axes)
     # T2 crosses the plane of T1: its trace there is a point or segment
     trace = [q for q, s in zip(t2, s2) if s == 0]
     for i, j in combinations(range(3), 2):
@@ -231,24 +247,17 @@ def _check_dim3(t1, t2, shared_pts):
             t = d2[i] / (d2[i] - d2[j])
             trace.append(t2[i] + (t2[j] - t2[i]).scale(t))
     trace = _dedupe(trace)
-    axis = _drop_axis_for_plane(*t1)
+    tri = tuple(_project(p, axes) for p in t1)
     if len(trace) == 1:
-        hit = trace if _point_in_tri_2d(
-            _project2d(trace[0], axis), tuple(_project2d(p, axis) for p in t1)
-        ) else []
+        hit = trace if _point_in_tri_2d(_project(trace[0], axes), tri) else []
     else:
-        hit = _clip_segment_by_tri_2d(trace[0], trace[1], t1, axis)
-    offenders = [p for p in hit if not _in_shared_hull(p, shared_pts)]
-    if not offenders:
-        return True, (), None
-    if len(hit) >= 2:
-        edge_trace = sum(1 for s in s2 if s == 0) == 2
-        kind = "edge_through_face" if edge_trace else "interior_crossing"
-    else:
-        p = offenders[0]
-        on_vertex = any(p.coords == q.coords for q in t1 + t2)
-        kind = "vertex_in_face" if on_vertex else "edge_through_face"
-    return False, tuple(offenders), kind
+        x, y = trace
+        edges = _edge_constraints(
+            _positively_oriented(tri), _project(x, axes), _project(y, axes)
+        )
+        span = _interval(edges, QuadExt(0, ctx=x.ctx), QuadExt(1, ctx=x.ctx))
+        hit = _line_hit(x, y - x, span)
+    return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
 
 
 # -- dimension 4 (and general flats) ---------------------------------------
@@ -256,6 +265,17 @@ def _check_dim3(t1, t2, shared_pts):
 def _barycentric_ok(s: QuadExt, t: QuadExt) -> bool:
     one = QuadExt(1, ctx=s.ctx)
     return s.sign() >= 0 and t.sign() >= 0 and (one - s - t).sign() >= 0
+
+
+def _barycentric_constraints(part, null, i):
+    """(coef, const) of s >= 0, t >= 0 and 1 - s - t >= 0 on the line
+    (s, t) = part[i:i+2] + lam * null[i:i+2]."""
+    one = QuadExt(1, ctx=part[i].ctx)
+    return [
+        (null[i], part[i]),
+        (null[i + 1], part[i + 1]),
+        (-null[i] - null[i + 1], one - part[i] - part[i + 1]),
+    ]
 
 
 def _check_dim4(t1, t2, shared_pts):
@@ -285,75 +305,24 @@ def _check_dim4(t1, t2, shared_pts):
             return False, (x,), kind
         return True, (), None
 
-    if len(sol.nullspace) == 1:
-        # the two 2-flats meet in a line
-        part = sol.particular
-        (null,) = sol.nullspace
-        lo, hi, empty = _line_interval(part, null)
-        if empty:
-            return True, (), None
-        pts = [_line_point(p0, u1, u2, part, null, lo)]
-        if (hi - lo).sign() > 0:
-            pts.append(_line_point(p0, u1, u2, part, null, hi))
-        offenders = [p for p in pts if not _in_shared_hull(p, shared_pts)]
-        if not offenders:
-            return True, (), None
-        if len(pts) >= 2:
-            kind = "interior_crossing"
-        else:
-            p = offenders[0]
-            on_vertex = any(p.coords == q.coords for q in t1 + t2)
-            kind = "vertex_in_face" if on_vertex else "edge_through_face"
-        return False, tuple(offenders), kind
+    if len(sol.nullspace) == 2:
+        # rank n-2: both triangles lie in one 2-flat
+        return _coplanar_check(t1, t2, shared_pts, plane_axes(u1, u2))
 
-    # rank n-2: same 2-flat; express everything in the (u1, u2) frame
-    frame_pts = []
-    for q in (*t2, *shared_pts):
-        m2 = [[u1.coords[i], u2.coords[i]] for i in range(n)]
-        r2 = [(q - p0).coords[i] for i in range(n)]
-        s2 = solve_linear(m2, r2)
-        frame_pts.append(Point(tuple(s2.particular)))
-    ctx = p0.coords[0].ctx
-    zero, one = QuadExt(0, ctx=ctx), QuadExt(1, ctx=ctx)
-    t1f = (Point((zero, zero)), Point((one, zero)), Point((zero, one)))
-    return _coplanar_check_2d(t1f, tuple(frame_pts[:3]), frame_pts[3:])
-
-
-def _line_interval(part, null):
-    """Clip the parameter line (s,t,a,b) = part + lam*null against both
-    triangles' barycentric constraints; returns (lo, hi, empty)."""
-    ctx = part[0].ctx
-    one = QuadExt(1, ctx=ctx)
-    constraints = []  # (coef, const) meaning coef*lam + const >= 0
-    for idx in (0, 1, 2, 3):
-        constraints.append((null[idx], part[idx]))
-    constraints.append((-null[0] - null[1], one - part[0] - part[1]))
-    constraints.append((-null[2] - null[3], one - part[2] - part[3]))
-    lo = hi = None
-    for coef, const in constraints:
-        s = coef.sign()
-        if s == 0:
-            if const.sign() < 0:
-                return None, None, True
-        elif s > 0:
-            bound = -const / coef
-            if lo is None or (bound - lo).sign() > 0:
-                lo = bound
-        else:
-            bound = -const / coef
-            if hi is None or (bound - hi).sign() < 0:
-                hi = bound
-    if lo is None or hi is None:
-        raise ValueError("unbounded parameter interval from degenerate input")
-    if (hi - lo).sign() < 0:
-        return None, None, True
-    return lo, hi, False
-
-
-def _line_point(p0, u1, u2, part, null, lam):
-    s = part[0] + null[0] * lam
-    t = part[1] + null[1] * lam
-    return p0 + u1.scale(s) + u2.scale(t)
+    # the two 2-flats meet in the line (s, t, a, b) = part + lam * null,
+    # clipped by both triangles' barycentric constraints
+    part, (null,) = sol.particular, sol.nullspace
+    t2_constraints = _barycentric_constraints(part, null, 2)
+    span = _interval(_barycentric_constraints(part, null, 0) + t2_constraints)
+    hit = _line_hit(
+        p0 + u1.scale(part[0]) + u2.scale(part[1]),
+        u1.scale(null[0]) + u2.scale(null[1]),
+        span,
+    )
+    # the line runs along an edge of T2 iff one of T2's barycentric
+    # coordinates vanishes on the whole line
+    along_t2_edge = any(c.is_zero() and k.is_zero() for c, k in t2_constraints)
+    return _line_verdict(hit, t1, t2, shared_pts, along_t2_edge)
 
 
 # -- public predicates -----------------------------------------------------

@@ -68,6 +68,19 @@ def test_verify_bad_k_literal(capsys):
         assert "Traceback" not in err
 
 
+def test_k_on_parameter_free_construction_rejected(capsys):
+    for argv in (
+        ("verify", "--construction", "rp2-simplex", "--id", "0", "--k", "5"),
+        ("metrics", "--construction", "moebius", "--k", "7/2"),
+        ("export", "--construction", "moebius", "--id", "0", "--k", "4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert f"{argv[2]} takes no parameter k" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
 def test_verify_out_json(capsys, tmp_path):
     out = tmp_path / "verify.json"
     code, _, _ = run(capsys, "verify", "--construction", "suspension",
@@ -157,6 +170,16 @@ def test_export_collapsing_projection_rejected(capsys):
                        "--project-drop-axis", "w")
     assert code == 2
     assert "equal points" in err
+
+
+def test_export_drop_axis_outside_dimension_rejected(capsys):
+    # a 3-D placement has no w axis to drop
+    code, out, err = run(capsys, "export", "--construction", "moebius",
+                         "--id", "0", "--format", "json",
+                         "--project-drop-axis", "w")
+    assert code == 2
+    assert "axis w" in err and "dim 3" in err
+    assert out == ""
 
 
 # -- catalog JSON ----------------------------------------------------------

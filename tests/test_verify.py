@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from flextri.geometry import (
     scale_placement,
 )
 from flextri.numeric import CTX_SQRT2_SQRT3, QQ, QuadExt, solve_linear
+from flextri.surfaces import enumerate_cliques3
 from flextri.verify import (
     orientation_sign,
     pair_intersection_check,
@@ -301,21 +304,91 @@ def _in_triangle_r4(x, tri):
 
 
 def test_r4_admissible_pairs_have_no_sampled_overlap(rp2_points, rp2_catalog):
-    faces = rp2_catalog.triangulations[0].faces
+    # every face pair of an RP^2 triangulation of K6 shares a vertex, so the
+    # vertex-disjoint pairs come from the clique set: a 3-clique and its
+    # complement, 10 pairs
+    cliques = enumerate_cliques3(rp2_catalog.task.graph)
+    pairs = [(f1, f2) for f1, f2 in combinations(cliques, 2) if not set(f1) & set(f2)]
+    assert len(pairs) == 10
     grid = [
         (Fraction(i, 5), Fraction(j, 5))
         for i in range(1, 5)
         for j in range(1, 5 - i)
     ]
-    for f1, f2 in combinations(faces, 2):
-        if set(f1) & set(f2):
-            continue
+    for f1, f2 in pairs:
         t1 = tuple(rp2_points[v] for v in f1)
         t2 = tuple(rp2_points[v] for v in f2)
         verdict = pair_intersection_check(t1, t2)
+        assert verdict.admissible, (f1, f2)
         a, b, c = t1
         for s, t in grid:
             x = a + (b - a).scale(s) + (c - a).scale(t)
-            hit = _in_triangle_r4(x, t2)
-            if verdict.admissible:
-                assert not hit
+            assert not _in_triangle_r4(x, t2), (f1, f2, s, t)
+
+
+def test_r4_transverse_and_parallel_planes():
+    # t1 spans the xy-plane around the origin; planes of R^4 in general
+    # position meet in one point, parallel ones not at all
+    t1 = (pt(-1, -1, 0, 0), pt(2, -1, 0, 0), pt(-1, 2, 0, 0))
+    crossing = (pt(0, 0, -1, -1), pt(0, 0, 2, -1), pt(0, 0, -1, 2))
+    v = pair_intersection_check(t1, crossing)
+    assert (v.verdict, v.kind) == ("violation", "interior_crossing")
+    assert [w.coords for w in v.witness] == [pt(0, 0, 0, 0).coords]
+    touching = (pt(0, 0, 0, 0), pt(0, 0, 1, 0), pt(0, 0, 0, 1))
+    v = pair_intersection_check(t1, touching)
+    assert (v.verdict, v.kind) == ("violation", "vertex_in_face")
+    parallel = tuple(p + pt(0, 0, 0, 1) for p in t1)
+    assert pair_intersection_check(t1, parallel).admissible
+
+
+# -- lifting R^3 to R^4 ----------------------------------------------------
+
+def _degenerate_pool():
+    """The benchmark's fixed pool of degenerate R^3 face pairs (coplanar,
+    collinear, touching, shared vertex/edge), loaded from its stdlib-only
+    generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.degenerate_pool()
+
+
+# an exact injective rational linear map R^3 -> R^4 (rank 3)
+_LIFT = (
+    (1, 2, 0),
+    (0, 1, -1),
+    (Fraction(1, 2), 0, 3),
+    (2, -1, Fraction(1, 3)),
+)
+
+
+def test_r4_lift_agrees_with_r3_on_degenerate_pairs():
+    # both lifts keep every pair inside a 3-flat of R^4, so the two planes
+    # meet in a line or coincide: the R^4 line and same-plane branches must
+    # give the R^3 verdict and kind
+    def check(tri_pair, lift):
+        t1, t2 = (tuple(pt(*lift(p)) for p in t) for t in tri_pair)
+        return pair_intersection_check(t1, t2)
+
+    def zero_lift(p):
+        return (*p, 0)
+
+    def linear_lift(p):
+        return tuple(sum(Fraction(m) * x for m, x in zip(row, p)) for row in _LIFT)
+
+    pool = _degenerate_pool()
+    assert len(pool) == 280
+    for case in pool:
+        r3 = check(case["r3"], tuple)
+        zero = check(case["r3"], zero_lift)
+        linear = check(case["r3"], linear_lift)
+        expected = (r3.verdict, r3.kind, r3.shared)
+        assert (zero.verdict, zero.kind, zero.shared) == expected, case["id"]
+        assert (linear.verdict, linear.kind, linear.shared) == expected, case["id"]
+        if r3.kind in (None, "coplanar_overlap", "containment"):
+            continue
+        # off the coplanar path the witnesses are points of R^3 and R^4
+        assert [w.coords for w in zero.witness] == [
+            (*w.coords, QuadExt(0)) for w in r3.witness
+        ], case["id"]
