@@ -161,11 +161,20 @@ def export_obj(g: GeometricComplex) -> str:
 
 
 def _write_out(text: str, out: str | None):
-    if out:
+    """Write ``text`` to the file ``out``, or to stdout when it is None; a
+    file that cannot be written is a usage error."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- subcommands -----------------------------------------------------------
@@ -174,10 +183,7 @@ def cmd_enumerate(args) -> int:
     catalog = build_catalog(args.graph, args.surface)
     n = len(catalog.triangulations)
     if args.out:
-        doc = catalog_to_json(catalog, args.graph, args.surface)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_out(_json_text(catalog_to_json(catalog, args.graph, args.surface)), args.out)
     print(f"{n} triangulations")
     if catalog.rejected:
         print(f"{len(catalog.rejected)} candidates rejected by the surface filter")
@@ -240,6 +246,7 @@ def cmd_verify(args) -> int:
                         {
                             "faces": [list(f) for f in v.faces],
                             "kind": v.kind,
+                            "witness": [[qx_to_json(c) for c in p.coords] for p in v.witness],
                         }
                         for v in r.violations
                     ],
@@ -247,9 +254,7 @@ def cmd_verify(args) -> int:
                 for i, r in zip(ids, reports)
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_out(_json_text(doc), args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -316,7 +321,7 @@ def cmd_export(args) -> int:
             "faces": [list(f) for f in tri.faces],
             "placement": placement_to_json(g.placement),
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc)
     else:
         raise UsageError(f"unknown format {args.format!r}")
     _write_out(text, args.out)
@@ -449,8 +454,7 @@ def run_report() -> tuple[str, bool]:
 def cmd_report(args) -> int:
     text, ok = run_report()
     if args.format == "json":
-        doc = {"lines": text.splitlines(), "ok": ok}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text({"lines": text.splitlines(), "ok": ok})
     _write_out(text, args.out)
     return EXIT_OK if ok else EXIT_EXPECT
 

@@ -7,6 +7,8 @@ field context and is compared exactly.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,10 +40,10 @@ class Point:
         return self.coords[0].ctx
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Point(tuple(map(operator.sub, self.coords, other.coords)))
 
     def __add__(self, other: "Point") -> "Point":
-        return Point(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Point(tuple(map(operator.add, self.coords, other.coords)))
 
     def scale(self, r) -> "Point":
         return Point(tuple(a * r for a in self.coords))
@@ -60,7 +62,7 @@ class Point:
         return Point((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.coords)
 
 
 def make_point(ctx: FieldContext, *entries) -> Point:
@@ -110,7 +112,7 @@ def plane_axes(u: Point, w: Point) -> tuple[int, int] | None:
     n = len(u.coords)
     for i in range(n - 2, -1, -1):
         for j in range(n - 1, i, -1):
-            if not (u.coords[i] * w.coords[j] - u.coords[j] * w.coords[i]).is_zero():
+            if u.coords[i] * w.coords[j] - u.coords[j] * w.coords[i]:
                 return i, j
     return None
 
@@ -118,6 +120,40 @@ def plane_axes(u: Point, w: Point) -> tuple[int, int] | None:
 def face_is_degenerate(a: Point, b: Point, c: Point) -> bool:
     """True iff the three points are affinely dependent."""
     return plane_axes(b - a, c - a) is None
+
+
+def integer_frame(placement: dict):
+    """The placement as int points under one positive scale per axis.
+
+    Where every coordinate on axis i is a rational multiple of one basis
+    element of the field (1, sqrt d1, sqrt d2 or sqrt(d1 d2)), the placement
+    is the image of an int placement under the diagonal map x_i -> s_i x_i
+    with s_i > 0: s_i is that basis element times g/L, where L is the lcm of
+    the axis's denominators and g the gcd of the numerators over L.  Returns
+    ({label: Point of ints}, (s_0, ..., s_{n-1})), or None when some axis
+    mixes basis elements.
+    """
+    labels = list(placement)
+    first = placement[labels[0]]
+    columns, scales = [], []
+    for i in range(first.dim):
+        coefs = [
+            (x.a, x.b, x.c, x.e) for x in (placement[v].coords[i] for v in labels)
+        ]
+        slots = {j for cs in coefs for j, q in enumerate(cs) if q}
+        if len(slots) > 1:
+            return None
+        slot = slots.pop() if slots else 0
+        values = [cs[slot] for cs in coefs]
+        den = math.lcm(*(q.denominator for q in values))
+        nums = [q.numerator * (den // q.denominator) for q in values]
+        g = math.gcd(*nums) or 1
+        columns.append([n // g for n in nums])
+        unit = [0, 0, 0, 0]
+        unit[slot] = Fraction(g, den)
+        scales.append(QuadExt(*unit, ctx=first.ctx))
+    points = {v: Point(tuple(col[r] for col in columns)) for r, v in enumerate(labels)}
+    return points, tuple(scales)
 
 
 # -- named constructions ---------------------------------------------------

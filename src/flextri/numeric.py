@@ -340,7 +340,8 @@ class LinearSolution:
 
 
 def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> LinearSolution:
-    """Exact Gaussian elimination over one QuadExt context."""
+    """Exact Gaussian elimination over one QuadExt context, or over Q when
+    every entry is an int or a Fraction (pivots then invert to Fractions)."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
@@ -348,14 +349,15 @@ def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) ->
     pivot_cols = []
     row = 0
     for col in range(n):
-        pivot = next((r for r in range(row, m) if not aug[r][col].is_zero()), None)
+        pivot = next((r for r in range(row, m) if aug[r][col]), None)
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
+        p = aug[row][col]
+        inv = p.inverse() if isinstance(p, QuadExt) else Fraction(1, p)
         aug[row] = [x * inv for x in aug[row]]
         for r in range(m):
-            if r != row and not aug[r][col].is_zero():
+            if r != row and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
         pivot_cols.append(col)
@@ -365,15 +367,13 @@ def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) ->
 
     rank = len(pivot_cols)
     for r in range(rank, m):
-        if not aug[r][n].is_zero():
+        if aug[r][n]:
             return LinearSolution("inconsistent", rank)
 
-    zero = None
-    if m:
-        ctx = next(
-            (x.ctx for r in aug for x in r if isinstance(x, QuadExt)), QQ
-        )
-        zero = QuadExt(0, ctx=ctx)
+    # int and Fraction systems keep the literals 0 and 1
+    ctx = next((x.ctx for r in aug for x in r if isinstance(x, QuadExt)), None)
+    zero = 0 if ctx is None else QuadExt(0, ctx=ctx)
+    one = 1 if ctx is None else QuadExt(1, ctx=ctx)
     particular = [zero] * n
     for i, col in enumerate(pivot_cols):
         particular[col] = aug[i][n]
@@ -383,7 +383,6 @@ def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) ->
         return LinearSolution("unique", rank, particular, [])
 
     nullspace = []
-    one = QuadExt(1, ctx=zero.ctx) if zero is not None else None
     for fc in free_cols:
         vec = [zero] * n
         vec[fc] = one

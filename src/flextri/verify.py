@@ -5,18 +5,48 @@ triangles equals the convex hull of their shared vertices (empty set, the
 shared vertex, or the shared edge).  Every decision reduces to exact sign
 computations in a quadratic field; degenerate configurations (coplanarity,
 collinear contact) are decided by case analysis, never perturbed.
+
+One predicate body serves int, Fraction and QuadExt coordinates: signs go
+through ``_sign``, divisions through ``_div`` (a Fraction on two ints).
+``verify_catalog`` decides on ints where it can.  When every coordinate
+axis of the placement is a rational multiple of one basis element of the
+field, ``geometry.integer_frame`` writes the placement as int points times
+one positive scale per axis.  That diagonal map keeps every sign the
+predicate tests, so verdicts and kinds are decided on the int points, and
+Fractions appear only where a trace or witness point is built.  Each
+witness is mapped back through the scales, coordinate by coordinate; a
+2-D coplanar witness, which lies in the ``plane_axes`` projection of the
+pair's first face, through the scales of those two axes.  So witnesses are
+exact points of the placement's field.  Placements that mix basis elements
+on an axis, and direct calls of ``pair_intersection_check``, are decided on
+the QuadExt coordinates themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
-from .geometry import Point, check_placement, face_is_degenerate, plane_axes
+from .geometry import Point, check_placement, face_is_degenerate, integer_frame, plane_axes
 from .numeric import QuadExt, solve_linear
 
 
-def _det(rows) -> QuadExt:
+def _sign(x) -> int:
+    """Exact sign of an int, a Fraction or a QuadExt."""
+    if type(x) is QuadExt:
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+def _div(x, y):
+    """x / y exactly: a Fraction for two ints, else the operands' own quotient."""
+    if type(x) is int and type(y) is int:
+        return Fraction(x, y)
+    return x / y
+
+
+def _det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -41,10 +71,10 @@ def orientation_sign(points) -> int:
     if len(pts) != d + 1:
         raise ValueError(f"need {d + 1} points in R^{d}, got {len(pts)}")
     rows = [(p - pts[0]).coords for p in pts[1:]]
-    return _det(rows).sign()
+    return _sign(_det(rows))
 
 
-def _orient2d(a: Point, b: Point, c: Point) -> QuadExt:
+def _orient2d(a: Point, b: Point, c: Point):
     (ax, ay), (bx, by), (cx, cy) = a.coords, b.coords, c.coords
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
@@ -78,7 +108,7 @@ class EmbeddingReport:
 
 def _positively_oriented(tri):
     a, b, c = tri
-    s = _orient2d(a, b, c).sign()
+    s = _sign(_orient2d(a, b, c))
     if s == 0:
         raise ValueError("degenerate clip triangle")
     return (a, b, c) if s > 0 else (a, c, b)
@@ -94,11 +124,11 @@ def _clip_polygon(poly, a: Point, b: Point):
     for i in range(n):
         j = (i + 1) % n
         hi, hj = hs[i], hs[j]
-        si, sj = hi.sign(), hj.sign()
+        si, sj = _sign(hi), _sign(hj)
         if si >= 0:
             out.append(poly[i])
         if si * sj < 0:
-            t = hi / (hi - hj)
+            t = _div(hi, hi - hj)
             out.append(poly[i] + (poly[j] - poly[i]).scale(t))
     return out
 
@@ -114,9 +144,9 @@ def _dedupe(points):
 def _point_in_tri_2d(p: Point, tri) -> bool:
     a, b, c = _positively_oriented(tri)
     return (
-        _orient2d(a, b, p).sign() >= 0
-        and _orient2d(b, c, p).sign() >= 0
-        and _orient2d(c, a, p).sign() >= 0
+        _sign(_orient2d(a, b, p)) >= 0
+        and _sign(_orient2d(b, c, p)) >= 0
+        and _sign(_orient2d(c, a, p)) >= 0
     )
 
 
@@ -128,7 +158,7 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
         return False
     t_num = w.dot(u)
     t_den = u.norm_sq()
-    return t_num.sign() >= 0 and (t_den - t_num).sign() >= 0
+    return _sign(t_num) >= 0 and _sign(t_den - t_num) >= 0
 
 
 def _in_shared_hull(p: Point, shared_pts) -> bool:
@@ -146,20 +176,20 @@ def _interval(constraints, lo=None, hi=None):
     (coef, const) in ``constraints``, within [lo, hi] (None: unbounded);
     returns (lo, hi), or None when it is empty."""
     for coef, const in constraints:
-        s = coef.sign()
+        s = _sign(coef)
         if s == 0:
-            if const.sign() < 0:
+            if _sign(const) < 0:
                 return None
             continue
-        bound = -const / coef
+        bound = _div(-const, coef)
         if s > 0:
-            if lo is None or (bound - lo).sign() > 0:
+            if lo is None or _sign(bound - lo) > 0:
                 lo = bound
-        elif hi is None or (bound - hi).sign() < 0:
+        elif hi is None or _sign(bound - hi) < 0:
             hi = bound
     if lo is None or hi is None:
         raise ValueError("unbounded parameter interval from degenerate input")
-    if (hi - lo).sign() < 0:
+    if _sign(hi - lo) < 0:
         return None
     return lo, hi
 
@@ -171,7 +201,7 @@ def _line_hit(start: Point, direction: Point, span):
         return []
     lo, hi = span
     pts = [start + direction.scale(lo)]
-    if (hi - lo).sign() > 0:
+    if _sign(hi - lo) > 0:
         pts.append(start + direction.scale(hi))
     return pts
 
@@ -229,22 +259,47 @@ def _edge_constraints(tri, x: Point, y: Point):
         yield _orient2d(p, q, y) - hx, hx
 
 
+def _strictly_one_side(t1, t2) -> bool:
+    """True iff every vertex of t1 lies strictly on one side of t2's plane."""
+    q0, q1, q2 = t2
+    normal = (q1 - q0).cross(q2 - q0)
+    s1 = [_sign(normal.dot(p - q0)) for p in t1]
+    return all(s > 0 for s in s1) or all(s < 0 for s in s1)
+
+
 def _check_dim3(t1, t2, shared_pts):
     a, b, c = t1
     u, w = b - a, c - a
     normal = u.cross(w)
     d2 = [normal.dot(q - a) for q in t2]
-    s2 = [v.sign() for v in d2]
+    s2 = [_sign(v) for v in d2]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return True, (), None
     axes = plane_axes(u, w)
     if all(s == 0 for s in s2):
         return _coplanar_check(t1, t2, shared_pts, axes)
+    if len(shared_pts) == 1:
+        # T2 meets T1's plane in the shared vertex v and in the point x where
+        # the line through its other vertices q, r meets that plane, if x is
+        # on the segment qr: T2 meets T1 only in v when q and r lie strictly
+        # on one side, or when x lies strictly outside one of T1's edge
+        # lines through v; for the edge (p, p') in T1's orientation that is
+        # sign(d_q - d_r) * orient3d(p, p', q, r) > 0
+        if abs(sum(s2)) == 2:
+            return True, (), None
+        v = shared_pts[0].coords
+        i, j = [n for n, q in enumerate(t2) if q.coords != v]
+        k = next(n for n, p in enumerate(t1) if p.coords == v)
+        for p, p_next in ((t1[k - 1], t1[k]), (t1[k], t1[(k + 1) % 3])):
+            if (s2[i] - s2[j]) * orientation_sign((p, p_next, t2[i], t2[j])) > 0:
+                return True, (), None
+    if not shared_pts and _strictly_one_side(t1, t2):
+        return True, (), None
     # T2 crosses the plane of T1: its trace there is a point or segment
     trace = [q for q, s in zip(t2, s2) if s == 0]
     for i, j in combinations(range(3), 2):
         if s2[i] * s2[j] < 0:
-            t = d2[i] / (d2[i] - d2[j])
+            t = _div(d2[i], d2[i] - d2[j])
             trace.append(t2[i] + (t2[j] - t2[i]).scale(t))
     trace = _dedupe(trace)
     tri = tuple(_project(p, axes) for p in t1)
@@ -255,26 +310,24 @@ def _check_dim3(t1, t2, shared_pts):
         edges = _edge_constraints(
             _positively_oriented(tri), _project(x, axes), _project(y, axes)
         )
-        span = _interval(edges, QuadExt(0, ctx=x.ctx), QuadExt(1, ctx=x.ctx))
+        span = _interval(edges, 0, 1)
         hit = _line_hit(x, y - x, span)
     return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
 
 
 # -- dimension 4 (and general flats) ---------------------------------------
 
-def _barycentric_ok(s: QuadExt, t: QuadExt) -> bool:
-    one = QuadExt(1, ctx=s.ctx)
-    return s.sign() >= 0 and t.sign() >= 0 and (one - s - t).sign() >= 0
+def _barycentric_ok(s, t) -> bool:
+    return _sign(s) >= 0 and _sign(t) >= 0 and _sign(1 - s - t) >= 0
 
 
 def _barycentric_constraints(part, null, i):
     """(coef, const) of s >= 0, t >= 0 and 1 - s - t >= 0 on the line
     (s, t) = part[i:i+2] + lam * null[i:i+2]."""
-    one = QuadExt(1, ctx=part[i].ctx)
     return [
         (null[i], part[i]),
         (null[i + 1], part[i + 1]),
-        (-null[i] - null[i + 1], one - part[i] - part[i + 1]),
+        (-null[i] - null[i + 1], 1 - part[i] - part[i + 1]),
     ]
 
 
@@ -321,7 +374,7 @@ def _check_dim4(t1, t2, shared_pts):
     )
     # the line runs along an edge of T2 iff one of T2's barycentric
     # coordinates vanishes on the whole line
-    along_t2_edge = any(c.is_zero() and k.is_zero() for c, k in t2_constraints)
+    along_t2_edge = any(not c and not k for c, k in t2_constraints)
     return _line_verdict(hit, t1, t2, shared_pts, along_t2_edge)
 
 
@@ -357,7 +410,7 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
         base = t1[i0]
         vecs = [t1[i1] - base, t1[3 - i0 - i1] - base, t2[3 - j0 - j1] - base]
         for cols in combinations(range(base.dim), 3):
-            if not _det([[v.coords[c] for c in cols] for v in vecs]).is_zero():
+            if _det([[v.coords[c] for c in cols] for v in vecs]):
                 return PairVerdict((t1, t2), 2, "admissible")
 
     dim = t1[0].dim
@@ -372,6 +425,23 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     return PairVerdict((t1, t2), n_shared, "violation", kind, witness)
 
 
+def _map_back(verdict: PairVerdict, scales) -> PairVerdict:
+    """A verdict on the int frame with its witness mapped back through the
+    per-axis ``scales``: a 2-D coplanar witness lies in the ``plane_axes``
+    projection of the first face, so it takes the scales of those two axes."""
+    if not verdict.witness:
+        return verdict
+    t1 = verdict.faces[0]
+    axes = range(len(scales))
+    if verdict.witness[0].dim != len(scales):
+        axes = plane_axes(t1[1] - t1[0], t1[2] - t1[0])
+    witness = tuple(
+        Point(tuple(scales[i] * c for i, c in zip(axes, p.coords)))
+        for p in verdict.witness
+    )
+    return PairVerdict(verdict.faces, verdict.shared, verdict.verdict, verdict.kind, witness)
+
+
 def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     """Certify the triangulations ``ids`` of a catalog (default: all) on one
     placement, one report per id in the order given.
@@ -380,9 +450,15 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     verdicts come from one table for the placement: each face is tested for
     degeneracy once, and each clique pair that occurs together in a selected
     triangulation is checked once (faces are in canonical order, so the
-    smaller face comes first).
+    smaller face comes first).  When ``geometry.integer_frame`` puts the
+    placement on int points, the table is decided there and each witness
+    is mapped back to the placement's field.
     """
     check_placement(catalog.task.graph.vertices, placement)
+    frame = integer_frame(placement)
+    scales = None
+    if frame is not None:
+        placement, scales = frame
     ids = list(catalog.ids if ids is None else ids)
     tris = [catalog.triangulations[i] for i in ids]
     points = {f: tuple(placement[v] for v in f) for t in tris for f in t.faces}
@@ -401,7 +477,8 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
                 shared = [
                     (j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w
                 ]
-                table[a, b] = pair_intersection_check(points[a], points[b], shared)
+                v = pair_intersection_check(points[a], points[b], shared)
+                table[a, b] = v if scales is None else _map_back(v, scales)
             v = table[a, b]
             if not v.admissible:
                 violations.append(

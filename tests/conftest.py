@@ -1,5 +1,9 @@
+import importlib
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -54,3 +58,28 @@ def rp2_points():
 @pytest.fixture(scope="session")
 def moebius_points():
     return construction_coords("moebius")
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench():
+    """The benchmark's input generators (``workloads``), reference checks
+    (``checks``) and worker (``worker``), imported with the benchmark's
+    directory on sys.path, as ``perfbench/run.py`` runs them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        names = ("workloads", "checks", "worker")
+        return SimpleNamespace(**{n: importlib.import_module(n) for n in names})
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="session")
+def sweep_placements(perfbench):
+    """The benchmark's 15 ``sweep`` torus placements, by placement key."""
+    return {
+        perfbench.workloads.placement_key(c, k): perfbench.worker.sweep_placement(c, k)
+        for c, k in perfbench.workloads.SWEEP_GRID
+    }

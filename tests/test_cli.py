@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from flextri.cli import main
+from flextri.cli import construction_points, main, qx_to_json
 from flextri.enumeration import complement_pairing
+from flextri.verify import verify_catalog
 
 
 def run(capsys, *argv):
@@ -81,7 +82,7 @@ def test_k_on_parameter_free_construction_rejected(capsys):
         assert out == ""
 
 
-def test_verify_out_json(capsys, tmp_path):
+def test_verify_out_json(capsys, tmp_path, torus_catalog):
     out = tmp_path / "verify.json"
     code, _, _ = run(capsys, "verify", "--construction", "suspension",
                      "--all", "--out", str(out))
@@ -98,6 +99,31 @@ def test_verify_out_json(capsys, tmp_path):
         for v in r["violations"]:
             assert v["kind"] in known
             assert len(v["faces"]) == 2
+    # every violation carries its exact witness points, as verify_catalog
+    # gives them in the placement's field
+    points, _, _ = construction_points("suspension", None)
+    direct = [
+        [[[qx_to_json(c) for c in p.coords] for p in v.witness] for v in r.violations]
+        for r in verify_catalog(points, torus_catalog)
+    ]
+    written = [[v["witness"] for v in r["violations"]] for r in reports]
+    assert written == direct
+    assert any(w for r in written for w in r)
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--graph", "k5", "--surface", "moebius"),
+    ("verify", "--construction", "moebius", "--all"),
+    ("export", "--construction", "moebius", "--id", "0"),
+    ("report",),
+])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
+    out = tmp_path / "missing" / "out.txt" if target == "missing_directory" else tmp_path
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert f"error: cannot write --out {out}" in err
+    assert "Traceback" not in err
 
 
 def test_verify_id_out_of_range(capsys):

@@ -16,6 +16,7 @@ from flextri.geometry import (
     default_viewpoint,
     dist_sq,
     face_is_degenerate,
+    integer_frame,
     make_point,
     metric_report,
     orthogonal_project,
@@ -253,6 +254,50 @@ def test_inner_tetra_containment(k, expected):
     outer = [pts[v] for v in "ABCD"]
     inner = [pts[v] for v in "EFGH"]
     assert tetra_containment(outer, inner) == expected
+
+
+# -- integer frame ---------------------------------------------------------
+
+def _assert_frame_reproduces(points):
+    ints, scales = integer_frame(points)
+    assert sorted(ints) == sorted(points)
+    assert all(s.sign() > 0 for s in scales)
+    for label, p in points.items():
+        assert all(type(c) is int for c in ints[label].coords)
+        assert tuple(s * c for s, c in zip(scales, ints[label].coords)) == p.coords
+
+
+def test_integer_frame_of_every_construction():
+    for name in CONSTRUCTION_NAMES:  # the std_* placements included
+        _assert_frame_reproduces(construction_coords(name, DEFAULT_PARAMS.get(name)))
+    for k in (Fraction(31, 7), Fraction(9999, 4001)):
+        _assert_frame_reproduces(sixteen_cell_diagram(k))
+        _assert_frame_reproduces(construction_coords("suspension", RealizationParams(k)))
+    hyper = construction_coords("std_hyperoctahedron")
+    _assert_frame_reproduces(schlegel_project(hyper, ("A", "B", "C", "D")))
+
+
+def test_integer_frame_of_every_sweep_placement(sweep_placements):
+    assert len(sweep_placements) == 15
+    for points in sweep_placements.values():
+        _assert_frame_reproduces(points)
+
+
+def test_integer_frame_scales():
+    # the 16-cell diagram at k = 4 has the axes sqrt2, sqrt6 and 1, with
+    # coefficients in (1/4)Z: the scales take the basis element and 1/4
+    ints, scales = integer_frame(sixteen_cell_diagram(Fraction(4)))
+    assert scales == (S2 / 4, S6 / 4, qq(Fraction(1, 4)))
+    assert ints["B"].coords == (8, 0, -4)
+    assert ints["H"].coords == (1, 1, 1)
+    # an axis that is zero everywhere keeps the scale 1; the gcd of an
+    # axis's numerators moves into its scale
+    ints, scales = integer_frame({"A": make_point(CTX, 0, 6, 0), "B": make_point(CTX, 0, -4, S2)})
+    assert scales == (qq(1), qq(2), S2)
+    assert [ints[v].coords for v in "AB"] == [(0, 3, 0), (0, -2, 1)]
+    # an axis that mixes basis elements has no frame
+    assert integer_frame({"A": make_point(CTX, 1 + S2, 0, 0), "B": make_point(CTX, 0, 1, 0)}) is None
+    assert integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX, S2, 1, 0)}) is None
 
 
 # -- degeneracy and helpers ------------------------------------------------

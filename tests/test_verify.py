@@ -1,14 +1,13 @@
-import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
 from flextri.geometry import (
-    construction_coords,
+    Point,
     face_is_degenerate,
+    integer_frame,
     make_point,
     scale_placement,
 )
@@ -219,6 +218,85 @@ def test_verdicts_invariant_under_scaling(moebius_points, moebius_catalog):
     assert [r.verdict for r in a] == [r.verdict for r in b]
 
 
+# -- the integer frame -----------------------------------------------------
+
+def _violations(reports):
+    return [(r.verdict, [(v.faces, v.kind) for v in r.violations]) for r in reports]
+
+
+def _rotated_xy(points):
+    """The placement turned exactly about the z-axis by the 3-4-5 rotation,
+    which mixes the basis elements of the x and y axes."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    out = {}
+    for label, p in points.items():
+        x, y, z = p.coords
+        out[label] = Point((c * x - s * y, s * x + c * y, z))
+    return out
+
+
+def test_mixed_axis_placement_takes_the_field_path(
+    schlegel16_points, suspension_points, torus_catalog
+):
+    # the rotated 16-cell diagram mixes sqrt2 and sqrt6 on an axis, so it has
+    # no int frame and is certified on QuadExt coordinates, with the same
+    # verdicts, kinds and violating pairs as the unrotated placement
+    for points in (schlegel16_points, suspension_points):
+        rotated = _rotated_xy(points)
+        assert integer_frame(rotated) is None
+        assert _violations(verify_catalog(rotated, torus_catalog)) == _violations(
+            verify_catalog(points, torus_catalog)
+        )
+
+
+def test_per_axis_scaling_keeps_verdicts_and_kinds(
+    suspension_points, moebius_points, torus_catalog, moebius_catalog
+):
+    factors = (Fraction(2, 7), Fraction(5, 3), Fraction(11, 4))
+    for points, catalog in ((suspension_points, torus_catalog), (moebius_points, moebius_catalog)):
+        scaled = {
+            label: Point(tuple(c * f for c, f in zip(p.coords, factors)))
+            for label, p in points.items()
+        }
+        assert _violations(verify_catalog(scaled, catalog)) == _violations(
+            verify_catalog(points, catalog)
+        )
+
+
+def test_frame_witnesses_equal_field_path_witnesses(suspension_points, torus_catalog):
+    # verify_catalog decides on the int frame and maps each witness back; the
+    # predicate called on the placement's own points decides on QuadExt
+    # coordinates; both must give the same exact points, the 2-D witnesses of
+    # coplanar pairs (in the first face's plane_axes projection) included
+    pairs = {}
+    for r in verify_catalog(suspension_points, torus_catalog):
+        for v in r.violations:
+            pairs[v.faces] = v
+    assert {v.kind for v in pairs.values()} >= {"containment", "interior_crossing"}
+    for (a, b), v in pairs.items():
+        shared = [(j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w]
+        direct = pair_intersection_check(
+            tuple(suspension_points[x] for x in a),
+            tuple(suspension_points[x] for x in b),
+            shared,
+        )
+        assert direct.kind == v.kind
+        assert [w.coords for w in direct.witness] == [w.coords for w in v.witness]
+
+
+def test_sweep_certificates_match_the_benchmark_reference(
+    perfbench, sweep_placements, torus_catalog
+):
+    # every verdict, kind and exact witness of the 15 sweep placements, as
+    # recorded in perfbench/references/sweep.json
+    reference = perfbench.checks.load_sweep_reference()
+    assert sorted(sweep_placements) == sorted(reference)
+    for key, points in sweep_placements.items():
+        reports = verify_catalog(points, torus_catalog)
+        certificate = perfbench.worker.certificate(reports, torus_catalog)
+        assert perfbench.checks.digest(certificate) == reference[key]["digest"], key
+
+
 # -- independent oracle: Cramer-rule segment/triangle tests ----------------
 
 def _det3(m):
@@ -343,17 +421,6 @@ def test_r4_transverse_and_parallel_planes():
 
 # -- lifting R^3 to R^4 ----------------------------------------------------
 
-def _degenerate_pool():
-    """The benchmark's fixed pool of degenerate R^3 face pairs (coplanar,
-    collinear, touching, shared vertex/edge), loaded from its stdlib-only
-    generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.degenerate_pool()
-
-
 # an exact injective rational linear map R^3 -> R^4 (rank 3)
 _LIFT = (
     (1, 2, 0),
@@ -363,7 +430,7 @@ _LIFT = (
 )
 
 
-def test_r4_lift_agrees_with_r3_on_degenerate_pairs():
+def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
     # both lifts keep every pair inside a 3-flat of R^4, so the two planes
     # meet in a line or coincide: the R^4 line and same-plane branches must
     # give the R^3 verdict and kind
@@ -377,7 +444,9 @@ def test_r4_lift_agrees_with_r3_on_degenerate_pairs():
     def linear_lift(p):
         return tuple(sum(Fraction(m) * x for m, x in zip(row, p)) for row in _LIFT)
 
-    pool = _degenerate_pool()
+    # the benchmark's fixed pool of degenerate R^3 face pairs (coplanar,
+    # collinear, touching, shared vertex/edge)
+    pool = perfbench.workloads.degenerate_pool()
     assert len(pool) == 280
     for case in pool:
         r3 = check(case["r3"], tuple)
