@@ -9,14 +9,16 @@ face sets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .surfaces import (
     LabeledGraph,
     SurfaceClass,
     Triangle,
     Triangulation,
+    _components,
+    _face_edges,
     classify_surface,
     enumerate_cliques3,
 )
@@ -47,14 +49,6 @@ class Catalog:
         return range(len(self.triangulations))
 
 
-def _triangle_edges(t: Triangle):
-    return (
-        frozenset((t[0], t[1])),
-        frozenset((t[0], t[2])),
-        frozenset((t[1], t[2])),
-    )
-
-
 class _LinkState:
     """Incremental link fragments at one vertex during the search."""
 
@@ -83,28 +77,12 @@ class _LinkState:
         needing coverage kills the branch.
         """
         adj = self.adj
-        for nbrs in adj.values():
-            if len(nbrs) > 2:
+        if any(len(nbrs) > 2 for nbrs in adj.values()):
+            return False
+        for comp in _components(adj):
+            is_cycle = all(len(adj[v]) == 2 for v in comp)
+            if is_cycle and (len(comp) < len(adj) or uncovered_incident_edges > 0):
                 return False
-        # find a cycle component, if any
-        seen = set()
-        for start in adj:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            edge_ends = sum(len(adj[v]) for v in comp)
-            if edge_ends == 2 * len(comp):  # all degree 2: a cycle
-                if len(seen - comp) or len(adj) > len(comp):
-                    return False
-                if uncovered_incident_edges > 0:
-                    return False
         return True
 
 
@@ -122,7 +100,7 @@ def enumerate_triangulations(task: EnumerationTask) -> Catalog:
     closed = task.mode == "closed"
     need_min = 2 if closed else 1
 
-    clique_edges = [_triangle_edges(t) for t in cliques]
+    clique_edges = [_face_edges(t) for t in cliques]
     edges = sorted(graph.edges, key=lambda e: tuple(sorted(e)))
     mult = {e: 0 for e in edges}
     # how many undecided cliques can still cover each edge
@@ -204,17 +182,20 @@ def enumerate_triangulations(task: EnumerationTask) -> Catalog:
             remaining[e] += 1
 
     search(0)
+    return _catalog(task, results)
 
-    target_name = task.target
+
+def _catalog(task: EnumerationTask, face_sets) -> Catalog:
+    """Classify each face set, in canonical order: the manifolds of the
+    target surface (any surface without a target) form the catalog, the
+    rest go to ``rejected``."""
     matched: list[Triangulation] = []
     classes: list[SurfaceClass] = []
     rejected: list[tuple[Triangulation, SurfaceClass]] = []
-    for faces in sorted(results):
-        tri = Triangulation(graph, faces)
+    for faces in sorted(face_sets):
+        tri = Triangulation(task.graph, faces)
         cls = classify_surface(tri)
-        if not cls.is_manifold:
-            rejected.append((tri, cls))
-        elif target_name is None or cls.name == target_name:
+        if cls.is_manifold and task.target in (None, cls.name):
             matched.append(tri)
             classes.append(cls)
         else:
@@ -234,32 +215,16 @@ def brute_force_catalog(task: EnumerationTask) -> Catalog:
     results = []
     for mask in range(1 << n):
         faces = tuple(cliques[i] for i in range(n) if mask >> i & 1)
-        counts: dict = {}
-        for f in faces:
-            for e in _triangle_edges(f):
-                counts[e] = counts.get(e, 0) + 1
-        ok = all(
-            counts.get(e, 0) == 2 if closed else 1 <= counts.get(e, 0) <= 2
-            for e in graph.edges
-        )
-        if ok:
+        counts = Counter(e for f in faces for e in _face_edges(f))
+        if all(counts[e] == 2 if closed else 1 <= counts[e] <= 2 for e in graph.edges):
             results.append(faces)
-    matched, classes, rejected = [], [], []
-    for faces in sorted(results):
-        tri = Triangulation(graph, faces)
-        cls = classify_surface(tri)
-        if cls.is_manifold and (task.target is None or cls.name == task.target):
-            matched.append(tri)
-            classes.append(cls)
-        else:
-            rejected.append((tri, cls))
-    return Catalog(task, matched, classes, rejected)
+    return _catalog(task, results)
 
 
 def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[int]]:
     """Match each triangulation with the one whose faces are its complement
     in the full 3-clique set; returns (pairs, unmatched ids)."""
-    cliques = set(enumerate_cliques3(catalog.task.graph))
+    graph = catalog.task.graph
     index = {t.faces: i for i, t in enumerate(catalog.triangulations)}
     pairs = []
     unmatched = []
@@ -267,8 +232,7 @@ def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[in
     for i, t in enumerate(catalog.triangulations):
         if i in seen:
             continue
-        comp = tuple(sorted(cliques - set(t.faces)))
-        j = index.get(comp)
+        j = index.get(complement_faces(graph, t.faces))
         if j is None or j in seen:
             unmatched.append(i)
         else:
@@ -279,5 +243,7 @@ def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[in
 
 
 def complement_faces(graph: LabeledGraph, faces) -> tuple[Triangle, ...]:
+    """The 3-cliques of the graph that are not among ``faces``, in
+    canonical order."""
     cliques = set(enumerate_cliques3(graph))
     return tuple(sorted(cliques - set(map(tuple, faces))))

@@ -58,10 +58,6 @@ class FieldContext:
         if self.d1 == self.d2 and self.d1 != 1:
             raise ValueError(f"context radicands must differ: {self}")
 
-    @property
-    def degenerate(self) -> bool:
-        return self.d2 == 1
-
 
 QQ = FieldContext(1, 1)
 CTX_SQRT2_SQRT3 = FieldContext(2, 3)

@@ -7,7 +7,7 @@ face sets are equal; all ordering is lexicographic on vertex labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 Triangle = tuple[str, str, str]  # sorted label triple
@@ -93,13 +93,21 @@ class Triangulation:
                 raise ValueError(f"edge {sorted(e)} lies in {c} > 2 faces")
 
 
+def _face_edges(f: Triangle) -> tuple[frozenset, frozenset, frozenset]:
+    return frozenset((f[0], f[1])), frozenset((f[0], f[2])), frozenset((f[1], f[2]))
+
+
+def _edge_faces(faces) -> dict:
+    """Edge -> indices of the faces that contain it."""
+    out: dict = {}
+    for i, f in enumerate(faces):
+        for e in _face_edges(f):
+            out.setdefault(e, []).append(i)
+    return out
+
+
 def edge_face_counts(t: Triangulation) -> dict:
-    counts: dict = {}
-    for f in t.faces:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            e = frozenset((f[i], f[j]))
-            counts[e] = counts.get(e, 0) + 1
-    return counts
+    return {e: len(fs) for e, fs in _edge_faces(t.faces).items()}
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,25 @@ class SurfaceClass:
     boundary_components: int
     is_manifold: bool
     name: str
+
+
+def _components(adj: dict) -> list[set]:
+    """Vertex sets of the connected components of an adjacency map."""
+    comps: list[set] = []
+    seen: set = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def _link_graph(t: Triangulation, v: str) -> dict:
@@ -122,41 +149,15 @@ def _link_graph(t: Triangulation, v: str) -> dict:
     return adj
 
 
-def _link_shape(adj: dict) -> str:
-    """Classify a link graph as 'cycle', 'path' or 'invalid'."""
-    if not adj:
-        return "invalid"
-    degs = [len(s) for s in adj.values()]
-    if any(d > 2 for d in degs):
-        return "invalid"
-    # connectivity
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(adj):
-        return "invalid"
-    ends = sum(1 for d in degs if d == 1)
-    if ends == 0 and all(d == 2 for d in degs):
-        return "cycle"
-    if ends == 2:
-        return "path"
-    return "invalid"
+def _is_path_or_cycle(adj: dict) -> bool:
+    """A nonempty, connected graph of degree <= 2 is one path (boundary
+    vertex) or one cycle (interior vertex)."""
+    return bool(adj) and all(len(s) <= 2 for s in adj.values()) and len(_components(adj)) == 1
 
 
-def _orientable(t: Triangulation, start_index: int = 0) -> bool:
-    """Propagate face orientations across interior (2-face) edges."""
-    faces = t.faces
-    if not faces:
-        return True
-    edge_to_faces: dict = {}
-    for i, f in enumerate(faces):
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            edge_to_faces.setdefault(frozenset((f[a], f[b])), []).append(i)
+def _orientable(faces, edge_faces: dict) -> bool:
+    """Propagate face orientations across interior (2-face) edges, seeding
+    from every face not yet reached so each component gets a walk."""
 
     def directed_edges(face, flip):
         u, v, w = face
@@ -164,7 +165,7 @@ def _orientable(t: Triangulation, start_index: int = 0) -> bool:
         return [(order[0], order[1]), (order[1], order[2]), (order[2], order[0])]
 
     orient = {}
-    for seed in list(range(start_index, len(faces))) + list(range(start_index)):
+    for seed in range(len(faces)):
         if seed in orient:
             continue
         orient[seed] = False
@@ -172,7 +173,7 @@ def _orientable(t: Triangulation, start_index: int = 0) -> bool:
         while queue:
             i = queue.pop()
             for u, v in directed_edges(faces[i], orient[i]):
-                for j in edge_to_faces[frozenset((u, v))]:
+                for j in edge_faces[frozenset((u, v))]:
                     if j == i:
                         continue
                     # consistent orientation: shared edge traversed oppositely
@@ -185,33 +186,7 @@ def _orientable(t: Triangulation, start_index: int = 0) -> bool:
     return True
 
 
-def _boundary_components(t: Triangulation) -> int:
-    counts = edge_face_counts(t)
-    boundary = [e for e, c in counts.items() if c == 1]
-    if not boundary:
-        return 0
-    adj: dict = {}
-    for e in boundary:
-        u, v = sorted(e)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    comps = 0
-    seen: set = set()
-    for v in adj:
-        if v in seen:
-            continue
-        comps += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return comps
-
-
-def classify_surface(t: Triangulation, orientation_start: int = 0) -> SurfaceClass:
+def classify_surface(t: Triangulation) -> SurfaceClass:
     """Classify the underlying surface of a simplicial 2-complex.
 
     Manifoldness requires every vertex link to be a single cycle (interior
@@ -223,17 +198,23 @@ def classify_surface(t: Triangulation, orientation_start: int = 0) -> SurfaceCla
     F = len(t.faces)
     euler = V - E + F
 
+    edge_faces = _edge_faces(t.faces)
     links = {v: _link_graph(t, v) for v in t.graph.vertices}
-    counts = edge_face_counts(t)
     manifold = (
-        all(_link_shape(link) in ("cycle", "path") for link in links.values())
-        and all(1 <= counts.get(e, 0) <= 2 for e in t.graph.edges)
+        all(_is_path_or_cycle(link) for link in links.values())
+        and all(1 <= len(edge_faces.get(e, ())) <= 2 for e in t.graph.edges)
         # a cycle link must use every graph neighbor of the vertex
         and all(set(links[v]) == set(t.graph.neighbors(v)) for v in links)
     )
 
-    boundary = _boundary_components(t)
-    orientable = _orientable(t, orientation_start)
+    boundary_adj: dict = {}
+    for e, fs in edge_faces.items():
+        if len(fs) == 1:
+            u, v = e
+            boundary_adj.setdefault(u, set()).add(v)
+            boundary_adj.setdefault(v, set()).add(u)
+    boundary = len(_components(boundary_adj))
+    orientable = _orientable(t.faces, edge_faces)
 
     if not manifold:
         name = "other/invalid"

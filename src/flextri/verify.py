@@ -447,12 +447,14 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     placement, one report per id in the order given.
 
     All triangulations draw their faces from the catalog's 3-cliques, so the
-    verdicts come from one table for the placement: each face is tested for
-    degeneracy once, and each clique pair that occurs together in a selected
-    triangulation is checked once (faces are in canonical order, so the
-    smaller face comes first).  When ``geometry.integer_frame`` puts the
-    placement on int points, the table is decided there and each witness
-    is mapped back to the placement's field.
+    verdicts come from one table for the placement: each clique pair that
+    occurs together in a selected triangulation is checked once (faces are
+    in canonical order, so the smaller face comes first).  Each face is
+    tested for degeneracy once for the report's degenerate-face violations,
+    and again by ``pair_intersection_check`` on every table entry it is in.
+    When ``geometry.integer_frame`` puts the placement on int points, the
+    table is decided there and each witness is mapped back to the
+    placement's field.
     """
     check_placement(catalog.task.graph.vertices, placement)
     frame = integer_frame(placement)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flextri.cli import construction_points, main, qx_to_json
 from flextri.enumeration import complement_pairing
@@ -124,6 +128,74 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
     assert code == 2
     assert f"error: cannot write --out {out}" in err
     assert "Traceback" not in err
+
+
+# Good and malformed values for every option of every subcommand; one of
+# each kind is drawn about equally often.
+_HUGE = st.builds("{}/{}".format, st.integers(-10**60, 10**60), st.integers(-10**60, 10**60))
+_VALUES = {
+    option: st.sampled_from(good) | bad
+    for option, good, bad in (
+        ("--graph", ["k2222", "k6", "k5"], st.sampled_from(["octahedron", "petersen", ""])),
+        ("--surface", ["torus", "projective-plane", "moebius", "klein-bottle"],
+         st.sampled_from(["Möbius band", "x"])),
+        ("--construction", ["suspension", "schlegel16cell", "rp2-simplex", "moebius"],
+         st.sampled_from(["rp2_simplex", "x"])),
+        ("--k", ["4", "14/5", "7/2", "3"],
+         st.sampled_from(["1/0", "x", "-1", "0", "1e999999"]) | _HUGE),
+        ("--id", [str(i) for i in range(12)],
+         st.sampled_from(["12", "-1", "x", "999999999999999999999"])),
+        ("--format", ["off", "obj", "json", "text"], st.just("xml")),
+        ("--project-drop-axis", ["x", "y", "z", "w"], st.just("v")),
+        ("--expect", ["12", "0"], st.sampled_from(["-1", "x"])),
+    )
+}
+_VALUES["--all"] = _VALUES["--out"] = st.none()
+_OWN = {
+    "enumerate": ("--graph", "--surface", "--out", "--expect"),
+    "pairs": ("--graph", "--surface"),
+    "verify": ("--construction", "--k", "--id", "--all", "--out"),
+    "metrics": ("--construction", "--k", "--id", "--all"),
+    "export": ("--construction", "--k", "--id", "--all", "--format",
+               "--project-drop-axis", "--out"),
+    "report": ("--format", "--out"),
+}
+
+
+@st.composite
+def _argv(draw, out):
+    """A subcommand with its first option, a random subset of its other
+    options and sometimes one option it does not take."""
+    command = draw(st.sampled_from(sorted(_OWN)))
+    first, *rest = _OWN[command]
+    options = [first] + [o for o in rest if draw(st.booleans())]
+    if draw(st.integers(0, 3)) == 3:
+        options.append(draw(st.sampled_from(sorted(_VALUES))))
+    argv = [command]
+    for option in options:
+        value = str(out) if option == "--out" else draw(_VALUES[option])
+        argv += [option] if value is None else [option, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def missing_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "missing" / "out.txt"
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_argv_exits_with_a_known_code(missing_out, data):
+    argv = data.draw(_argv(missing_out))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not missing_out.parent.exists()
 
 
 def test_verify_id_out_of_range(capsys):

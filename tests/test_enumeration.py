@@ -47,8 +47,12 @@ def test_pair_face_sets_disjoint_and_covering(torus_catalog, rp2_catalog, moebiu
 
 def test_complementation_is_involution(torus_catalog):
     g = torus_catalog.task.graph
-    for t in torus_catalog.triangulations:
-        assert complement_faces(g, complement_faces(g, t.faces)) == t.faces
+    faces = [t.faces for t in torus_catalog.triangulations]
+    for f in faces:
+        assert complement_faces(g, complement_faces(g, f)) == f
+    pairs, _ = complement_pairing(torus_catalog)
+    for i, j in pairs:
+        assert complement_faces(g, faces[i]) == faces[j]
 
 
 def test_catalog_deterministic(moebius_catalog):
