@@ -113,6 +113,16 @@ def test_annulus_classification():
     assert cls.euler == 0
 
 
+@given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=11))
+@settings(max_examples=60, deadline=None)
+def test_orientability_start_invariant(start, tid):
+    # the orientation walk seeds from the first face, so rotating the face
+    # list makes face `start` the seed
+    tri = catalog_for("k2222").triangulations[tid]
+    rotated = Triangulation(tri.graph, tri.faces[start:] + tri.faces[:start])
+    assert classify_surface(rotated).orientable
+
+
 @given(st.sampled_from(["k2222", "k6", "k5"]), st.integers(min_value=0, max_value=11))
 @settings(max_examples=36, deadline=None)
 def test_classification_permutation_invariant(graph_name, tid):
