@@ -1,5 +1,6 @@
 """Command-line front end: enumeration, verification, metrics, export, and a
-full reproduction report.
+full reproduction report whose acceptance criteria are one table of
+(tag, label, observed, expected) rows in ``run_report``.
 
 Exit codes: 0 ok, 2 usage/parameter error, 3 expectation mismatch,
 4 verification failure.
@@ -11,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from .enumeration import (
     Catalog,
@@ -20,20 +22,21 @@ from .enumeration import (
 )
 from .geometry import (
     DEFAULT_PARAMS,
-    sixteen_cell_diagram,
-    GeometricComplex,
+    SHAPES,
     ParameterError,
     RealizationParams,
+    check_placement,
     circumradius_sq,
     construction_coords,
     dist_sq,
-    metric_report,
+    face_shapes,
     orthogonal_project,
+    sixteen_cell_diagram,
     tetra_containment,
     tetra_inradius_sq,
 )
 from .numeric import QuadExt, parse_rational
-from .surfaces import SURFACE_NAMES, build_graph, enumerate_cliques3
+from .surfaces import SURFACE_NAMES, Triangulation, build_graph, enumerate_cliques3
 from .verify import verify_catalog
 
 EXIT_OK = 0
@@ -135,27 +138,24 @@ def _fmt_float(x: QuadExt) -> str:
     return format(float(x), ".17g")
 
 
-def export_off(g: GeometricComplex) -> str:
-    labels = list(g.triangulation.graph.vertices)
+def export_off(tri: Triangulation, points: dict) -> str:
+    labels = list(tri.graph.vertices)
     index = {v: i for i, v in enumerate(labels)}
-    V = len(labels)
-    F = len(g.triangulation.faces)
-    E = len(g.triangulation.graph.edges)
-    lines = ["OFF", f"{V} {F} {E}"]
+    lines = ["OFF", f"{len(labels)} {len(tri.faces)} {len(tri.graph.edges)}"]
     for v in labels:
-        lines.append(" ".join(_fmt_float(c) for c in g.placement[v].coords))
-    for f in g.triangulation.faces:
+        lines.append(" ".join(_fmt_float(c) for c in points[v].coords))
+    for f in tri.faces:
         lines.append("3 " + " ".join(str(index[v]) for v in f))
     return "\n".join(lines) + "\n"
 
 
-def export_obj(g: GeometricComplex) -> str:
-    labels = list(g.triangulation.graph.vertices)
+def export_obj(tri: Triangulation, points: dict) -> str:
+    labels = list(tri.graph.vertices)
     index = {v: i + 1 for i, v in enumerate(labels)}
     lines = []
     for v in labels:
-        lines.append("v " + " ".join(_fmt_float(c) for c in g.placement[v].coords))
-    for f in g.triangulation.faces:
+        lines.append("v " + " ".join(_fmt_float(c) for c in points[v].coords))
+    for f in tri.faces:
         lines.append("f " + " ".join(str(index[v]) for v in f))
     return "\n".join(lines) + "\n"
 
@@ -204,22 +204,25 @@ def cmd_pairs(args) -> int:
     return EXIT_OK
 
 
-def _selected_ids(args, catalog: Catalog):
-    if args.all:
+def _selected_ids(catalog: Catalog, id_: int | None, all_: bool = False) -> list:
+    """The ids that --all or --id select, [] when neither is given."""
+    if all_:
         return list(catalog.ids)
-    if args.id is None:
-        raise UsageError("select a triangulation with --id N or --all")
-    if not 0 <= args.id < len(catalog.triangulations):
+    if id_ is None:
+        return []
+    if not 0 <= id_ < len(catalog.triangulations):
         raise UsageError(
-            f"triangulation id {args.id} out of range 0..{len(catalog.triangulations) - 1}"
+            f"triangulation id {id_} out of range 0..{len(catalog.triangulations) - 1}"
         )
-    return [args.id]
+    return [id_]
 
 
 def cmd_verify(args) -> int:
     points, graph_name, surface = construction_points(args.construction, args.k)
     catalog = build_catalog(graph_name, surface)
-    ids = _selected_ids(args, catalog)
+    ids = _selected_ids(catalog, args.id, args.all)
+    if not ids:
+        raise UsageError("select a triangulation with --id N or --all")
     reports = verify_catalog(points, catalog, ids)
     rows = []
     ok = True
@@ -258,195 +261,170 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _census(faces, points: dict) -> dict:
+    """How many of the faces have each shape, in SHAPES order."""
+    shapes = list(face_shapes(faces, points).values())
+    return {s: shapes.count(s) for s in SHAPES}
+
+
+def _outer_tetra(points: dict) -> list:
+    """(tag, label, value) of the exact metrics of the 16-cell diagram's
+    outer tetrahedron ABCD."""
+    outer = [points[v] for v in "ABCD"]
+    return [
+        ("metric-16cell-edge", "outer tetra squared edge", dist_sq(outer[0], outer[1])),
+        ("metric-16cell-circum", "outer tetra circumradius^2", circumradius_sq(outer)),
+        ("metric-16cell-in", "outer tetra inradius^2", tetra_inradius_sq(outer)),
+    ]
+
+
 def cmd_metrics(args) -> int:
     points, graph_name, surface = construction_points(args.construction, args.k)
     catalog = build_catalog(graph_name, surface)
-    graph = catalog.task.graph
-    lengths = {}
-    for e in sorted(graph.edges, key=sorted):
-        u, v = sorted(e)
-        lengths[(u, v)] = dist_sq(points[u], points[v])
-    values = sorted({repr(x) for x in lengths.values()})
-    print(f"squared edge lengths: {values}")
+    ids = _selected_ids(catalog, args.id, args.all)
+    lengths = {dist_sq(points[u], points[v]) for u, v in map(sorted, catalog.task.graph.edges)}
+    print(f"squared edge lengths: {sorted(map(repr, lengths))}")
     if args.construction == "schlegel16cell":
-        outer = [points[v] for v in "ABCD"]
-        print(f"outer tetra squared edge: {dist_sq(points['A'], points['B'])!r}")
-        print(f"outer tetra circumradius^2: {circumradius_sq(outer)!r}")
-        print(f"outer tetra inradius^2: {tetra_inradius_sq(outer)!r}")
+        for _, label, value in _outer_tetra(points):
+            print(f"{label}: {value!r}")
     if args.construction == "rp2-simplex":
         print(f"circumradius^2 of A..E: {points['A'].norm_sq()!r}")
-    if args.id is not None or args.all:
-        ids = _selected_ids(args, catalog)
-        for i in ids:
-            tri = catalog.triangulations[i]
-            g = GeometricComplex(tri, {v: points[v] for v in graph.vertices})
-            rep = metric_report(g)
-            print(f"{i:3d}  census: {rep.census_counts}")
+    for i in ids:
+        print(f"{i:3d}  census: {_census(catalog.triangulations[i].faces, points)}")
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     points, graph_name, surface = construction_points(args.construction, args.k)
+    dim = next(iter(points.values())).dim
     if args.project_drop_axis is not None:
         axis = "xyzw".index(args.project_drop_axis)
-        dim = next(iter(points.values())).dim
         if axis >= dim:
             raise UsageError(
                 f"cannot drop axis {args.project_drop_axis}: "
                 f"{args.construction} has dim {dim}"
             )
         points = orthogonal_project(points, axis)
+        dim -= 1
     catalog = build_catalog(graph_name, surface)
-    ids = _selected_ids(args, catalog)
-    if len(ids) != 1:
-        raise UsageError("export needs exactly one --id")
+    ids = _selected_ids(catalog, args.id)
+    if not ids:
+        raise UsageError("select a triangulation with --id N")
     tri = catalog.triangulations[ids[0]]
     try:
-        g = GeometricComplex(tri, {v: points[v] for v in tri.graph.vertices})
+        check_placement(tri.graph.vertices, points)
     except ValueError as exc:
         raise UsageError(f"cannot export this placement: {exc}")
-    if args.format in ("off", "obj") and g.dim != 3:
+    if args.format in ("off", "obj") and dim != 3:
         raise UsageError(
-            f"{args.format} export needs dim 3 (got dim {g.dim}); "
+            f"{args.format} export needs dim 3 (got dim {dim}); "
             f"use --project-drop-axis or --format json"
         )
     if args.format == "off":
-        text = export_off(g)
+        text = export_off(tri, points)
     elif args.format == "obj":
-        text = export_obj(g)
-    elif args.format == "json":
+        text = export_obj(tri, points)
+    else:
         doc = {
             "construction": args.construction,
             "id": ids[0],
             "faces": [list(f) for f in tri.faces],
-            "placement": placement_to_json(g.placement),
+            "placement": placement_to_json(points),
         }
         text = _json_text(doc)
-    else:
-        raise UsageError(f"unknown format {args.format!r}")
     _write_out(text, args.out)
     return EXIT_OK
 
 
 # -- the full reproduction report -----------------------------------------
 
+_SUSPENSION_NOTE = (
+    "the embeddable set is the full symmetry orbit of the reference "
+    "triangulation under the coordinate isometries (3-fold rotation and two "
+    "reflections), hence 6 labeled triangulations"
+)
+
+
 def run_report() -> tuple[str, bool]:
     """All enumerations, pairings, verifications, metrics and the threshold
-    scan, each line tagged with a check id and PASS/FAIL against its
-    documented expected value."""
-    lines = []
-    all_ok = True
-
-    def check(tag, label, observed, expected):
-        nonlocal all_ok
-        ok = observed == expected
-        all_ok = all_ok and ok
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"[{tag}] {status} {label}: expected {expected}, observed {observed}")
-        return ok
-
+    scan as one table of (tag, label, observed, expected) rows; each becomes
+    a line tagged with its check id and PASS/FAIL, and a row's optional
+    fifth entry is a note printed under it when it fails."""
+    rows = []
     catalogs = {}
-    for graph_name, surface in (("k2222", "torus"), ("k6", "projective-plane"), ("k5", "moebius")):
-        cat = build_catalog(graph_name, surface)
-        catalogs[graph_name] = cat
-        check(f"count-{graph_name}", f"{graph_name}/{surface} triangulations",
-              len(cat.triangulations), 12)
-        check(f"count-{graph_name}-other", f"{graph_name} non-{surface} complexes",
-              len(cat.rejected), 0)
+    for graph_name, surface in dict.fromkeys((g, s) for _, g, s in CONSTRUCTIONS.values()):
+        cat = catalogs[graph_name] = build_catalog(graph_name, surface)
         pairs, unmatched = complement_pairing(cat)
-        check(f"pairs-{graph_name}", f"{graph_name} complementary pairs", len(pairs), 6)
-        check(f"pairs-{graph_name}-unmatched", f"{graph_name} unmatched ids", unmatched, [])
-        cliques = enumerate_cliques3(cat.task.graph)
-        disjoint = all(
-            not (set(cat.triangulations[i].faces) & set(cat.triangulations[j].faces))
-            for i, j in pairs
-        )
-        union_full = all(
-            sorted(set(cat.triangulations[i].faces) | set(cat.triangulations[j].faces))
-            == sorted(cliques)
-            for i, j in pairs
-        )
-        check(f"pairs-{graph_name}-disjoint", f"{graph_name} pair face sets disjoint",
-              disjoint, True)
-        check(f"pairs-{graph_name}-union", f"{graph_name} pair unions cover all 3-cliques",
-              union_full, True)
+        faces = [set(t.faces) for t in cat.triangulations]
+        cliques = sorted(enumerate_cliques3(cat.task.graph))
+        rows += [
+            (f"count-{graph_name}", f"{graph_name}/{surface} triangulations",
+             len(cat.triangulations), 12),
+            (f"count-{graph_name}-other", f"{graph_name} non-{surface} complexes",
+             len(cat.rejected), 0),
+            (f"pairs-{graph_name}", f"{graph_name} complementary pairs", len(pairs), 6),
+            (f"pairs-{graph_name}-unmatched", f"{graph_name} unmatched ids", unmatched, []),
+            (f"pairs-{graph_name}-disjoint", f"{graph_name} pair face sets disjoint",
+             all(not faces[i] & faces[j] for i, j in pairs), True),
+            (f"pairs-{graph_name}-union", f"{graph_name} pair unions cover all 3-cliques",
+             all(sorted(faces[i] | faces[j]) == cliques for i, j in pairs), True),
+        ]
 
-    # embeddings
-    pts16 = construction_coords("schlegel16cell", DEFAULT_PARAMS["schlegel16cell"])
-    reps = verify_catalog(pts16, catalogs["k2222"])
-    check("embed-16cell", "torus triangulations embedded on 16-cell diagram (k=4)",
-          sum(r.embedded for r in reps), 12)
+    points, reports = {}, {}
+    for name, (_, graph_name, _) in CONSTRUCTIONS.items():
+        points[name] = construction_points(name, None)[0]
+        reports[name] = verify_catalog(points[name], catalogs[graph_name])
+    embedded = {name: sum(r.embedded for r in reps) for name, reps in reports.items()}
+    fgh_containment = any(
+        v.kind in ("containment", "coplanar_overlap") and ("F", "G", "H") in v.faces
+        for r in reports["suspension"] for v in r.violations
+    )
+    rows += [
+        ("embed-16cell", "torus triangulations embedded on 16-cell diagram (k=4)",
+         embedded["schlegel16cell"], 12),
+        ("rigidity-suspension", "torus triangulations embedded on suspension (k=14/5)",
+         embedded["suspension"], 1, _SUSPENSION_NOTE),
+        ("rigidity-suspension-fgh", "failing reports include containment at face FGH",
+         fgh_containment, True),
+        ("embed-5simplex", "projective-plane triangulations embedded in dim 4",
+         embedded["rp2-simplex"], 12),
+        ("embed-moebius", "Moebius triangulations embedded in dim 3",
+         embedded["moebius"], 12),
+    ]
 
-    ptssus = construction_coords("suspension", DEFAULT_PARAMS["suspension"])
-    reps_sus = verify_catalog(ptssus, catalogs["k2222"])
-    n_sus = sum(r.embedded for r in reps_sus)
-    ok4 = check("rigidity-suspension", "torus triangulations embedded on suspension (k=14/5)",
-                n_sus, 1)
-    if not ok4:
-        lines.append(
-            "[rigidity-suspension] note: the embeddable set is the full symmetry "
-            "orbit of the reference triangulation under the coordinate isometries "
-            "(3-fold rotation and two reflections), hence 6 labeled triangulations"
-        )
-    fgh_containment = False
-    for r in reps_sus:
-        for v in r.violations:
-            if v.kind in ("containment", "coplanar_overlap") and ("F", "G", "H") in v.faces:
-                fgh_containment = True
-    check("rigidity-suspension-fgh", "failing reports include containment at face FGH",
-          fgh_containment, True)
-
-    ptsrp2 = construction_coords("rp2_simplex")
-    reps = verify_catalog(ptsrp2, catalogs["k6"])
-    check("embed-5simplex", "projective-plane triangulations embedded in dim 4",
-          sum(r.embedded for r in reps), 12)
-
-    ptsmo = construction_coords("moebius")
-    reps = verify_catalog(ptsmo, catalogs["k5"])
-    check("embed-moebius", "Moebius triangulations embedded in dim 3",
-          sum(r.embedded for r in reps), 12)
-
-    # metrics
-    outer = [pts16[v] for v in "ABCD"]
-    check("metric-16cell-edge", "outer tetra squared edge",
-          dist_sq(pts16["A"], pts16["B"]), QuadExt(24, ctx=pts16["A"].ctx))
-    check("metric-16cell-circum", "outer tetra circumradius^2",
-          circumradius_sq(outer), QuadExt(9, ctx=pts16["A"].ctx))
-    check("metric-16cell-in", "outer tetra inradius^2",
-          tetra_inradius_sq(outer), QuadExt(1, ctx=pts16["A"].ctx))
-    dists = {
-        dist_sq(ptsrp2[u], ptsrp2[v])
-        for u in "ABCDE" for v in "ABCDE" if u < v
-    }
-    check("metric-simplex-dist", "regular 4-simplex squared distances",
-          dists, {QuadExt(8, ctx=ptsrp2["A"].ctx)})
-    check("metric-simplex-radius", "squared circumradius of A..E",
-          {ptsrp2[v].norm_sq() for v in "ABCDE"},
-          {QuadExt(Fraction(16, 5), ctx=ptsrp2["A"].ctx)})
-    mo_lengths = {
-        dist_sq(ptsmo[u], ptsmo[v]) for u in "ABCDE" for v in "ABCDE" if u < v
-    }
-    check("metric-moebius-lengths", "Moebius squared edge lengths",
-          mo_lengths,
-          {QuadExt(3, ctx=ptsmo["A"].ctx), QuadExt(8, ctx=ptsmo["A"].ctx)})
-    census_ok = True
-    for tri in catalogs["k5"].triangulations:
-        g = GeometricComplex(tri, {v: ptsmo[v] for v in "ABCDE"})
-        rep = metric_report(g)
-        if rep.census_counts != {"equilateral": 2, "isosceles": 3, "scalene": 0}:
-            census_ok = False
-    check("metric-moebius-census", "each Moebius triangulation: 2 equilateral + 3 isosceles",
-          census_ok, True)
-
-    # k threshold
+    pts16, rp2, mo = points["schlegel16cell"], points["rp2-simplex"], points["moebius"]
+    rows += [
+        (tag, label, value, QuadExt(e, ctx=pts16["A"].ctx))
+        for (tag, label, value), e in zip(_outer_tetra(pts16), (24, 9, 1))
+    ]
+    rows += [
+        ("metric-simplex-dist", "regular 4-simplex squared distances",
+         {dist_sq(rp2[u], rp2[v]) for u, v in combinations("ABCDE", 2)},
+         {QuadExt(8, ctx=rp2["A"].ctx)}),
+        ("metric-simplex-radius", "squared circumradius of A..E",
+         {rp2[v].norm_sq() for v in "ABCDE"}, {QuadExt(Fraction(16, 5), ctx=rp2["A"].ctx)}),
+        ("metric-moebius-lengths", "Moebius squared edge lengths",
+         {dist_sq(mo[u], mo[v]) for u, v in combinations("ABCDE", 2)},
+         {QuadExt(3, ctx=mo["A"].ctx), QuadExt(8, ctx=mo["A"].ctx)}),
+        ("metric-moebius-census", "each Moebius triangulation: 2 equilateral + 3 isosceles",
+         all(_census(t.faces, mo) == {"equilateral": 2, "isosceles": 3, "scalene": 0}
+             for t in catalogs["k5"].triangulations), True),
+    ]
     for k, expected in ((4, "strict_interior"), (3, "touching"), (2, "outside")):
         coords = sixteen_cell_diagram(Fraction(k))
-        outcome = tetra_containment(
-            [coords[v] for v in "ABCD"], [coords[v] for v in "EFGH"]
-        )
-        check(f"threshold-k{k}", f"inner tetra vs outer tetra at k={k}",
-              outcome, expected)
+        rows.append((f"threshold-k{k}", f"inner tetra vs outer tetra at k={k}",
+                     tetra_containment([coords[v] for v in "ABCD"], [coords[v] for v in "EFGH"]),
+                     expected))
 
+    lines = []
+    all_ok = True
+    for tag, label, observed, expected, *note in rows:
+        ok = observed == expected
+        all_ok = all_ok and ok
+        lines.append(f"[{tag}] {'PASS' if ok else 'FAIL'} {label}: "
+                     f"expected {expected}, observed {observed}")
+        if not ok:
+            lines += [f"[{tag}] note: {text}" for text in note]
     lines.append("REPORT " + ("PASS" if all_ok else "FAIL"))
     return "\n".join(lines) + "\n", all_ok
 
@@ -484,23 +462,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify embeddings on a construction")
     p.add_argument("--construction", required=True)
     p.add_argument("--k")
-    p.add_argument("--id", type=int)
-    p.add_argument("--all", action="store_true")
+    selection = p.add_mutually_exclusive_group()
+    selection.add_argument("--id", type=int)
+    selection.add_argument("--all", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("metrics", help="exact metric report for a construction")
     p.add_argument("--construction", required=True)
     p.add_argument("--k")
-    p.add_argument("--id", type=int)
-    p.add_argument("--all", action="store_true")
+    selection = p.add_mutually_exclusive_group()
+    selection.add_argument("--id", type=int)
+    selection.add_argument("--all", action="store_true")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("export", help="export a geometric complex (OFF/OBJ/JSON)")
     p.add_argument("--construction", required=True)
     p.add_argument("--k")
     p.add_argument("--id", type=int)
-    p.add_argument("--all", action="store_true")
     p.add_argument("--format", default="off", choices=("off", "obj", "json"))
     p.add_argument("--project-drop-axis", choices=tuple("xyzw"))
     p.add_argument("--out")

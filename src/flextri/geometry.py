@@ -1,5 +1,9 @@
 """Exact coordinate constructions, projections and metric computations.
 
+A placement is a plain dict {vertex label: Point}: ``check_placement``
+validates one against a list of labels, and ``face_shapes`` gives the shape
+of each face of a complex placed on it.
+
 All coordinates are QuadExt values, so every derived quantity (squared
 lengths, plane evaluations, projection images) stays inside one quadratic
 field context and is compared exactly.
@@ -11,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .numeric import (
     CTX_SQRT2_SQRT3,
@@ -20,7 +25,6 @@ from .numeric import (
     QuadExt,
     solve_linear,
 )
-from .surfaces import Triangulation
 
 
 class ParameterError(ValueError):
@@ -79,19 +83,6 @@ def dist_sq(p: Point, q: Point) -> QuadExt:
 @dataclass(frozen=True)
 class RealizationParams:
     k: Fraction
-
-
-@dataclass(frozen=True)
-class GeometricComplex:
-    triangulation: Triangulation
-    placement: dict  # VertexLabel -> Point
-
-    def __post_init__(self):
-        check_placement(self.triangulation.graph.vertices, self.placement)
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.placement.values())).dim
 
 
 def check_placement(labels, placement: dict) -> None:
@@ -354,30 +345,18 @@ def scale_placement(points: dict, r) -> dict:
 
 # -- metrics ---------------------------------------------------------------
 
-@dataclass
-class MetricReport:
-    edge_lengths_sq: dict        # frozenset edge -> QuadExt
-    census: dict                 # face -> "equilateral" | "isosceles" | "scalene"
-    census_counts: dict          # shape name -> count
+SHAPES = ("equilateral", "isosceles", "scalene")
 
 
-def metric_report(g: GeometricComplex) -> MetricReport:
-    lengths = {}
-    for e in g.triangulation.graph.edges:
-        u, v = sorted(e)
-        lengths[e] = dist_sq(g.placement[u], g.placement[v])
-    census = {}
-    counts = {"equilateral": 0, "isosceles": 0, "scalene": 0}
-    for f in g.triangulation.faces:
-        sq = [
-            lengths[frozenset((f[i], f[j]))]
-            for i, j in ((0, 1), (0, 2), (1, 2))
-        ]
+def face_shapes(faces, placement: dict) -> dict:
+    """Each face's shape by its number of distinct exact squared side lengths:
+    {face: "equilateral" | "isosceles" | "scalene"}."""
+    shapes = {}
+    for f in faces:
+        sq = [dist_sq(placement[u], placement[v]) for u, v in combinations(f, 2)]
         distinct = 1 + (sq[0] != sq[1]) + (sq[2] != sq[0] and sq[2] != sq[1])
-        shape = {1: "equilateral", 2: "isosceles", 3: "scalene"}[distinct]
-        census[f] = shape
-        counts[shape] += 1
-    return MetricReport(lengths, census, counts)
+        shapes[f] = SHAPES[distinct - 1]
+    return shapes
 
 
 def circumcenter(points) -> Point:

@@ -186,12 +186,24 @@ def _orientable(faces, edge_faces: dict) -> bool:
     return True
 
 
+# (boundary components, Euler characteristic, orientable) -> surface name
+_MANIFOLD_NAMES = {
+    (0, 2, True): "sphere",
+    (0, 0, True): "torus",
+    (0, 0, False): "Klein bottle",
+    (0, 1, False): "projective plane",
+    (1, 1, True): "disk",
+    (1, 0, False): "Möbius band",
+}
+
+
 def classify_surface(t: Triangulation) -> SurfaceClass:
     """Classify the underlying surface of a simplicial 2-complex.
 
     Manifoldness requires every vertex link to be a single cycle (interior
     vertex) or single path (boundary vertex); non-manifold complexes get
-    name "other/invalid".
+    name "other/invalid", and manifolds outside the six named surfaces
+    (such as an annulus) get "other manifold".
     """
     V = len(t.graph.vertices)
     E = len(t.graph.edges)
@@ -216,19 +228,8 @@ def classify_surface(t: Triangulation) -> SurfaceClass:
     boundary = len(_components(boundary_adj))
     orientable = _orientable(t.faces, edge_faces)
 
-    if not manifold:
-        name = "other/invalid"
-    elif boundary == 0:
-        name = {
-            (2, True): "sphere",
-            (0, True): "torus",
-            (0, False): "Klein bottle",
-            (1, False): "projective plane",
-        }.get((euler, orientable), "other/invalid")
-    elif boundary == 1 and euler == 1 and orientable:
-        name = "disk"
-    elif boundary == 1 and euler == 0 and not orientable:
-        name = "Möbius band"
+    if manifold:
+        name = _MANIFOLD_NAMES.get((boundary, euler, orientable), "other manifold")
     else:
         name = "other/invalid"
 

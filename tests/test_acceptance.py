@@ -14,11 +14,10 @@ from fractions import Fraction
 
 from flextri.enumeration import complement_pairing
 from flextri.geometry import (
-    GeometricComplex,
     construction_coords,
     circumradius_sq,
     dist_sq,
-    metric_report,
+    face_shapes,
     scale_placement,
     sixteen_cell_diagram,
     tetra_containment,
@@ -143,10 +142,8 @@ def test_07_metric_checks(schlegel16_points, rp2_points, moebius_points,
         for u in "ABCDE" for v in "ABCDE" if u < v
     } == {QuadExt(3, ctx=ctx5), QuadExt(8, ctx=ctx5)}
     for tri in moebius_catalog.triangulations:
-        g = GeometricComplex(tri, dict(moebius_points))
-        ok = ok and metric_report(g).census_counts == {
-            "equilateral": 2, "isosceles": 3, "scalene": 0,
-        }
+        shapes = list(face_shapes(tri.faces, moebius_points).values())
+        ok = ok and sorted(shapes) == ["equilateral"] * 2 + ["isosceles"] * 3
     _report("07", "exact metric checks (24/9/1, 8 & 16/5, {3,8} census)", ok)
 
 

@@ -156,7 +156,7 @@ _OWN = {
     "pairs": ("--graph", "--surface"),
     "verify": ("--construction", "--k", "--id", "--all", "--out"),
     "metrics": ("--construction", "--k", "--id", "--all"),
-    "export": ("--construction", "--k", "--id", "--all", "--format",
+    "export": ("--construction", "--k", "--id", "--format",
                "--project-drop-axis", "--out"),
     "report": ("--format", "--out"),
 }
@@ -208,6 +208,20 @@ def test_verify_id_out_of_range(capsys):
 def test_verify_needs_selection(capsys):
     code, _, err = run(capsys, "verify", "--construction", "moebius")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "metrics"])
+def test_id_with_all_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--construction", "moebius", "--id", "0", "--all"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_export_takes_no_all(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--construction", "moebius", "--all"])
+    assert exc.value.code == 2
 
 
 # -- pairs -----------------------------------------------------------------
@@ -315,14 +329,24 @@ def test_export_json_coordinates_exact(capsys):
 def test_metrics_16cell(capsys):
     code, out, _ = run(capsys, "metrics", "--construction", "schlegel16cell")
     assert code == 0
-    assert "circumradius^2" in out
-    assert "inradius^2" in out
+    lines = out.splitlines()
+    assert "outer tetra squared edge: 24" in lines
+    assert "outer tetra circumradius^2: 9" in lines
+    assert "outer tetra inradius^2: 1" in lines
 
 
 def test_metrics_census_lines(capsys):
     code, out, _ = run(capsys, "metrics", "--construction", "moebius", "--all")
     assert code == 0
     assert out.count("census") == 12
+    assert "  7  census: {'equilateral': 2, 'isosceles': 3, 'scalene': 0}" in out.splitlines()
+
+
+def test_metrics_id_out_of_range_prints_nothing(capsys):
+    code, out, err = run(capsys, "metrics", "--construction", "moebius", "--id", "99")
+    assert code == 2
+    assert "out of range" in err
+    assert out == ""
 
 
 # -- report ----------------------------------------------------------------

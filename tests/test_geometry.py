@@ -5,10 +5,10 @@ import pytest
 from flextri.geometry import (
     CONSTRUCTION_NAMES,
     DEFAULT_PARAMS,
-    GeometricComplex,
     ParameterError,
     Point,
     RealizationParams,
+    check_placement,
     centroid,
     circumcenter,
     circumradius_sq,
@@ -16,9 +16,9 @@ from flextri.geometry import (
     default_viewpoint,
     dist_sq,
     face_is_degenerate,
+    face_shapes,
     integer_frame,
     make_point,
-    metric_report,
     orthogonal_project,
     scale_placement,
     schlegel_project,
@@ -222,25 +222,19 @@ def test_rp2_simplex_is_regular(rp2_points):
 
 def test_moebius_metric_census(moebius_catalog, moebius_points):
     for tri in moebius_catalog.triangulations:
-        g = GeometricComplex(tri, dict(moebius_points))
-        rep = metric_report(g)
-        assert set(rep.edge_lengths_sq.values()) == {
-            qq(3, ctx=CTX_SQRT5),
-            qq(8, ctx=CTX_SQRT5),
+        lengths = {
+            dist_sq(moebius_points[u], moebius_points[v])
+            for u, v in map(sorted, tri.graph.edges)
         }
-        assert rep.census_counts == {
-            "equilateral": 2,
-            "isosceles": 3,
-            "scalene": 0,
-        }
+        assert lengths == {qq(3, ctx=CTX_SQRT5), qq(8, ctx=CTX_SQRT5)}
+        shapes = list(face_shapes(tri.faces, moebius_points).values())
+        assert sorted(shapes) == ["equilateral"] * 2 + ["isosceles"] * 3
 
 
 def test_scaling_preserves_shape_census(moebius_catalog, moebius_points):
     scaled = scale_placement(moebius_points, Fraction(7, 3))
     tri = moebius_catalog.triangulations[0]
-    a = metric_report(GeometricComplex(tri, dict(moebius_points))).census
-    b = metric_report(GeometricComplex(tri, scaled)).census
-    assert a == b
+    assert face_shapes(tri.faces, moebius_points) == face_shapes(tri.faces, scaled)
 
 
 # -- containment threshold -------------------------------------------------
@@ -315,7 +309,7 @@ def test_placement_rejects_colliding_labels(moebius_catalog, moebius_points):
     bad = dict(moebius_points)
     bad["B"] = bad["C"]
     with pytest.raises(ValueError):
-        GeometricComplex(moebius_catalog.triangulations[0], bad)
+        check_placement(moebius_catalog.triangulations[0].graph.vertices, bad)
 
 
 def test_default_viewpoint_outside_facet_plane():

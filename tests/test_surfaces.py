@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flextri.enumeration import EnumerationTask, enumerate_triangulations
 from flextri.surfaces import (
     Triangulation,
     build_graph,
@@ -111,6 +112,21 @@ def test_annulus_classification():
     assert cls.is_manifold
     assert cls.orientable
     assert cls.euler == 0
+    assert cls.name == "other manifold"
+
+
+@pytest.mark.parametrize("graph_name", ["octahedron", "k6"])
+def test_untargeted_manifolds_are_not_named_invalid(graph_name):
+    # an untargeted catalog keeps every manifold, named or not: the
+    # octahedron with boundary has 4 annuli, K_6 with boundary 120
+    # orientable surfaces of Euler characteristic -1 and one boundary curve
+    catalog = enumerate_triangulations(
+        EnumerationTask(build_graph(graph_name), "with_boundary", None)
+    )
+    names = [cls.name for cls in catalog.classes]
+    assert all(cls.is_manifold for cls in catalog.classes)
+    assert "other/invalid" not in names
+    assert names.count("other manifold") == {"octahedron": 4, "k6": 120}[graph_name]
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=11))
