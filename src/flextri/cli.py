@@ -30,6 +30,7 @@ from .geometry import (
     construction_coords,
     dist_sq,
     face_shapes,
+    isometry_group,
     orthogonal_project,
     sixteen_cell_diagram,
     tetra_containment,
@@ -241,6 +242,7 @@ def cmd_verify(args) -> int:
         doc = {
             "construction": args.construction,
             "k": args.k,
+            "isometry_group_order": len(isometry_group(catalog.task.graph.vertices, points)),
             "reports": [
                 {
                     "id": i,

@@ -147,6 +147,58 @@ def integer_frame(placement: dict):
     return points, tuple(scales)
 
 
+def isometry_group(labels, placement: dict, scales=None) -> list[dict]:
+    """Every permutation g of ``labels`` that keeps the exact squared
+    distance of every pair of placed points: |p_g(u) - p_g(v)|^2 =
+    |p_u - p_v|^2.  Point sets with equal pairwise distances are congruent,
+    so each g is the restriction of an isometry of the ambient space and
+    keeps every incidence of the placed faces.
+
+    With ``scales`` the placement is an ``integer_frame`` of int points:
+    the squared distance is then sum_i s_i^2 (x_i - y_i)^2, with the
+    rational s_i^2 made int weights over their common denominator.  The
+    distance matrix is built once; labels are then assigned images in
+    order by backtracking, each to an unused label whose distances to the
+    images assigned so far match.  Returns {label: image} dicts, ordered by
+    the positions in ``labels`` of the images of labels[0], labels[1], ...
+    compared lexicographically; so the identity comes first.
+    """
+    labels = list(labels)
+    pts = [placement[v] for v in labels]
+    if scales is None:
+        dist = dist_sq
+    else:
+        # s_i is a rational times one basis element, so s_i^2 is rational
+        sq = [(s * s).a for s in scales]
+        den = math.lcm(*(q.denominator for q in sq))
+        weights = [q.numerator * (den // q.denominator) for q in sq]
+
+        def dist(p, q):
+            return sum(w * (x - y) ** 2 for w, x, y in zip(weights, p.coords, q.coords))
+
+    n = len(labels)
+    d = [[None] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = dist(pts[i], pts[j])
+    group, image, free = [], [], [True] * n
+
+    def extend(k):
+        if k == n:
+            group.append({u: labels[c] for u, c in zip(labels, image)})
+            return
+        row = d[k]
+        for c in range(n):
+            if free[c] and list(map(d[c].__getitem__, image)) == row[:k]:
+                free[c] = False
+                image.append(c)
+                extend(k + 1)
+                image.pop()
+                free[c] = True
+
+    extend(0)
+    return group
+
+
 # -- named constructions ---------------------------------------------------
 
 CONSTRUCTION_NAMES = (

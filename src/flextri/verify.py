@@ -19,7 +19,10 @@ witness is mapped back through the scales, coordinate by coordinate; a
 pair's first face, through the scales of those two axes.  So witnesses are
 exact points of the placement's field.  Placements that mix basis elements
 on an axis, and direct calls of ``pair_intersection_check``, are decided on
-the QuadExt coordinates themselves.
+the QuadExt coordinates themselves.  ``verify_catalog`` runs the predicate
+on one clique pair per orbit of the placement's isometry group and copies
+each admissible verdict to the rest of the orbit; violating pairs are all
+decided on their own points.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .geometry import Point, check_placement, face_is_degenerate, integer_frame, plane_axes
+from .geometry import (
+    Point,
+    check_placement,
+    face_is_degenerate,
+    integer_frame,
+    isometry_group,
+    plane_axes,
+)
 from .numeric import QuadExt, solve_linear
 
 
@@ -447,24 +457,36 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     placement, one report per id in the order given.
 
     All triangulations draw their faces from the catalog's 3-cliques, so the
-    verdicts come from one table for the placement: each clique pair that
-    occurs together in a selected triangulation is checked once (faces are
-    in canonical order, so the smaller face comes first).  Each face is
+    verdicts come from one table for the placement, keyed by clique pairs in
+    canonical order (faces are sorted, so the smaller face comes first).  A
+    label permutation that keeps the placement's exact squared distances
+    (``geometry.isometry_group``) is a congruence, so it maps an admissible
+    pair to an admissible pair: the predicate runs on one pair of each
+    orbit of the group, and an admissible verdict is written to every image
+    pair.  Violations are never copied; every violating pair is checked on
+    its own points, so its kind and witness are its own.  Each face is
     tested for degeneracy once for the report's degenerate-face violations,
-    and again by ``pair_intersection_check`` on every table entry it is in.
-    When ``geometry.integer_frame`` puts the placement on int points, the
-    table is decided there and each witness is mapped back to the
+    and again by ``pair_intersection_check`` on every pair it checks.  When
+    ``geometry.integer_frame`` puts the placement on int points, the group
+    and the table are decided there and each witness is mapped back to the
     placement's field.
     """
-    check_placement(catalog.task.graph.vertices, placement)
+    labels = catalog.task.graph.vertices
+    check_placement(labels, placement)
+    n = len(catalog.triangulations)
+    ids = list(catalog.ids if ids is None else ids)
+    for i in ids:
+        if not 0 <= i < n:
+            raise ValueError(f"triangulation id {i} out of range 0..{n - 1}")
     frame = integer_frame(placement)
     scales = None
     if frame is not None:
         placement, scales = frame
-    ids = list(catalog.ids if ids is None else ids)
+    group = isometry_group(labels, placement, scales)
     tris = [catalog.triangulations[i] for i in ids]
     points = {f: tuple(placement[v] for v in f) for t in tris for f in t.faces}
     degenerate = {f: face_is_degenerate(*pts) for f, pts in points.items()}
+    images = {f: [tuple(sorted(g[v] for v in f)) for g in group] for f in points}
     table: dict = {}
     reports = []
     for i, tri in zip(ids, tris):
@@ -480,7 +502,11 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
                     (j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w
                 ]
                 v = pair_intersection_check(points[a], points[b], shared)
-                table[a, b] = v if scales is None else _map_back(v, scales)
+                if v.admissible:
+                    for ga, gb in zip(images[a], images[b]):
+                        table.setdefault((ga, gb) if ga < gb else (gb, ga), v)
+                else:
+                    table[a, b] = v if scales is None else _map_back(v, scales)
             v = table[a, b]
             if not v.admissible:
                 violations.append(

@@ -198,6 +198,19 @@ def test_fuzzed_argv_exits_with_a_known_code(missing_out, data):
     assert not missing_out.parent.exists()
 
 
+def test_verify_out_writes_isometry_group_order(capsys, tmp_path):
+    # the order of the placement's isometry group goes to the --out file
+    # only; stdout is the same table as without --out
+    for construction, order in (("suspension", 12), ("schlegel16cell", 24), ("moebius", 24)):
+        out = tmp_path / f"{construction}.json"
+        code, plain, _ = run(capsys, "verify", "--construction", construction, "--all")
+        code_out, written, _ = run(capsys, "verify", "--construction", construction,
+                                   "--all", "--out", str(out))
+        assert (code_out, written) == (code, plain)
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["isometry_group_order"] == order
+
+
 def test_verify_id_out_of_range(capsys):
     code, _, err = run(capsys, "verify", "--construction", "moebius",
                        "--id", "12")

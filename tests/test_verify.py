@@ -6,14 +6,19 @@ import pytest
 
 from flextri.geometry import (
     Point,
+    construction_coords,
     face_is_degenerate,
     integer_frame,
+    isometry_group,
     make_point,
     scale_placement,
 )
 from flextri.numeric import CTX_SQRT2_SQRT3, QQ, QuadExt, solve_linear
 from flextri.surfaces import enumerate_cliques3
 from flextri.verify import (
+    EmbeddingReport,
+    PairVerdict,
+    _map_back,
     orientation_sign,
     pair_intersection_check,
     verify_catalog,
@@ -155,6 +160,19 @@ def test_suspension_embedded_set_is_symmetry_orbit(
             )
             assert relabeled in embedded
 
+    # the three relabelings are isometries of the placement, and under its
+    # whole isometry group the 12 triangulations fall into two orbits: the
+    # 6 embedded ones and the 6 others
+    group = isometry_group(torus_catalog.task.graph.vertices, suspension_points)
+    for perm in (rot, mirror, flip):
+        assert {v: v.translate(perm) for v in "ABCDEFGH"} in group
+    orbits = {
+        frozenset(frozenset(_image(g, f) for f in tri.faces) for g in group)
+        for tri in torus_catalog.triangulations
+    }
+    assert sorted(map(len, orbits)) == [6, 6]
+    assert embedded in orbits
+
 
 def test_full_catalogs_embed_on_reference_placements(
     schlegel16_points, rp2_points, moebius_points,
@@ -295,6 +313,113 @@ def test_sweep_certificates_match_the_benchmark_reference(
         reports = verify_catalog(points, torus_catalog)
         certificate = perfbench.worker.certificate(reports, torus_catalog)
         assert perfbench.checks.digest(certificate) == reference[key]["digest"], key
+
+
+# -- the isometry group and the orbit table -------------------------------
+
+def _image(g, face):
+    """The face relabeled by the permutation ``g``, in canonical order."""
+    return tuple(sorted(g[v] for v in face))
+
+
+def _pair_orbits(group, catalog):
+    """The orbits of the catalog's co-occurring clique pairs under ``group``."""
+    pairs = {p for tri in catalog.triangulations for p in combinations(tri.faces, 2)}
+    return {
+        frozenset(tuple(sorted((_image(g, a), _image(g, b)))) for g in group)
+        for a, b in pairs
+    }
+
+
+def test_isometry_group_orders_and_pair_orbits(
+    suspension_points, schlegel16_points, rp2_points, moebius_points,
+    torus_catalog, rp2_catalog, moebius_catalog,
+):
+    for points, catalog, order, n_orbits in (
+        (suspension_points, torus_catalog, 12, 60),
+        (schlegel16_points, torus_catalog, 24, 33),
+        (rp2_points, rp2_catalog, 120, 6),
+        (moebius_points, moebius_catalog, 24, 5),
+    ):
+        labels = catalog.task.graph.vertices
+        group = isometry_group(labels, points)
+        assert len(group) == order
+        assert group[0] == {v: v for v in labels}
+        # the int frame's weighted distances give the same group, in the
+        # same order
+        assert isometry_group(labels, *integer_frame(points)) == group
+        assert len(_pair_orbits(group, catalog)) == n_orbits
+
+
+def _full_table_reports(points, catalog):
+    """verify_catalog's reports from the full table, by brute force: the
+    predicate on every co-occurring clique pair, on the int frame where the
+    placement has one, with each witness mapped back."""
+    frame = integer_frame(points)
+    if frame is not None:
+        points = frame[0]
+    table = {}
+    for tri in catalog.triangulations:
+        for a, b in combinations(tri.faces, 2):
+            shared = [(j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w]
+            v = pair_intersection_check(
+                tuple(points[x] for x in a), tuple(points[x] for x in b), shared
+            )
+            table[a, b] = v if frame is None else _map_back(v, frame[1])
+    reports = []
+    for i, tri in zip(catalog.ids, catalog.triangulations):
+        violations = [
+            PairVerdict((f, f), 3, "violation", "degenerate_face")
+            for f in tri.faces
+            if face_is_degenerate(*(points[x] for x in f))
+        ]
+        pairs = list(combinations(tri.faces, 2))
+        violations += [
+            PairVerdict((a, b), v.shared, v.verdict, v.kind, v.witness)
+            for a, b in pairs
+            if not (v := table[a, b]).admissible
+        ]
+        verdict = "not_embedded" if violations else "embedded"
+        reports.append(EmbeddingReport(str(i), verdict, violations, len(pairs)))
+    return reports
+
+
+def test_orbit_table_equals_the_full_table(
+    suspension_points, schlegel16_points, rp2_points, moebius_points,
+    torus_catalog, rp2_catalog, moebius_catalog,
+):
+    # verdicts, kinds and exact witnesses of every report, on placements with
+    # large, small and trivial isometry groups, on the int frame and on
+    # QuadExt coordinates, with and without degenerate faces
+
+    # A moved by (sqrt2 / 9, sqrt6 / 13, 0) keeps the int frame and breaks
+    # every symmetry
+    nudge = make_point(
+        CTX, QuadExt(0, Fraction(1, 9), ctx=CTX), QuadExt(0, 0, 0, Fraction(1, 13), ctx=CTX), 0
+    )
+    perturbed = dict(suspension_points, A=suspension_points["A"] + nudge)
+    rotated = _rotated_xy(schlegel16_points)
+    cases = (
+        (suspension_points, torus_catalog, 12),
+        (schlegel16_points, torus_catalog, 24),
+        (rp2_points, rp2_catalog, 120),
+        (moebius_points, moebius_catalog, 24),
+        (construction_coords("std_hyperoctahedron"), torus_catalog, 384),
+        (scale_placement(suspension_points, Fraction(7, 3)), torus_catalog, 12),
+        (rotated, torus_catalog, 24),
+        (dict(moebius_points, E=moebius_points["B"].scale(2)), moebius_catalog, 2),
+        (perturbed, torus_catalog, 1),
+    )
+    for points, catalog, order in cases:
+        assert len(isometry_group(catalog.task.graph.vertices, points)) == order
+        assert (integer_frame(points) is None) == (points is rotated)
+        assert verify_catalog(points, catalog) == _full_table_reports(points, catalog)
+
+
+def test_verify_catalog_refuses_ids_out_of_range(moebius_points, moebius_catalog):
+    for bad in (-1, 12):
+        with pytest.raises(ValueError, match=r"out of range 0\.\.11"):
+            verify_catalog(moebius_points, moebius_catalog, [0, bad])
 
 
 # -- independent oracle: Cramer-rule segment/triangle tests ----------------
