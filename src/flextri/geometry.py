@@ -4,9 +4,12 @@ A placement is a plain dict {vertex label: Point}: ``check_placement``
 validates one against a list of labels, and ``face_shapes`` gives the shape
 of each face of a complex placed on it.
 
-All coordinates are QuadExt values, so every derived quantity (squared
-lengths, plane evaluations, projection images) stays inside one quadratic
-field context and is compared exactly.
+The constructions give QuadExt coordinates, so every derived quantity
+(squared lengths, plane evaluations, projection images) stays inside one
+quadratic field context and is compared exactly.  ``integer_frame`` writes
+a point set whose axes each carry one basis element of the field as int
+points under a positive scale per axis, which the pair predicate decides
+on; ``Point`` arithmetic works on ints and Fractions alike.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .numeric import (
     QQ,
     FieldContext,
     QuadExt,
+    _reduced,
     solve_linear,
 )
 
@@ -122,28 +126,27 @@ def integer_frame(placement: dict):
     with s_i > 0: s_i is that basis element times g/L, where L is the lcm of
     the axis's denominators and g the gcd of the numerators over L.  Returns
     ({label: Point of ints}, (s_0, ..., s_{n-1})), or None when some axis
-    mixes basis elements.
+    mixes basis elements.  The coordinates are read as their int numerators
+    and denominator: a value with one nonzero numerator is in lowest terms.
+    The placement's points must be QuadExt points of one context.
     """
     labels = list(placement)
-    first = placement[labels[0]]
+    ctx = placement[labels[0]].ctx
     columns, scales = [], []
-    for i in range(first.dim):
-        coefs = [
-            (x.a, x.b, x.c, x.e) for x in (placement[v].coords[i] for v in labels)
-        ]
-        slots = {j for cs in coefs for j, q in enumerate(cs) if q}
+    for axis in zip(*(placement[v].coords for v in labels)):
+        *numerators, dens = zip(*(x._n for x in axis))
+        slots = [j for j, nums in enumerate(numerators) if any(nums)]
         if len(slots) > 1:
             return None
-        slot = slots.pop() if slots else 0
-        values = [cs[slot] for cs in coefs]
-        den = math.lcm(*(q.denominator for q in values))
-        nums = [q.numerator * (den // q.denominator) for q in values]
+        slot = slots[0] if slots else 0
+        den = math.lcm(*dens)
+        nums = [x * (den // d) for x, d in zip(numerators[slot], dens)]
         g = math.gcd(*nums) or 1
-        columns.append([n // g for n in nums])
-        unit = [0, 0, 0, 0]
-        unit[slot] = Fraction(g, den)
-        scales.append(QuadExt(*unit, ctx=first.ctx))
-    points = {v: Point(tuple(col[r] for col in columns)) for r, v in enumerate(labels)}
+        columns.append([x // g for x in nums])
+        unit = [0, 0, 0, 0, den]
+        unit[slot] = g
+        scales.append(_reduced(ctx, *unit))
+    points = {v: Point(p) for v, p in zip(labels, zip(*columns))}
     return points, tuple(scales)
 
 

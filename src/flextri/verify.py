@@ -6,23 +6,25 @@ shared vertex, or the shared edge).  Every decision reduces to exact sign
 computations in a quadratic field; degenerate configurations (coplanarity,
 collinear contact) are decided by case analysis, never perturbed.
 
-One predicate body serves int, Fraction and QuadExt coordinates: signs go
-through ``_sign``, divisions through ``_div`` (a Fraction on two ints).
-``verify_catalog`` decides on ints where it can.  When every coordinate
-axis of the placement is a rational multiple of one basis element of the
-field, ``geometry.integer_frame`` writes the placement as int points times
-one positive scale per axis.  That diagonal map keeps every sign the
+One predicate body, ``_pair_check``, serves int, Fraction and QuadExt
+coordinates: signs go through ``_sign``, divisions through ``_div`` (a
+Fraction on two ints).  Pairs are decided on ints where they can be.  When
+every coordinate axis of a point set is a rational multiple of one basis
+element of the field, ``geometry.integer_frame`` writes it as int points
+times one positive scale per axis.  That diagonal map keeps every sign the
 predicate tests, so verdicts and kinds are decided on the int points, and
 Fractions appear only where a trace or witness point is built.  Each
-witness is mapped back through the scales, coordinate by coordinate; a
-2-D coplanar witness, which lies in the ``plane_axes`` projection of the
-pair's first face, through the scales of those two axes.  So witnesses are
-exact points of the placement's field.  Placements that mix basis elements
-on an axis, and direct calls of ``pair_intersection_check``, are decided on
-the QuadExt coordinates themselves.  ``verify_catalog`` runs the predicate
-on one clique pair per orbit of the placement's isometry group and copies
-each admissible verdict to the rest of the orbit; violating pairs are all
-decided on their own points.
+witness is mapped back through the scales, coordinate by coordinate; a 2-D
+coplanar witness, which lies in the ``plane_axes`` projection of the pair's
+first face, through the scales of those two axes.  So witnesses are exact
+points of the field.  ``verify_catalog`` frames its placement once, and
+``pair_intersection_check`` frames the six points of any pair whose
+coordinates are all QuadExt values of one context: a direct call, or a
+pair of a placement with no frame.  Pairs that mix basis elements on an
+axis are decided on the QuadExt coordinates themselves.
+``verify_catalog`` runs the predicate on one clique pair per orbit of the
+placement's isometry group and copies each admissible verdict to the rest
+of the orbit; violating pairs are all decided on their own points.
 """
 
 from __future__ import annotations
@@ -390,13 +392,9 @@ def _check_dim4(t1, t2, shared_pts):
 
 # -- public predicates -----------------------------------------------------
 
-def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
-    """Exact verdict for one pair of triangles (tuples of Points in R^3/R^4).
-
-    ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
-    omitted it is recovered from coordinate equality.
-    """
-    t1, t2 = tuple(t1), tuple(t2)
+def _pair_check(t1, t2, shared=None) -> PairVerdict:
+    """The pair predicate on the coordinates as given: ints, Fractions or
+    QuadExt values of one context."""
     if face_is_degenerate(*t1) or face_is_degenerate(*t2):
         return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
     if shared is None:
@@ -433,6 +431,32 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     if ok:
         return PairVerdict((t1, t2), n_shared, "admissible")
     return PairVerdict((t1, t2), n_shared, "violation", kind, witness)
+
+
+def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
+    """Exact verdict for one pair of triangles (tuples of Points in R^3/R^4).
+
+    ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
+    omitted it is recovered from coordinate equality.  When every
+    coordinate is a QuadExt value of one context and ``integer_frame``
+    frames the six points, the pair is decided on the int points and the
+    witness mapped back; otherwise on the coordinates as given.
+    """
+    t1, t2 = tuple(t1), tuple(t2)
+    pts = t1 + t2
+    ctx = getattr(pts[0].coords[0], "ctx", None)
+    if ctx is not None and all(
+        type(x) is QuadExt and (x.ctx is ctx or x.ctx == ctx)
+        for p in pts
+        for x in p.coords
+    ):
+        frame = integer_frame(dict(enumerate(pts)))
+        if frame is not None:
+            ints, scales = frame
+            q = tuple(ints.values())
+            v = _map_back(_pair_check(q[:3], q[3:], shared), scales)
+            return PairVerdict((t1, t2), v.shared, v.verdict, v.kind, v.witness)
+    return _pair_check(t1, t2, shared)
 
 
 def _map_back(verdict: PairVerdict, scales) -> PairVerdict:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flextri.numeric import (
@@ -267,3 +267,47 @@ def test_back_substitution_random_systems():
                 for a, b in zip(row, vec):
                     acc = acc + a * b
                 assert acc == qx(0)
+
+
+@st.composite
+def int_systems(draw):
+    """An int system A x = rhs of up to 4 equations in up to 5 unknowns with
+    entries in [-3, 3]; when drawn, the last equation is a combination of the
+    others, with its right-hand side kept (rank-deficient) or moved by one
+    (inconsistent)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    rows = [draw(st.lists(small, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        coefs = [draw(small) for _ in range(m - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coefs, rows)) for j in range(n + 1)]
+        rows[-1][n] += draw(st.sampled_from((0, 1)))
+    return [row[:n] for row in rows], [row[n] for row in rows]
+
+
+@given(int_systems())
+@example(([[1, 2, 0], [2, 4, 0]], [3, 6]))            # rank-deficient
+@example(([[1, 2, 0], [2, 4, 0]], [3, 7]))            # inconsistent
+@example(([[0, 0], [0, 0]], [0, 0]))                  # rank 0
+@example(([[2, 1, 0, 3], [0, 3, -1, 2], [1, 0, 2, -3], [3, -2, 1, 1]], [1, -2, 3, 0]))
+@settings(max_examples=300, deadline=None)
+def test_int_elimination_equals_field_elimination(system):
+    # the fraction-free int elimination and the same system over QuadExt
+    # (ctx=QQ) give the same solution, and it solves the system
+    matrix, rhs = system
+    ints = solve_linear(matrix, rhs)
+    field = solve_linear(
+        [[QuadExt(x, ctx=QQ) for x in row] for row in matrix], [QuadExt(r, ctx=QQ) for r in rhs]
+    )
+    assert (ints.kind, ints.rank) == (field.kind, field.rank)
+    if ints.kind == "inconsistent":
+        assert ints.particular is ints.nullspace is field.particular is None
+        return
+    assert all(type(x) in (int, Fraction) for v in [ints.particular, *ints.nullspace] for x in v)
+    assert ints.particular == [x.a for x in field.particular]
+    assert ints.nullspace == [[x.a for x in v] for v in field.nullspace]
+    assert len(ints.nullspace) == len(matrix[0]) - ints.rank
+    for row, r in zip(matrix, rhs):
+        assert sum(a * x for a, x in zip(row, ints.particular)) == r
+        for v in ints.nullspace:
+            assert sum(a * x for a, x in zip(row, v)) == 0

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from flextri import verify
 from flextri.geometry import (
     Point,
     construction_coords,
@@ -13,12 +14,13 @@ from flextri.geometry import (
     make_point,
     scale_placement,
 )
-from flextri.numeric import CTX_SQRT2_SQRT3, QQ, QuadExt, solve_linear
+from flextri.numeric import CTX_SQRT2_SQRT3, QQ, ContextMismatchError, QuadExt, solve_linear
 from flextri.surfaces import enumerate_cliques3
 from flextri.verify import (
     EmbeddingReport,
     PairVerdict,
     _map_back,
+    _pair_check,
     orientation_sign,
     pair_intersection_check,
     verify_catalog,
@@ -281,11 +283,19 @@ def test_per_axis_scaling_keeps_verdicts_and_kinds(
         )
 
 
-def test_frame_witnesses_equal_field_path_witnesses(suspension_points, torus_catalog):
-    # verify_catalog decides on the int frame and maps each witness back; the
-    # predicate called on the placement's own points decides on QuadExt
-    # coordinates; both must give the same exact points, the 2-D witnesses of
-    # coplanar pairs (in the first face's plane_axes projection) included
+def _outcome(v):
+    return v.verdict, v.kind, v.shared, [w.coords for w in v.witness]
+
+
+def test_frame_witnesses_equal_field_path_witnesses(
+    perfbench, suspension_points, torus_catalog
+):
+    # verify_catalog decides on the placement's int frame and a direct call
+    # on its pair's int frame, each mapping witnesses back; the predicate
+    # body called on the QuadExt points decides on the field itself; all
+    # three must give the same verdicts, kinds and exact points, the 2-D
+    # witnesses of coplanar pairs (in the first face's plane_axes
+    # projection) included
     pairs = {}
     for r in verify_catalog(suspension_points, torus_catalog):
         for v in r.violations:
@@ -293,13 +303,70 @@ def test_frame_witnesses_equal_field_path_witnesses(suspension_points, torus_cat
     assert {v.kind for v in pairs.values()} >= {"containment", "interior_crossing"}
     for (a, b), v in pairs.items():
         shared = [(j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w]
-        direct = pair_intersection_check(
-            tuple(suspension_points[x] for x in a),
-            tuple(suspension_points[x] for x in b),
-            shared,
-        )
-        assert direct.kind == v.kind
-        assert [w.coords for w in direct.witness] == [w.coords for w in v.witness]
+        t1 = tuple(suspension_points[x] for x in a)
+        t2 = tuple(suspension_points[x] for x in b)
+        field = _pair_check(t1, t2, shared)
+        assert _outcome(field) == _outcome(v)
+        assert _outcome(pair_intersection_check(t1, t2, shared)) == _outcome(field)
+
+    # the benchmark's degenerate pool: 280 cases, each in R^3, lifted to R^4
+    # and under an exact rational affine map, all on QuadExt coordinates
+    inputs = [
+        pair for case in perfbench.workloads.degenerate_pool()
+        for pair in perfbench.worker.case_points(case)
+    ]
+    assert len(inputs) == 840
+    for t1, t2 in inputs:
+        framed, field = pair_intersection_check(t1, t2), _pair_check(t1, t2)
+        assert _outcome(framed) == _outcome(field), (t1, t2)
+        assert framed.faces == field.faces == (t1, t2)
+
+
+def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_points):
+    # points of two contexts are refused, framed or not
+    t1 = (pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0))
+    t2 = (pt(1, 1, -1, ctx=CTX), pt(1, 1, 1, ctx=CTX), pt(3, 3, 1, ctx=CTX))
+    with pytest.raises(ContextMismatchError):
+        pair_intersection_check(t1, t2)
+
+    # a pair whose axes mix sqrt2 and sqrt6 has no int frame and is decided
+    # on its QuadExt coordinates, with the verdict of its unrotated copy
+    seen = []
+
+    def spy(t1, t2, shared=None):
+        seen.append(type(t1[0].coords[0]))
+        return _pair_check(t1, t2, shared)
+
+    monkeypatch.setattr(verify, "_pair_check", spy)
+    rotated = _rotated_xy(suspension_points)
+    cases = [("CDF", "FGH"), ("BCD", "FGH"), ("ABC", "EFG"), ("ACD", "BGH")]
+    verdicts = set()
+    for a, b in cases:
+        results = []
+        for points, path in ((suspension_points, int), (rotated, QuadExt)):
+            t1 = tuple(points[x] for x in a)
+            t2 = tuple(points[x] for x in b)
+            assert (integer_frame(dict(enumerate(t1 + t2))) is None) == (path is QuadExt)
+            v = pair_intersection_check(t1, t2)
+            assert seen.pop() is path
+            results.append((v.verdict, v.kind, v.shared))
+        assert results[0] == results[1], (a, b)
+        verdicts.add(results[0][0])
+    assert verdicts == {"admissible", "violation"}
+
+
+def test_degenerate_pool_matches_the_benchmark_reference(perfbench):
+    # the three (verdict, kind) results of every pool case, judged against
+    # perfbench/references/degenerate.json as the degenerate workload does
+    reference = perfbench.checks.load_degenerate_reference()
+    pool = perfbench.workloads.degenerate_pool()
+    assert len(pool) == len(reference) == 280
+    for case in pool:
+        results = [
+            (v.verdict, v.kind)
+            for v in (pair_intersection_check(t1, t2) for t1, t2 in perfbench.worker.case_points(case))
+        ]
+        assert perfbench.checks.degenerate_status(results, reference[case["id"]]) == "ok", case["id"]
 
 
 def test_sweep_certificates_match_the_benchmark_reference(
