@@ -6,10 +6,11 @@ of each face of a complex placed on it.
 
 The constructions give QuadExt coordinates, so every derived quantity
 (squared lengths, plane evaluations, projection images) stays inside one
-quadratic field context and is compared exactly.  ``integer_frame`` writes
-a point set whose axes each carry one basis element of the field as int
-points under a positive scale per axis, which the pair predicate decides
-on; ``Point`` arithmetic works on ints and Fractions alike.
+quadratic field context and is compared exactly.  ``integer_frame`` is the
+one way from the field to the pair predicate: it writes a point set of one
+context whose axes each carry one basis element of the field as int points
+under a positive scale per axis, and refuses any other point set.
+``Point`` arithmetic works on ints and Fractions alike.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .numeric import (
     CTX_SQRT2_SQRT3,
     CTX_SQRT5,
     QQ,
+    ContextMismatchError,
     FieldContext,
     QuadExt,
     _reduced,
@@ -120,24 +122,29 @@ def face_is_degenerate(a: Point, b: Point, c: Point) -> bool:
 def integer_frame(placement: dict):
     """The placement as int points under one positive scale per axis.
 
-    Where every coordinate on axis i is a rational multiple of one basis
-    element of the field (1, sqrt d1, sqrt d2 or sqrt(d1 d2)), the placement
-    is the image of an int placement under the diagonal map x_i -> s_i x_i
-    with s_i > 0: s_i is that basis element times g/L, where L is the lcm of
-    the axis's denominators and g the gcd of the numerators over L.  Returns
-    ({label: Point of ints}, (s_0, ..., s_{n-1})), or None when some axis
-    mixes basis elements.  The coordinates are read as their int numerators
-    and denominator: a value with one nonzero numerator is in lowest terms.
-    The placement's points must be QuadExt points of one context.
+    The coordinates must be QuadExt values of one context, and those on
+    axis i rational multiples of one basis element of the field (1, sqrt d1,
+    sqrt d2 or sqrt(d1 d2)).  The placement is then the image of an int
+    placement under the diagonal map x_i -> s_i x_i with s_i > 0: s_i is
+    that basis element times g/L, where L is the lcm of the axis's
+    denominators and g the gcd of the numerators over L.  Returns
+    ({label: Point of ints}, (s_0, ..., s_{n-1})).  Raises
+    ContextMismatchError when the coordinates come from more than one
+    context, and ValueError naming the axis when an axis mixes basis
+    elements.  The coordinates are read as their int numerators and
+    denominator: a value with one nonzero numerator is in lowest terms.
     """
     labels = list(placement)
     ctx = placement[labels[0]].ctx
     columns, scales = [], []
-    for axis in zip(*(placement[v].coords for v in labels)):
+    for i, axis in enumerate(zip(*(placement[v].coords for v in labels))):
+        for x in axis:
+            if x.ctx is not ctx and x.ctx != ctx:
+                raise ContextMismatchError(f"cannot combine contexts {ctx} and {x.ctx}")
         *numerators, dens = zip(*(x._n for x in axis))
         slots = [j for j, nums in enumerate(numerators) if any(nums)]
         if len(slots) > 1:
-            return None
+            raise ValueError(f"axis {i} mixes basis elements of {ctx}: no int frame")
         slot = slots[0] if slots else 0
         den = math.lcm(*dens)
         nums = [x * (den // d) for x, d in zip(numerators[slot], dens)]
@@ -392,10 +399,6 @@ def orthogonal_project(points: dict, drop_axis: int) -> dict:
         label: Point(tuple(c for i, c in enumerate(p.coords) if i != drop_axis))
         for label, p in points.items()
     }
-
-
-def scale_placement(points: dict, r) -> dict:
-    return {label: p.scale(r) for label, p in points.items()}
 
 
 # -- metrics ---------------------------------------------------------------

@@ -2,26 +2,22 @@
 
 Admissibility of a face pair means: the intersection of the two closed
 triangles equals the convex hull of their shared vertices (empty set, the
-shared vertex, or the shared edge).  Every decision reduces to exact sign
-computations in a quadratic field; degenerate configurations (coplanarity,
+shared vertex, or the shared edge).  Every decision reduces to exact signs
+of int and Fraction expressions; degenerate configurations (coplanarity,
 collinear contact) are decided by case analysis, never perturbed.
 
-One predicate body, ``_pair_check``, serves int, Fraction and QuadExt
-coordinates: signs go through ``_sign``, divisions through ``_div`` (a
-Fraction on two ints).  Pairs are decided on ints where they can be.  When
-every coordinate axis of a point set is a rational multiple of one basis
-element of the field, ``geometry.integer_frame`` writes it as int points
-times one positive scale per axis.  That diagonal map keeps every sign the
-predicate tests, so verdicts and kinds are decided on the int points, and
-Fractions appear only where a trace or witness point is built.  Each
-witness is mapped back through the scales, coordinate by coordinate; a 2-D
-coplanar witness, which lies in the ``plane_axes`` projection of the pair's
-first face, through the scales of those two axes.  So witnesses are exact
-points of the field.  ``verify_catalog`` frames its placement once, and
-``pair_intersection_check`` frames the six points of any pair whose
-coordinates are all QuadExt values of one context: a direct call, or a
-pair of a placement with no frame.  Pairs that mix basis elements on an
-axis are decided on the QuadExt coordinates themselves.
+The predicate body, ``_pair_check``, sees only ints and Fractions.  Field
+points reach it through ``geometry.integer_frame``, which writes a point
+set whose coordinate axes are each a rational multiple of one basis element
+of the field as int points times one positive scale per axis, and refuses
+any other point set.  That diagonal map keeps every sign the predicate
+tests, so verdicts and kinds are decided on the int points, and Fractions
+appear only where a trace or witness point is built.  Each witness is
+mapped back through the scales, coordinate by coordinate; a 2-D coplanar
+witness, which lies in the ``plane_axes`` projection of the pair's first
+face, through the scales of those two axes.  So witnesses are exact points
+of the field.  ``verify_catalog`` frames its placement once, and
+``pair_intersection_check`` frames the six points of a QuadExt pair.
 ``verify_catalog`` runs the predicate on one clique pair per orbit of the
 placement's isometry group and copies each admissible verdict to the rest
 of the orbit; violating pairs are all decided on their own points.
@@ -45,17 +41,8 @@ from .numeric import QuadExt, solve_linear
 
 
 def _sign(x) -> int:
-    """Exact sign of an int, a Fraction or a QuadExt."""
-    if type(x) is QuadExt:
-        return x.sign()
+    """Exact sign of an int or a Fraction."""
     return (x > 0) - (x < 0)
-
-
-def _div(x, y):
-    """x / y exactly: a Fraction for two ints, else the operands' own quotient."""
-    if type(x) is int and type(y) is int:
-        return Fraction(x, y)
-    return x / y
 
 
 def _det(rows):
@@ -140,7 +127,7 @@ def _clip_polygon(poly, a: Point, b: Point):
         if si >= 0:
             out.append(poly[i])
         if si * sj < 0:
-            t = _div(hi, hi - hj)
+            t = Fraction(hi, hi - hj)
             out.append(poly[i] + (poly[j] - poly[i]).scale(t))
     return out
 
@@ -193,7 +180,7 @@ def _interval(constraints, lo=None, hi=None):
             if _sign(const) < 0:
                 return None
             continue
-        bound = _div(-const, coef)
+        bound = Fraction(-const, coef)
         if s > 0:
             if lo is None or _sign(bound - lo) > 0:
                 lo = bound
@@ -311,7 +298,7 @@ def _check_dim3(t1, t2, shared_pts):
     trace = [q for q, s in zip(t2, s2) if s == 0]
     for i, j in combinations(range(3), 2):
         if s2[i] * s2[j] < 0:
-            t = _div(d2[i], d2[i] - d2[j])
+            t = Fraction(d2[i], d2[i] - d2[j])
             trace.append(t2[i] + (t2[j] - t2[i]).scale(t))
     trace = _dedupe(trace)
     tri = tuple(_project(p, axes) for p in t1)
@@ -393,8 +380,7 @@ def _check_dim4(t1, t2, shared_pts):
 # -- public predicates -----------------------------------------------------
 
 def _pair_check(t1, t2, shared=None) -> PairVerdict:
-    """The pair predicate on the coordinates as given: ints, Fractions or
-    QuadExt values of one context."""
+    """The pair predicate on int or Fraction coordinates."""
     if face_is_degenerate(*t1) or face_is_degenerate(*t2):
         return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
     if shared is None:
@@ -437,26 +423,19 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     """Exact verdict for one pair of triangles (tuples of Points in R^3/R^4).
 
     ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
-    omitted it is recovered from coordinate equality.  When every
-    coordinate is a QuadExt value of one context and ``integer_frame``
-    frames the six points, the pair is decided on the int points and the
-    witness mapped back; otherwise on the coordinates as given.
+    omitted it is recovered from coordinate equality.  Int or Fraction
+    points are decided as given.  QuadExt points are decided on the
+    ``integer_frame`` of the six points, and the witness mapped back; a pair
+    with no frame raises ValueError, and a pair of two contexts
+    ContextMismatchError.
     """
     t1, t2 = tuple(t1), tuple(t2)
-    pts = t1 + t2
-    ctx = getattr(pts[0].coords[0], "ctx", None)
-    if ctx is not None and all(
-        type(x) is QuadExt and (x.ctx is ctx or x.ctx == ctx)
-        for p in pts
-        for x in p.coords
-    ):
-        frame = integer_frame(dict(enumerate(pts)))
-        if frame is not None:
-            ints, scales = frame
-            q = tuple(ints.values())
-            v = _map_back(_pair_check(q[:3], q[3:], shared), scales)
-            return PairVerdict((t1, t2), v.shared, v.verdict, v.kind, v.witness)
-    return _pair_check(t1, t2, shared)
+    if type(t1[0].coords[0]) is not QuadExt:
+        return _pair_check(t1, t2, shared)
+    ints, scales = integer_frame(dict(enumerate(t1 + t2)))
+    q = tuple(ints.values())
+    v = _map_back(_pair_check(q[:3], q[3:], shared), scales)
+    return PairVerdict((t1, t2), v.shared, v.verdict, v.kind, v.witness)
 
 
 def _map_back(verdict: PairVerdict, scales) -> PairVerdict:
@@ -490,10 +469,11 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     pair.  Violations are never copied; every violating pair is checked on
     its own points, so its kind and witness are its own.  Each face is
     tested for degeneracy once for the report's degenerate-face violations,
-    and again by ``pair_intersection_check`` on every pair it checks.  When
-    ``geometry.integer_frame`` puts the placement on int points, the group
-    and the table are decided there and each witness is mapped back to the
-    placement's field.
+    and again by ``pair_intersection_check`` on every pair it checks.  The
+    group and the table are decided on the placement's
+    ``geometry.integer_frame``, and each witness is mapped back to the
+    placement's field; a placement with no frame raises ValueError, and one
+    of two contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
     check_placement(labels, placement)
@@ -502,10 +482,7 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     for i in ids:
         if not 0 <= i < n:
             raise ValueError(f"triangulation id {i} out of range 0..{n - 1}")
-    frame = integer_frame(placement)
-    scales = None
-    if frame is not None:
-        placement, scales = frame
+    placement, scales = integer_frame(placement)
     group = isometry_group(labels, placement, scales)
     tris = [catalog.triangulations[i] for i in ids]
     points = {f: tuple(placement[v] for v in f) for t in tris for f in t.faces}
@@ -530,7 +507,7 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
                     for ga, gb in zip(images[a], images[b]):
                         table.setdefault((ga, gb) if ga < gb else (gb, ga), v)
                 else:
-                    table[a, b] = v if scales is None else _map_back(v, scales)
+                    table[a, b] = _map_back(v, scales)
             v = table[a, b]
             if not v.admissible:
                 violations.append(

@@ -12,6 +12,11 @@ from flextri.geometry import RealizationParams, construction_coords
 from flextri.surfaces import build_graph
 
 
+def scale_placement(points: dict, r) -> dict:
+    """The placement with every point multiplied by ``r``."""
+    return {label: p.scale(r) for label, p in points.items()}
+
+
 @lru_cache(maxsize=None)
 def catalog_for(graph_name: str):
     mode = "with_boundary" if graph_name == "k5" else "closed"

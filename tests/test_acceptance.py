@@ -18,7 +18,6 @@ from flextri.geometry import (
     circumradius_sq,
     dist_sq,
     face_shapes,
-    scale_placement,
     sixteen_cell_diagram,
     tetra_containment,
     tetra_inradius_sq,
@@ -30,7 +29,7 @@ from flextri.verify import verify_catalog
 
 import test_numeric
 import test_verify
-from conftest import catalog_for
+from conftest import catalog_for, scale_placement
 from flextri.enumeration import brute_force_catalog
 
 

@@ -20,14 +20,15 @@ from flextri.geometry import (
     integer_frame,
     make_point,
     orthogonal_project,
-    scale_placement,
     schlegel_project,
     sixteen_cell_diagram,
     tetra_containment,
     tetra_inradius_sq,
 )
-from flextri.numeric import CTX_SQRT2_SQRT3, CTX_SQRT5, QuadExt
+from flextri.numeric import CTX_SQRT2_SQRT3, CTX_SQRT5, ContextMismatchError, QuadExt
 from flextri.verify import verify_catalog
+
+from conftest import scale_placement
 
 CTX = CTX_SQRT2_SQRT3
 S2 = QuadExt(0, 1, ctx=CTX)
@@ -289,9 +290,14 @@ def test_integer_frame_scales():
     ints, scales = integer_frame({"A": make_point(CTX, 0, 6, 0), "B": make_point(CTX, 0, -4, S2)})
     assert scales == (qq(1), qq(2), S2)
     assert [ints[v].coords for v in "AB"] == [(0, 3, 0), (0, -2, 1)]
-    # an axis that mixes basis elements has no frame
-    assert integer_frame({"A": make_point(CTX, 1 + S2, 0, 0), "B": make_point(CTX, 0, 1, 0)}) is None
-    assert integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX, S2, 1, 0)}) is None
+    # an axis that mixes basis elements has no frame, and the error names it
+    with pytest.raises(ValueError, match="axis 0 "):
+        integer_frame({"A": make_point(CTX, 1 + S2, 0, 0), "B": make_point(CTX, 0, 1, 0)})
+    with pytest.raises(ValueError, match="axis 0 "):
+        integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX, S2, 1, 0)})
+    # points of two contexts are refused, even on an axis of rationals
+    with pytest.raises(ContextMismatchError):
+        integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX_SQRT5, 2, 1, 0)})
 
 
 # -- degeneracy and helpers ------------------------------------------------

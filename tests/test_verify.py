@@ -12,9 +12,16 @@ from flextri.geometry import (
     integer_frame,
     isometry_group,
     make_point,
-    scale_placement,
+    plane_axes,
 )
-from flextri.numeric import CTX_SQRT2_SQRT3, QQ, ContextMismatchError, QuadExt, solve_linear
+from flextri.numeric import (
+    CTX_SQRT2_SQRT3,
+    CTX_SQRT5,
+    QQ,
+    ContextMismatchError,
+    QuadExt,
+    solve_linear,
+)
 from flextri.surfaces import enumerate_cliques3
 from flextri.verify import (
     EmbeddingReport,
@@ -25,6 +32,8 @@ from flextri.verify import (
     pair_intersection_check,
     verify_catalog,
 )
+
+from conftest import scale_placement
 
 CTX = CTX_SQRT2_SQRT3
 
@@ -255,18 +264,33 @@ def _rotated_xy(points):
     return out
 
 
-def test_mixed_axis_placement_takes_the_field_path(
+def test_mixed_axis_placement_is_refused(
     schlegel16_points, suspension_points, torus_catalog
 ):
-    # the rotated 16-cell diagram mixes sqrt2 and sqrt6 on an axis, so it has
-    # no int frame and is certified on QuadExt coordinates, with the same
-    # verdicts, kinds and violating pairs as the unrotated placement
+    # the rotated 16-cell diagram and suspension mix sqrt2 and sqrt6 on the
+    # x-axis, so they have no int frame: the catalog and a single pair of
+    # them are refused, and the error names the axis
     for points in (schlegel16_points, suspension_points):
         rotated = _rotated_xy(points)
-        assert integer_frame(rotated) is None
-        assert _violations(verify_catalog(rotated, torus_catalog)) == _violations(
-            verify_catalog(points, torus_catalog)
-        )
+        with pytest.raises(ValueError, match="axis 0 mixes basis elements"):
+            verify_catalog(rotated, torus_catalog)
+        t1, t2 = (tuple(rotated[v] for v in face) for face in ("ABC", "EFG"))
+        with pytest.raises(ValueError, match="axis 0 mixes basis elements"):
+            pair_intersection_check(t1, t2)
+
+
+def test_verify_catalog_refuses_a_placement_of_two_contexts(moebius_points, moebius_catalog):
+    # every x-coordinate a multiple of sqrt5, and B's x-coordinate sqrt2 from
+    # Q(sqrt2, sqrt3): sqrt2 and sqrt5 take the same numerator slot, so a
+    # frame that read the numerators alone would take sqrt2 for sqrt5
+    s5 = QuadExt(0, 1, ctx=CTX_SQRT5)
+    points = {v: Point((p.coords[0] * s5, *p.coords[1:])) for v, p in moebius_points.items()}
+    points["A"] = make_point(CTX_SQRT5, s5 / 7, 0, 0)
+    points["B"] = make_point(CTX, QuadExt(0, 1, ctx=CTX), 1, 1)
+    with pytest.raises(ContextMismatchError):
+        verify_catalog(points, moebius_catalog)
+    with pytest.raises(ContextMismatchError):
+        pair_intersection_check(*(tuple(points[v] for v in f) for f in ("ABC", "ADE")))
 
 
 def test_per_axis_scaling_keeps_verdicts_and_kinds(
@@ -283,54 +307,121 @@ def test_per_axis_scaling_keeps_verdicts_and_kinds(
         )
 
 
-def _outcome(v):
-    return v.verdict, v.kind, v.shared, [w.coords for w in v.witness]
+def _affine_maps(seed, count):
+    """``count`` exact rational affine maps x -> M x + b of R^3 with
+    det M != 0, drawn from a seeded generator."""
+    rng = random.Random(seed)
+    maps = []
+    while len(maps) < count:
+        m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
+        if _det3(m):
+            maps.append((m, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]))
+    return maps
 
 
-def test_frame_witnesses_equal_field_path_witnesses(
+def _apply(affine, p: Point) -> Point:
+    m, b = affine
+    return Point(tuple(sum(r * x for r, x in zip(row, p.coords)) + c for row, c in zip(m, b)))
+
+
+def test_affine_maps_keep_a_whole_catalog(moebius_points, moebius_catalog):
+    # E moved to (0, 1, 1) embeds none of the 12 Moebius triangulations;
+    # an exact rational affine map with nonzero determinant keeps every
+    # report's verdict, violating pairs and kinds, and maps every witness
+    # that is a point of R^3 (not a coplanar pair's 2-D projection)
+    points = dict(moebius_points, E=make_point(CTX_SQRT5, 0, 1, 1))
+    base = verify_catalog(points, moebius_catalog)
+    assert not any(r.embedded for r in base)
+    kinds = {v.kind for r in base for v in r.violations}
+    assert kinds == {"coplanar_overlap", "edge_through_face", "interior_crossing"}
+    for affine in _affine_maps(20261018, 5):
+        image = {v: _apply(affine, p) for v, p in points.items()}
+        reports = verify_catalog(image, moebius_catalog)
+        assert _violations(reports) == _violations(base)
+        for r, r0 in zip(reports, base):
+            for v, v0 in zip(r.violations, r0.violations):
+                if v0.witness and v0.witness[0].dim == 3:
+                    assert [w.coords for w in v.witness] == [
+                        _apply(affine, w).coords for w in v0.witness
+                    ], v.faces
+
+
+def _in_hull(x: Point, pts) -> bool:
+    """x in the closed convex hull of one to three affinely independent
+    field points, decided by solve_linear and QuadExt.sign alone."""
+    base, *rest = pts
+    if not rest:
+        return x.coords == base.coords
+    matrix = [[(p - base).coords[i] for p in rest] for i in range(x.dim)]
+    sol = solve_linear(matrix, list((x - base).coords))
+    if sol.kind != "unique":
+        return False
+    weights = sol.particular
+    return all(w.sign() >= 0 for w in weights) and (1 - sum(weights)).sign() >= 0
+
+
+def _assert_witnesses_violate(t1, t2, v):
+    """Every witness point of the violation ``v`` of the pair (t1, t2) lies
+    in both closed faces and outside the hull of their shared vertices; a
+    2-D coplanar witness in the plane_axes projection of t1."""
+    shared = [p for p in t1 if any(p.coords == q.coords for q in t2)]
+    assert v.witness
+    for w in v.witness:
+        faces = (t1, t2, shared)
+        if w.dim != t1[0].dim:
+            i, j = plane_axes(t1[1] - t1[0], t1[2] - t1[0])
+            faces = tuple([Point((p.coords[i], p.coords[j])) for p in f] for f in faces)
+        a, b, hull = faces
+        assert _in_hull(w, a) and _in_hull(w, b), (t1, t2, w)
+        assert not hull or not _in_hull(w, hull), (t1, t2, w)
+
+
+def test_violation_witnesses_lie_in_both_faces_outside_the_shared_hull(
     perfbench, suspension_points, torus_catalog
 ):
-    # verify_catalog decides on the placement's int frame and a direct call
-    # on its pair's int frame, each mapping witnesses back; the predicate
-    # body called on the QuadExt points decides on the field itself; all
-    # three must give the same verdicts, kinds and exact points, the 2-D
-    # witnesses of coplanar pairs (in the first face's plane_axes
-    # projection) included
+    # an independent check of every witness, decided in the field without
+    # the predicate's code: the violations of the suspension placement,
+    # mapped back from its int frame ...
     pairs = {}
     for r in verify_catalog(suspension_points, torus_catalog):
         for v in r.violations:
             pairs[v.faces] = v
     assert {v.kind for v in pairs.values()} >= {"containment", "interior_crossing"}
     for (a, b), v in pairs.items():
-        shared = [(j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w]
-        t1 = tuple(suspension_points[x] for x in a)
-        t2 = tuple(suspension_points[x] for x in b)
-        field = _pair_check(t1, t2, shared)
-        assert _outcome(field) == _outcome(v)
-        assert _outcome(pair_intersection_check(t1, t2, shared)) == _outcome(field)
+        t1, t2 = (tuple(suspension_points[x] for x in f) for f in (a, b))
+        _assert_witnesses_violate(t1, t2, v)
+        direct = pair_intersection_check(t1, t2)
+        assert direct == PairVerdict((t1, t2), v.shared, v.verdict, v.kind, v.witness)
 
-    # the benchmark's degenerate pool: 280 cases, each in R^3, lifted to R^4
-    # and under an exact rational affine map, all on QuadExt coordinates
+    # ... and the benchmark's degenerate pool: 280 cases, each in R^3,
+    # lifted to R^4 and under an exact rational affine map, on QuadExt
+    # coordinates of Q
     inputs = [
         pair for case in perfbench.workloads.degenerate_pool()
         for pair in perfbench.worker.case_points(case)
     ]
     assert len(inputs) == 840
+    kinds = set()
     for t1, t2 in inputs:
-        framed, field = pair_intersection_check(t1, t2), _pair_check(t1, t2)
-        assert _outcome(framed) == _outcome(field), (t1, t2)
-        assert framed.faces == field.faces == (t1, t2)
+        v = pair_intersection_check(t1, t2)
+        assert v.faces == (t1, t2)
+        if not v.admissible and v.kind != "degenerate_face":
+            _assert_witnesses_violate(t1, t2, v)
+            kinds.add(v.kind)
+    assert kinds == {
+        "coplanar_overlap", "containment", "interior_crossing", "edge_through_face", "vertex_in_face"
+    }
 
 
 def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_points):
-    # points of two contexts are refused, framed or not
+    # points of two contexts are refused
     t1 = (pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0))
     t2 = (pt(1, 1, -1, ctx=CTX), pt(1, 1, 1, ctx=CTX), pt(3, 3, 1, ctx=CTX))
     with pytest.raises(ContextMismatchError):
         pair_intersection_check(t1, t2)
 
-    # a pair whose axes mix sqrt2 and sqrt6 has no int frame and is decided
-    # on its QuadExt coordinates, with the verdict of its unrotated copy
+    # a pair of one context is decided on its int frame; the same pair
+    # turned so that its axes mix sqrt2 and sqrt6 has no frame and is refused
     seen = []
 
     def spy(t1, t2, shared=None):
@@ -342,16 +433,12 @@ def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_po
     cases = [("CDF", "FGH"), ("BCD", "FGH"), ("ABC", "EFG"), ("ACD", "BGH")]
     verdicts = set()
     for a, b in cases:
-        results = []
-        for points, path in ((suspension_points, int), (rotated, QuadExt)):
-            t1 = tuple(points[x] for x in a)
-            t2 = tuple(points[x] for x in b)
-            assert (integer_frame(dict(enumerate(t1 + t2))) is None) == (path is QuadExt)
-            v = pair_intersection_check(t1, t2)
-            assert seen.pop() is path
-            results.append((v.verdict, v.kind, v.shared))
-        assert results[0] == results[1], (a, b)
-        verdicts.add(results[0][0])
+        v = pair_intersection_check(*(tuple(suspension_points[x] for x in f) for f in (a, b)))
+        assert seen.pop() is int
+        verdicts.add(v.verdict)
+        with pytest.raises(ValueError, match="mixes basis elements"):
+            pair_intersection_check(*(tuple(rotated[x] for x in f) for f in (a, b)))
+        assert not seen
     assert verdicts == {"admissible", "violation"}
 
 
@@ -420,11 +507,9 @@ def test_isometry_group_orders_and_pair_orbits(
 
 def _full_table_reports(points, catalog):
     """verify_catalog's reports from the full table, by brute force: the
-    predicate on every co-occurring clique pair, on the int frame where the
-    placement has one, with each witness mapped back."""
-    frame = integer_frame(points)
-    if frame is not None:
-        points = frame[0]
+    predicate on every co-occurring clique pair, on the placement's int
+    frame, with each witness mapped back."""
+    points, scales = integer_frame(points)
     table = {}
     for tri in catalog.triangulations:
         for a, b in combinations(tri.faces, 2):
@@ -432,7 +517,7 @@ def _full_table_reports(points, catalog):
             v = pair_intersection_check(
                 tuple(points[x] for x in a), tuple(points[x] for x in b), shared
             )
-            table[a, b] = v if frame is None else _map_back(v, frame[1])
+            table[a, b] = _map_back(v, scales)
     reports = []
     for i, tri in zip(catalog.ids, catalog.triangulations):
         violations = [
@@ -456,8 +541,8 @@ def test_orbit_table_equals_the_full_table(
     torus_catalog, rp2_catalog, moebius_catalog,
 ):
     # verdicts, kinds and exact witnesses of every report, on placements with
-    # large, small and trivial isometry groups, on the int frame and on
-    # QuadExt coordinates, with and without degenerate faces
+    # large, small and trivial isometry groups, with and without degenerate
+    # faces
 
     # A moved by (sqrt2 / 9, sqrt6 / 13, 0) keeps the int frame and breaks
     # every symmetry
@@ -465,7 +550,6 @@ def test_orbit_table_equals_the_full_table(
         CTX, QuadExt(0, Fraction(1, 9), ctx=CTX), QuadExt(0, 0, 0, Fraction(1, 13), ctx=CTX), 0
     )
     perturbed = dict(suspension_points, A=suspension_points["A"] + nudge)
-    rotated = _rotated_xy(schlegel16_points)
     cases = (
         (suspension_points, torus_catalog, 12),
         (schlegel16_points, torus_catalog, 24),
@@ -473,13 +557,11 @@ def test_orbit_table_equals_the_full_table(
         (moebius_points, moebius_catalog, 24),
         (construction_coords("std_hyperoctahedron"), torus_catalog, 384),
         (scale_placement(suspension_points, Fraction(7, 3)), torus_catalog, 12),
-        (rotated, torus_catalog, 24),
         (dict(moebius_points, E=moebius_points["B"].scale(2)), moebius_catalog, 2),
         (perturbed, torus_catalog, 1),
     )
     for points, catalog, order in cases:
         assert len(isometry_group(catalog.task.graph.vertices, points)) == order
-        assert (integer_frame(points) is None) == (points is rotated)
         assert verify_catalog(points, catalog) == _full_table_reports(points, catalog)
 
 
@@ -559,20 +641,6 @@ def test_exact_checker_agrees_with_cramer_oracle():
 
 # -- dimension 4 cross-checks ----------------------------------------------
 
-def _in_triangle_r4(x, tri):
-    """Exact membership of a point in a closed triangle in R^4."""
-    a, b, c = tri
-    u, w = b - a, c - a
-    m = [[u.coords[i], w.coords[i]] for i in range(4)]
-    rhs = [(x - a).coords[i] for i in range(4)]
-    sol = solve_linear(m, rhs)
-    if sol.kind != "unique":
-        return False
-    s, t = sol.particular
-    one = QuadExt(1, ctx=s.ctx)
-    return s.sign() >= 0 and t.sign() >= 0 and (one - s - t).sign() >= 0
-
-
 def test_r4_admissible_pairs_have_no_sampled_overlap(rp2_points, rp2_catalog):
     # every face pair of an RP^2 triangulation of K6 shares a vertex, so the
     # vertex-disjoint pairs come from the clique set: a 3-clique and its
@@ -593,7 +661,7 @@ def test_r4_admissible_pairs_have_no_sampled_overlap(rp2_points, rp2_catalog):
         a, b, c = t1
         for s, t in grid:
             x = a + (b - a).scale(s) + (c - a).scale(t)
-            assert not _in_triangle_r4(x, t2), (f1, f2, s, t)
+            assert not _in_hull(x, t2), (f1, f2, s, t)
 
 
 def test_r4_transverse_and_parallel_planes():
