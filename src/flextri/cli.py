@@ -30,6 +30,7 @@ from .geometry import (
     construction_coords,
     dist_sq,
     face_shapes,
+    integer_frame,
     isometry_group,
     orthogonal_project,
     sixteen_cell_diagram,
@@ -242,7 +243,9 @@ def cmd_verify(args) -> int:
         doc = {
             "construction": args.construction,
             "k": args.k,
-            "isometry_group_order": len(isometry_group(catalog.task.graph.vertices, points)),
+            "isometry_group_order": len(
+                isometry_group(catalog.task.graph.vertices, *integer_frame(points))
+            ),
             "reports": [
                 {
                     "id": i,

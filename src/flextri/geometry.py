@@ -8,9 +8,10 @@ The constructions give QuadExt coordinates, so every derived quantity
 (squared lengths, plane evaluations, projection images) stays inside one
 quadratic field context and is compared exactly.  ``integer_frame`` is the
 one way from the field to the pair predicate: it writes a point set of one
-context whose axes each carry one basis element of the field as int points
-under a positive scale per axis, and refuses any other point set.
-``Point`` arithmetic works on ints and Fractions alike.
+context whose axes each carry one basis element of the field as int
+coordinate tuples under a positive scale per axis, and refuses any other
+point set.  ``plane_axes`` and ``face_is_degenerate`` take coordinate
+tuples, so they serve field points and the int frame alike.
 """
 
 from __future__ import annotations
@@ -101,22 +102,27 @@ def check_placement(labels, placement: dict) -> None:
         raise ValueError("placement maps distinct labels to equal points")
 
 
-def plane_axes(u: Point, w: Point) -> tuple[int, int] | None:
-    """The coordinate pair (i, j) on which span(u, w) projects one-to-one:
-    the last pair in lexicographic order whose 2x2 minor is nonzero, or None
-    iff u and w are linearly dependent.  In R^3 that is (1, 2), then (0, 2),
-    then (0, 1): the axis dropped is the first nonzero component of u x w."""
-    n = len(u.coords)
+def _sub(p: tuple, q: tuple) -> tuple:
+    return tuple(map(operator.sub, p, q))
+
+
+def plane_axes(u: tuple, w: tuple) -> tuple[int, int] | None:
+    """The coordinate pair (i, j) on which span(u, w) projects one-to-one,
+    for coordinate tuples u and w: the last pair in lexicographic order
+    whose 2x2 minor is nonzero, or None iff u and w are linearly dependent.
+    In R^3 that is (1, 2), then (0, 2), then (0, 1): the axis dropped is the
+    first nonzero component of u x w."""
+    n = len(u)
     for i in range(n - 2, -1, -1):
         for j in range(n - 1, i, -1):
-            if u.coords[i] * w.coords[j] - u.coords[j] * w.coords[i]:
+            if u[i] * w[j] - u[j] * w[i]:
                 return i, j
     return None
 
 
-def face_is_degenerate(a: Point, b: Point, c: Point) -> bool:
-    """True iff the three points are affinely dependent."""
-    return plane_axes(b - a, c - a) is None
+def face_is_degenerate(a: tuple, b: tuple, c: tuple) -> bool:
+    """True iff the three coordinate tuples are affinely dependent."""
+    return plane_axes(_sub(b, a), _sub(c, a)) is None
 
 
 def integer_frame(placement: dict):
@@ -127,12 +133,12 @@ def integer_frame(placement: dict):
     sqrt d2 or sqrt(d1 d2)).  The placement is then the image of an int
     placement under the diagonal map x_i -> s_i x_i with s_i > 0: s_i is
     that basis element times g/L, where L is the lcm of the axis's
-    denominators and g the gcd of the numerators over L.  Returns
-    ({label: Point of ints}, (s_0, ..., s_{n-1})).  Raises
+    denominators and g the gcd of the numerators over L.  Raises
     ContextMismatchError when the coordinates come from more than one
     context, and ValueError naming the axis when an axis mixes basis
     elements.  The coordinates are read as their int numerators and
     denominator: a value with one nonzero numerator is in lowest terms.
+    Returns ({label: tuple of ints}, (s_0, ..., s_{n-1})).
     """
     labels = list(placement)
     ctx = placement[labels[0]].ctx
@@ -153,19 +159,18 @@ def integer_frame(placement: dict):
         unit = [0, 0, 0, 0, den]
         unit[slot] = g
         scales.append(_reduced(ctx, *unit))
-    points = {v: Point(p) for v, p in zip(labels, zip(*columns))}
-    return points, tuple(scales)
+    return dict(zip(labels, zip(*columns))), tuple(scales)
 
 
-def isometry_group(labels, placement: dict, scales=None) -> list[dict]:
+def isometry_group(labels, placement: dict, scales) -> list[dict]:
     """Every permutation g of ``labels`` that keeps the exact squared
     distance of every pair of placed points: |p_g(u) - p_g(v)|^2 =
     |p_u - p_v|^2.  Point sets with equal pairwise distances are congruent,
     so each g is the restriction of an isometry of the ambient space and
     keeps every incidence of the placed faces.
 
-    With ``scales`` the placement is an ``integer_frame`` of int points:
-    the squared distance is then sum_i s_i^2 (x_i - y_i)^2, with the
+    ``placement`` and ``scales`` are an ``integer_frame``: the squared
+    distance of two int points is sum_i s_i^2 (x_i - y_i)^2, with the
     rational s_i^2 made int weights over their common denominator.  The
     distance matrix is built once; labels are then assigned images in
     order by backtracking, each to an unused label whose distances to the
@@ -175,16 +180,13 @@ def isometry_group(labels, placement: dict, scales=None) -> list[dict]:
     """
     labels = list(labels)
     pts = [placement[v] for v in labels]
-    if scales is None:
-        dist = dist_sq
-    else:
-        # s_i is a rational times one basis element, so s_i^2 is rational
-        sq = [(s * s).a for s in scales]
-        den = math.lcm(*(q.denominator for q in sq))
-        weights = [q.numerator * (den // q.denominator) for q in sq]
+    # s_i is a rational times one basis element, so s_i^2 is rational
+    sq = [(s * s).a for s in scales]
+    den = math.lcm(*(q.denominator for q in sq))
+    weights = [q.numerator * (den // q.denominator) for q in sq]
 
-        def dist(p, q):
-            return sum(w * (x - y) ** 2 for w, x, y in zip(weights, p.coords, q.coords))
+    def dist(p, q):
+        return sum(w * (x - y) ** 2 for w, x, y in zip(weights, p, q))
 
     n = len(labels)
     d = [[None] * n for _ in range(n)]

@@ -3,41 +3,45 @@
 Admissibility of a face pair means: the intersection of the two closed
 triangles equals the convex hull of their shared vertices (empty set, the
 shared vertex, or the shared edge).  Every decision reduces to exact signs
-of int and Fraction expressions; degenerate configurations (coplanarity,
-collinear contact) are decided by case analysis, never perturbed.
+of int expressions; degenerate configurations (coplanarity, collinear
+contact) are decided by case analysis, never perturbed.
 
-The predicate body, ``_pair_check``, sees only ints and Fractions.  Field
-points reach it through ``geometry.integer_frame``, which writes a point
-set whose coordinate axes are each a rational multiple of one basis element
-of the field as int points times one positive scale per axis, and refuses
-any other point set.  That diagonal map keeps every sign the predicate
-tests, so verdicts and kinds are decided on the int points, and Fractions
-appear only where a trace or witness point is built.  Each witness is
-mapped back through the scales, coordinate by coordinate; a 2-D coplanar
-witness, which lies in the ``plane_axes`` projection of the pair's first
-face, through the scales of those two axes.  So witnesses are exact points
-of the field.  ``verify_catalog`` frames its placement once, and
-``pair_intersection_check`` frames the six points of a QuadExt pair.
-``verify_catalog`` runs the predicate on one clique pair per orbit of the
-placement's isometry group and copies each admissible verdict to the rest
-of the orbit; violating pairs are all decided on their own points.
+The predicate body, ``_pair_check``, takes two faces of int coordinate
+tuples.  Field points reach it through ``geometry.integer_frame``, which
+writes a point set whose axes are each a rational multiple of one basis
+element of the field as int points times one positive scale per axis, and
+refuses any other point set.  That diagonal map keeps every sign the
+predicate tests.  A point the body derives (a trace end, a clipped polygon
+vertex) is homogeneous, an int numerator tuple over a positive int
+denominator, and points and clip bounds are compared by
+cross-multiplication; R^4 keeps the Fractions of ``solve_linear`` over 1.
+Witness points become Fractions only for a violation, and are mapped back
+through the scales, a 2-D coplanar witness (in the ``plane_axes``
+projection of the first face) through those of its two axes, so they are
+exact points of the field.  ``verify_catalog`` frames its placement and
+tests each face for degeneracy once, and runs the predicate on one clique
+pair per orbit of the placement's isometry group, copying admissible
+verdicts only; ``pair_intersection_check`` frames the six points of one
+pair and tests both faces.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .geometry import (
     Point,
+    _sub,
     check_placement,
     face_is_degenerate,
     integer_frame,
     isometry_group,
     plane_axes,
 )
-from .numeric import QuadExt, solve_linear
+from .numeric import solve_linear
 
 
 def _sign(x) -> int:
@@ -45,37 +49,27 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    sign = 1
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-        sign = -sign
-    return acc
+def _dot(u, w):
+    return sum(map(operator.mul, u, w))
+
+
+def _cross(u, w):
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
 
 
 def orientation_sign(points) -> int:
-    """Sign of the determinant of difference vectors of d+1 points in R^d."""
-    pts = list(points)
-    d = pts[0].dim
-    if len(pts) != d + 1:
-        raise ValueError(f"need {d + 1} points in R^{d}, got {len(pts)}")
-    rows = [(p - pts[0]).coords for p in pts[1:]]
-    return _sign(_det(rows))
+    """orient3d: the sign of the determinant of the difference vectors of
+    four coordinate tuples in R^3."""
+    a, b, c, d = points
+    if len(a) != 3:
+        raise ValueError(f"orient3d takes points of R^3, got R^{len(a)}")
+    return _sign(_dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a)))
 
 
-def _orient2d(a: Point, b: Point, c: Point):
-    (ax, ay), (bx, by), (cx, cy) = a.coords, b.coords, c.coords
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+def _orient2d(a, b, p, w=1):
+    """w times orient2d(a, b, p / w), for int 2-D points a and b and a
+    homogeneous point p / w with w > 0: the sign of orient2d(a, b, p / w)."""
+    return (b[0] - a[0]) * (p[1] - a[1] * w) - (b[1] - a[1]) * (p[0] - a[0] * w)
 
 
 @dataclass
@@ -103,6 +97,53 @@ class EmbeddingReport:
         return self.verdict == "embedded"
 
 
+# -- homogeneous points ----------------------------------------------------
+
+def _crossing(p, h, q, k):
+    """The homogeneous point where the segment between the homogeneous
+    points p and q crosses the zero set of an affine function; h and k, of
+    opposite signs, are its values at p and q times their denominators."""
+    (x, w), (y, v) = p, q
+    num = tuple(h * b - k * a for a, b in zip(x, y))
+    den = h * v - k * w
+    return (num, den) if den > 0 else (tuple(-c for c in num), -den)
+
+
+def _dedupe(points):
+    seen = []
+    for x, w in points:
+        if all(any(a * v != b * w for a, b in zip(x, y)) for y, v in seen):
+            seen.append((x, w))
+    return seen
+
+
+def _equals(p, q) -> bool:
+    """The homogeneous point p equals the point q."""
+    x, w = p
+    return all(a == b * w for a, b in zip(x, q))
+
+
+def _witness(points) -> tuple:
+    """Homogeneous points as tuples of Fractions, for a violation only."""
+    return tuple(tuple(Fraction(a, w) for a in x) for x, w in points)
+
+
+def _in_shared_hull(p, shared_pts) -> bool:
+    """The homogeneous point p lies in the hull of the shared vertices."""
+    if len(shared_pts) < 2:
+        return bool(shared_pts) and _equals(p, shared_pts[0])
+    # on the closed segment [a, b]: w (p - a) is a multiple t of u = b - a
+    # with 0 <= t <= w |u|^2
+    x, w = p
+    a, b = shared_pts
+    u = _sub(b, a)
+    d = tuple(c - e * w for c, e in zip(x, a))
+    if plane_axes(u, d) is not None:
+        return False
+    t = _dot(d, u)
+    return t >= 0 and w * _dot(u, u) - t >= 0
+
+
 # -- 2D machinery ----------------------------------------------------------
 
 def _positively_oriented(tri):
@@ -113,12 +154,13 @@ def _positively_oriented(tri):
     return (a, b, c) if s > 0 else (a, c, b)
 
 
-def _clip_polygon(poly, a: Point, b: Point):
-    """Sutherland-Hodgman step: keep the closed half-plane left of (a, b)."""
+def _clip_polygon(poly, a, b):
+    """Sutherland-Hodgman step on homogeneous points: keep the closed
+    half-plane left of (a, b)."""
     if not poly:
         return []
     out = []
-    hs = [_orient2d(a, b, p) for p in poly]
+    hs = [_orient2d(a, b, x, w) for x, w in poly]
     n = len(poly)
     for i in range(n):
         j = (i + 1) % n
@@ -127,20 +169,11 @@ def _clip_polygon(poly, a: Point, b: Point):
         if si >= 0:
             out.append(poly[i])
         if si * sj < 0:
-            t = Fraction(hi, hi - hj)
-            out.append(poly[i] + (poly[j] - poly[i]).scale(t))
+            out.append(_crossing(poly[i], hi, poly[j], hj))
     return out
 
 
-def _dedupe(points):
-    seen = []
-    for p in points:
-        if all(p.coords != q.coords for q in seen):
-            seen.append(p)
-    return seen
-
-
-def _point_in_tri_2d(p: Point, tri) -> bool:
+def _point_in_tri_2d(p, tri) -> bool:
     a, b, c = _positively_oriented(tri)
     return (
         _sign(_orient2d(a, b, p)) >= 0
@@ -149,94 +182,71 @@ def _point_in_tri_2d(p: Point, tri) -> bool:
     )
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    """p on the closed segment [a, b] (any dimension), exactly."""
-    u = b - a
-    w = p - a
-    if plane_axes(u, w) is not None:
-        return False
-    t_num = w.dot(u)
-    t_den = u.norm_sq()
-    return _sign(t_num) >= 0 and _sign(t_den - t_num) >= 0
-
-
-def _in_shared_hull(p: Point, shared_pts) -> bool:
-    if len(shared_pts) == 0:
-        return False
-    if len(shared_pts) == 1:
-        return p.coords == shared_pts[0].coords
-    return _on_segment(p, shared_pts[0], shared_pts[1])
-
-
 # -- line clipping and the kind rule --------------------------------------
 
 def _interval(constraints, lo=None, hi=None):
     """The closed interval of lam with coef * lam + const >= 0 for every
-    (coef, const) in ``constraints``, within [lo, hi] (None: unbounded);
-    returns (lo, hi), or None when it is empty."""
+    (coef, const) in ``constraints``, within [lo, hi] (None: unbounded).
+    A bound is a pair (num, den) with den > 0, and bounds are compared by
+    cross-multiplication; returns (lo, hi), or None when it is empty."""
     for coef, const in constraints:
-        s = _sign(coef)
-        if s == 0:
-            if _sign(const) < 0:
+        if not coef:
+            if const < 0:
                 return None
             continue
-        bound = Fraction(-const, coef)
-        if s > 0:
-            if lo is None or _sign(bound - lo) > 0:
-                lo = bound
-        elif hi is None or _sign(bound - hi) < 0:
-            hi = bound
+        if coef > 0:
+            if lo is None or -const * lo[1] > lo[0] * coef:
+                lo = (-const, coef)
+        elif hi is None or const * hi[1] < hi[0] * -coef:
+            hi = (const, -coef)
     if lo is None or hi is None:
         raise ValueError("unbounded parameter interval from degenerate input")
-    if _sign(hi - lo) < 0:
+    if hi[0] * lo[1] < lo[0] * hi[1]:
         return None
     return lo, hi
 
 
-def _line_hit(start: Point, direction: Point, span):
-    """The points start + lam * direction at the ends of ``span``, low end
-    first; one point when the span is a single value, none when empty."""
+def _line_hit(start, direction, w, span):
+    """The homogeneous points (start + lam * direction) / w at the ends of
+    ``span``, low end first; one point when the span is a single value,
+    none when empty."""
     if span is None:
         return []
-    lo, hi = span
-    pts = [start + direction.scale(lo)]
-    if _sign(hi - lo) > 0:
-        pts.append(start + direction.scale(hi))
-    return pts
+    (ln, ld), (hn, hd) = span
+    ends = [(ln, ld)] if hn * ld == ln * hd else [(ln, ld), (hn, hd)]
+    return [
+        (tuple(a * d + b * n for a, b in zip(start, direction)), w * d)
+        for n, d in ends
+    ]
 
 
 def _line_verdict(hit, t1, t2, shared_pts, along_t2_edge: bool):
-    """Verdict for the points where T2 meets T1 along one line: the trace of
-    T2 on T1's plane (R^3) or the line where the two planes meet (R^4).
-    Returns (admissible, witness, kind)."""
+    """Verdict for the homogeneous points where T2 meets T1 along one line:
+    the trace of T2 on T1's plane (R^3) or the line where the two planes
+    meet (R^4).  Returns (admissible, witness, kind)."""
     offenders = [p for p in hit if not _in_shared_hull(p, shared_pts)]
     if not offenders:
         return True, (), None
     if len(hit) >= 2:
         kind = "edge_through_face" if along_t2_edge else "interior_crossing"
     else:
-        on_vertex = any(offenders[0].coords == q.coords for q in t1 + t2)
+        on_vertex = any(_equals(offenders[0], q) for q in t1 + t2)
         kind = "vertex_in_face" if on_vertex else "edge_through_face"
-    return False, tuple(offenders), kind
+    return False, _witness(offenders), kind
 
 
 # -- coplanar overlap ------------------------------------------------------
-
-def _project(p: Point, axes) -> Point:
-    i, j = axes
-    return Point((p.coords[i], p.coords[j]))
-
 
 def _coplanar_check(t1, t2, shared_pts, axes):
     """Both triangles in one 2-flat, which projects one-to-one onto the
     coordinate pair ``axes``; decided, and witnessed, in that projection.
     Returns (admissible, witness, kind)."""
-    t1, t2 = (tuple(_project(p, axes) for p in t) for t in (t1, t2))
-    shared_pts = [_project(p, axes) for p in shared_pts]
+    i, j = axes
+    t1, t2, shared_pts = ([(p[i], p[j]) for p in t] for t in (t1, t2, shared_pts))
     clip = _positively_oriented(t1)
-    poly = list(t2)
-    for i in range(3):
-        poly = _clip_polygon(poly, clip[i], clip[(i + 1) % 3])
+    poly = [(q, 1) for q in t2]
+    for k in range(3):
+        poly = _clip_polygon(poly, clip[k], clip[(k + 1) % 3])
     poly = _dedupe(poly)
     offenders = [p for p in poly if not _in_shared_hull(p, shared_pts)]
     if not offenders:
@@ -244,33 +254,34 @@ def _coplanar_check(t1, t2, shared_pts, axes):
     t1_in_t2 = all(_point_in_tri_2d(p, t2) for p in t1)
     t2_in_t1 = all(_point_in_tri_2d(p, t1) for p in t2)
     kind = "containment" if (t1_in_t2 or t2_in_t1) else "coplanar_overlap"
-    return False, tuple(offenders), kind
+    return False, _witness(offenders), kind
 
 
 # -- dimension 3 -----------------------------------------------------------
 
-def _edge_constraints(tri, x: Point, y: Point):
-    """For each edge (p, q) of a positively oriented 2-D triangle, the
-    (coef, const) of orient2d(p, q, x + lam (y - x)) >= 0, lazily."""
+def _edge_constraints(tri, x, y, w):
+    """For each edge (p, q) of a positively oriented 2-D triangle, w times
+    the (coef, const) of orient2d(p, q, (x + lam (y - x)) / w) >= 0,
+    lazily."""
     a, b, c = tri
     for p, q in ((a, b), (b, c), (c, a)):
-        hx = _orient2d(p, q, x)
-        yield _orient2d(p, q, y) - hx, hx
+        hx = _orient2d(p, q, x, w)
+        yield _orient2d(p, q, y, w) - hx, hx
 
 
 def _strictly_one_side(t1, t2) -> bool:
     """True iff every vertex of t1 lies strictly on one side of t2's plane."""
     q0, q1, q2 = t2
-    normal = (q1 - q0).cross(q2 - q0)
-    s1 = [_sign(normal.dot(p - q0)) for p in t1]
+    normal = _cross(_sub(q1, q0), _sub(q2, q0))
+    s1 = [_sign(_dot(normal, _sub(p, q0))) for p in t1]
     return all(s > 0 for s in s1) or all(s < 0 for s in s1)
 
 
 def _check_dim3(t1, t2, shared_pts):
     a, b, c = t1
-    u, w = b - a, c - a
-    normal = u.cross(w)
-    d2 = [normal.dot(q - a) for q in t2]
+    u, w = _sub(b, a), _sub(c, a)
+    normal = _cross(u, w)
+    d2 = [_dot(normal, _sub(q, a)) for q in t2]
     s2 = [_sign(v) for v in d2]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return True, (), None
@@ -286,31 +297,37 @@ def _check_dim3(t1, t2, shared_pts):
         # sign(d_q - d_r) * orient3d(p, p', q, r) > 0
         if abs(sum(s2)) == 2:
             return True, (), None
-        v = shared_pts[0].coords
-        i, j = [n for n, q in enumerate(t2) if q.coords != v]
-        k = next(n for n, p in enumerate(t1) if p.coords == v)
+        v = shared_pts[0]
+        i, j = [n for n, q in enumerate(t2) if q != v]
+        k = t1.index(v)
         for p, p_next in ((t1[k - 1], t1[k]), (t1[k], t1[(k + 1) % 3])):
             if (s2[i] - s2[j]) * orientation_sign((p, p_next, t2[i], t2[j])) > 0:
                 return True, (), None
     if not shared_pts and _strictly_one_side(t1, t2):
         return True, (), None
-    # T2 crosses the plane of T1: its trace there is a point or segment
-    trace = [q for q, s in zip(t2, s2) if s == 0]
+    # T2 crosses the plane of T1: its trace there is one vertex of T2, or
+    # the segment between two points each on a vertex or an open edge of
+    # T2; T2 is not degenerate, so the two are distinct
+    trace = [(q, 1) for q, s in zip(t2, s2) if s == 0]
     for i, j in combinations(range(3), 2):
         if s2[i] * s2[j] < 0:
-            t = Fraction(d2[i], d2[i] - d2[j])
-            trace.append(t2[i] + (t2[j] - t2[i]).scale(t))
-    trace = _dedupe(trace)
-    tri = tuple(_project(p, axes) for p in t1)
+            trace.append(_crossing((t2[i], 1), d2[i], (t2[j], 1), d2[j]))
+    i, j = axes
+    tri = [(p[i], p[j]) for p in t1]
     if len(trace) == 1:
-        hit = trace if _point_in_tri_2d(_project(trace[0], axes), tri) else []
+        q = trace[0][0]
+        hit = trace if _point_in_tri_2d((q[i], q[j]), tri) else []
     else:
-        x, y = trace
+        # the segment (x + lam (y - x)) / w, 0 <= lam <= 1, with both ends
+        # over the common denominator w
+        (x, wx), (y, wy) = trace
+        x, y = tuple(c * wy for c in x), tuple(c * wx for c in y)
+        den = wx * wy
         edges = _edge_constraints(
-            _positively_oriented(tri), _project(x, axes), _project(y, axes)
+            _positively_oriented(tri), (x[i], x[j]), (y[i], y[j]), den
         )
-        span = _interval(edges, 0, 1)
-        hit = _line_hit(x, y - x, span)
+        span = _interval(edges, (0, 1), (1, 1))
+        hit = _line_hit(x, _sub(y, x), den, span)
     return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
 
 
@@ -330,18 +347,18 @@ def _barycentric_constraints(part, null, i):
     ]
 
 
+def _affine(p0, u1, u2, s, t):
+    """p0 + s u1 + t u2."""
+    return tuple(p + s * a + t * b for p, a, b in zip(p0, u1, u2))
+
+
 def _check_dim4(t1, t2, shared_pts):
     p0, p1, p2 = t1
     q0, q1, q2 = t2
-    u1, u2 = p1 - p0, p2 - p0
-    w1, w2 = q1 - q0, q2 - q0
-    n = p0.dim
-    matrix = [
-        [u1.coords[i], u2.coords[i], -w1.coords[i], -w2.coords[i]]
-        for i in range(n)
-    ]
-    rhs = [(q0 - p0).coords[i] for i in range(n)]
-    sol = solve_linear(matrix, rhs)
+    u1, u2 = _sub(p1, p0), _sub(p2, p0)
+    w1, w2 = _sub(q1, q0), _sub(q2, q0)
+    matrix = [[a, b, -c, -d] for a, b, c, d in zip(u1, u2, w1, w2)]
+    sol = solve_linear(matrix, list(_sub(q0, p0)))
 
     if sol.kind == "inconsistent":
         return True, (), None
@@ -349,12 +366,12 @@ def _check_dim4(t1, t2, shared_pts):
     if sol.kind == "unique":
         s, t, a, b = sol.particular
         if _barycentric_ok(s, t) and _barycentric_ok(a, b):
-            x = p0 + u1.scale(s) + u2.scale(t)
+            x = (_affine(p0, u1, u2, s, t), 1)
             if _in_shared_hull(x, shared_pts):
                 return True, (), None
-            on_vertex = any(x.coords == q.coords for q in t1 + t2)
+            on_vertex = any(_equals(x, q) for q in t1 + t2)
             kind = "vertex_in_face" if on_vertex else "interior_crossing"
-            return False, (x,), kind
+            return False, _witness([x]), kind
         return True, (), None
 
     if len(sol.nullspace) == 2:
@@ -367,8 +384,9 @@ def _check_dim4(t1, t2, shared_pts):
     t2_constraints = _barycentric_constraints(part, null, 2)
     span = _interval(_barycentric_constraints(part, null, 0) + t2_constraints)
     hit = _line_hit(
-        p0 + u1.scale(part[0]) + u2.scale(part[1]),
-        u1.scale(null[0]) + u2.scale(null[1]),
+        _affine(p0, u1, u2, part[0], part[1]),
+        _affine((0,) * len(p0), u1, u2, null[0], null[1]),
+        1,
         span,
     )
     # the line runs along an edge of T2 iff one of T2's barycentric
@@ -379,17 +397,13 @@ def _check_dim4(t1, t2, shared_pts):
 
 # -- public predicates -----------------------------------------------------
 
-def _pair_check(t1, t2, shared=None) -> PairVerdict:
-    """The pair predicate on int or Fraction coordinates."""
-    if face_is_degenerate(*t1) or face_is_degenerate(*t2):
+def _pair_check(t1, t2, shared, degenerate: bool) -> PairVerdict:
+    """The pair predicate on two faces of int coordinate tuples, one of
+    which is ``degenerate`` as the caller has tested."""
+    if degenerate:
         return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
     if shared is None:
-        shared = [
-            (i, j)
-            for i in range(3)
-            for j in range(3)
-            if t1[i].coords == t2[j].coords
-        ]
+        shared = [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
     shared_pts = [t1[i] for i, _ in shared]
     n_shared = len(shared_pts)
 
@@ -402,12 +416,13 @@ def _pair_check(t1, t2, shared=None) -> PairVerdict:
         # difference vectors vanishes (one minor in R^3, four in R^4)
         (i0, j0), (i1, j1) = shared
         base = t1[i0]
-        vecs = [t1[i1] - base, t1[3 - i0 - i1] - base, t2[3 - j0 - j1] - base]
-        for cols in combinations(range(base.dim), 3):
-            if _det([[v.coords[c] for c in cols] for v in vecs]):
+        vecs = [_sub(p, base) for p in (t1[i1], t1[3 - i0 - i1], t2[3 - j0 - j1])]
+        for cols in combinations(range(len(base)), 3):
+            u, v, w = ([x[c] for c in cols] for x in vecs)
+            if _dot(_cross(u, v), w):
                 return PairVerdict((t1, t2), 2, "admissible")
 
-    dim = t1[0].dim
+    dim = len(t1[0])
     if dim == 3:
         ok, witness, kind = _check_dim3(t1, t2, shared_pts)
     elif dim == 4:
@@ -420,21 +435,21 @@ def _pair_check(t1, t2, shared=None) -> PairVerdict:
 
 
 def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
-    """Exact verdict for one pair of triangles (tuples of Points in R^3/R^4).
+    """Exact verdict for one pair of triangles (tuples of QuadExt Points in
+    R^3/R^4).
 
     ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
-    omitted it is recovered from coordinate equality.  Int or Fraction
-    points are decided as given.  QuadExt points are decided on the
-    ``integer_frame`` of the six points, and the witness mapped back; a pair
-    with no frame raises ValueError, and a pair of two contexts
-    ContextMismatchError.
+    omitted it is recovered from coordinate equality.  The pair is decided
+    on the ``integer_frame`` of its six points, after both faces are tested
+    for degeneracy, and the witness mapped back; a pair with no frame raises
+    ValueError, and a pair of two contexts ContextMismatchError.
     """
     t1, t2 = tuple(t1), tuple(t2)
-    if type(t1[0].coords[0]) is not QuadExt:
-        return _pair_check(t1, t2, shared)
     ints, scales = integer_frame(dict(enumerate(t1 + t2)))
     q = tuple(ints.values())
-    v = _map_back(_pair_check(q[:3], q[3:], shared), scales)
+    q1, q2 = q[:3], q[3:]
+    degenerate = face_is_degenerate(*q1) or face_is_degenerate(*q2)
+    v = _map_back(_pair_check(q1, q2, shared, degenerate), scales)
     return PairVerdict((t1, t2), v.shared, v.verdict, v.kind, v.witness)
 
 
@@ -446,10 +461,10 @@ def _map_back(verdict: PairVerdict, scales) -> PairVerdict:
         return verdict
     t1 = verdict.faces[0]
     axes = range(len(scales))
-    if verdict.witness[0].dim != len(scales):
-        axes = plane_axes(t1[1] - t1[0], t1[2] - t1[0])
+    if len(verdict.witness[0]) != len(scales):
+        axes = plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))
     witness = tuple(
-        Point(tuple(scales[i] * c for i, c in zip(axes, p.coords)))
+        Point(tuple(scales[i] * c for i, c in zip(axes, p)))
         for p in verdict.witness
     )
     return PairVerdict(verdict.faces, verdict.shared, verdict.verdict, verdict.kind, witness)
@@ -468,8 +483,8 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     orbit of the group, and an admissible verdict is written to every image
     pair.  Violations are never copied; every violating pair is checked on
     its own points, so its kind and witness are its own.  Each face is
-    tested for degeneracy once for the report's degenerate-face violations,
-    and again by ``pair_intersection_check`` on every pair it checks.  The
+    tested for degeneracy once, and that test serves both the report's
+    degenerate-face violations and every pair the face is in.  The
     group and the table are decided on the placement's
     ``geometry.integer_frame``, and each witness is mapped back to the
     placement's field; a placement with no frame raises ValueError, and one
@@ -502,7 +517,7 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
                 shared = [
                     (j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w
                 ]
-                v = pair_intersection_check(points[a], points[b], shared)
+                v = _pair_check(points[a], points[b], shared, degenerate[a] or degenerate[b])
                 if v.admissible:
                     for ga, gb in zip(images[a], images[b]):
                         table.setdefault((ga, gb) if ga < gb else (gb, ga), v)

@@ -2,19 +2,37 @@ import importlib
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from flextri.enumeration import EnumerationTask, enumerate_triangulations
-from flextri.geometry import RealizationParams, construction_coords
+from flextri.geometry import RealizationParams, construction_coords, dist_sq
 from flextri.surfaces import build_graph
 
 
 def scale_placement(points: dict, r) -> dict:
     """The placement with every point multiplied by ``r``."""
     return {label: p.scale(r) for label, p in points.items()}
+
+
+def field_isometry_group(labels, placement: dict) -> list[dict]:
+    """The reference for ``geometry.isometry_group``, computed in the field
+    without the int frame: every permutation of ``labels`` that keeps the
+    exact squared distance of every pair of placed points, by brute force
+    over all permutations in lexicographic order of the images' positions,
+    so in the order ``isometry_group`` gives."""
+    labels = list(labels)
+    pts = [placement[v] for v in labels]
+    d = [[dist_sq(p, q) for q in pts] for p in pts]
+    pairs = list(combinations(range(len(labels)), 2))
+    return [
+        dict(zip(labels, (labels[c] for c in perm)))
+        for perm in permutations(range(len(labels)))
+        if all(d[perm[i]][perm[j]] == d[i][j] for i, j in pairs)
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from flextri.verify import (
     verify_catalog,
 )
 
-from conftest import scale_placement
+from conftest import field_isometry_group, scale_placement
 
 CTX = CTX_SQRT2_SQRT3
 
@@ -45,24 +45,24 @@ def pt(*coords, ctx=QQ):
 # -- orientation -----------------------------------------------------------
 
 def test_orientation_unit_simplex():
-    pts = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)]
+    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert orientation_sign(pts) == 1
 
 
 def test_orientation_swap_flips_sign():
-    pts = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)]
+    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     swapped = [pts[0], pts[2], pts[1], pts[3]]
     assert orientation_sign(swapped) == -1
 
 
 def test_orientation_coplanar_is_zero():
-    pts = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0)]
+    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     assert orientation_sign(pts) == 0
 
 
 def test_orientation_wrong_count():
     with pytest.raises(ValueError):
-        orientation_sign([pt(0, 0, 0), pt(1, 0, 0)])
+        orientation_sign([(0, 0, 0), (1, 0, 0)])
 
 
 # -- single-pair verdicts --------------------------------------------------
@@ -174,7 +174,7 @@ def test_suspension_embedded_set_is_symmetry_orbit(
     # the three relabelings are isometries of the placement, and under its
     # whole isometry group the 12 triangulations fall into two orbits: the
     # 6 embedded ones and the 6 others
-    group = isometry_group(torus_catalog.task.graph.vertices, suspension_points)
+    group = field_isometry_group(torus_catalog.task.graph.vertices, suspension_points)
     for perm in (rot, mirror, flip):
         assert {v: v.translate(perm) for v in "ABCDEFGH"} in group
     orbits = {
@@ -238,6 +238,25 @@ def test_verify_catalog_table_checks_and_selection(
     full = verify_catalog(suspension_points, torus_catalog)
     assert verify_catalog(suspension_points, torus_catalog, [8, 3]) == [full[8], full[3]]
     assert [full[8].identity, full[3].identity] == ["8", "3"]
+
+
+def test_verify_catalog_tests_each_face_for_degeneracy_once(
+    monkeypatch, suspension_points, torus_catalog
+):
+    # one test per distinct face of the selected triangulations serves the
+    # report's degenerate-face violations and every pair the face is in
+    tested = []
+
+    def spy(a, b, c):
+        tested.append((a, b, c))
+        return face_is_degenerate(a, b, c)
+
+    monkeypatch.setattr(verify, "face_is_degenerate", spy)
+    ids = [0, 3, 8]
+    verify_catalog(suspension_points, torus_catalog, ids)
+    ints, _ = integer_frame(suspension_points)
+    faces = {f for i in ids for f in torus_catalog.triangulations[i].faces}
+    assert sorted(tested) == sorted(tuple(ints[v] for v in f) for f in faces)
 
 
 def test_verdicts_invariant_under_scaling(moebius_points, moebius_catalog):
@@ -369,7 +388,7 @@ def _assert_witnesses_violate(t1, t2, v):
     for w in v.witness:
         faces = (t1, t2, shared)
         if w.dim != t1[0].dim:
-            i, j = plane_axes(t1[1] - t1[0], t1[2] - t1[0])
+            i, j = plane_axes((t1[1] - t1[0]).coords, (t1[2] - t1[0]).coords)
             faces = tuple([Point((p.coords[i], p.coords[j])) for p in f] for f in faces)
         a, b, hull = faces
         assert _in_hull(w, a) and _in_hull(w, b), (t1, t2, w)
@@ -424,9 +443,9 @@ def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_po
     # turned so that its axes mix sqrt2 and sqrt6 has no frame and is refused
     seen = []
 
-    def spy(t1, t2, shared=None):
-        seen.append(type(t1[0].coords[0]))
-        return _pair_check(t1, t2, shared)
+    def spy(t1, t2, shared, degenerate):
+        seen.append({type(c) for p in t1 + t2 for c in p})
+        return _pair_check(t1, t2, shared, degenerate)
 
     monkeypatch.setattr(verify, "_pair_check", spy)
     rotated = _rotated_xy(suspension_points)
@@ -434,7 +453,7 @@ def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_po
     verdicts = set()
     for a, b in cases:
         v = pair_intersection_check(*(tuple(suspension_points[x] for x in f) for f in (a, b)))
-        assert seen.pop() is int
+        assert seen.pop() == {int}
         verdicts.add(v.verdict)
         with pytest.raises(ValueError, match="mixes basis elements"):
             pair_intersection_check(*(tuple(rotated[x] for x in f) for f in (a, b)))
@@ -496,7 +515,7 @@ def test_isometry_group_orders_and_pair_orbits(
         (moebius_points, moebius_catalog, 24, 5),
     ):
         labels = catalog.task.graph.vertices
-        group = isometry_group(labels, points)
+        group = field_isometry_group(labels, points)
         assert len(group) == order
         assert group[0] == {v: v for v in labels}
         # the int frame's weighted distances give the same group, in the
@@ -514,10 +533,9 @@ def _full_table_reports(points, catalog):
     for tri in catalog.triangulations:
         for a, b in combinations(tri.faces, 2):
             shared = [(j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w]
-            v = pair_intersection_check(
-                tuple(points[x] for x in a), tuple(points[x] for x in b), shared
-            )
-            table[a, b] = _map_back(v, scales)
+            ta, tb = tuple(points[x] for x in a), tuple(points[x] for x in b)
+            degenerate = face_is_degenerate(*ta) or face_is_degenerate(*tb)
+            table[a, b] = _map_back(_pair_check(ta, tb, shared, degenerate), scales)
     reports = []
     for i, tri in zip(catalog.ids, catalog.triangulations):
         violations = [
@@ -561,7 +579,7 @@ def test_orbit_table_equals_the_full_table(
         (perturbed, torus_catalog, 1),
     )
     for points, catalog, order in cases:
-        assert len(isometry_group(catalog.task.graph.vertices, points)) == order
+        assert len(field_isometry_group(catalog.task.graph.vertices, points)) == order
         assert verify_catalog(points, catalog) == _full_table_reports(points, catalog)
 
 
@@ -628,7 +646,7 @@ def test_exact_checker_agrees_with_cramer_oracle():
             continue
         t1 = tuple(pt(*r) for r in raw1)
         t2 = tuple(pt(*r) for r in raw2)
-        if face_is_degenerate(*t1) or face_is_degenerate(*t2):
+        if face_is_degenerate(*raw1) or face_is_degenerate(*raw2):
             continue
         oracle = _oracle_triangles_intersect(raw1, raw2)
         if oracle is None:
@@ -688,6 +706,93 @@ _LIFT = (
     (Fraction(1, 2), 0, 3),
     (2, -1, Fraction(1, 3)),
 )
+
+
+def _touching_pairs(seed, count):
+    """``count`` seeded pairs of nondegenerate small-int triangles of R^3 on
+    at least four distinct points, most of them touching: a vertex of T2
+    on T1's plane, an edge of T2 through a vertex or an edge midpoint of
+    T1, a shared vertex or edge, or T2 in T1's plane; the rest at random."""
+    rng = random.Random(seed)
+
+    def point(r):
+        return tuple(rng.randint(-r, r) for _ in range(3))
+
+    def on_plane(t):
+        s, u = rng.randint(-1, 2), rng.randint(-1, 2)
+        return tuple(a + s * (b - a) + u * (c - a) for a, b, c in zip(*t))
+
+    pairs = []
+    while len(pairs) < count:
+        # even coordinates put T1's edge midpoints on the int lattice
+        t1 = tuple(tuple(2 * c for c in point(3)) for _ in range(3))
+        case = rng.randrange(6)
+        if case == 0:
+            t2 = [on_plane(t1), point(6), point(6)]
+        elif case == 1:
+            p, q = rng.sample(t1, 2)
+            m = rng.choice([p, tuple((a + b) // 2 for a, b in zip(p, q))])
+            d = point(2)
+            t2 = [tuple(a + b for a, b in zip(m, d)), tuple(a - b for a, b in zip(m, d)), point(6)]
+        elif case == 2:
+            t2 = [rng.choice(t1), point(6), on_plane(t1) if rng.random() < 0.5 else point(6)]
+        elif case == 3:
+            t2 = [*rng.sample(t1, 2), on_plane(t1) if rng.random() < 0.5 else point(6)]
+        elif case == 4:
+            t2 = [on_plane(t1) for _ in range(3)]
+        else:
+            t2 = [point(6) for _ in range(3)]
+        rng.shuffle(t2)
+        # two faces on one vertex set are no pair of a triangulation
+        distinct = len({*t1, *t2}) > 3
+        if distinct and not face_is_degenerate(*t1) and not face_is_degenerate(*t2):
+            pairs.append((t1, tuple(t2)))
+    return pairs
+
+
+def _weights(x, tri):
+    """Exact barycentric weights of the rational point x on the
+    nondegenerate triangle ``tri`` of int points, or None when x is off the
+    triangle's plane."""
+    a, b, c = tri
+    u, v, r = ([Fraction(p) - q for p, q in zip(y, a)] for y in (b, c, x))
+    i, j = next((i, j) for i, j in combinations(range(len(a)), 2) if u[i] * v[j] - u[j] * v[i])
+    det = u[i] * v[j] - u[j] * v[i]
+    s = (r[i] * v[j] - r[j] * v[i]) / det
+    t = (u[i] * r[j] - u[j] * r[i]) / det
+    if any(rk != s * uk + t * vk for rk, uk, vk in zip(r, u, v)):
+        return None
+    return (1 - s - t, s, t)
+
+
+def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
+    # the cases the Cramer oracle skips: each R^3 verdict, kind and shared
+    # count equals that of the pair lifted to R^4 (x, y, z, 0), and each
+    # witness lies in both closed triangles and outside the hull of the
+    # shared vertices, by exact barycentric weights
+    kinds = set()
+    for raw1, raw2 in _touching_pairs(20261018, 2000):
+        v = pair_intersection_check(*(tuple(pt(*p) for p in t) for t in (raw1, raw2)))
+        lift = pair_intersection_check(*(tuple(pt(*p, 0) for p in t) for t in (raw1, raw2)))
+        expected = (v.verdict, v.kind, v.shared)
+        assert (lift.verdict, lift.kind, lift.shared) == expected, (raw1, raw2)
+        kinds.add(v.kind)
+        shared = [i for i, p in enumerate(raw1) if p in raw2]
+        for w in v.witness:
+            x = [c.a for c in w.coords]
+            t1, t2 = raw1, raw2
+            if len(x) == 2:
+                a, b, c = raw1
+                i, j = plane_axes([q - p for p, q in zip(a, b)], [q - p for p, q in zip(a, c)])
+                t1, t2 = ([(p[i], p[j]) for p in t] for t in (raw1, raw2))
+            l1, l2 = _weights(x, t1), _weights(x, t2)
+            assert l1 is not None and l2 is not None, (raw1, raw2, x)
+            assert min(l1) >= 0 and min(l2) >= 0, (raw1, raw2, x)
+            assert any(l1[i] > 0 for i in range(3) if i not in shared), (raw1, raw2, x)
+    assert kinds == {
+        None, "coplanar_overlap", "containment", "interior_crossing",
+        "edge_through_face", "vertex_in_face",
+    }
 
 
 def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
