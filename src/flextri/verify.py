@@ -18,11 +18,12 @@ cross-multiplication; R^4 keeps the Fractions of ``solve_linear`` over 1.
 Witness points become Fractions only for a violation, and are mapped back
 through the scales, a 2-D coplanar witness (in the ``plane_axes``
 projection of the first face) through those of its two axes, so they are
-exact points of the field.  ``verify_catalog`` frames its placement and
-tests each face for degeneracy once, and runs the predicate on one clique
-pair per orbit of the placement's isometry group, copying admissible
-verdicts only; ``pair_intersection_check`` frames the six points of one
-pair and tests both faces.
+exact points of the field.  ``verify_catalog`` frames its placement,
+tests each face for degeneracy once, and runs ``pair_intersection_check``
+on the int points of one nondegenerate clique pair per orbit of the
+placement's isometry group, copying admissible verdicts only; on int
+points that entry goes straight to the body.  A direct call on QuadExt
+points frames the six points of its pair and tests both faces.
 """
 
 from __future__ import annotations
@@ -397,11 +398,9 @@ def _check_dim4(t1, t2, shared_pts):
 
 # -- public predicates -----------------------------------------------------
 
-def _pair_check(t1, t2, shared, degenerate: bool) -> PairVerdict:
-    """The pair predicate on two faces of int coordinate tuples, one of
-    which is ``degenerate`` as the caller has tested."""
-    if degenerate:
-        return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
+def _pair_check(t1, t2, shared) -> PairVerdict:
+    """The pair predicate on two nondegenerate faces of int coordinate
+    tuples."""
     if shared is None:
         shared = [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
     shared_pts = [t1[i] for i, _ in shared]
@@ -435,21 +434,26 @@ def _pair_check(t1, t2, shared, degenerate: bool) -> PairVerdict:
 
 
 def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
-    """Exact verdict for one pair of triangles (tuples of QuadExt Points in
-    R^3/R^4).
+    """Exact verdict for one pair of triangles (tuples of Points in R^3/R^4).
 
     ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
-    omitted it is recovered from coordinate equality.  The pair is decided
-    on the ``integer_frame`` of its six points, after both faces are tested
-    for degeneracy, and the witness mapped back; a pair with no frame raises
-    ValueError, and a pair of two contexts ContextMismatchError.
+    omitted it is recovered from coordinate equality.  QuadExt points are
+    decided on the ``integer_frame`` of the six points, after both faces
+    are tested for degeneracy, and the witness mapped back; a pair with no
+    frame raises ValueError, and a pair of two contexts
+    ContextMismatchError.  Int points are a frame whose faces the caller
+    has found nondegenerate, as ``verify_catalog`` passes them, and are
+    decided as given.
     """
     t1, t2 = tuple(t1), tuple(t2)
+    if type(t1[0].coords[0]) is int:
+        return _pair_check(tuple(p.coords for p in t1), tuple(p.coords for p in t2), shared)
     ints, scales = integer_frame(dict(enumerate(t1 + t2)))
     q = tuple(ints.values())
     q1, q2 = q[:3], q[3:]
-    degenerate = face_is_degenerate(*q1) or face_is_degenerate(*q2)
-    v = _map_back(_pair_check(q1, q2, shared, degenerate), scales)
+    if face_is_degenerate(*q1) or face_is_degenerate(*q2):
+        return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
+    v = _map_back(_pair_check(q1, q2, shared), scales)
     return PairVerdict((t1, t2), v.shared, v.verdict, v.kind, v.witness)
 
 
@@ -484,8 +488,10 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     pair.  Violations are never copied; every violating pair is checked on
     its own points, so its kind and witness are its own.  Each face is
     tested for degeneracy once, and that test serves both the report's
-    degenerate-face violations and every pair the face is in.  The
-    group and the table are decided on the placement's
+    degenerate-face violations and every pair the face is in: a pair with
+    a degenerate face is decided here, and every other pair is handed to
+    ``pair_intersection_check`` as int points, which it does not test
+    again.  The group and the table are decided on the placement's
     ``geometry.integer_frame``, and each witness is mapped back to the
     placement's field; a placement with no frame raises ValueError, and one
     of two contexts ContextMismatchError.
@@ -500,8 +506,8 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     placement, scales = integer_frame(placement)
     group = isometry_group(labels, placement, scales)
     tris = [catalog.triangulations[i] for i in ids]
-    points = {f: tuple(placement[v] for v in f) for t in tris for f in t.faces}
-    degenerate = {f: face_is_degenerate(*pts) for f, pts in points.items()}
+    points = {f: tuple(Point(placement[v]) for v in f) for t in tris for f in t.faces}
+    degenerate = {f: face_is_degenerate(*(placement[v] for v in f)) for f in points}
     images = {f: [tuple(sorted(g[v] for v in f)) for g in group] for f in points}
     table: dict = {}
     reports = []
@@ -514,10 +520,13 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
         pairs = list(combinations(tri.faces, 2))
         for a, b in pairs:
             if (a, b) not in table:
-                shared = [
-                    (j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w
-                ]
-                v = _pair_check(points[a], points[b], shared, degenerate[a] or degenerate[b])
+                if degenerate[a] or degenerate[b]:
+                    v = PairVerdict((a, b), 0, "violation", "degenerate_face")
+                else:
+                    shared = [
+                        (j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w
+                    ]
+                    v = pair_intersection_check(points[a], points[b], shared)
                 if v.admissible:
                     for ga, gb in zip(images[a], images[b]):
                         table.setdefault((ga, gb) if ga < gb else (gb, ga), v)

@@ -443,9 +443,9 @@ def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_po
     # turned so that its axes mix sqrt2 and sqrt6 has no frame and is refused
     seen = []
 
-    def spy(t1, t2, shared, degenerate):
+    def spy(t1, t2, shared):
         seen.append({type(c) for p in t1 + t2 for c in p})
-        return _pair_check(t1, t2, shared, degenerate)
+        return _pair_check(t1, t2, shared)
 
     monkeypatch.setattr(verify, "_pair_check", spy)
     rotated = _rotated_xy(suspension_points)
@@ -534,8 +534,10 @@ def _full_table_reports(points, catalog):
         for a, b in combinations(tri.faces, 2):
             shared = [(j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w]
             ta, tb = tuple(points[x] for x in a), tuple(points[x] for x in b)
-            degenerate = face_is_degenerate(*ta) or face_is_degenerate(*tb)
-            table[a, b] = _map_back(_pair_check(ta, tb, shared, degenerate), scales)
+            if face_is_degenerate(*ta) or face_is_degenerate(*tb):
+                table[a, b] = PairVerdict((a, b), 0, "violation", "degenerate_face")
+            else:
+                table[a, b] = _map_back(_pair_check(ta, tb, shared), scales)
     reports = []
     for i, tri in zip(catalog.ids, catalog.triangulations):
         violations = [
@@ -750,45 +752,20 @@ def _touching_pairs(seed, count):
     return pairs
 
 
-def _weights(x, tri):
-    """Exact barycentric weights of the rational point x on the
-    nondegenerate triangle ``tri`` of int points, or None when x is off the
-    triangle's plane."""
-    a, b, c = tri
-    u, v, r = ([Fraction(p) - q for p, q in zip(y, a)] for y in (b, c, x))
-    i, j = next((i, j) for i, j in combinations(range(len(a)), 2) if u[i] * v[j] - u[j] * v[i])
-    det = u[i] * v[j] - u[j] * v[i]
-    s = (r[i] * v[j] - r[j] * v[i]) / det
-    t = (u[i] * r[j] - u[j] * r[i]) / det
-    if any(rk != s * uk + t * vk for rk, uk, vk in zip(r, u, v)):
-        return None
-    return (1 - s - t, s, t)
-
-
 def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
     # the cases the Cramer oracle skips: each R^3 verdict, kind and shared
     # count equals that of the pair lifted to R^4 (x, y, z, 0), and each
-    # witness lies in both closed triangles and outside the hull of the
-    # shared vertices, by exact barycentric weights
+    # violation's witnesses lie in both closed faces, outside the shared hull
     kinds = set()
     for raw1, raw2 in _touching_pairs(20261018, 2000):
-        v = pair_intersection_check(*(tuple(pt(*p) for p in t) for t in (raw1, raw2)))
+        t1, t2 = (tuple(pt(*p) for p in t) for t in (raw1, raw2))
+        v = pair_intersection_check(t1, t2)
         lift = pair_intersection_check(*(tuple(pt(*p, 0) for p in t) for t in (raw1, raw2)))
         expected = (v.verdict, v.kind, v.shared)
         assert (lift.verdict, lift.kind, lift.shared) == expected, (raw1, raw2)
         kinds.add(v.kind)
-        shared = [i for i, p in enumerate(raw1) if p in raw2]
-        for w in v.witness:
-            x = [c.a for c in w.coords]
-            t1, t2 = raw1, raw2
-            if len(x) == 2:
-                a, b, c = raw1
-                i, j = plane_axes([q - p for p, q in zip(a, b)], [q - p for p, q in zip(a, c)])
-                t1, t2 = ([(p[i], p[j]) for p in t] for t in (raw1, raw2))
-            l1, l2 = _weights(x, t1), _weights(x, t2)
-            assert l1 is not None and l2 is not None, (raw1, raw2, x)
-            assert min(l1) >= 0 and min(l2) >= 0, (raw1, raw2, x)
-            assert any(l1[i] > 0 for i in range(3) if i not in shared), (raw1, raw2, x)
+        if not v.admissible:
+            _assert_witnesses_violate(t1, t2, v)
     assert kinds == {
         None, "coplanar_overlap", "containment", "interior_crossing",
         "edge_through_face", "vertex_in_face",
