@@ -336,17 +336,8 @@ class LinearSolution:
 
 
 def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> LinearSolution:
-    """Exact Gauss-Jordan elimination over one QuadExt context, or over Q
-    when every entry is an int or a Fraction.
-
-    The elimination is fraction-free: each row is updated as
-    p * row - f * pivot_row, with p the pivot and f the row's entry in the
-    pivot column, and an all-int row is then divided by the gcd of its
-    entries (Bareiss, Math. Comp. 1968, keeps integers the same way).  Each
-    pivot row is divided by its pivot once, at the end, so an int system
-    takes Fractions only there.  The reduced row echelon form is unique, so
-    the solution does not depend on how the rows were scaled.
-    """
+    """Exact Gaussian elimination over one QuadExt context, or over Q when
+    every entry is an int or a Fraction (pivots then invert to Fractions)."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
@@ -358,25 +349,17 @@ def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) ->
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        prow = aug[row]
-        p = prow[col]
+        p = aug[row][col]
+        inv = p.inverse() if isinstance(p, QuadExt) else Fraction(1, p)
+        aug[row] = [x * inv for x in aug[row]]
         for r in range(m):
-            f = aug[r][col]
-            if r != row and f:
-                new = [p * x - f * y for x, y in zip(aug[r], prow)]
-                if all(type(x) is int for x in new):
-                    g = math.gcd(*new)
-                    if g > 1:
-                        new = [x // g for x in new]
-                aug[r] = new
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
         pivot_cols.append(col)
         row += 1
         if row == m:
             break
-    for i, col in enumerate(pivot_cols):
-        p = aug[i][col]
-        inv = p.inverse() if isinstance(p, QuadExt) else Fraction(1, p)
-        aug[i] = [x * inv for x in aug[i]]
 
     rank = len(pivot_cols)
     for r in range(rank, m):

@@ -11,18 +11,20 @@ tuples.  Field points reach it through ``geometry.integer_frame``, which
 writes a point set whose axes are each a rational multiple of one basis
 element of the field as int points times one positive scale per axis, and
 refuses any other point set.  That diagonal map keeps every sign the
-predicate tests.  A point the body derives (a trace end, a clipped polygon
-vertex) is homogeneous, an int numerator tuple over a positive int
+predicate tests.  One body, ``_check_dim3``, decides the pairs of R^3 and
+the pairs of R^4 inside one 3-flat; ``_check_dim4`` decides only the R^4
+pairs that span R^4, whose planes meet in at most one point.  A point the
+body derives (a trace end, a clipped polygon vertex, the point where two
+planes meet) is homogeneous, an int numerator tuple over a positive int
 denominator, and points and clip bounds are compared by
-cross-multiplication; R^4 keeps the Fractions of ``solve_linear`` over 1.
-Witness points become Fractions only for a violation, and are mapped back
-through the scales, a 2-D coplanar witness (in the ``plane_axes``
-projection of the first face) through those of its two axes, so they are
-exact points of the field.  ``verify_catalog`` frames its placement,
-tests each face for degeneracy once, and runs ``pair_intersection_check``
-on the int points of one nondegenerate clique pair per orbit of the
-placement's isometry group, copying admissible verdicts only; on int
-points that entry goes straight to the body.  A direct call on QuadExt
+cross-multiplication.  Witness points become Fractions only for a
+violation, and are mapped back through the scales, a 2-D coplanar witness
+(in the ``plane_axes`` projection of the first face) through those of its
+two axes, so they are exact points of the field.  ``verify_catalog``
+frames its placement, tests each face for degeneracy once, and runs
+``pair_intersection_check`` on the int points of one nondegenerate clique
+pair per orbit of the placement's isometry group, copying admissible
+verdicts only; on int points that entry goes straight to the body.  A direct call on QuadExt
 points frames the six points of its pair and tests both faces.
 """
 
@@ -42,7 +44,6 @@ from .geometry import (
     isometry_group,
     plane_axes,
 )
-from .numeric import solve_linear
 
 
 def _sign(x) -> int:
@@ -185,23 +186,22 @@ def _point_in_tri_2d(p, tri) -> bool:
 
 # -- line clipping and the kind rule --------------------------------------
 
-def _interval(constraints, lo=None, hi=None):
-    """The closed interval of lam with coef * lam + const >= 0 for every
-    (coef, const) in ``constraints``, within [lo, hi] (None: unbounded).
-    A bound is a pair (num, den) with den > 0, and bounds are compared by
-    cross-multiplication; returns (lo, hi), or None when it is empty."""
+def _interval(constraints):
+    """The closed interval of lam in [0, 1] with coef * lam + const >= 0 for
+    every (coef, const) in ``constraints``.  A bound is a pair (num, den)
+    with den > 0, and bounds are compared by cross-multiplication; returns
+    (lo, hi), or None when it is empty."""
+    lo, hi = (0, 1), (1, 1)
     for coef, const in constraints:
         if not coef:
             if const < 0:
                 return None
             continue
         if coef > 0:
-            if lo is None or -const * lo[1] > lo[0] * coef:
+            if -const * lo[1] > lo[0] * coef:
                 lo = (-const, coef)
-        elif hi is None or const * hi[1] < hi[0] * -coef:
+        elif const * hi[1] < hi[0] * -coef:
             hi = (const, -coef)
-    if lo is None or hi is None:
-        raise ValueError("unbounded parameter interval from degenerate input")
     if hi[0] * lo[1] < lo[0] * hi[1]:
         return None
     return lo, hi
@@ -222,9 +222,8 @@ def _line_hit(start, direction, w, span):
 
 
 def _line_verdict(hit, t1, t2, shared_pts, along_t2_edge: bool):
-    """Verdict for the homogeneous points where T2 meets T1 along one line:
-    the trace of T2 on T1's plane (R^3) or the line where the two planes
-    meet (R^4).  Returns (admissible, witness, kind)."""
+    """Verdict for the homogeneous points where T2 meets T1 along one line,
+    the trace of T2 on T1's plane.  Returns (admissible, witness, kind)."""
     offenders = [p for p in hit if not _in_shared_hull(p, shared_pts)]
     if not offenders:
         return True, (), None
@@ -278,14 +277,23 @@ def _strictly_one_side(t1, t2) -> bool:
     return all(s > 0 for s in s1) or all(s < 0 for s in s1)
 
 
-def _check_dim3(t1, t2, shared_pts):
-    a, b, c = t1
+def _check_dim3(t1, t2, shared_pts, flat=None):
+    """The pair predicate on two faces of R^3, or of R^4 inside one 3-flat;
+    returns (admissible, witness, kind).  In R^4, ``flat`` is the two faces
+    on three coordinates onto which that 3-flat projects one-to-one, an
+    affine bijection that keeps every sign tested here up to one global
+    sign: the signs are taken on ``flat``, while trace and clip points and
+    ``plane_axes`` use the full coordinates, so witnesses are R^4 points."""
+    f1, f2 = flat or (t1, t2)
+    a, b, c = f1
     u, w = _sub(b, a), _sub(c, a)
     normal = _cross(u, w)
-    d2 = [_dot(normal, _sub(q, a)) for q in t2]
+    d2 = [_dot(normal, _sub(q, a)) for q in f2]
     s2 = [_sign(v) for v in d2]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return True, (), None
+    if flat:
+        u, w = _sub(t1[1], t1[0]), _sub(t1[2], t1[0])
     axes = plane_axes(u, w)
     if all(s == 0 for s in s2):
         return _coplanar_check(t1, t2, shared_pts, axes)
@@ -301,10 +309,10 @@ def _check_dim3(t1, t2, shared_pts):
         v = shared_pts[0]
         i, j = [n for n, q in enumerate(t2) if q != v]
         k = t1.index(v)
-        for p, p_next in ((t1[k - 1], t1[k]), (t1[k], t1[(k + 1) % 3])):
-            if (s2[i] - s2[j]) * orientation_sign((p, p_next, t2[i], t2[j])) > 0:
+        for p, p_next in ((f1[k - 1], f1[k]), (f1[k], f1[(k + 1) % 3])):
+            if (s2[i] - s2[j]) * orientation_sign((p, p_next, f2[i], f2[j])) > 0:
                 return True, (), None
-    if not shared_pts and _strictly_one_side(t1, t2):
+    if not shared_pts and _strictly_one_side(f1, f2):
         return True, (), None
     # T2 crosses the plane of T1: its trace there is one vertex of T2, or
     # the segment between two points each on a vertex or an open edge of
@@ -327,73 +335,67 @@ def _check_dim3(t1, t2, shared_pts):
         edges = _edge_constraints(
             _positively_oriented(tri), (x[i], x[j]), (y[i], y[j]), den
         )
-        span = _interval(edges, (0, 1), (1, 1))
+        span = _interval(edges)
         hit = _line_hit(x, _sub(y, x), den, span)
     return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
 
 
-# -- dimension 4 (and general flats) ---------------------------------------
+# -- dimension 4 -----------------------------------------------------------
 
-def _barycentric_ok(s, t) -> bool:
-    return _sign(s) >= 0 and _sign(t) >= 0 and _sign(1 - s - t) >= 0
-
-
-def _barycentric_constraints(part, null, i):
-    """(coef, const) of s >= 0, t >= 0 and 1 - s - t >= 0 on the line
-    (s, t) = part[i:i+2] + lam * null[i:i+2]."""
-    return [
-        (null[i], part[i]),
-        (null[i + 1], part[i + 1]),
-        (-null[i] - null[i + 1], 1 - part[i] - part[i + 1]),
-    ]
+def _cross4(a, b, c):
+    """The vector n with n . x = det(a, b, c, x) for every x of R^4: a
+    normal of span(a, b, c), zero iff a, b and c are linearly dependent."""
+    def minor(k):
+        a3, b3, c3 = (v[:k] + v[k + 1:] for v in (a, b, c))
+        return _dot(_cross(a3, b3), c3)
+    return (-minor(0), minor(1), -minor(2), minor(3))
 
 
-def _affine(p0, u1, u2, s, t):
-    """p0 + s u1 + t u2."""
-    return tuple(p + s * a + t * b for p, a, b in zip(p0, u1, u2))
+def _det4(a, b, c, d):
+    return _dot(_cross4(a, b, c), d)
 
 
 def _check_dim4(t1, t2, shared_pts):
+    """The pair predicate on two faces of R^4.  Their planes meet where
+    s u1 + t u2 - a w1 - b w2 = q0 - p0 (u1, u2 T1's edge vectors at p0,
+    w1, w2 T2's at q0): in one point, found by Cramer's rule on ints, when
+    det(u1, u2, w1, w2) != 0; never, when q0 - p0 leaves the span of the
+    four.  Otherwise the six points lie in one 3-flat, which the R^3 body
+    decides; axis 3 is dropped first, so the lift (x, y, z, 0) of an R^3
+    pair keeps its verdict, kind and witness order."""
     p0, p1, p2 = t1
     q0, q1, q2 = t2
     u1, u2 = _sub(p1, p0), _sub(p2, p0)
-    w1, w2 = _sub(q1, q0), _sub(q2, q0)
-    matrix = [[a, b, -c, -d] for a, b, c, d in zip(u1, u2, w1, w2)]
-    sol = solve_linear(matrix, list(_sub(q0, p0)))
-
-    if sol.kind == "inconsistent":
-        return True, (), None
-
-    if sol.kind == "unique":
-        s, t, a, b = sol.particular
-        if _barycentric_ok(s, t) and _barycentric_ok(a, b):
-            x = (_affine(p0, u1, u2, s, t), 1)
-            if _in_shared_hull(x, shared_pts):
-                return True, (), None
-            on_vertex = any(_equals(x, q) for q in t1 + t2)
-            kind = "vertex_in_face" if on_vertex else "interior_crossing"
-            return False, _witness([x]), kind
-        return True, (), None
-
-    if len(sol.nullspace) == 2:
-        # rank n-2: both triangles lie in one 2-flat
-        return _coplanar_check(t1, t2, shared_pts, plane_axes(u1, u2))
-
-    # the two 2-flats meet in the line (s, t, a, b) = part + lam * null,
-    # clipped by both triangles' barycentric constraints
-    part, (null,) = sol.particular, sol.nullspace
-    t2_constraints = _barycentric_constraints(part, null, 2)
-    span = _interval(_barycentric_constraints(part, null, 0) + t2_constraints)
-    hit = _line_hit(
-        _affine(p0, u1, u2, part[0], part[1]),
-        _affine((0,) * len(p0), u1, u2, null[0], null[1]),
-        1,
-        span,
-    )
-    # the line runs along an edge of T2 iff one of T2's barycentric
-    # coordinates vanishes on the whole line
-    along_t2_edge = any(not c and not k for c, k in t2_constraints)
-    return _line_verdict(hit, t1, t2, shared_pts, along_t2_edge)
+    w1, w2, r = _sub(q1, q0), _sub(q2, q0), _sub(q0, p0)
+    normal = _cross4(u1, u2, w1)
+    det = _dot(normal, w2)
+    if det:
+        # Cramer's rule on the columns (u1, u2, -w1, -w2), whose determinant
+        # is det, with the weights s, t, a, b as numerators over |det|
+        cols = (u1, u2, tuple(-c for c in w1), tuple(-c for c in w2))
+        sign = _sign(det)
+        s, t, a, b = (sign * _det4(*cols[:i], r, *cols[i + 1:]) for i in range(4))
+        det *= sign
+        if min(s, t, a, b) < 0 or s + t > det or a + b > det:
+            return True, (), None
+        x = (tuple(det * c + s * e + t * f for c, e, f in zip(p0, u1, u2)), det)
+        if _in_shared_hull(x, shared_pts):
+            return True, (), None
+        on_vertex = any(_equals(x, q) for q in t1 + t2)
+        return False, _witness([x]), "vertex_in_face" if on_vertex else "interior_crossing"
+    if not any(normal):  # w1 lies in span(u1, u2)
+        normal = _cross4(u1, u2, w2)
+    if any(normal):
+        if _dot(normal, r):  # r leaves span(u1, u2, w1, w2) = normal^perp
+            return True, (), None
+    else:  # parallel planes: in the 3-flat p0 + span(u1, u2, r), or a 2-flat
+        normal = _cross4(u1, u2, r)
+    if any(normal):
+        drop = next(k for k in (3, 2, 1, 0) if normal[k])
+    else:
+        drop = next(k for k in (3, 2, 1, 0) if k not in plane_axes(u1, u2))
+    flat = tuple(tuple(p[:drop] + p[drop + 1:] for p in t) for t in (t1, t2))
+    return _check_dim3(t1, t2, shared_pts, flat)
 
 
 # -- public predicates -----------------------------------------------------

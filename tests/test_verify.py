@@ -697,6 +697,64 @@ def test_r4_transverse_and_parallel_planes():
     assert (v.verdict, v.kind) == ("violation", "vertex_in_face")
     parallel = tuple(p + pt(0, 0, 0, 1) for p in t1)
     assert pair_intersection_check(t1, parallel).admissible
+    # skew planes, together spanning R^4: the xy-plane and a plane along x
+    # and z at w = 1 never meet
+    skew = (pt(0, 0, 0, 1), pt(1, 0, 0, 1), pt(0, 0, 1, 1))
+    assert pair_intersection_check(t1, skew).admissible
+    # planes meeting in one point, the origin, outside T2
+    outside = (pt(0, 0, 1, 1), pt(0, 0, 2, 1), pt(0, 0, 1, 2))
+    assert pair_intersection_check(t1, outside).admissible
+    # a shared vertex in general position: the planes meet only there
+    sharing = (t1[0], pt(0, 0, 1, 0), pt(0, -2, 0, 1))
+    v = pair_intersection_check(t1, sharing)
+    assert (v.verdict, v.shared) == ("admissible", 1)
+
+
+def _unique_meeting_reference(t1, t2):
+    """(verdict, kind) of two faces of R^4 whose planes meet in one point,
+    from the solution of s u1 + t u2 - a w1 - b w2 = q0 - p0 by solve_linear:
+    a violation iff (s, t) and (a, b) are barycentric weights in the two
+    faces and the point is no shared vertex; None when the planes do not
+    meet in one point."""
+    p0, p1, p2 = t1
+    q0, q1, q2 = t2
+    vecs = [(x - y).coords for x, y in ((p1, p0), (p2, p0), (q1, q0), (q2, q0))]
+    matrix = [[a, b, -c, -d] for a, b, c, d in zip(*vecs)]
+    sol = solve_linear(matrix, list((q0 - p0).coords))
+    if sol.kind != "unique":
+        return None
+    s, t, a, b = sol.particular
+    if min(w.sign() for w in (s, t, 1 - s - t, a, b, 1 - a - b)) < 0:
+        return "admissible", None
+    x = (p0 + (p1 - p0).scale(s) + (p2 - p0).scale(t)).coords
+    if any(x == p.coords == q.coords for p in t1 for q in t2):
+        return "admissible", None
+    if any(x == p.coords for p in t1 + t2):
+        return "violation", "vertex_in_face"
+    return "violation", "interior_crossing"
+
+
+def test_r4_pairs_in_general_position_match_the_unique_solution_rule():
+    # seeded small-int pairs of R^4, a third of them on a shared vertex,
+    # whose planes meet in exactly one point
+    rng = random.Random(20261019)
+    kinds = []
+    while len(kinds) < 600:
+        raw = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(6)]
+        if len(kinds) % 3 == 0:
+            raw[3] = raw[rng.randrange(3)]
+        if len(set(raw)) < 5 or face_is_degenerate(*raw[:3]) or face_is_degenerate(*raw[3:]):
+            continue
+        t1, t2 = tuple(pt(*p) for p in raw[:3]), tuple(pt(*p) for p in raw[3:])
+        expected = _unique_meeting_reference(t1, t2)
+        if expected is None:
+            continue
+        v = pair_intersection_check(t1, t2)
+        assert (v.verdict, v.kind) == expected, raw
+        if not v.admissible:
+            _assert_witnesses_violate(t1, t2, v)
+        kinds.append(v.kind)
+    assert set(kinds) == {None, "interior_crossing", "vertex_in_face"}
 
 
 # -- lifting R^3 to R^4 ----------------------------------------------------
@@ -752,20 +810,37 @@ def _touching_pairs(seed, count):
     return pairs
 
 
+def _zero_lift(p):
+    return (*p, 0)
+
+
+def _linear_lift(p):
+    return tuple(sum(Fraction(m) * x for m, x in zip(row, p)) for row in _LIFT)
+
+
 def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
     # the cases the Cramer oracle skips: each R^3 verdict, kind and shared
-    # count equals that of the pair lifted to R^4 (x, y, z, 0), and each
+    # count equals that of the pair lifted to R^4 by (x, y, z, 0) and by
+    # _LIFT; off the coplanar kinds, whose witnesses are 2-D, each lift's
+    # witnesses are the lifted R^3 witnesses in the same order; and each
     # violation's witnesses lie in both closed faces, outside the shared hull
     kinds = set()
     for raw1, raw2 in _touching_pairs(20261018, 2000):
         t1, t2 = (tuple(pt(*p) for p in t) for t in (raw1, raw2))
         v = pair_intersection_check(t1, t2)
-        lift = pair_intersection_check(*(tuple(pt(*p, 0) for p in t) for t in (raw1, raw2)))
-        expected = (v.verdict, v.kind, v.shared)
-        assert (lift.verdict, lift.kind, lift.shared) == expected, (raw1, raw2)
         kinds.add(v.kind)
         if not v.admissible:
             _assert_witnesses_violate(t1, t2, v)
+        expected = (v.verdict, v.kind, v.shared)
+        for lift in (_zero_lift, _linear_lift):
+            lifted = pair_intersection_check(
+                *(tuple(pt(*lift(p)) for p in t) for t in (raw1, raw2))
+            )
+            assert (lifted.verdict, lifted.kind, lifted.shared) == expected, (raw1, raw2)
+            if v.kind not in ("coplanar_overlap", "containment"):
+                assert [w.coords for w in lifted.witness] == [
+                    lift(w.coords) for w in v.witness
+                ], (raw1, raw2, lift)
     assert kinds == {
         None, "coplanar_overlap", "containment", "interior_crossing",
         "edge_through_face", "vertex_in_face",
@@ -773,18 +848,12 @@ def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
 
 
 def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
-    # both lifts keep every pair inside a 3-flat of R^4, so the two planes
-    # meet in a line or coincide: the R^4 line and same-plane branches must
-    # give the R^3 verdict and kind
+    # both lifts keep every pair inside a 3-flat of R^4, which the R^4
+    # predicate hands to the R^3 body: each lift must give the R^3 verdict
+    # and kind, and off the coplanar path the lifted witnesses in order
     def check(tri_pair, lift):
         t1, t2 = (tuple(pt(*lift(p)) for p in t) for t in tri_pair)
         return pair_intersection_check(t1, t2)
-
-    def zero_lift(p):
-        return (*p, 0)
-
-    def linear_lift(p):
-        return tuple(sum(Fraction(m) * x for m, x in zip(row, p)) for row in _LIFT)
 
     # the benchmark's fixed pool of degenerate R^3 face pairs (coplanar,
     # collinear, touching, shared vertex/edge)
@@ -792,14 +861,14 @@ def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
     assert len(pool) == 280
     for case in pool:
         r3 = check(case["r3"], tuple)
-        zero = check(case["r3"], zero_lift)
-        linear = check(case["r3"], linear_lift)
+        zero = check(case["r3"], _zero_lift)
+        linear = check(case["r3"], _linear_lift)
         expected = (r3.verdict, r3.kind, r3.shared)
         assert (zero.verdict, zero.kind, zero.shared) == expected, case["id"]
         assert (linear.verdict, linear.kind, linear.shared) == expected, case["id"]
         if r3.kind in (None, "coplanar_overlap", "containment"):
             continue
-        # off the coplanar path the witnesses are points of R^3 and R^4
-        assert [w.coords for w in zero.witness] == [
-            (*w.coords, QuadExt(0)) for w in r3.witness
-        ], case["id"]
+        for lifted, lift in ((zero, _zero_lift), (linear, _linear_lift)):
+            assert [w.coords for w in lifted.witness] == [
+                lift(w.coords) for w in r3.witness
+            ], case["id"]
