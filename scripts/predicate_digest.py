@@ -1,0 +1,212 @@
+#!/usr/bin/env python3
+"""Print one sha256 per section of the pair predicate's outputs.
+
+Two trees whose digests are equal give the same verdicts, kinds, shared
+counts and witnesses (in order) on every input below, and the same report
+bytes:
+
+- ``report``: the text of ``flextri report``;
+- ``catalogs``: every report of every catalog on the four default
+  placements, the benchmark's ``sweep`` grid and torus placements on both
+  sides of the critical k (16-cell diagram: k = 3 and k = 1/3; suspension:
+  k = 2);
+- ``degenerate``: the benchmark's 840 degenerate inputs (R^3, R^4 lift and
+  affine image of each pool case);
+- ``pairs-r3`` and ``pairs-r4``: seeded small-int pairs in general
+  position, sharing a vertex, sharing an edge, coplanar and touching, and
+  in R^4 also pairs inside a 3-flat that is not a coordinate flat.
+
+Run it as ``python3 scripts/predicate_digest.py`` from the repository root;
+``--src DIR`` imports flextri from another tree's ``src`` directory, so
+``--src ../parent/src`` digests the parent commit with the same inputs.
+Standard library only, besides flextri and the benchmark's input
+generators (``perfbench/workloads.py``), which it only reads.
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# torus placements around the critical k of each family: 16-cell diagrams
+# embed all 12 tori for k > 3 and 0 < k < 1/3 and none in between; the
+# suspension needs k > 2
+EXTRA_TORUS = (
+    [("sixteen_cell", Fraction(k)) for k in (
+        "1/4", "1/3", "1/2", "999/1000", "1", "1001/1000", "2999/1000", "3", "3001/1000", "1000"
+    )]
+    + [("suspension", Fraction(k)) for k in ("2001/1000", "3", "6", "1000")]
+)
+
+PAIR_CATEGORIES = ("general", "shared_vertex", "shared_edge", "coplanar", "touching", "flat3")
+PAIRS_PER_CATEGORY = 1000
+PAIR_SEED = 20261018
+
+
+def _witness(v) -> str:
+    return ";".join(",".join(repr(c) for c in p.coords) for p in v.witness)
+
+
+def _verdict(v) -> str:
+    return f"{v.shared} {v.verdict} {v.kind} {_witness(v)}"
+
+
+class Section:
+    """A sha256 over lines, with the number of lines and of flagged lines
+    (violations, or the report's FAIL lines)."""
+
+    def __init__(self, name):
+        self.name, self.hash, self.items, self.flagged = name, hashlib.sha256(), 0, 0
+
+    def add(self, line: str, flagged: bool = False):
+        self.hash.update(line.encode() + b"\n")
+        self.items += 1
+        self.flagged += flagged
+
+    def __str__(self):
+        return (f"{self.name:<11} {self.hash.hexdigest()}  "
+                f"items={self.items} flagged={self.flagged}")
+
+
+def report_section():
+    from flextri.cli import run_report
+
+    section = Section("report")
+    text, _ = run_report()
+    for line in text.splitlines():
+        section.add(line, " FAIL " in line)
+    return section
+
+
+def catalogs_section(workloads):
+    from flextri.cli import CONSTRUCTIONS, build_catalog, construction_points
+    from flextri.geometry import RealizationParams, construction_coords, sixteen_cell_diagram
+    from flextri.verify import verify_catalog
+
+    catalogs = {g: build_catalog(g, s) for _, g, s in CONSTRUCTIONS.values()}
+    placements = [
+        (name, construction_points(name, None)[0], catalogs[g])
+        for name, (_, g, _) in CONSTRUCTIONS.items()
+    ]
+    for construction, k in (*workloads.SWEEP_GRID, *EXTRA_TORUS):
+        points = (
+            sixteen_cell_diagram(k) if construction == "sixteen_cell"
+            else construction_coords(construction, RealizationParams(k))
+        )
+        placements.append((f"{construction}:{k}", points, catalogs["k2222"]))
+
+    section = Section("catalogs")
+    for name, points, catalog in placements:
+        for r in verify_catalog(points, catalog):
+            section.add(f"{name} {r.identity} {r.verdict} {r.pairs_checked}")
+            for v in r.violations:
+                section.add(f"  {v.faces} {_verdict(v)}", True)
+    return section
+
+
+def degenerate_section(workloads):
+    from flextri.geometry import make_point
+    from flextri.numeric import QQ
+    from flextri.verify import pair_intersection_check
+
+    section = Section("degenerate")
+    for case in workloads.degenerate_pool():
+        for form in ("r3", "r4", "affine"):
+            t1, t2 = (tuple(make_point(QQ, *p) for p in t) for t in case[form])
+            v = pair_intersection_check(t1, t2)
+            section.add(f"{case['id']} {form} {_verdict(v)}", not v.admissible)
+    return section
+
+
+def _vec(rng, dim, lo=-3, hi=3):
+    return tuple(rng.randint(lo, hi) for _ in range(dim))
+
+
+def _comb(weights, points):
+    return tuple(sum(w * p[i] for w, p in zip(weights, points)) for i in range(len(points[0])))
+
+
+def _draw_pair(rng, dim, category):
+    """One pair of int triangles of R^dim, with the vertices of each face in
+    a random order."""
+    if category == "coplanar":
+        frame = (_vec(rng, dim), _vec(rng, dim), _vec(rng, dim))
+        t1, t2 = (
+            [_comb((1, rng.randint(-2, 2), rng.randint(-2, 2)), frame) for _ in range(3)]
+            for _ in range(2)
+        )
+    elif category == "touching":
+        # a vertex of t2 at a point of t1 with barycentric weights in sixths
+        base = [_vec(rng, dim) for _ in range(3)]
+        t1 = [tuple(6 * c for c in p) for p in base]
+        i, j = sorted((rng.randint(0, 6), rng.randint(0, 6)))
+        x = _comb((i, j - i, 6 - j), base)
+        t2 = [x, *(tuple(a + b for a, b in zip(x, _vec(rng, dim))) for _ in range(2))]
+    elif category == "flat3":
+        # int points of R^3 under one int linear map into R^dim: all six
+        # lie in a flat of dimension 3 at most, rarely a coordinate flat
+        cols = [_vec(rng, dim, -2, 2) for _ in range(3)]
+        t1, t2 = (
+            [_comb(_vec(rng, 3), cols) for _ in range(3)] for _ in range(2)
+        )
+    else:
+        t1 = [_vec(rng, dim) for _ in range(3)]
+        t2 = [_vec(rng, dim) for _ in range(3)]
+        shared = {"general": 0, "shared_vertex": 1, "shared_edge": 2}[category]
+        t2[:shared] = rng.sample(t1, shared)
+    rng.shuffle(t1)
+    rng.shuffle(t2)
+    return tuple(t1), tuple(t2)
+
+
+def pairs_section(dim):
+    from flextri.geometry import face_is_degenerate, make_point
+    from flextri.numeric import QQ
+    from flextri.verify import pair_intersection_check
+
+    section = Section(f"pairs-r{dim}")
+    rng = random.Random(PAIR_SEED + dim)
+    for category in PAIR_CATEGORIES:
+        if dim == 3 and category == "flat3":
+            continue
+        n = 0
+        while n < PAIRS_PER_CATEGORY:
+            t1, t2 = _draw_pair(rng, dim, category)
+            if face_is_degenerate(*t1) or face_is_degenerate(*t2):
+                continue
+            v = pair_intersection_check(*(tuple(make_point(QQ, *p) for p in t) for t in (t1, t2)))
+            section.add(f"{category} {t1} {t2} {_verdict(v)}", not v.admissible)
+            n += 1
+    return section
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"), help="directory to import flextri from")
+    args = ap.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    import flextri
+    import workloads
+
+    start = time.perf_counter()
+    print(f"flextri from {Path(flextri.__file__).parent}")
+    for make in (
+        report_section,
+        lambda: catalogs_section(workloads),
+        lambda: degenerate_section(workloads),
+        lambda: pairs_section(3),
+        lambda: pairs_section(4),
+    ):
+        print(make(), flush=True)
+    print(f"{time.perf_counter() - start:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

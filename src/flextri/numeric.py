@@ -336,8 +336,7 @@ class LinearSolution:
 
 
 def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> LinearSolution:
-    """Exact Gaussian elimination over one QuadExt context, or over Q when
-    every entry is an int or a Fraction (pivots then invert to Fractions)."""
+    """Exact Gaussian elimination over one QuadExt context."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
@@ -350,7 +349,7 @@ def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) ->
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
         p = aug[row][col]
-        inv = p.inverse() if isinstance(p, QuadExt) else Fraction(1, p)
+        inv = p.inverse()
         aug[row] = [x * inv for x in aug[row]]
         for r in range(m):
             if r != row and aug[r][col]:
@@ -366,10 +365,8 @@ def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) ->
         if aug[r][n]:
             return LinearSolution("inconsistent", rank)
 
-    # int and Fraction systems keep the literals 0 and 1
-    ctx = next((x.ctx for r in aug for x in r if isinstance(x, QuadExt)), None)
-    zero = 0 if ctx is None else QuadExt(0, ctx=ctx)
-    one = 1 if ctx is None else QuadExt(1, ctx=ctx)
+    ctx = aug[0][n].ctx
+    zero, one = QuadExt(0, ctx=ctx), QuadExt(1, ctx=ctx)
     particular = [zero] * n
     for i, col in enumerate(pivot_cols):
         particular[col] = aug[i][n]

@@ -16,11 +16,13 @@ the pairs of R^4 inside one 3-flat; ``_check_dim4`` decides only the R^4
 pairs that span R^4, whose planes meet in at most one point.  A point the
 body derives (a trace end, a clipped polygon vertex, the point where two
 planes meet) is homogeneous, an int numerator tuple over a positive int
-denominator, and points and clip bounds are compared by
-cross-multiplication.  Witness points become Fractions only for a
-violation, and are mapped back through the scales, a 2-D coplanar witness
-(in the ``plane_axes`` projection of the first face) through those of its
-two axes, so they are exact points of the field.  ``verify_catalog``
+denominator, and points are compared by cross-multiplication.  One
+Sutherland-Hodgman clip, ``_clip``, finds what lies inside the first face:
+of the second face when the two are coplanar, of the second face's trace
+on the first face's plane otherwise.  Witness points become Fractions only
+for a violation, and are mapped back through the scales, a 2-D coplanar
+witness (in the ``plane_axes`` projection of the first face) through those
+of its two axes, so they are exact points of the field.  ``verify_catalog``
 frames its placement, tests each face for degeneracy once, and runs
 ``pair_intersection_check`` on the int points of one nondegenerate clique
 pair per orbit of the placement's isometry group, copying admissible
@@ -68,10 +70,9 @@ def orientation_sign(points) -> int:
     return _sign(_dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a)))
 
 
-def _orient2d(a, b, p, w=1):
-    """w times orient2d(a, b, p / w), for int 2-D points a and b and a
-    homogeneous point p / w with w > 0: the sign of orient2d(a, b, p / w)."""
-    return (b[0] - a[0]) * (p[1] - a[1] * w) - (b[1] - a[1]) * (p[0] - a[0] * w)
+def _orient2d(a, b, p):
+    """orient2d of three int 2-D points: twice the signed area of abp."""
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
 
 
 @dataclass
@@ -106,9 +107,10 @@ def _crossing(p, h, q, k):
     points p and q crosses the zero set of an affine function; h and k, of
     opposite signs, are its values at p and q times their denominators."""
     (x, w), (y, v) = p, q
-    num = tuple(h * b - k * a for a, b in zip(x, y))
     den = h * v - k * w
-    return (num, den) if den > 0 else (tuple(-c for c in num), -den)
+    if den < 0:
+        h, k, den = -h, -k, -den
+    return tuple([h * b - k * a for a, b in zip(x, y)]), den
 
 
 def _dedupe(points):
@@ -146,80 +148,58 @@ def _in_shared_hull(p, shared_pts) -> bool:
     return t >= 0 and w * _dot(u, u) - t >= 0
 
 
-# -- 2D machinery ----------------------------------------------------------
+# -- clipping --------------------------------------------------------------
 
 def _positively_oriented(tri):
     a, b, c = tri
-    s = _sign(_orient2d(a, b, c))
+    s = _orient2d(a, b, c)
     if s == 0:
         raise ValueError("degenerate clip triangle")
     return (a, b, c) if s > 0 else (a, c, b)
 
 
-def _clip_polygon(poly, a, b):
-    """Sutherland-Hodgman step on homogeneous points: keep the closed
-    half-plane left of (a, b)."""
-    if not poly:
-        return []
-    out = []
-    hs = [_orient2d(a, b, x, w) for x, w in poly]
-    n = len(poly)
-    for i in range(n):
-        j = (i + 1) % n
-        hi, hj = hs[i], hs[j]
-        si, sj = _sign(hi), _sign(hj)
-        if si >= 0:
-            out.append(poly[i])
-        if si * sj < 0:
-            out.append(_crossing(poly[i], hi, poly[j], hj))
-    return out
+def _clip(poly, tri, axes):
+    """Sutherland-Hodgman on homogeneous points: the part of the hull of
+    ``poly`` inside the closed triangle ``tri`` of int points, every point
+    read on the coordinate pair ``axes``, in walking order.  Three points
+    are a closed polygon, whose walk can repeat a point; one or two, a
+    trace, are walked along their one edge only, so a segment keeps its
+    first end first, and its points stay distinct: a crossing lies strictly
+    between two points."""
+    i, j = axes
+    closed = len(poly) > 2
+    a, b, c = _positively_oriented([(p[i], p[j]) for p in tri])
+    for p, q in ((a, b), (b, c), (c, a)):
+        if not poly:
+            break
+        # w times orient2d(p, q, x / w), whose sign is that of orient2d
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        c0 = dy * p[0] - dx * p[1]
+        hs = [dx * x[j] - dy * x[i] + c0 * w for x, w in poly]
+        if min(hs) >= 0:
+            continue
+        n = len(poly)
+        out = []
+        for k in range(n):
+            if hs[k] >= 0:
+                out.append(poly[k])
+            m = (k + 1) % n
+            if hs[k] * hs[m] < 0 and (closed or m):
+                out.append(_crossing(poly[k], hs[k], poly[m], hs[m]))
+        poly = out
+    return poly
 
 
 def _point_in_tri_2d(p, tri) -> bool:
     a, b, c = _positively_oriented(tri)
     return (
-        _sign(_orient2d(a, b, p)) >= 0
-        and _sign(_orient2d(b, c, p)) >= 0
-        and _sign(_orient2d(c, a, p)) >= 0
+        _orient2d(a, b, p) >= 0
+        and _orient2d(b, c, p) >= 0
+        and _orient2d(c, a, p) >= 0
     )
 
 
-# -- line clipping and the kind rule --------------------------------------
-
-def _interval(constraints):
-    """The closed interval of lam in [0, 1] with coef * lam + const >= 0 for
-    every (coef, const) in ``constraints``.  A bound is a pair (num, den)
-    with den > 0, and bounds are compared by cross-multiplication; returns
-    (lo, hi), or None when it is empty."""
-    lo, hi = (0, 1), (1, 1)
-    for coef, const in constraints:
-        if not coef:
-            if const < 0:
-                return None
-            continue
-        if coef > 0:
-            if -const * lo[1] > lo[0] * coef:
-                lo = (-const, coef)
-        elif const * hi[1] < hi[0] * -coef:
-            hi = (const, -coef)
-    if hi[0] * lo[1] < lo[0] * hi[1]:
-        return None
-    return lo, hi
-
-
-def _line_hit(start, direction, w, span):
-    """The homogeneous points (start + lam * direction) / w at the ends of
-    ``span``, low end first; one point when the span is a single value,
-    none when empty."""
-    if span is None:
-        return []
-    (ln, ld), (hn, hd) = span
-    ends = [(ln, ld)] if hn * ld == ln * hd else [(ln, ld), (hn, hd)]
-    return [
-        (tuple(a * d + b * n for a, b in zip(start, direction)), w * d)
-        for n, d in ends
-    ]
-
+# -- the kind rule ---------------------------------------------------------
 
 def _line_verdict(hit, t1, t2, shared_pts, along_t2_edge: bool):
     """Verdict for the homogeneous points where T2 meets T1 along one line,
@@ -239,15 +219,11 @@ def _line_verdict(hit, t1, t2, shared_pts, along_t2_edge: bool):
 
 def _coplanar_check(t1, t2, shared_pts, axes):
     """Both triangles in one 2-flat, which projects one-to-one onto the
-    coordinate pair ``axes``; decided, and witnessed, in that projection.
-    Returns (admissible, witness, kind)."""
+    coordinate pair ``axes``; decided, and witnessed, in that projection by
+    clipping T2 to T1.  Returns (admissible, witness, kind)."""
     i, j = axes
     t1, t2, shared_pts = ([(p[i], p[j]) for p in t] for t in (t1, t2, shared_pts))
-    clip = _positively_oriented(t1)
-    poly = [(q, 1) for q in t2]
-    for k in range(3):
-        poly = _clip_polygon(poly, clip[k], clip[(k + 1) % 3])
-    poly = _dedupe(poly)
+    poly = _dedupe(_clip([(q, 1) for q in t2], t1, (0, 1)))
     offenders = [p for p in poly if not _in_shared_hull(p, shared_pts)]
     if not offenders:
         return True, (), None
@@ -258,16 +234,6 @@ def _coplanar_check(t1, t2, shared_pts, axes):
 
 
 # -- dimension 3 -----------------------------------------------------------
-
-def _edge_constraints(tri, x, y, w):
-    """For each edge (p, q) of a positively oriented 2-D triangle, w times
-    the (coef, const) of orient2d(p, q, (x + lam (y - x)) / w) >= 0,
-    lazily."""
-    a, b, c = tri
-    for p, q in ((a, b), (b, c), (c, a)):
-        hx = _orient2d(p, q, x, w)
-        yield _orient2d(p, q, y, w) - hx, hx
-
 
 def _strictly_one_side(t1, t2) -> bool:
     """True iff every vertex of t1 lies strictly on one side of t2's plane."""
@@ -283,7 +249,9 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     on three coordinates onto which that 3-flat projects one-to-one, an
     affine bijection that keeps every sign tested here up to one global
     sign: the signs are taken on ``flat``, while trace and clip points and
-    ``plane_axes`` use the full coordinates, so witnesses are R^4 points."""
+    ``plane_axes`` use the full coordinates, so witnesses are R^4 points.
+    A pair that crosses T1's plane is decided by T2's trace there, one
+    vertex of T2 or a segment, clipped to T1 on the ``plane_axes`` of T1."""
     f1, f2 = flat or (t1, t2)
     a, b, c = f1
     u, w = _sub(b, a), _sub(c, a)
@@ -321,22 +289,7 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     for i, j in combinations(range(3), 2):
         if s2[i] * s2[j] < 0:
             trace.append(_crossing((t2[i], 1), d2[i], (t2[j], 1), d2[j]))
-    i, j = axes
-    tri = [(p[i], p[j]) for p in t1]
-    if len(trace) == 1:
-        q = trace[0][0]
-        hit = trace if _point_in_tri_2d((q[i], q[j]), tri) else []
-    else:
-        # the segment (x + lam (y - x)) / w, 0 <= lam <= 1, with both ends
-        # over the common denominator w
-        (x, wx), (y, wy) = trace
-        x, y = tuple(c * wy for c in x), tuple(c * wx for c in y)
-        den = wx * wy
-        edges = _edge_constraints(
-            _positively_oriented(tri), (x[i], x[j]), (y[i], y[j]), den
-        )
-        span = _interval(edges)
-        hit = _line_hit(x, _sub(y, x), den, span)
+    hit = _clip(trace, t1, axes)
     return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
 
 

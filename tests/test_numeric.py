@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -285,29 +286,53 @@ def int_systems(draw):
     return [row[:n] for row in rows], [row[n] for row in rows]
 
 
+def _rank(rows) -> int:
+    """The rank of an int matrix: the largest k with a nonzero k x k minor,
+    each minor expanded along its first row."""
+    def det(m):
+        if not m:
+            return 1
+        return sum(
+            (-1) ** j * x * det([r[:j] + r[j + 1:] for r in m[1:]])
+            for j, x in enumerate(m[0]) if x
+        )
+    m, n = len(rows), len(rows[0])
+    return max(
+        (
+            k
+            for k in range(1, min(m, n) + 1)
+            for rs in combinations(range(m), k)
+            for cs in combinations(range(n), k)
+            if det([[rows[r][c] for c in cs] for r in rs])
+        ),
+        default=0,
+    )
+
+
 @given(int_systems())
 @example(([[1, 2, 0], [2, 4, 0]], [3, 6]))            # rank-deficient
 @example(([[1, 2, 0], [2, 4, 0]], [3, 7]))            # inconsistent
 @example(([[0, 0], [0, 0]], [0, 0]))                  # rank 0
 @example(([[2, 1, 0, 3], [0, 3, -1, 2], [1, 0, 2, -3], [3, -2, 1, 1]], [1, -2, 3, 0]))
 @settings(max_examples=300, deadline=None)
-def test_int_elimination_equals_field_elimination(system):
-    # the fraction-free int elimination and the same system over QuadExt
-    # (ctx=QQ) give the same solution, and it solves the system
+def test_elimination_over_q_follows_the_rank_rule(system):
+    # the system over QuadExt (ctx=QQ): kind and rank follow from the ranks
+    # of A and of (A | rhs), found by minors (Rouche-Capelli), the nullspace
+    # has one vector per free unknown, and the solution solves the system
     matrix, rhs = system
-    ints = solve_linear(matrix, rhs)
-    field = solve_linear(
-        [[QuadExt(x, ctx=QQ) for x in row] for row in matrix], [QuadExt(r, ctx=QQ) for r in rhs]
-    )
-    assert (ints.kind, ints.rank) == (field.kind, field.rank)
-    if ints.kind == "inconsistent":
-        assert ints.particular is ints.nullspace is field.particular is None
+    n = len(matrix[0])
+    rank = _rank(matrix)
+    augmented = _rank([row + [r] for row, r in zip(matrix, rhs)])
+    kind = "inconsistent" if augmented > rank else "unique" if rank == n else "parametric"
+    zero = QuadExt(0, ctx=QQ)
+    field = [[QuadExt(x, ctx=QQ) for x in row] for row in matrix]
+    sol = solve_linear(field, [QuadExt(r, ctx=QQ) for r in rhs])
+    assert (sol.kind, sol.rank) == (kind, rank)
+    if kind == "inconsistent":
+        assert sol.particular is sol.nullspace is None
         return
-    assert all(type(x) in (int, Fraction) for v in [ints.particular, *ints.nullspace] for x in v)
-    assert ints.particular == [x.a for x in field.particular]
-    assert ints.nullspace == [[x.a for x in v] for v in field.nullspace]
-    assert len(ints.nullspace) == len(matrix[0]) - ints.rank
-    for row, r in zip(matrix, rhs):
-        assert sum(a * x for a, x in zip(row, ints.particular)) == r
-        for v in ints.nullspace:
-            assert sum(a * x for a, x in zip(row, v)) == 0
+    assert len(sol.nullspace) == n - rank
+    for row, r in zip(field, rhs):
+        assert sum((a * x for a, x in zip(row, sol.particular)), zero) == QuadExt(r, ctx=QQ)
+        for v in sol.nullspace:
+            assert sum((a * x for a, x in zip(row, v)), zero) == zero

@@ -13,6 +13,7 @@ from flextri.geometry import (
     isometry_group,
     make_point,
     plane_axes,
+    sixteen_cell_diagram,
 )
 from flextri.numeric import (
     CTX_SQRT2_SQRT3,
@@ -120,6 +121,40 @@ def test_shared_vertex_only_contact_is_admissible():
     v = pair_intersection_check(t1, t2)
     assert v.admissible
     assert v.shared == 1
+
+
+# Traces of T2 on the plane z = 0 of T1 = (0,0,0), (6,0,0), (0,6,0).  In
+# every case T1 has vertices on both sides of T2's plane, so the trace is
+# clipped to T1.  Each is (name, T2, kind or None when admissible, exact
+# witness in order).
+_H = Fraction(1, 2)
+CLIP_CASES = (
+    ("point-inside", ((1, 1, 0), (1, 1, 3), (2, 1, 3)), "vertex_in_face", ((1, 1, 0),)),
+    ("point-on-an-edge", ((3, 0, 0), (3, -1, 3), (4, -1, 3)), "vertex_in_face", ((3, 0, 0),)),
+    ("point-outside", ((5, 5, 0), (5, 5, 3), (6, 5, 3)), None, ()),
+    ("segment-inside", ((1, 1, -1), (2, 1, 1), (1, 2, 1)), "interior_crossing",
+     ((1 + _H, 1, 0), (1, 1 + _H, 0))),
+    ("segment-clipped-at-one-end", ((1, 1, -1), (15, 1, 1), (1, 3, 1)), "interior_crossing",
+     ((4 + _H, 1 + _H, 0), (1, 2, 0))),
+    ("segment-clipped-at-both-ends", ((3, 1, -1), (-5, 1, 1), (11, 1, 1)), "interior_crossing",
+     ((0, 1, 0), (5, 1, 0))),
+    ("segment-along-an-edge-of-T2", ((-1, 1, 0), (7, 1, 0), (3, 1, 4)), "edge_through_face",
+     ((0, 1, 0), (5, 1, 0))),
+    ("segment-missing-T1", ((7, 1, -1), (5, 1, 1), (9, 1, 1)), None, ()),
+)
+
+
+@pytest.mark.parametrize(
+    "t2, kind, witness", [c[1:] for c in CLIP_CASES], ids=[c[0] for c in CLIP_CASES]
+)
+def test_trace_clip_cases_have_exact_witnesses(t2, kind, witness):
+    # verdict, kind and the witness points in order, in R^3 and lifted by
+    # (x, y, z, 0) into R^4
+    t1 = ((0, 0, 0), (6, 0, 0), (0, 6, 0))
+    for lift in ((), (0,)):
+        v = pair_intersection_check(*(tuple(pt(*p, *lift) for p in t) for t in (t1, t2)))
+        assert (v.verdict, v.kind) == ("violation" if kind else "admissible", kind)
+        assert [w.coords for w in v.witness] == [pt(*p, *lift).coords for p in witness]
 
 
 def test_verdict_symmetric_under_swap():
@@ -583,6 +618,61 @@ def test_orbit_table_equals_the_full_table(
     for points, catalog, order in cases:
         assert len(field_isometry_group(catalog.task.graph.vertices, points)) == order
         assert verify_catalog(points, catalog) == _full_table_reports(points, catalog)
+
+
+def _automorphisms(graph, seed, count):
+    """``count`` seeded label permutations that keep the graph's edge set,
+    drawn uniformly by rejection."""
+    rng = random.Random(seed)
+    labels = list(graph.vertices)
+    found = []
+    while len(found) < count:
+        g = dict(zip(labels, rng.sample(labels, len(labels))))
+        if all(frozenset(g[v] for v in e) in graph.edges for e in graph.edges):
+            found.append(g)
+    return found
+
+
+def test_relabelling_the_placement_and_the_catalog_keeps_every_verdict(
+    suspension_points, schlegel16_points, rp2_points, moebius_points,
+    torus_catalog, rp2_catalog, moebius_catalog,
+):
+    # a graph automorphism pi puts the point of v at pi(v); the triangulation
+    # with faces pi(T) then has T's verdict and the images of T's violating
+    # pairs, and a violating pair whose face order pi keeps has the same
+    # kind, shared count and witness points (their order may follow the
+    # vertex order); the automorphisms of K_2,2,2,2 keep its missing
+    # matching, those of K_6 and K_5 are all permutations.  Besides the
+    # default placements, the 16-cell diagram at k = 2999/1000 and the
+    # Moebius placement with E at (0, 1, 1) embed no triangulation.
+    cases = (
+        (suspension_points, torus_catalog),
+        (schlegel16_points, torus_catalog),
+        (rp2_points, rp2_catalog),
+        (moebius_points, moebius_catalog),
+        (sixteen_cell_diagram(Fraction(2999, 1000)), torus_catalog),
+        (dict(moebius_points, E=make_point(CTX_SQRT5, 0, 1, 1)), moebius_catalog),
+    )
+    for seed, (points, catalog) in enumerate(cases):
+        labels = catalog.task.graph.vertices
+        perms = _automorphisms(catalog.task.graph, seed, 3)
+        assert any(g not in isometry_group(labels, *integer_frame(points)) for g in perms)
+        ids = range(len(catalog.triangulations))
+        index = {frozenset(t.faces): i for i, t in enumerate(catalog.triangulations)}
+        base = verify_catalog(points, catalog, ids)
+        for g in perms:
+            reports = verify_catalog({g[v]: p for v, p in points.items()}, catalog, ids)
+            for tri, r in zip(catalog.triangulations, base):
+                image = reports[index[frozenset(_image(g, f) for f in tri.faces)]]
+                assert image.verdict == r.verdict
+                by_faces = {v.faces: v for v in image.violations}
+                assert len(by_faces) == len(r.violations)
+                for v in r.violations:
+                    a, b = (_image(g, f) for f in v.faces)
+                    w = by_faces[min(a, b), max(a, b)]
+                    if a <= b:
+                        assert (w.kind, w.shared) == (v.kind, v.shared), v.faces
+                        assert {p.coords for p in w.witness} == {p.coords for p in v.witness}
 
 
 def test_verify_catalog_refuses_ids_out_of_range(moebius_points, moebius_catalog):
