@@ -9,12 +9,18 @@ bytes:
 - ``catalogs``: every report of every catalog on the four default
   placements, the benchmark's ``sweep`` grid and torus placements on both
   sides of the critical k (16-cell diagram: k = 3 and k = 1/3; suspension:
-  k = 2);
+  k = 2), and on each placement the reports of one selection: every id in
+  reverse order, then id 0 again;
 - ``degenerate``: the benchmark's 840 degenerate inputs (R^3, R^4 lift and
   affine image of each pool case);
 - ``pairs-r3`` and ``pairs-r4``: seeded small-int pairs in general
   position, sharing a vertex, sharing an edge, coplanar and touching, and
   in R^4 also pairs inside a 3-flat that is not a coordinate flat.
+
+Each section also prints its number of calls of
+``verify.pair_intersection_check``, the name ``verify_catalog`` calls,
+outside the hash: equal outputs from more calls mean verdicts decided again
+that the pair table should have copied.
 
 Run it as ``python3 scripts/predicate_digest.py`` from the repository root;
 ``--src DIR`` imports flextri from another tree's ``src`` directory, so
@@ -102,10 +108,12 @@ def catalogs_section(workloads):
 
     section = Section("catalogs")
     for name, points, catalog in placements:
-        for r in verify_catalog(points, catalog):
-            section.add(f"{name} {r.identity} {r.verdict} {r.pairs_checked}")
-            for v in r.violations:
-                section.add(f"  {v.faces} {_verdict(v)}", True)
+        selection = [*reversed(catalog.ids), catalog.ids[0]]
+        for ids, label in ((None, name), (selection, f"{name} {selection}")):
+            for r in verify_catalog(points, catalog, ids):
+                section.add(f"{label} {r.identity} {r.verdict} {r.pairs_checked}")
+                for v in r.violations:
+                    section.add(f"  {v.faces} {_verdict(v)}", True)
     return section
 
 
@@ -185,6 +193,21 @@ def pairs_section(dim):
     return section
 
 
+def _count_predicate_calls() -> list:
+    """Wrap ``verify.pair_intersection_check`` with a counter; the sections
+    import it when they run, and ``verify_catalog`` looks it up per call."""
+    from flextri import verify
+
+    calls, check = [0], verify.pair_intersection_check
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return check(*args, **kwargs)
+
+    verify.pair_intersection_check = counted
+    return calls
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory to import flextri from")
@@ -194,6 +217,7 @@ def main() -> int:
     import flextri
     import workloads
 
+    calls = _count_predicate_calls()
     start = time.perf_counter()
     print(f"flextri from {Path(flextri.__file__).parent}")
     for make in (
@@ -203,7 +227,9 @@ def main() -> int:
         lambda: pairs_section(3),
         lambda: pairs_section(4),
     ):
-        print(make(), flush=True)
+        before = calls[0]
+        section = make()
+        print(f"{section} calls={calls[0] - before}", flush=True)
     print(f"{time.perf_counter() - start:.1f} s")
     return 0
 

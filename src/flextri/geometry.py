@@ -98,7 +98,7 @@ def check_placement(labels, placement: dict) -> None:
     if missing:
         raise ValueError(f"placement missing vertices {missing}")
     pts = [placement[v] for v in labels]
-    if len({p.coords for p in pts}) != len(pts):
+    if len(set(pts)) != len(pts):
         raise ValueError("placement maps distinct labels to equal points")
 
 
@@ -141,7 +141,7 @@ def integer_frame(placement: dict):
     Returns ({label: tuple of ints}, (s_0, ..., s_{n-1})).
     """
     labels = list(placement)
-    ctx = placement[labels[0]].ctx
+    ctx = next((p.ctx for p in placement.values()), None)
     columns, scales = [], []
     for i, axis in enumerate(zip(*(placement[v].coords for v in labels))):
         for x in axis:

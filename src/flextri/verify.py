@@ -19,15 +19,15 @@ planes meet) is homogeneous, an int numerator tuple over a positive int
 denominator, and points are compared by cross-multiplication.  One
 Sutherland-Hodgman clip, ``_clip``, finds what lies inside the first face:
 of the second face when the two are coplanar, of the second face's trace
-on the first face's plane otherwise.  Witness points become Fractions only
-for a violation, and are mapped back through the scales, a 2-D coplanar
-witness (in the ``plane_axes`` projection of the first face) through those
-of its two axes, so they are exact points of the field.  ``verify_catalog``
-frames its placement, tests each face for degeneracy once, and runs
-``pair_intersection_check`` on the int points of one nondegenerate clique
-pair per orbit of the placement's isometry group, copying admissible
-verdicts only; on int points that entry goes straight to the body.  A direct call on QuadExt
-points frames the six points of its pair and tests both faces.
+on the first face's plane otherwise.  Witnesses become Fractions only for
+a violation, and are built straight into the field through the scales (a
+2-D coplanar witness through those of the first face's ``plane_axes``).
+``verify_catalog`` frames its placement, refuses two labels on one frame
+point, makes one int Point per label, numbers the distinct faces, tests
+each for degeneracy once, and runs ``pair_intersection_check`` on one
+nondegenerate pair per orbit of the isometry group, copying admissible
+verdicts along face-index pairs.  A direct call on QuadExt points frames
+the six points of its pair and tests both faces.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .geometry import (
     isometry_group,
     plane_axes,
 )
+from .numeric import _reduced
 
 
 def _sign(x) -> int:
@@ -408,25 +409,29 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     q1, q2 = q[:3], q[3:]
     if face_is_degenerate(*q1) or face_is_degenerate(*q2):
         return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
-    v = _map_back(_pair_check(q1, q2, shared), scales)
-    return PairVerdict((t1, t2), v.shared, v.verdict, v.kind, v.witness)
+    return _map_back(_pair_check(q1, q2, shared), scales, (t1, t2))
 
 
-def _map_back(verdict: PairVerdict, scales) -> PairVerdict:
-    """A verdict on the int frame with its witness mapped back through the
-    per-axis ``scales``: a 2-D coplanar witness lies in the ``plane_axes``
-    projection of the first face, so it takes the scales of those two axes."""
-    if not verdict.witness:
-        return verdict
-    t1 = verdict.faces[0]
-    axes = range(len(scales))
-    if len(verdict.witness[0]) != len(scales):
-        axes = plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))
-    witness = tuple(
-        Point(tuple(scales[i] * c for i, c in zip(axes, p)))
-        for p in verdict.witness
-    )
-    return PairVerdict(verdict.faces, verdict.shared, verdict.verdict, verdict.kind, witness)
+def _map_back(verdict: PairVerdict, scales, faces) -> PairVerdict:
+    """A verdict on the int frame as a verdict on ``faces``, its witness
+    mapped back through the per-axis ``scales``: a 2-D coplanar witness lies
+    in the ``plane_axes`` projection of the first face, so it takes the
+    scales of those two axes.  A coordinate n / m on an axis of scale
+    (a, b, c, e) / d is built in the field as (a n, b n, c n, e n) / (d m)."""
+    witness = verdict.witness
+    if witness:
+        t1 = verdict.faces[0]
+        axes = range(len(scales))
+        if len(witness[0]) != len(scales):
+            axes = plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))
+        witness = tuple(
+            Point(tuple(
+                _reduced(s.ctx, *(x * q.numerator for x in s._n[:4]), s._n[4] * q.denominator)
+                for s, q in zip(map(scales.__getitem__, axes), p)
+            ))
+            for p in witness
+        )
+    return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, witness)
 
 
 def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
@@ -434,8 +439,8 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     placement, one report per id in the order given.
 
     All triangulations draw their faces from the catalog's 3-cliques, so the
-    verdicts come from one table for the placement, keyed by clique pairs in
-    canonical order (faces are sorted, so the smaller face comes first).  A
+    verdicts come from one table for the placement.  Its faces are numbered
+    in sorted order, and it is keyed by index pairs (i, j) with i < j.  A
     label permutation that keeps the placement's exact squared distances
     (``geometry.isometry_group``) is a congruence, so it maps an admissible
     pair to an admissible pair: the predicate runs on one pair of each
@@ -445,53 +450,58 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     tested for degeneracy once, and that test serves both the report's
     degenerate-face violations and every pair the face is in: a pair with
     a degenerate face is decided here, and every other pair is handed to
-    ``pair_intersection_check`` as int points, which it does not test
-    again.  The group and the table are decided on the placement's
-    ``geometry.integer_frame``, and each witness is mapped back to the
-    placement's field; a placement with no frame raises ValueError, and one
-    of two contexts ContextMismatchError.
+    ``pair_intersection_check`` as a triple of the one int Point per label.
+    All of it is decided on the placement's ``geometry.integer_frame``,
+    where labels on equal points are refused, so the predicate finds the
+    shared vertices of a pair by coordinate equality, and each witness is
+    built in the field; a placement with no frame raises ValueError, one of
+    two contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
+    placement, scales = integer_frame(placement)
     check_placement(labels, placement)
     n = len(catalog.triangulations)
     ids = list(catalog.ids if ids is None else ids)
     for i in ids:
         if not 0 <= i < n:
             raise ValueError(f"triangulation id {i} out of range 0..{n - 1}")
-    placement, scales = integer_frame(placement)
     group = isometry_group(labels, placement, scales)
     tris = [catalog.triangulations[i] for i in ids]
-    points = {f: tuple(Point(placement[v]) for v in f) for t in tris for f in t.faces}
-    degenerate = {f: face_is_degenerate(*(placement[v] for v in f)) for f in points}
-    images = {f: [tuple(sorted(g[v] for v in f)) for g in group] for f in points}
-    table: dict = {}
+    # a face is keyed by its label set, one bit per label, and indexed in
+    # sorted order; an image face outside the selection gets a fresh index
+    bit = {v: 1 << k for k, v in enumerate(labels)}
+    faces = sorted({f for t in tris for f in t.faces})
+    index = {bit[u] | bit[v] | bit[w]: k for k, (u, v, w) in enumerate(faces)}
+    moves = [{v: bit[w] for v, w in g.items()} for g in group]
+    images = [
+        [index.setdefault(m[u] | m[v] | m[w], len(index)) for m in moves] for u, v, w in faces
+    ]
+    points = {v: Point(placement[v]) for v in labels}
+    corners = [tuple(map(points.__getitem__, f)) for f in faces]
+    degenerate = [face_is_degenerate(*map(placement.__getitem__, f)) for f in faces]
+    table: dict = {}  # (a, b) with a < b: the pair's violation, or None
     reports = []
     for i, tri in zip(ids, tris):
+        face_ids = [index[bit[u] | bit[v] | bit[w]] for u, v, w in tri.faces]
         violations = [
-            PairVerdict((f, f), 3, "violation", "degenerate_face")
-            for f in tri.faces
-            if degenerate[f]
+            PairVerdict((faces[a], faces[a]), 3, "violation", "degenerate_face")
+            for a in face_ids if degenerate[a]
         ]
-        pairs = list(combinations(tri.faces, 2))
+        pairs = list(combinations(face_ids, 2))
         for a, b in pairs:
             if (a, b) not in table:
+                fa, fb = faces[a], faces[b]
                 if degenerate[a] or degenerate[b]:
-                    v = PairVerdict((a, b), 0, "violation", "degenerate_face")
+                    v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
                 else:
-                    shared = [
-                        (j, k) for j, u in enumerate(a) for k, w in enumerate(b) if u == w
-                    ]
-                    v = pair_intersection_check(points[a], points[b], shared)
+                    v = pair_intersection_check(corners[a], corners[b])
                 if v.admissible:
                     for ga, gb in zip(images[a], images[b]):
-                        table.setdefault((ga, gb) if ga < gb else (gb, ga), v)
+                        table.setdefault((ga, gb) if ga < gb else (gb, ga), None)
                 else:
-                    table[a, b] = _map_back(v, scales)
-            v = table[a, b]
-            if not v.admissible:
-                violations.append(
-                    PairVerdict((a, b), v.shared, v.verdict, v.kind, v.witness)
-                )
+                    table[a, b] = _map_back(v, scales, (fa, fb))
+            if table[a, b]:
+                violations.append(table[a, b])
         verdict = "embedded" if not violations else "not_embedded"
         reports.append(EmbeddingReport(str(i), verdict, violations, len(pairs)))
     return reports

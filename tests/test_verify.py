@@ -27,7 +27,6 @@ from flextri.surfaces import enumerate_cliques3
 from flextri.verify import (
     EmbeddingReport,
     PairVerdict,
-    _map_back,
     _pair_check,
     orientation_sign,
     pair_intersection_check,
@@ -260,19 +259,28 @@ def test_verify_catalog_table_checks_and_selection(
                 (v,) = [v for v in r.violations if v.faces == pair]
                 assert v.kind == "degenerate_face"
 
-    # the placement is checked once per call: a missing label, and two
-    # labels on one point, are refused
+    # the placement is checked once per call: a missing label, no point at
+    # all, and two labels on one point, are refused
     missing = {v: p for v, p in moebius_points.items() if v != "C"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing vertices \['C'\]"):
         verify_catalog(missing, moebius_catalog)
+    with pytest.raises(ValueError, match="missing vertices"):
+        verify_catalog({}, moebius_catalog)
     doubled = dict(moebius_points, C=moebius_points["D"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct labels to equal points"):
         verify_catalog(doubled, moebius_catalog)
 
     # a selection is the same reports as the full run, in the order asked
     full = verify_catalog(suspension_points, torus_catalog)
     assert verify_catalog(suspension_points, torus_catalog, [8, 3]) == [full[8], full[3]]
     assert [full[8].identity, full[3].identity] == ["8", "3"]
+
+    # also on a placement that embeds nothing, whose isometries map faces of
+    # the selection to faces outside it, and with an id asked twice
+    points = sixteen_cell_diagram(Fraction(2999, 1000))
+    full = verify_catalog(points, torus_catalog)
+    assert not any(r.embedded for r in full)
+    assert verify_catalog(points, torus_catalog, [11, 2, 2]) == [full[11], full[2], full[2]]
 
 
 def test_verify_catalog_tests_each_face_for_degeneracy_once(
@@ -292,6 +300,38 @@ def test_verify_catalog_tests_each_face_for_degeneracy_once(
     ints, _ = integer_frame(suspension_points)
     faces = {f for i in ids for f in torus_catalog.triangulations[i].faces}
     assert sorted(tested) == sorted(tuple(ints[v] for v in f) for f in faces)
+
+
+def test_verify_catalog_predicate_calls(
+    monkeypatch, suspension_points, schlegel16_points, rp2_points, moebius_points,
+    torus_catalog, rp2_catalog, moebius_catalog,
+):
+    # catalog pairs reach the module global pair_intersection_check as Point
+    # triples, and on the report's placements as often as below: one call
+    # per orbit of admissible pairs and one per violating pair.  A table
+    # that missed the copied verdicts would call it more often and still
+    # give the same reports, so only the count shows it.
+    calls = []
+
+    def spy(t1, t2, shared=None):
+        calls.append((t1, t2))
+        return pair_intersection_check(t1, t2, shared)
+
+    monkeypatch.setattr(verify, "pair_intersection_check", spy)
+    counts = {}
+    for name, points, catalog in (
+        ("suspension", suspension_points, torus_catalog),
+        ("schlegel16cell", schlegel16_points, torus_catalog),
+        ("rp2-simplex", rp2_points, rp2_catalog),
+        ("moebius", moebius_points, moebius_catalog),
+    ):
+        calls.clear()
+        verify_catalog(points, catalog)
+        for face in (t for pair in calls for t in pair):
+            assert type(face) is tuple and len(face) == 3
+            assert all(type(p) is Point for p in face)
+        counts[name] = len(calls)
+    assert counts == {"suspension": 80, "schlegel16cell": 33, "rp2-simplex": 6, "moebius": 5}
 
 
 def test_verdicts_invariant_under_scaling(moebius_points, moebius_catalog):
@@ -559,6 +599,16 @@ def test_isometry_group_orders_and_pair_orbits(
         assert len(_pair_orbits(group, catalog)) == n_orbits
 
 
+def _field_witness(witness, t1, scales):
+    """A witness on the int frame as points of the field, by QuadExt
+    arithmetic: scales[i] * Fraction on axis i, where a 2-D witness lies in
+    the ``plane_axes`` projection of the int face ``t1``."""
+    axes = range(len(scales))
+    if witness and len(witness[0]) != len(scales):
+        axes = plane_axes(*(tuple(x - y for x, y in zip(p, t1[0])) for p in t1[1:]))
+    return tuple(Point(tuple(scales[i] * c for i, c in zip(axes, p))) for p in witness)
+
+
 def _full_table_reports(points, catalog):
     """verify_catalog's reports from the full table, by brute force: the
     predicate on every co-occurring clique pair, on the placement's int
@@ -572,7 +622,9 @@ def _full_table_reports(points, catalog):
             if face_is_degenerate(*ta) or face_is_degenerate(*tb):
                 table[a, b] = PairVerdict((a, b), 0, "violation", "degenerate_face")
             else:
-                table[a, b] = _map_back(_pair_check(ta, tb, shared), scales)
+                v = _pair_check(ta, tb, shared)
+                witness = _field_witness(v.witness, ta, scales)
+                table[a, b] = PairVerdict((a, b), v.shared, v.verdict, v.kind, witness)
     reports = []
     for i, tri in zip(catalog.ids, catalog.triangulations):
         violations = [
