@@ -15,7 +15,10 @@ bytes:
   affine image of each pool case);
 - ``pairs-r3`` and ``pairs-r4``: seeded small-int pairs in general
   position, sharing a vertex, sharing an edge, coplanar and touching, and
-  in R^4 also pairs inside a 3-flat that is not a coordinate flat.
+  in R^4 also pairs inside a 3-flat that is not a coordinate flat;
+- ``enumeration``: the triangulations, classes and rejected face sets (in
+  order) of ``enumerate_triangulations`` on every named graph, in each mode
+  its edge count allows, with no target and with each named surface.
 
 Each section also prints its number of calls of
 ``verify.pair_intersection_check``, the name ``verify_catalog`` calls,
@@ -193,6 +196,27 @@ def pairs_section(dim):
     return section
 
 
+def enumeration_section():
+    from flextri.enumeration import EnumerationTask, enumerate_triangulations
+    from flextri.surfaces import SURFACE_NAMES, build_graph
+
+    section = Section("enumeration")
+    for name in ("k2222", "k6", "k5", "octahedron"):
+        for mode in ("closed", "with_boundary"):
+            for target in (None, *SURFACE_NAMES.values()):
+                try:
+                    task = EnumerationTask(build_graph(name), mode, target)
+                except ValueError:  # closed mode needs 3 | 2E
+                    continue
+                catalog = enumerate_triangulations(task)
+                label = f"{name} {mode} {target}"
+                for t, c in zip(catalog.triangulations, catalog.classes):
+                    section.add(f"{label} + {t.faces} {c}")
+                for t, c in catalog.rejected:
+                    section.add(f"{label} - {t.faces} {c}", True)
+    return section
+
+
 def _count_predicate_calls() -> list:
     """Wrap ``verify.pair_intersection_check`` with a counter; the sections
     import it when they run, and ``verify_catalog`` looks it up per call."""
@@ -226,6 +250,7 @@ def main() -> int:
         lambda: degenerate_section(workloads),
         lambda: pairs_section(3),
         lambda: pairs_section(4),
+        enumeration_section,
     ):
         before = calls[0]
         section = make()

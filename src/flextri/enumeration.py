@@ -1,10 +1,10 @@
 """Exhaustive enumeration of triangulations over a fixed labeled graph.
 
 The search decides, triangle by triangle in canonical order, whether each
-3-clique is a face.  Pruning is combinatorial: edge multiplicities, link
-fragments, and feasibility of still-undecided triangles.  No symmetry
-reduction is applied; the counts of interest are counts of *labeled*
-face sets.
+3-clique is a face.  Pruning is combinatorial: edge multiplicities, cycles
+that close too early in a vertex link, and feasibility of still-undecided
+triangles.  No symmetry reduction is applied; the counts of interest are
+counts of *labeled* face sets.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .surfaces import (
     SurfaceClass,
     Triangle,
     Triangulation,
-    _components,
     _face_edges,
     classify_surface,
     enumerate_cliques3,
@@ -49,123 +48,84 @@ class Catalog:
         return range(len(self.triangulations))
 
 
-class _LinkState:
-    """Incremental link fragments at one vertex during the search."""
-
-    __slots__ = ("adj",)
-
-    def __init__(self):
-        self.adj: dict = {}
-
-    def add(self, u, w):
-        self.adj.setdefault(u, []).append(w)
-        self.adj.setdefault(w, []).append(u)
-
-    def remove(self, u, w):
-        self.adj[u].remove(w)
-        self.adj[w].remove(u)
-        if not self.adj[u]:
-            del self.adj[u]
-        if not self.adj[w]:
-            del self.adj[w]
-
-    def ok_partial(self, uncovered_incident_edges: int) -> bool:
-        """Degrees <= 2 and no premature cycle.
-
-        A cycle component is terminal: once one exists, the vertex can accept
-        no further faces, so any other fragment or any incident edge still
-        needing coverage kills the branch.
-        """
-        adj = self.adj
-        if any(len(nbrs) > 2 for nbrs in adj.values()):
+def _closes_short_cycle(link: dict, u, w) -> bool:
+    """Whether the link edge uw, just added to ``link``, closes a cycle
+    through fewer than all ``len(link)`` neighbours of the link's vertex."""
+    prev, cur = u, w
+    for _ in range(len(link) - 2):
+        nbrs = link[cur]
+        if len(nbrs) == 1:
             return False
-        for comp in _components(adj):
-            is_cycle = all(len(adj[v]) == 2 for v in comp)
-            if is_cycle and (len(comp) < len(adj) or uncovered_incident_edges > 0):
-                return False
-        return True
+        prev, cur = cur, nbrs[nbrs[0] == prev]
+        if cur == u:
+            return True
+    return False
 
 
 def enumerate_triangulations(task: EnumerationTask) -> Catalog:
     """Complete, duplicate-free catalog of all valid face sets for the task.
 
     In closed mode every edge must end with multiplicity exactly 2; in
-    with_boundary mode multiplicity 1 or 2.  Candidates failing the target
-    surface filter are collected in ``rejected`` rather than dropped
-    silently.
+    with_boundary mode multiplicity 1 or 2.  A face is refused when it
+    would close a cycle in a vertex link that misses some neighbour of the
+    vertex, so the face sets that reach classification are those whose
+    links are paths and cycles through all neighbours.  Candidates failing
+    the target surface filter are collected in ``rejected`` rather than
+    dropped silently.
     """
     graph = task.graph
     cliques = enumerate_cliques3(graph)
     n = len(cliques)
-    closed = task.mode == "closed"
-    need_min = 2 if closed else 1
+    need_min = 2 if task.mode == "closed" else 1
 
     clique_edges = [_face_edges(t) for t in cliques]
-    edges = sorted(graph.edges, key=lambda e: tuple(sorted(e)))
-    mult = {e: 0 for e in edges}
+    mult = dict.fromkeys(graph.edges, 0)
     # how many undecided cliques can still cover each edge
-    remaining = {e: 0 for e in edges}
+    remaining = dict.fromkeys(graph.edges, 0)
     for es in clique_edges:
         for e in es:
             remaining[e] += 1
-    for e in edges:
-        if remaining[e] < need_min:
-            return Catalog(task, [], [])
+    if any(r < need_min for r in remaining.values()):
+        return Catalog(task, [], [])
 
-    links = {v: _LinkState() for v in graph.vertices}
-    incident = {v: [e for e in edges if v in e] for v in graph.vertices}
+    # link(v) as neighbour -> its link neighbours; u has link degree
+    # mult(vu) <= 2, so each link is a union of paths and cycles
+    links = {v: {u: [] for u in graph.neighbors(v)} for v in graph.vertices}
+    clique_links = [((links[a], b, c), (links[b], a, c), (links[c], a, b)) for a, b, c in cliques]
 
     chosen: list[Triangle] = []
     results: list[tuple[Triangle, ...]] = []
 
-    def uncovered_at(v) -> int:
-        return sum(1 for e in incident[v] if mult[e] == 0)
-
-    def feasible_exclude(i: int) -> bool:
-        for e in clique_edges[i]:
-            if mult[e] + remaining[e] < need_min:
-                return False
-        return True
-
     def try_include(i: int) -> bool:
-        t = cliques[i]
-        for e in clique_edges[i]:
-            if mult[e] >= 2:
-                return False
+        if any(mult[e] == 2 for e in clique_edges[i]):
+            return False
         for e in clique_edges[i]:
             mult[e] += 1
-        (a, b, c) = t
-        links[a].add(b, c)
-        links[b].add(a, c)
-        links[c].add(a, b)
-        for v in t:
-            if not links[v].ok_partial(uncovered_at(v)):
-                undo_include(i)
-                return False
+        for link, u, w in clique_links[i]:
+            link[u].append(w)
+            link[w].append(u)
+        # A link cycle appears only when an include adds its closing edge,
+        # and one through all neighbours of v leaves every edge at v in two
+        # faces, so no later face at v is accepted: one walk from the new
+        # edge is the whole test of each link.
+        if any(_closes_short_cycle(*at) for at in clique_links[i]):
+            undo_include(i)
+            return False
         return True
 
     def undo_include(i: int):
-        t = cliques[i]
-        (a, b, c) = t
-        links[a].remove(b, c)
-        links[b].remove(a, c)
-        links[c].remove(a, b)
+        # undos run in reverse order of includes: the last entries are i's
+        for link, u, w in clique_links[i]:
+            link[u].pop()
+            link[w].pop()
         for e in clique_edges[i]:
             mult[e] -= 1
 
-    def final_ok() -> bool:
-        for e in edges:
-            m = mult[e]
-            if closed and m != 2:
-                return False
-            if not closed and not (1 <= m <= 2):
-                return False
-        return True
-
     def search(i: int):
+        # the remaining check at the start, the exclude test and the include
+        # refusal at multiplicity 2 keep every edge in [need_min, 2] at i == n
         if i == n:
-            if final_ok():
-                results.append(tuple(chosen))
+            results.append(tuple(chosen))
             return
         for e in clique_edges[i]:
             remaining[e] -= 1
@@ -176,7 +136,7 @@ def enumerate_triangulations(task: EnumerationTask) -> Catalog:
             chosen.pop()
             undo_include(i)
         # exclude branch
-        if feasible_exclude(i):
+        if all(mult[e] + remaining[e] >= need_min for e in clique_edges[i]):
             search(i + 1)
         for e in clique_edges[i]:
             remaining[e] += 1

@@ -213,17 +213,6 @@ def isometry_group(labels, placement: dict, scales) -> list[dict]:
 
 # -- named constructions ---------------------------------------------------
 
-CONSTRUCTION_NAMES = (
-    "suspension",
-    "schlegel16cell",
-    "rp2_simplex",
-    "moebius",
-    "std_hyperoctahedron",
-    "std_simplex5",
-    "std_octahedron",
-)
-
-
 def construction_coords(name: str, params: RealizationParams | None = None) -> dict:
     """Exact labeled point sets for the named constructions.
 
@@ -274,12 +263,6 @@ def construction_coords(name: str, params: RealizationParams | None = None) -> d
         return _unit_cross_polytope(4, "ABCD", "EFGH")
     if name == "std_octahedron":
         return _unit_cross_polytope(3, "BCD", "FGH")
-    if name == "std_simplex5":
-        # regular 5-simplex as the standard basis of R^6 (affine hull x1+..+x6 = 1)
-        out = {}
-        for i, label in enumerate(("A", "B", "C", "D", "E", "O")):
-            out[label] = make_point(QQ, *(1 if j == i else 0 for j in range(6)))
-        return out
     raise ParameterError(f"unknown construction {name!r}")
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from flextri.enumeration import (
@@ -7,7 +9,13 @@ from flextri.enumeration import (
     complement_pairing,
     enumerate_triangulations,
 )
-from flextri.surfaces import build_graph, enumerate_cliques3
+from flextri.surfaces import (
+    SURFACE_NAMES,
+    Triangulation,
+    build_graph,
+    classify_surface,
+    enumerate_cliques3,
+)
 
 
 @pytest.mark.parametrize(
@@ -69,11 +77,93 @@ def test_catalog_sorted_canonically(torus_catalog):
     assert len(set(encodings)) == len(encodings)
 
 
-def test_brute_force_k5_scan_matches_backtracking(moebius_catalog):
-    brute = brute_force_catalog(moebius_catalog.task)
-    assert [t.faces for t in brute.triangulations] == [
-        t.faces for t in moebius_catalog.triangulations
+@pytest.mark.parametrize("target", [None, *SURFACE_NAMES])
+@pytest.mark.parametrize(
+    "graph_name,mode",
+    [("k5", "with_boundary"), ("octahedron", "closed"), ("octahedron", "with_boundary")],
+)
+def test_brute_force_scan_matches_backtracking(graph_name, mode, target):
+    task = EnumerationTask(build_graph(graph_name), mode, SURFACE_NAMES.get(target))
+    search, brute = enumerate_triangulations(task), brute_force_catalog(task)
+    assert [t.faces for t in search.triangulations] == [t.faces for t in brute.triangulations]
+    assert [t.faces for t, _ in search.rejected] == [t.faces for t, _ in brute.rejected]
+    if (graph_name, mode, target) == ("octahedron", "with_boundary", None):
+        assert (len(search.triangulations), len(search.rejected)) == (13, 22)
+
+
+def _closed_face_sets(graph) -> set:
+    """Every set of 3-cliques that puts each edge of ``graph`` in exactly
+    two faces, by a meet-in-the-middle scan: the cliques split into two
+    halves, each half's subsets are tabulated by their edge-multiplicity
+    vectors (entries at most 2), and a vector v meets 2 - v."""
+    index = {e: i for i, e in enumerate(graph.edges)}
+    cliques = [
+        t for t in combinations(graph.vertices, 3)
+        if all(graph.has_edge(*p) for p in combinations(t, 2))
     ]
+
+    def table(half) -> dict:
+        subsets = [((0,) * len(index), ())]
+        for t in half:
+            at = [index[frozenset(p)] for p in combinations(t, 2)]
+            for vec, faces in list(subsets):
+                vec = list(vec)
+                for i in at:
+                    vec[i] += 1
+                if all(vec[i] <= 2 for i in at):
+                    subsets.append((tuple(vec), faces + (t,)))
+        out: dict = {}
+        for vec, faces in subsets:
+            out.setdefault(vec, []).append(faces)
+        return out
+
+    mid = len(cliques) // 2
+    low, high = table(cliques[:mid]), table(cliques[mid:])
+    return {
+        tuple(sorted(f + g))
+        for vec, fs in low.items()
+        for g in high.get(tuple(2 - m for m in vec), ())
+        for f in fs
+    }
+
+
+@pytest.mark.parametrize("catalog_name,closed_sets", [("torus_catalog", 76), ("rp2_catalog", 12)])
+def test_closed_catalog_complete_by_meet_in_the_middle(catalog_name, closed_sets, request):
+    cat = request.getfixturevalue(catalog_name)
+    graph = cat.task.graph
+    scanned = _closed_face_sets(graph)
+    assert len(scanned) == closed_sets
+    manifolds = {f for f in scanned if classify_surface(Triangulation(graph, f)).is_manifold}
+    untargeted = enumerate_triangulations(EnumerationTask(graph, "closed"))
+    for found in (cat, untargeted):
+        assert {t.faces for t in found.triangulations} == manifolds
+        # the rest are non-manifold, and the link pruning drops them all
+        assert not (scanned - manifolds) & {t.faces for t, _ in found.rejected}
+
+
+def _automorphisms(graph) -> list[dict]:
+    """Every permutation of the labels that maps edges to edges."""
+    group = []
+    for perm in permutations(graph.vertices):
+        sigma = dict(zip(graph.vertices, perm))
+        if all(graph.has_edge(*(sigma[v] for v in e)) for e in graph.edges):
+            group.append(sigma)
+    return group
+
+
+@pytest.mark.parametrize(
+    "catalog_name,order",
+    [("torus_catalog", 384), ("rp2_catalog", 720), ("moebius_catalog", 120)],
+)
+def test_catalog_is_one_automorphism_orbit(catalog_name, order, request):
+    cat = request.getfixturevalue(catalog_name)
+    group = _automorphisms(cat.task.graph)
+    assert len(group) == order
+    orbit = {
+        tuple(sorted(tuple(sorted(sigma[v] for v in f)) for f in cat.triangulations[0].faces))
+        for sigma in group
+    }
+    assert orbit == {t.faces for t in cat.triangulations}
 
 
 def test_closed_mode_divisibility_check():

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from flextri.geometry import (
-    CONSTRUCTION_NAMES,
     DEFAULT_PARAMS,
     ParameterError,
     Point,
@@ -85,6 +84,16 @@ def test_rp2_last_coordinate(rp2_points):
     assert rp2_points["O"].is_zero()
     # the apex direction has length 5 * (4/5)^2 = 16/5
     assert rp2_points["A"].norm_sq() == qq(Fraction(16, 5), ctx=CTX_SQRT5)
+
+
+CONSTRUCTION_NAMES = (
+    "suspension",
+    "schlegel16cell",
+    "rp2_simplex",
+    "moebius",
+    "std_hyperoctahedron",
+    "std_octahedron",
+)
 
 
 def test_every_construction_name_resolves():
