@@ -10,8 +10,8 @@ counts of *labeled* face sets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
+from .numeric import _Value
 from .surfaces import (
     LabeledGraph,
     SurfaceClass,
@@ -23,25 +23,24 @@ from .surfaces import (
 )
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
-    graph: LabeledGraph
-    mode: str  # "closed" | "with_boundary"
-    target: str | None = None  # surface name filter, e.g. "torus"
+class EnumerationTask(_Value, frozen=True):
+    __slots__ = ("graph", "mode", "target")
 
-    def __post_init__(self):
-        if self.mode not in ("closed", "with_boundary"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "closed" and (2 * len(self.graph.edges)) % 3 != 0:
+    def __init__(self, graph: LabeledGraph, mode: str, target: str | None = None):
+        self._set_slots(graph, mode, target)
+        if mode not in ("closed", "with_boundary"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "closed" and (2 * len(graph.edges)) % 3 != 0:
             raise ValueError("closed mode needs 3 | 2E so that F = 2E/3 is integral")
 
 
-@dataclass
-class Catalog:
-    task: EnumerationTask
-    triangulations: list[Triangulation]
-    classes: list[SurfaceClass]
-    rejected: list[tuple[Triangulation, SurfaceClass]] = field(default_factory=list)
+class Catalog(_Value, frozen=False):
+    __slots__ = ("task", "triangulations", "classes", "rejected")
+
+    def __init__(self, task: EnumerationTask, triangulations: list[Triangulation],
+                 classes: list[SurfaceClass], rejected: list[tuple] | None = None):
+        self.task, self.triangulations, self.classes = task, triangulations, classes
+        self.rejected = [] if rejected is None else rejected
 
     @property
     def ids(self) -> range:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,6 +29,7 @@ from .numeric import (
     FieldContext,
     QuadExt,
     _reduced,
+    _Value,
     solve_linear,
 )
 
@@ -38,9 +38,11 @@ class ParameterError(ValueError):
     """A construction parameter is missing or out of its valid range."""
 
 
-@dataclass(frozen=True)
-class Point:
-    coords: tuple[QuadExt, ...]
+class Point(_Value, frozen=True):
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[QuadExt, ...]):
+        _set_coords(self, coords)  # built on hot paths: one descriptor call
 
     @property
     def dim(self) -> int:
@@ -76,6 +78,9 @@ class Point:
         return not any(self.coords)
 
 
+_set_coords = Point.coords.__set__
+
+
 def make_point(ctx: FieldContext, *entries) -> Point:
     coords = tuple(
         e if isinstance(e, QuadExt) else QuadExt(e, ctx=ctx) for e in entries
@@ -87,9 +92,11 @@ def dist_sq(p: Point, q: Point) -> QuadExt:
     return (p - q).norm_sq()
 
 
-@dataclass(frozen=True)
-class RealizationParams:
-    k: Fraction
+class RealizationParams(_Value, frozen=True):
+    __slots__ = ("k",)
+
+    def __init__(self, k: Fraction):
+        self._set_slots(k)
 
 
 def check_placement(labels, placement: dict) -> None:
@@ -198,14 +205,18 @@ def isometry_group(labels, placement: dict, scales) -> list[dict]:
         if k == n:
             group.append({u: labels[c] for u, c in zip(labels, image)})
             return
-        row = d[k]
+        want = list(zip(image, d[k]))  # (image of labels[j], d[k][j]) for j < k
         for c in range(n):
-            if free[c] and list(map(d[c].__getitem__, image)) == row[:k]:
-                free[c] = False
-                image.append(c)
-                extend(k + 1)
-                image.pop()
-                free[c] = True
+            if free[c]:
+                for m, r in want:
+                    if d[c][m] != r:
+                        break
+                else:
+                    free[c] = False
+                    image.append(c)
+                    extend(k + 1)
+                    image.pop()
+                    free[c] = True
 
     extend(0)
     return group

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 
 class ContextMismatchError(ValueError):
@@ -45,17 +43,55 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldContext:
+def _frozen(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Value:
+    """A dataclass's value semantics, read off ``__slots__``: field-wise
+    equality within one class and the repr ``Name(field=value, ...)``.  A
+    subclass declares ``frozen``: frozen ones are hashed by their fields and
+    refuse assignment, mutable ones are unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, *, frozen: bool):
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _frozen
+        else:
+            cls.__hash__ = None
+
+    def _set_slots(self, *values):
+        """Set the slots of a frozen instance in order, through their descriptors."""
+        for name, value in zip(self.__slots__, values):
+            getattr(type(self), name).__set__(self, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FieldContext(_Value, frozen=True):
     """The field Q(sqrt(d1), sqrt(d2)); d2 = 1 degenerates to Q(sqrt(d1))."""
 
-    d1: int
-    d2: int
+    __slots__ = ("d1", "d2")
 
-    def __post_init__(self):
-        if not _is_square_free(self.d1) or not _is_square_free(self.d2):
+    def __init__(self, d1: int, d2: int):
+        self._set_slots(d1, d2)
+        if not _is_square_free(d1) or not _is_square_free(d2):
             raise ValueError(f"context radicands must be square-free positive: {self}")
-        if self.d1 == self.d2 and self.d1 != 1:
+        if d1 == d2 and d1 != 1:
             raise ValueError(f"context radicands must differ: {self}")
 
 
@@ -103,8 +139,7 @@ class QuadExt:
         _set_n(self, tuple(q.numerator * (d // q.denominator) for q in (a, b, c, e)) + (d,))
         _set_ctx(self, ctx)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
+    __setattr__ = __delattr__ = _frozen
 
     @property
     def a(self) -> Fraction:
@@ -320,8 +355,7 @@ def _reduced(ctx: FieldContext, a: int, b: int, c: int, e: int, den: int) -> Qua
 
 # -- exact linear algebra --------------------------------------------------
 
-@dataclass
-class LinearSolution:
+class LinearSolution(_Value, frozen=False):
     """Outcome of exact Gaussian elimination on A x = rhs.
 
     kind is "unique", "parametric" or "inconsistent".  For solvable systems,
@@ -329,10 +363,11 @@ class LinearSolution:
     solutions (empty for unique solutions).
     """
 
-    kind: str
-    rank: int
-    particular: list | None = None
-    nullspace: list | None = None
+    __slots__ = ("kind", "rank", "particular", "nullspace")
+
+    def __init__(self, kind: str, rank: int, particular: list | None = None,
+                 nullspace: list | None = None):
+        self.kind, self.rank, self.particular, self.nullspace = kind, rank, particular, nullspace
 
 
 def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> LinearSolution:

@@ -7,23 +7,22 @@ face sets are equal; all ordering is lexicographic on vertex labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
+from .numeric import _Value
 
 Triangle = tuple[str, str, str]  # sorted label triple
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    name: str
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset]
+class LabeledGraph(_Value, frozen=True):
+    __slots__ = ("name", "vertices", "edges")
 
-    def __post_init__(self):
-        for e in self.edges:
+    def __init__(self, name: str, vertices: tuple[str, ...], edges: frozenset[frozenset]):
+        self._set_slots(name, vertices, edges)
+        for e in edges:
             u, v = sorted(e)
-            if u == v or u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"bad edge {set(e)} in graph {self.name}")
+            if u == v or u not in vertices or v not in vertices:
+                raise ValueError(f"bad edge {set(e)} in graph {name}")
 
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
@@ -69,10 +68,11 @@ def enumerate_cliques3(graph: LabeledGraph) -> list[Triangle]:
     ]
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    graph: LabeledGraph
-    faces: tuple[Triangle, ...]  # canonical order
+class Triangulation(_Value, frozen=True):
+    __slots__ = ("graph", "faces")
+
+    def __init__(self, graph: LabeledGraph, faces: tuple[Triangle, ...]):
+        self._set_slots(graph, faces)  # faces in canonical order
 
     @staticmethod
     def from_faces(graph: LabeledGraph, faces) -> "Triangulation":
@@ -110,13 +110,12 @@ def edge_face_counts(t: Triangulation) -> dict:
     return {e: len(fs) for e, fs in _edge_faces(t.faces).items()}
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
-    euler: int
-    orientable: bool
-    boundary_components: int
-    is_manifold: bool
-    name: str
+class SurfaceClass(_Value, frozen=True):
+    __slots__ = ("euler", "orientable", "boundary_components", "is_manifold", "name")
+
+    def __init__(self, euler: int, orientable: bool, boundary_components: int,
+                 is_manifold: bool, name: str):
+        self._set_slots(euler, orientable, boundary_components, is_manifold, name)
 
 
 def _components(adj: dict) -> list[set]:
@@ -136,17 +135,6 @@ def _components(adj: dict) -> list[set]:
         seen |= comp
         comps.append(comp)
     return comps
-
-
-def _link_graph(t: Triangulation, v: str) -> dict:
-    """Adjacency (neighbor -> set of neighbors) of the link of v."""
-    adj: dict = {}
-    for f in t.faces:
-        if v in f:
-            u, w = (x for x in f if x != v)
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
-    return adj
 
 
 def _is_path_or_cycle(adj: dict) -> bool:
@@ -211,7 +199,12 @@ def classify_surface(t: Triangulation) -> SurfaceClass:
     euler = V - E + F
 
     edge_faces = _edge_faces(t.faces)
-    links = {v: _link_graph(t, v) for v in t.graph.vertices}
+    # each vertex's link as neighbour -> set of neighbours, in one pass
+    links: dict = {v: {} for v in t.graph.vertices}
+    for a, b, c in t.faces:
+        for v, u, w in ((a, b, c), (b, a, c), (c, a, b)):
+            links[v].setdefault(u, set()).add(w)
+            links[v].setdefault(w, set()).add(u)
     manifold = (
         all(_is_path_or_cycle(link) for link in links.values())
         and all(1 <= len(edge_faces.get(e, ())) <= 2 for e in t.graph.edges)

@@ -33,7 +33,6 @@ the six points of its pair and tests both faces.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,7 +45,7 @@ from .geometry import (
     isometry_group,
     plane_axes,
 )
-from .numeric import _reduced
+from .numeric import _reduced, _Value
 
 
 def _sign(x) -> int:
@@ -76,25 +75,28 @@ def _orient2d(a, b, p):
     return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
 
 
-@dataclass
-class PairVerdict:
-    faces: tuple
-    shared: int
-    verdict: str                  # "admissible" | "violation"
-    kind: str | None = None       # violation kind
-    witness: tuple = ()           # offending exact points, when available
+class PairVerdict(_Value, frozen=False):
+    __slots__ = ("faces", "shared", "verdict", "kind", "witness")
+
+    def __init__(self, faces: tuple, shared: int, verdict: str, kind: str | None = None,
+                 witness: tuple = ()):
+        # verdict is "admissible" | "violation"; witness: offending exact points
+        self.faces, self.shared, self.verdict = faces, shared, verdict
+        self.kind, self.witness = kind, witness
 
     @property
     def admissible(self) -> bool:
         return self.verdict == "admissible"
 
 
-@dataclass
-class EmbeddingReport:
-    identity: str
-    verdict: str                  # "embedded" | "not_embedded"
-    violations: list = field(default_factory=list)
-    pairs_checked: int = 0
+class EmbeddingReport(_Value, frozen=False):
+    __slots__ = ("identity", "verdict", "violations", "pairs_checked")
+
+    def __init__(self, identity: str, verdict: str, violations: list | None = None,
+                 pairs_checked: int = 0):
+        # verdict is "embedded" | "not_embedded"
+        self.identity, self.verdict, self.pairs_checked = identity, verdict, pairs_checked
+        self.violations = [] if violations is None else violations
 
     @property
     def embedded(self) -> bool:

@@ -405,3 +405,26 @@ def test_reproduce_results_script(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(artifacts)
     reference = ROOT / "perfbench" / "references" / "report.txt"
     assert (tmp_path / "report.txt").read_bytes() == reference.read_bytes()
+
+
+# -- cold start ------------------------------------------------------------
+
+def _fresh_modules(code: str) -> set:
+    """The names in sys.modules after ``code`` runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # against a bare interpreter of the same environment, since site and
+    # .pth files may load some of these before any code runs
+    bare = _fresh_modules("pass")
+    loaded = _fresh_modules("import flextri.cli") - bare
+    layers = ("cli", "enumeration", "geometry", "numeric", "surfaces", "verify")
+    assert {f"flextri.{m}" for m in layers} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}
