@@ -25,7 +25,8 @@ Each section also prints its number of calls of
 outside the hash: equal outputs from more calls mean verdicts decided again
 that the pair table should have copied.
 
-Run it as ``python3 scripts/predicate_digest.py`` from the repository root;
+Run it as ``python3 scripts/predicate_digest.py [SECTION ...]`` from the
+repository root; with no section named it runs all six, in the order above.
 ``--src DIR`` imports flextri from another tree's ``src`` directory, so
 ``--src ../parent/src`` digests the parent commit with the same inputs.
 Standard library only, besides flextri and the benchmark's input
@@ -233,9 +234,21 @@ def _count_predicate_calls() -> list:
 
 
 def main() -> int:
+    sections = {
+        "report": lambda workloads: report_section(),
+        "catalogs": catalogs_section,
+        "degenerate": degenerate_section,
+        "pairs-r3": lambda workloads: pairs_section(3),
+        "pairs-r4": lambda workloads: pairs_section(4),
+        "enumeration": lambda workloads: enumeration_section(),
+    }
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory to import flextri from")
+    ap.add_argument("section", nargs="*", metavar="SECTION",
+                    help=f"run only these, of: {' '.join(sections)} (default: all)")
     args = ap.parse_args()
+    for name in set(args.section) - sections.keys():
+        ap.error(f"unknown section {name!r}")
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(1, str(ROOT / "perfbench"))
     import flextri
@@ -244,16 +257,11 @@ def main() -> int:
     calls = _count_predicate_calls()
     start = time.perf_counter()
     print(f"flextri from {Path(flextri.__file__).parent}")
-    for make in (
-        report_section,
-        lambda: catalogs_section(workloads),
-        lambda: degenerate_section(workloads),
-        lambda: pairs_section(3),
-        lambda: pairs_section(4),
-        enumeration_section,
-    ):
+    for name, make in sections.items():
+        if args.section and name not in args.section:
+            continue
         before = calls[0]
-        section = make()
+        section = make(workloads)
         print(f"{section} calls={calls[0] - before}", flush=True)
     print(f"{time.perf_counter() - start:.1f} s")
     return 0

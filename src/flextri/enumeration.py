@@ -183,7 +183,7 @@ def brute_force_catalog(task: EnumerationTask) -> Catalog:
 def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[int]]:
     """Match each triangulation with the one whose faces are its complement
     in the full 3-clique set; returns (pairs, unmatched ids)."""
-    graph = catalog.task.graph
+    cliques = set(enumerate_cliques3(catalog.task.graph))
     index = {t.faces: i for i, t in enumerate(catalog.triangulations)}
     pairs = []
     unmatched = []
@@ -191,7 +191,7 @@ def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[in
     for i, t in enumerate(catalog.triangulations):
         if i in seen:
             continue
-        j = index.get(complement_faces(graph, t.faces))
+        j = index.get(tuple(sorted(cliques.difference(t.faces))))
         if j is None or j in seen:
             unmatched.append(i)
         else:
@@ -199,10 +199,3 @@ def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[in
             seen.add(i)
             seen.add(j)
     return pairs, unmatched
-
-
-def complement_faces(graph: LabeledGraph, faces) -> tuple[Triangle, ...]:
-    """The 3-cliques of the graph that are not among ``faces``, in
-    canonical order."""
-    cliques = set(enumerate_cliques3(graph))
-    return tuple(sorted(cliques - set(map(tuple, faces))))

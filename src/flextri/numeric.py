@@ -60,11 +60,12 @@ class _Value:
             cls.__setattr__ = cls.__delattr__ = _frozen
         else:
             cls.__hash__ = None
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _set_slots(self, *values):
         """Set the slots of a frozen instance in order, through their descriptors."""
-        for name, value in zip(self.__slots__, values):
-            getattr(type(self), name).__set__(self, value)
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -296,18 +297,6 @@ class QuadExt:
         # the hash of the Fraction coefficients, so that the iteration order
         # of a set of exact values does not depend on the representation
         return hash((self.a, self.b, self.c, self.e, self.ctx))
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
     def __bool__(self):
         return not self.is_zero()

@@ -74,40 +74,9 @@ class Triangulation(_Value, frozen=True):
     def __init__(self, graph: LabeledGraph, faces: tuple[Triangle, ...]):
         self._set_slots(graph, faces)  # faces in canonical order
 
-    @staticmethod
-    def from_faces(graph: LabeledGraph, faces) -> "Triangulation":
-        canon = tuple(sorted(set(map(tuple, faces))))
-        t = Triangulation(graph, canon)
-        t.validate()
-        return t
-
-    def validate(self):
-        counts = edge_face_counts(self)
-        for e in self.graph.edges:
-            if counts.get(e, 0) < 1:
-                raise ValueError(f"edge {sorted(e)} not covered by any face")
-        for e, c in counts.items():
-            if e not in self.graph.edges:
-                raise ValueError(f"face edge {sorted(e)} not in graph")
-            if c > 2:
-                raise ValueError(f"edge {sorted(e)} lies in {c} > 2 faces")
-
 
 def _face_edges(f: Triangle) -> tuple[frozenset, frozenset, frozenset]:
     return frozenset((f[0], f[1])), frozenset((f[0], f[2])), frozenset((f[1], f[2]))
-
-
-def _edge_faces(faces) -> dict:
-    """Edge -> indices of the faces that contain it."""
-    out: dict = {}
-    for i, f in enumerate(faces):
-        for e in _face_edges(f):
-            out.setdefault(e, []).append(i)
-    return out
-
-
-def edge_face_counts(t: Triangulation) -> dict:
-    return {e: len(fs) for e, fs in _edge_faces(t.faces).items()}
 
 
 class SurfaceClass(_Value, frozen=True):
@@ -143,37 +112,6 @@ def _is_path_or_cycle(adj: dict) -> bool:
     return bool(adj) and all(len(s) <= 2 for s in adj.values()) and len(_components(adj)) == 1
 
 
-def _orientable(faces, edge_faces: dict) -> bool:
-    """Propagate face orientations across interior (2-face) edges, seeding
-    from every face not yet reached so each component gets a walk."""
-
-    def directed_edges(face, flip):
-        u, v, w = face
-        order = (u, w, v) if flip else (u, v, w)
-        return [(order[0], order[1]), (order[1], order[2]), (order[2], order[0])]
-
-    orient = {}
-    for seed in range(len(faces)):
-        if seed in orient:
-            continue
-        orient[seed] = False
-        queue = [seed]
-        while queue:
-            i = queue.pop()
-            for u, v in directed_edges(faces[i], orient[i]):
-                for j in edge_faces[frozenset((u, v))]:
-                    if j == i:
-                        continue
-                    # consistent orientation: shared edge traversed oppositely
-                    need_flip = (u, v) in directed_edges(faces[j], False)
-                    if j not in orient:
-                        orient[j] = need_flip
-                        queue.append(j)
-                    elif orient[j] != need_flip:
-                        return False
-    return True
-
-
 # (boundary components, Euler characteristic, orientable) -> surface name
 _MANIFOLD_NAMES = {
     (0, 2, True): "sphere",
@@ -188,44 +126,61 @@ _MANIFOLD_NAMES = {
 def classify_surface(t: Triangulation) -> SurfaceClass:
     """Classify the underlying surface of a simplicial 2-complex.
 
-    Manifoldness requires every vertex link to be a single cycle (interior
-    vertex) or single path (boundary vertex); non-manifold complexes get
-    name "other/invalid", and manifolds outside the six named surfaces
-    (such as an annulus) get "other manifold".
+    One pass over the faces records each edge's faces with the direction
+    the face walks it (+1 from the smaller label to the larger, -1 back)
+    and each vertex's link.  The complex is a manifold when every link is
+    one path (boundary vertex) or one cycle (interior vertex) and the face
+    edges are exactly the graph's edges: link degree <= 2 already puts
+    every edge in at most two faces.  Non-manifold complexes get name
+    "other/invalid", and manifolds outside the six named surfaces (such as
+    an annulus) get "other manifold".
     """
-    V = len(t.graph.vertices)
-    E = len(t.graph.edges)
-    F = len(t.faces)
-    euler = V - E + F
-
-    edge_faces = _edge_faces(t.faces)
-    # each vertex's link as neighbour -> set of neighbours, in one pass
-    links: dict = {v: {} for v in t.graph.vertices}
-    for a, b, c in t.faces:
-        for v, u, w in ((a, b, c), (b, a, c), (c, a, b)):
-            links[v].setdefault(u, set()).add(w)
-            links[v].setdefault(w, set()).add(u)
-    manifold = (
-        all(_is_path_or_cycle(link) for link in links.values())
-        and all(1 <= len(edge_faces.get(e, ())) <= 2 for e in t.graph.edges)
-        # a cycle link must use every graph neighbor of the vertex
-        and all(set(links[v]) == set(t.graph.neighbors(v)) for v in links)
-    )
+    graph = t.graph
+    edge_faces: dict = {}
+    links: dict = {v: {} for v in graph.vertices}
+    for i, (a, b, c) in enumerate(t.faces):
+        # the face walks a -> b -> c -> a; w is the vertex opposite uv
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            edge_faces.setdefault(frozenset((u, v)), []).append((i, 1 if u < v else -1))
+            link = links[w]
+            link.setdefault(u, set()).add(v)
+            link.setdefault(v, set()).add(u)
+    manifold = edge_faces.keys() == graph.edges and all(map(_is_path_or_cycle, links.values()))
 
     boundary_adj: dict = {}
+    # faces i and j agree on an edge when they walk it oppositely, so their
+    # orientations o satisfy o_i * o_j = -d_i * d_j; every pair on an edge
+    # counts, also past two faces
+    parity: list = [[] for _ in t.faces]
     for e, fs in edge_faces.items():
         if len(fs) == 1:
             u, v = e
             boundary_adj.setdefault(u, set()).add(v)
             boundary_adj.setdefault(v, set()).add(u)
+        for (i, di), (j, dj) in combinations(fs, 2):
+            parity[i].append((j, -di * dj))
+            parity[j].append((i, -di * dj))
     boundary = len(_components(boundary_adj))
-    orientable = _orientable(t.faces, edge_faces)
 
+    # spread o = +1 from each face not yet reached, then test every pair
+    orient = [0] * len(t.faces)
+    for seed in range(len(orient)):
+        if not orient[seed]:
+            orient[seed] = 1
+            stack = [seed]
+            while stack:
+                i = stack.pop()
+                for j, s in parity[i]:
+                    if not orient[j]:
+                        orient[j] = orient[i] * s
+                        stack.append(j)
+    orientable = all(orient[j] == o * s for o, ps in zip(orient, parity) for j, s in ps)
+
+    euler = len(graph.vertices) - len(graph.edges) + len(t.faces)
     if manifold:
         name = _MANIFOLD_NAMES.get((boundary, euler, orientable), "other manifold")
     else:
         name = "other/invalid"
-
     return SurfaceClass(euler, orientable, boundary, manifold, name)
 
 

@@ -5,7 +5,6 @@ import pytest
 from flextri.enumeration import (
     EnumerationTask,
     brute_force_catalog,
-    complement_faces,
     complement_pairing,
     enumerate_triangulations,
 )
@@ -51,16 +50,6 @@ def test_pair_face_sets_disjoint_and_covering(torus_catalog, rp2_catalog, moebiu
             fj = set(cat.triangulations[j].faces)
             assert not fi & fj
             assert fi | fj == cliques
-
-
-def test_complementation_is_involution(torus_catalog):
-    g = torus_catalog.task.graph
-    faces = [t.faces for t in torus_catalog.triangulations]
-    for f in faces:
-        assert complement_faces(g, complement_faces(g, f)) == f
-    pairs, _ = complement_pairing(torus_catalog)
-    for i, j in pairs:
-        assert complement_faces(g, faces[i]) == faces[j]
 
 
 def test_catalog_deterministic(moebius_catalog):

@@ -1,17 +1,25 @@
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flextri.enumeration import EnumerationTask, enumerate_triangulations
+from flextri.enumeration import EnumerationTask, brute_force_catalog, enumerate_triangulations
 from flextri.surfaces import (
+    LabeledGraph,
     Triangulation,
     build_graph,
     classify_surface,
-    edge_face_counts,
     enumerate_cliques3,
 )
 
 from conftest import catalog_for
+
+
+def _edge_counts(tri) -> Counter:
+    """Edge -> number of faces of ``tri`` that contain it."""
+    return Counter(frozenset(p) for f in tri.faces for p in combinations(f, 2))
 
 
 @pytest.mark.parametrize(
@@ -48,7 +56,7 @@ def test_torus_classification(torus_catalog):
         assert cls.boundary_components == 0
         assert cls.is_manifold
         assert cls.name == "torus"
-        assert all(c == 2 for c in edge_face_counts(tri).values())
+        assert all(c == 2 for c in _edge_counts(tri).values())
 
 
 def test_projective_plane_classification(rp2_catalog):
@@ -67,13 +75,13 @@ def test_moebius_classification(moebius_catalog):
         assert cls.boundary_components == 1
         assert cls.name == "Möbius band"
         # 15 edge-face incidences: 5 interior edges twice, 5 boundary once
-        counts = edge_face_counts(tri)
+        counts = _edge_counts(tri)
         assert sorted(counts.values()) == [1] * 5 + [2] * 5
 
 
 def test_moebius_boundary_is_one_5_cycle(moebius_catalog):
     tri = moebius_catalog.triangulations[0]
-    counts = edge_face_counts(tri)
+    counts = _edge_counts(tri)
     boundary = [e for e, c in counts.items() if c == 1]
     assert len(boundary) == 5
     deg = {}
@@ -86,20 +94,54 @@ def test_moebius_boundary_is_one_5_cycle(moebius_catalog):
 def test_sphere_classification():
     g = build_graph("octahedron")
     # the octahedron boundary: all 3-cliques except the two "antipodal" ones
-    faces = [t for t in enumerate_cliques3(g)]
-    tri = Triangulation.from_faces(g, faces)
+    tri = Triangulation(g, tuple(enumerate_cliques3(g)))
     cls = classify_surface(tri)
     assert (cls.euler, cls.orientable, cls.name) == (2, True, "sphere")
 
 
-def test_nonmanifold_rejected(moebius_catalog):
-    # two Möbius faces sharing only a vertex pinch is hard to build on K5;
-    # instead break manifoldness by dropping a face from a torus is invalid
-    # (uncovered edge), so test via an edge in >2 faces being rejected
+def test_nonmanifold_rejected():
+    # every edge of K_5 lies in 3 of its 10 cliques
     g = build_graph("k5")
-    faces = enumerate_cliques3(g)  # every edge lies in 3 faces
-    with pytest.raises(ValueError):
-        Triangulation.from_faces(g, faces)
+    cls = classify_surface(Triangulation(g, tuple(enumerate_cliques3(g))))
+    assert not cls.is_manifold
+    assert cls.name == "other/invalid"
+
+
+def _swap(faces, x, y) -> tuple:
+    """The faces with labels x and y exchanged, in canonical order."""
+    sigma = {x: y, y: x}
+    return tuple(sorted(tuple(sorted(sigma.get(v, v) for v in f)) for f in faces))
+
+
+def _complexes_breaking_the_manifold_rule():
+    octahedron = build_graph("octahedron")
+    pairs = frozenset(map(frozenset, combinations(octahedron.vertices, 2)))
+    complete = LabeledGraph("K6", octahedron.vertices, pairs)
+    torus = catalog_for("k2222").triangulations[0]
+    book = LabeledGraph("book", tuple("ABCDE"), frozenset(map(frozenset, (
+        "AB", "AC", "BC", "AD", "BD", "AE", "BE"))))
+    return {
+        # the octahedron's sphere on K_6: every link a 4-cycle, BF, CG and DH
+        # in no face
+        "misses a graph edge": Triangulation(complete, tuple(enumerate_cliques3(octahedron))),
+        # a torus with E and F exchanged: every link a 6-cycle, but the two
+        # faces on AF move to the non-edge AE (and AF, BE are missed)
+        "face on a non-edge": Triangulation(torus.graph, _swap(torus.faces, "E", "F")),
+        # three faces on AB and every face edge in the graph: the links at A
+        # and B have a vertex of degree 3
+        "edge in three faces": Triangulation(book, (tuple("ABC"), tuple("ABD"), tuple("ABE"))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_complexes_breaking_the_manifold_rule()))
+def test_manifold_rule_rejects(case):
+    tri = _complexes_breaking_the_manifold_rule()[case]
+    if case == "face on a non-edge":
+        assert sum({"A", "E"} <= set(f) for f in tri.faces) == 2
+        assert not tri.graph.has_edge("A", "E")
+    cls = classify_surface(tri)
+    assert not cls.is_manifold
+    assert cls.name == "other/invalid"
 
 
 def test_annulus_classification():
@@ -107,7 +149,7 @@ def test_annulus_classification():
     # the two triangles BCD and FGH
     g = build_graph("octahedron")
     faces = [t for t in enumerate_cliques3(g) if t not in (("B", "C", "D"), ("F", "G", "H"))]
-    cls = classify_surface(Triangulation.from_faces(g, faces))
+    cls = classify_surface(Triangulation(g, tuple(faces)))
     assert cls.boundary_components == 2
     assert cls.is_manifold
     assert cls.orientable
@@ -146,3 +188,47 @@ def test_classification_permutation_invariant(graph_name, tid):
     tri = catalog_for(graph_name).triangulations[tid]
     shuffled = Triangulation(tri.graph, tuple(reversed(tri.faces)))
     assert classify_surface(tri) == classify_surface(shuffled)
+
+
+def _coherent_by_brute_force(faces) -> bool:
+    """Whether some choice of a walk direction per face walks every edge
+    at most once each way, i.e. each pair of faces on an edge oppositely.
+    The first face's direction is fixed: reversing all faces keeps a
+    consistent choice consistent."""
+    for flips in product((False, True), repeat=max(len(faces) - 1, 0)):
+        walked = []
+        for (a, b, c), flip in zip(faces, (False, *flips)):
+            walked += [(b, a), (c, b), (a, c)] if flip else [(a, b), (b, c), (c, a)]
+        if len(set(walked)) == len(walked):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "graph_name,mode",
+    [("k5", "with_boundary"), ("octahedron", "closed"), ("octahedron", "with_boundary")],
+)
+def test_orientability_matches_brute_force_on_scanned_face_sets(graph_name, mode):
+    catalog = brute_force_catalog(EnumerationTask(build_graph(graph_name), mode))
+    complexes = [*zip(catalog.triangulations, catalog.classes), *catalog.rejected]
+    if (graph_name, mode) == ("octahedron", "with_boundary"):
+        assert len(complexes) == 35
+        assert sum(not cls.is_manifold for _, cls in complexes) == 22
+    for tri, cls in complexes:
+        assert cls.orientable == _coherent_by_brute_force(tri.faces), tri.faces
+
+
+@pytest.mark.parametrize("graph_name", ["k5", "k6"])
+def test_orientability_matches_brute_force_on_catalogs(graph_name):
+    for tri in catalog_for(graph_name).triangulations:
+        assert classify_surface(tri).orientable == _coherent_by_brute_force(tri.faces)
+
+
+K6_CLIQUES = enumerate_cliques3(build_graph("k6"))
+
+
+@given(st.sets(st.sampled_from(K6_CLIQUES), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_orientability_matches_brute_force_on_k6_subsets(faces):
+    tri = Triangulation(build_graph("k6"), tuple(sorted(faces)))
+    assert classify_surface(tri).orientable == _coherent_by_brute_force(tri.faces)
