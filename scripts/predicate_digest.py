@@ -16,6 +16,10 @@ bytes:
 - ``pairs-r3`` and ``pairs-r4``: seeded small-int pairs in general
   position, sharing a vertex, sharing an edge, coplanar and touching, and
   in R^4 also pairs inside a 3-flat that is not a coordinate flat;
+- ``pairs-field``: the ``pairs-r3`` draws with their axes scaled by sqrt2,
+  sqrt6 and 1 in Q(sqrt2, sqrt3), so that every witness, the 2-D coplanar
+  ones included, is mapped back from the int frame through irrational
+  scales;
 - ``enumeration``: the triangulations, classes and rejected face sets (in
   order) of ``enumerate_triangulations`` on every named graph, in each mode
   its edge count allows, with no target and with each named surface.
@@ -26,7 +30,7 @@ outside the hash: equal outputs from more calls mean verdicts decided again
 that the pair table should have copied.
 
 Run it as ``python3 scripts/predicate_digest.py [SECTION ...]`` from the
-repository root; with no section named it runs all six, in the order above.
+repository root; with no section named it runs all seven, in the order above.
 ``--src DIR`` imports flextri from another tree's ``src`` directory, so
 ``--src ../parent/src`` digests the parent commit with the same inputs.
 Standard library only, besides flextri and the benchmark's input
@@ -176,12 +180,20 @@ def _draw_pair(rng, dim, category):
     return tuple(t1), tuple(t2)
 
 
-def pairs_section(dim):
-    from flextri.geometry import face_is_degenerate, make_point
-    from flextri.numeric import QQ
+def pairs_section(dim, field=False):
+    from flextri.geometry import Point, face_is_degenerate, make_point
+    from flextri.numeric import CTX_SQRT2_SQRT3, QQ, QuadExt
     from flextri.verify import pair_intersection_check
 
-    section = Section(f"pairs-r{dim}")
+    if field:  # axis i scaled by sqrt2, sqrt6 and 1
+        units = [QuadExt(*u, ctx=CTX_SQRT2_SQRT3) for u in ((0, 1), (0, 0, 0, 1), (1,))]
+
+        def place(p):
+            return Point(tuple(u * c for u, c in zip(units, p)))
+    else:
+        def place(p):
+            return make_point(QQ, *p)
+    section = Section("pairs-field" if field else f"pairs-r{dim}")
     rng = random.Random(PAIR_SEED + dim)
     for category in PAIR_CATEGORIES:
         if dim == 3 and category == "flat3":
@@ -191,7 +203,7 @@ def pairs_section(dim):
             t1, t2 = _draw_pair(rng, dim, category)
             if face_is_degenerate(*t1) or face_is_degenerate(*t2):
                 continue
-            v = pair_intersection_check(*(tuple(make_point(QQ, *p) for p in t) for t in (t1, t2)))
+            v = pair_intersection_check(*(tuple(map(place, t)) for t in (t1, t2)))
             section.add(f"{category} {t1} {t2} {_verdict(v)}", not v.admissible)
             n += 1
     return section
@@ -240,6 +252,7 @@ def main() -> int:
         "degenerate": degenerate_section,
         "pairs-r3": lambda workloads: pairs_section(3),
         "pairs-r4": lambda workloads: pairs_section(4),
+        "pairs-field": lambda workloads: pairs_section(3, field=True),
         "enumeration": lambda workloads: enumeration_section(),
     }
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])

@@ -266,10 +266,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _census(faces, points: dict) -> dict:
-    """How many of the faces have each shape, in SHAPES order."""
-    shapes = list(face_shapes(faces, points).values())
-    return {s: shapes.count(s) for s in SHAPES}
+def _census(faces, shapes: dict) -> dict:
+    """How many of the faces have each shape, in SHAPES order, read from a
+    ``face_shapes`` map that covers them."""
+    found = [shapes[f] for f in faces]
+    return {s: found.count(s) for s in SHAPES}
 
 
 def _outer_tetra(points: dict) -> list:
@@ -294,8 +295,9 @@ def cmd_metrics(args) -> int:
             print(f"{label}: {value!r}")
     if args.construction == "rp2-simplex":
         print(f"circumradius^2 of A..E: {points['A'].norm_sq()!r}")
+    shapes = face_shapes(enumerate_cliques3(catalog.task.graph), points)
     for i in ids:
-        print(f"{i:3d}  census: {_census(catalog.triangulations[i].faces, points)}")
+        print(f"{i:3d}  census: {_census(catalog.triangulations[i].faces, shapes)}")
     return EXIT_OK
 
 
@@ -398,6 +400,7 @@ def run_report() -> tuple[str, bool]:
     ]
 
     pts16, rp2, mo = points["schlegel16cell"], points["rp2-simplex"], points["moebius"]
+    mo_shapes = face_shapes(enumerate_cliques3(catalogs["k5"].task.graph), mo)
     rows += [
         (tag, label, value, QuadExt(e, ctx=pts16["A"].ctx))
         for (tag, label, value), e in zip(_outer_tetra(pts16), (24, 9, 1))
@@ -412,7 +415,7 @@ def run_report() -> tuple[str, bool]:
          {dist_sq(mo[u], mo[v]) for u, v in combinations("ABCDE", 2)},
          {QuadExt(3, ctx=mo["A"].ctx), QuadExt(8, ctx=mo["A"].ctx)}),
         ("metric-moebius-census", "each Moebius triangulation: 2 equilateral + 3 isosceles",
-         all(_census(t.faces, mo) == {"equilateral": 2, "isosceles": 3, "scalene": 0}
+         all(_census(t.faces, mo_shapes) == {"equilateral": 2, "isosceles": 3, "scalene": 0}
              for t in catalogs["k5"].triangulations), True),
     ]
     for k, expected in ((4, "strict_interior"), (3, "touching"), (2, "outside")):

@@ -142,12 +142,16 @@ def integer_frame(placement: dict):
     that basis element times g/L, where L is the lcm of the axis's
     denominators and g the gcd of the numerators over L.  Raises
     ContextMismatchError when the coordinates come from more than one
-    context, and ValueError naming the axis when an axis mixes basis
+    context, ValueError naming the dimensions found when the points differ
+    in dimension, and ValueError naming the axis when an axis mixes basis
     elements.  The coordinates are read as their int numerators and
     denominator: a value with one nonzero numerator is in lowest terms.
     Returns ({label: tuple of ints}, (s_0, ..., s_{n-1})).
     """
     labels = list(placement)
+    dims = sorted({len(p.coords) for p in placement.values()})
+    if len(dims) > 1:
+        raise ValueError(f"points of dimensions {dims}: no int frame")
     ctx = next((p.ctx for p in placement.values()), None)
     columns, scales = [], []
     for i, axis in enumerate(zip(*(placement[v].coords for v in labels))):
@@ -404,10 +408,13 @@ SHAPES = ("equilateral", "isosceles", "scalene")
 
 def face_shapes(faces, placement: dict) -> dict:
     """Each face's shape by its number of distinct exact squared side lengths:
-    {face: "equilateral" | "isosceles" | "scalene"}."""
+    {face: "equilateral" | "isosceles" | "scalene"}; each edge's length is
+    computed once."""
+    edges = {e for f in faces for e in combinations(f, 2)}
+    lengths = {(u, v): dist_sq(placement[u], placement[v]) for u, v in edges}
     shapes = {}
     for f in faces:
-        sq = [dist_sq(placement[u], placement[v]) for u, v in combinations(f, 2)]
+        sq = [lengths[e] for e in combinations(f, 2)]
         distinct = 1 + (sq[0] != sq[1]) + (sq[2] != sq[0] and sq[2] != sq[1])
         shapes[f] = SHAPES[distinct - 1]
     return shapes

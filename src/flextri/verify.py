@@ -19,21 +19,21 @@ planes meet) is homogeneous, an int numerator tuple over a positive int
 denominator, and points are compared by cross-multiplication.  One
 Sutherland-Hodgman clip, ``_clip``, finds what lies inside the first face:
 of the second face when the two are coplanar, of the second face's trace
-on the first face's plane otherwise.  Witnesses become Fractions only for
-a violation, and are built straight into the field through the scales (a
-2-D coplanar witness through those of the first face's ``plane_axes``).
+on the first face's plane otherwise.  A violation's witness leaves the
+body as those homogeneous points, and each coordinate is built straight
+into the field in one step, through the scale of its axis (a 2-D coplanar
+witness through those of the first face's ``plane_axes``).
 ``verify_catalog`` frames its placement, refuses two labels on one frame
 point, makes one int Point per label, numbers the distinct faces, tests
 each for degeneracy once, and runs ``pair_intersection_check`` on one
 nondegenerate pair per orbit of the isometry group, copying admissible
-verdicts along face-index pairs.  A direct call on QuadExt points frames
-the six points of its pair and tests both faces.
+verdicts into a flat list indexed by face-index pairs.  A direct call on
+QuadExt points frames the six points of its pair and tests both faces.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import combinations
 
 from .geometry import (
@@ -49,7 +49,7 @@ from .numeric import _reduced, _Value
 
 
 def _sign(x) -> int:
-    """Exact sign of an int or a Fraction."""
+    """Exact sign of an int."""
     return (x > 0) - (x < 0)
 
 
@@ -128,11 +128,6 @@ def _equals(p, q) -> bool:
     """The homogeneous point p equals the point q."""
     x, w = p
     return all(a == b * w for a, b in zip(x, q))
-
-
-def _witness(points) -> tuple:
-    """Homogeneous points as tuples of Fractions, for a violation only."""
-    return tuple(tuple(Fraction(a, w) for a in x) for x, w in points)
 
 
 def _in_shared_hull(p, shared_pts) -> bool:
@@ -215,7 +210,7 @@ def _line_verdict(hit, t1, t2, shared_pts, along_t2_edge: bool):
     else:
         on_vertex = any(_equals(offenders[0], q) for q in t1 + t2)
         kind = "vertex_in_face" if on_vertex else "edge_through_face"
-    return False, _witness(offenders), kind
+    return False, tuple(offenders), kind
 
 
 # -- coplanar overlap ------------------------------------------------------
@@ -233,7 +228,7 @@ def _coplanar_check(t1, t2, shared_pts, axes):
     t1_in_t2 = all(_point_in_tri_2d(p, t2) for p in t1)
     t2_in_t1 = all(_point_in_tri_2d(p, t1) for p in t2)
     kind = "containment" if (t1_in_t2 or t2_in_t1) else "coplanar_overlap"
-    return False, _witness(offenders), kind
+    return False, tuple(offenders), kind
 
 
 # -- dimension 3 -----------------------------------------------------------
@@ -259,7 +254,8 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     a, b, c = f1
     u, w = _sub(b, a), _sub(c, a)
     normal = _cross(u, w)
-    d2 = [_dot(normal, _sub(q, a)) for q in f2]
+    offset = _dot(normal, a)
+    d2 = [_dot(normal, q) - offset for q in f2]
     s2 = [_sign(v) for v in d2]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return True, (), None
@@ -338,7 +334,7 @@ def _check_dim4(t1, t2, shared_pts):
         if _in_shared_hull(x, shared_pts):
             return True, (), None
         on_vertex = any(_equals(x, q) for q in t1 + t2)
-        return False, _witness([x]), "vertex_in_face" if on_vertex else "interior_crossing"
+        return False, (x,), "vertex_in_face" if on_vertex else "interior_crossing"
     if not any(normal):  # w1 lies in span(u1, u2)
         normal = _cross4(u1, u2, w2)
     if any(normal):
@@ -365,7 +361,7 @@ def _pair_check(t1, t2, shared) -> PairVerdict:
     n_shared = len(shared_pts)
 
     if n_shared == 3:
-        return PairVerdict((t1, t2), 3, "violation", "coplanar_overlap", t1)
+        return PairVerdict((t1, t2), 3, "violation", "coplanar_overlap", tuple((p, 1) for p in t1))
 
     if n_shared == 2:
         # non-coplanar triangles on a common edge meet exactly in that edge;
@@ -401,11 +397,13 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     frame raises ValueError, and a pair of two contexts
     ContextMismatchError.  Int points are a frame whose faces the caller
     has found nondegenerate, as ``verify_catalog`` passes them, and are
-    decided as given.
+    decided as given, each witness point homogeneous: (x, w), x an int
+    tuple (of length 2 for a coplanar witness), w a positive int.
     """
-    t1, t2 = tuple(t1), tuple(t2)
-    if type(t1[0].coords[0]) is int:
-        return _pair_check(tuple(p.coords for p in t1), tuple(p.coords for p in t2), shared)
+    (a, b, c), (d, e, f) = t1, t2
+    if type(a.coords[0]) is int:
+        return _pair_check((a.coords, b.coords, c.coords), (d.coords, e.coords, f.coords), shared)
+    t1, t2 = (a, b, c), (d, e, f)
     ints, scales = integer_frame(dict(enumerate(t1 + t2)))
     q = tuple(ints.values())
     q1, q2 = q[:3], q[3:]
@@ -418,20 +416,21 @@ def _map_back(verdict: PairVerdict, scales, faces) -> PairVerdict:
     """A verdict on the int frame as a verdict on ``faces``, its witness
     mapped back through the per-axis ``scales``: a 2-D coplanar witness lies
     in the ``plane_axes`` projection of the first face, so it takes the
-    scales of those two axes.  A coordinate n / m on an axis of scale
-    (a, b, c, e) / d is built in the field as (a n, b n, c n, e n) / (d m)."""
+    scales of those two axes.  A homogeneous coordinate x / w on an axis of
+    scale (a, b, c, e) / d is built as (a x, b x, c x, e x) / (d w)."""
     witness = verdict.witness
     if witness:
         t1 = verdict.faces[0]
         axes = range(len(scales))
-        if len(witness[0]) != len(scales):
+        if len(witness[0][0]) != len(scales):
             axes = plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))
+        ctx, units = scales[0].ctx, [scales[i]._n for i in axes]
         witness = tuple(
             Point(tuple(
-                _reduced(s.ctx, *(x * q.numerator for x in s._n[:4]), s._n[4] * q.denominator)
-                for s, q in zip(map(scales.__getitem__, axes), p)
+                _reduced(ctx, a * n, b * n, c * n, e * n, d * w)
+                for (a, b, c, e, d), n in zip(units, x)
             ))
-            for p in witness
+            for x, w in witness
         )
     return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, witness)
 
@@ -441,23 +440,23 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     placement, one report per id in the order given.
 
     All triangulations draw their faces from the catalog's 3-cliques, so the
-    verdicts come from one table for the placement.  Its faces are numbered
-    in sorted order, and it is keyed by index pairs (i, j) with i < j.  A
+    verdicts come from one table for the placement: its m faces are numbered
+    in sorted order, and it is one flat list, the pair (a, b) at a * m + b.  A
     label permutation that keeps the placement's exact squared distances
     (``geometry.isometry_group``) is a congruence, so it maps an admissible
     pair to an admissible pair: the predicate runs on one pair of each
-    orbit of the group, and an admissible verdict is written to every image
-    pair.  Violations are never copied; every violating pair is checked on
-    its own points, so its kind and witness are its own.  Each face is
-    tested for degeneracy once, and that test serves both the report's
-    degenerate-face violations and every pair the face is in: a pair with
-    a degenerate face is decided here, and every other pair is handed to
-    ``pair_intersection_check`` as a triple of the one int Point per label.
-    All of it is decided on the placement's ``geometry.integer_frame``,
-    where labels on equal points are refused, so the predicate finds the
-    shared vertices of a pair by coordinate equality, and each witness is
-    built in the field; a placement with no frame raises ValueError, one of
-    two contexts ContextMismatchError.
+    orbit of the group, and an admissible verdict is written to both orders
+    of every undecided image pair.  Violations are never copied; every
+    violating pair is checked on its own points, so its kind and witness
+    are its own.  Each face is tested for degeneracy once, and that test
+    serves both the report's degenerate-face violations and every pair the
+    face is in: a pair with a degenerate face is decided here, and every
+    other pair is handed to ``pair_intersection_check`` as a triple of the
+    one int Point per label.  All of it is decided on the placement's
+    ``geometry.integer_frame``, where labels on equal points are refused,
+    so the predicate finds the shared vertices of a pair by coordinate
+    equality, and each witness is built in the field; a placement with no
+    frame raises ValueError, one of two contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
     placement, scales = integer_frame(placement)
@@ -476,12 +475,15 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     index = {bit[u] | bit[v] | bit[w]: k for k, (u, v, w) in enumerate(faces)}
     moves = [{v: bit[w] for v, w in g.items()} for g in group]
     images = [
-        [index.setdefault(m[u] | m[v] | m[w], len(index)) for m in moves] for u, v, w in faces
+        [index.setdefault(h[u] | h[v] | h[w], len(index)) for h in moves] for u, v, w in faces
     ]
+    m = len(index)
+    rows = [[g * m for g in row] for row in images]
     points = {v: Point(placement[v]) for v in labels}
     corners = [tuple(map(points.__getitem__, f)) for f in faces]
     degenerate = [face_is_degenerate(*map(placement.__getitem__, f)) for f in faces]
-    table: dict = {}  # (a, b) with a < b: the pair's violation, or None
+    undecided = object()
+    table = [undecided] * (m * m)  # a * m + b: the pair's violation, or None
     reports = []
     for i, tri in zip(ids, tris):
         face_ids = [index[bit[u] | bit[v] | bit[w]] for u, v, w in tri.faces]
@@ -491,19 +493,24 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
         ]
         pairs = list(combinations(face_ids, 2))
         for a, b in pairs:
-            if (a, b) not in table:
+            v = table[a * m + b]
+            if v is undecided:
                 fa, fb = faces[a], faces[b]
                 if degenerate[a] or degenerate[b]:
                     v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
                 else:
                     v = pair_intersection_check(corners[a], corners[b])
                 if v.admissible:
-                    for ga, gb in zip(images[a], images[b]):
-                        table.setdefault((ga, gb) if ga < gb else (gb, ga), None)
+                    v = None
+                    for ra, gb, rb, ga in zip(rows[a], images[b], rows[b], images[a]):
+                        if table[ra + gb] is undecided:
+                            table[ra + gb] = None
+                        if table[rb + ga] is undecided:
+                            table[rb + ga] = None
                 else:
-                    table[a, b] = _map_back(v, scales, (fa, fb))
-            if table[a, b]:
-                violations.append(table[a, b])
+                    v = table[a * m + b] = _map_back(v, scales, (fa, fb))
+            if v:
+                violations.append(v)
         verdict = "embedded" if not violations else "not_embedded"
         reports.append(EmbeddingReport(str(i), verdict, violations, len(pairs)))
     return reports

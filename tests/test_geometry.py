@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -241,6 +242,24 @@ def test_moebius_metric_census(moebius_catalog, moebius_points):
         assert sorted(shapes) == ["equilateral"] * 2 + ["isosceles"] * 3
 
 
+def test_face_shapes_computes_each_edge_once(monkeypatch, moebius_points):
+    # the 10 cliques of K_5 have 30 sides but only the 10 edges of K_5
+    import flextri.geometry as geometry
+
+    computed = []
+
+    def spy(p, q):
+        computed.append((p, q))
+        return dist_sq(p, q)
+
+    monkeypatch.setattr(geometry, "dist_sq", spy)
+    cliques = list(combinations("ABCDE", 3))
+    shapes = face_shapes(cliques, moebius_points)
+    assert len(computed) == 10 and sorted(shapes) == cliques
+    monkeypatch.undo()
+    assert shapes == {f: face_shapes([f], moebius_points)[f] for f in cliques}
+
+
 def test_scaling_preserves_shape_census(moebius_catalog, moebius_points):
     scaled = scale_placement(moebius_points, Fraction(7, 3))
     tri = moebius_catalog.triangulations[0]
@@ -307,6 +326,18 @@ def test_integer_frame_scales():
     # points of two contexts are refused, even on an axis of rationals
     with pytest.raises(ContextMismatchError):
         integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX_SQRT5, 2, 1, 0)})
+
+
+def test_integer_frame_refuses_points_of_mixed_dimension():
+    # zip over the axes would stop at the shortest point and frame (1, 2, 3)
+    # and (1, 2) as one point (1, 1); the error names the dimensions found
+    for points in (
+        {"A": make_point(CTX, 1, 2, 3), "B": make_point(CTX, 1, 2)},
+        {"A": make_point(CTX, 0, 0, 0), "B": make_point(CTX, 1, 1, 0, 5)},
+    ):
+        dims = sorted(p.dim for p in points.values())
+        with pytest.raises(ValueError, match=rf"dimensions \[{dims[0]}, {dims[1]}\]"):
+            integer_frame(points)
 
 
 # -- degeneracy and helpers ------------------------------------------------

@@ -304,13 +304,13 @@ def test_verify_catalog_tests_each_face_for_degeneracy_once(
 
 def test_verify_catalog_predicate_calls(
     monkeypatch, suspension_points, schlegel16_points, rp2_points, moebius_points,
-    torus_catalog, rp2_catalog, moebius_catalog,
+    torus_catalog, rp2_catalog, moebius_catalog, sweep_placements,
 ):
     # catalog pairs reach the module global pair_intersection_check as Point
-    # triples, and on the report's placements as often as below: one call
-    # per orbit of admissible pairs and one per violating pair.  A table
-    # that missed the copied verdicts would call it more often and still
-    # give the same reports, so only the count shows it.
+    # triples, and on the report's and the sweep's placements as often as
+    # below: one call per orbit of admissible pairs and one per violating
+    # pair.  A table that missed the copied verdicts would call it more
+    # often and still give the same reports, so only the count shows it.
     calls = []
 
     def spy(t1, t2, shared=None):
@@ -324,6 +324,7 @@ def test_verify_catalog_predicate_calls(
         ("schlegel16cell", schlegel16_points, torus_catalog),
         ("rp2-simplex", rp2_points, rp2_catalog),
         ("moebius", moebius_points, moebius_catalog),
+        *((key, points, torus_catalog) for key, points in sweep_placements.items()),
     ):
         calls.clear()
         verify_catalog(points, catalog)
@@ -331,7 +332,18 @@ def test_verify_catalog_predicate_calls(
             assert type(face) is tuple and len(face) == 3
             assert all(type(p) is Point for p in face)
         counts[name] = len(calls)
-    assert counts == {"suspension": 80, "schlegel16cell": 33, "rp2-simplex": 6, "moebius": 5}
+    # the sweep's 16-cell diagrams at k <= 3 and its suspensions embed no
+    # torus, and each of their violating pairs is checked on its own
+    sweep = {
+        **{f"sixteen_cell:{k}": 67 for k in ("2", "5/2", "29/10", "30001/10007")},
+        "sixteen_cell:3": 78,
+        **{f"sixteen_cell:{k}": 33 for k in ("31/10", "7/2", "4", "6", "12345/3001")},
+        **{f"suspension:{k}": 80 for k in ("5/2", "14/5", "4", "7", "9999/4001")},
+    }
+    assert sum(sweep.values()) == 911
+    assert counts == {
+        "suspension": 80, "schlegel16cell": 33, "rp2-simplex": 6, "moebius": 5, **sweep
+    }
 
 
 def test_verdicts_invariant_under_scaling(moebius_points, moebius_catalog):
@@ -600,13 +612,54 @@ def test_isometry_group_orders_and_pair_orbits(
 
 
 def _field_witness(witness, t1, scales):
-    """A witness on the int frame as points of the field, by QuadExt
-    arithmetic: scales[i] * Fraction on axis i, where a 2-D witness lies in
-    the ``plane_axes`` projection of the int face ``t1``."""
+    """A homogeneous witness on the int frame, points (x, w) with int
+    numerators x over w > 0, as points of the field, by QuadExt arithmetic:
+    scales[i] * Fraction(x_i, w) on axis i, where a 2-D witness lies in the
+    ``plane_axes`` projection of the int face ``t1``."""
     axes = range(len(scales))
-    if witness and len(witness[0]) != len(scales):
+    if witness and len(witness[0][0]) != len(scales):
         axes = plane_axes(*(tuple(x - y for x, y in zip(p, t1[0])) for p in t1[1:]))
-    return tuple(Point(tuple(scales[i] * c for i, c in zip(axes, p))) for p in witness)
+    return tuple(
+        Point(tuple(scales[i] * Fraction(c, w) for i, c in zip(axes, x))) for x, w in witness
+    )
+
+
+def test_suspension_witnesses_equal_the_field_oracle(suspension_points, torus_catalog):
+    # the suspension at k = 14/5 frames on the irrational scales
+    # (sqrt2 / 14, sqrt6 / 14, 2 sqrt2) of Q(sqrt2, sqrt3); its violations
+    # include interior crossings and containments with 2-D witnesses, and
+    # every witness verify_catalog builds is the predicate's homogeneous
+    # witness read through QuadExt arithmetic
+    points, scales = integer_frame(suspension_points)
+    assert all(s.ctx == CTX and not s.a for s in scales)
+    found = set()
+    for r in verify_catalog(suspension_points, torus_catalog):
+        for v in r.violations:
+            ta, tb = (tuple(points[x] for x in f) for f in v.faces)
+            expected = _pair_check(ta, tb, None)
+            assert (v.shared, v.kind) == (expected.shared, expected.kind)
+            assert v.witness == _field_witness(expected.witness, ta, scales)
+            found.add((v.kind, v.witness[0].dim))
+    assert {("interior_crossing", 3), ("containment", 2)} <= found
+    # a face against itself shares all three vertices, and its witness maps
+    # back to its own points
+    t = tuple(suspension_points[x] for x in "CDF")
+    v = pair_intersection_check(t, t)
+    assert (v.shared, v.kind, v.witness) == (3, "coplanar_overlap", t)
+
+
+def test_pairs_and_placements_of_mixed_dimension_are_refused(moebius_points, moebius_catalog):
+    # a face of R^3 and one of R^4: framing only their first three axes
+    # would put the vertex (1, 1, 0, 5) on the first face
+    t1 = (pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0))
+    t2 = (pt(1, 1, 0, 5), pt(1, 1, 1, 1), pt(3, 3, 1, 0))
+    with pytest.raises(ValueError, match=r"dimensions \[3, 4\]"):
+        pair_intersection_check(t1, t2)
+    # E at (0, 0, 0, 1) would frame as A = (0, 0, 0) and be refused as an
+    # equal point
+    placement = dict(moebius_points, E=make_point(CTX_SQRT5, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match=r"dimensions \[3, 4\]"):
+        verify_catalog(placement, moebius_catalog)
 
 
 def _full_table_reports(points, catalog):
