@@ -20,6 +20,8 @@ bytes:
   sqrt6 and 1 in Q(sqrt2, sqrt3), so that every witness, the 2-D coplanar
   ones included, is mapped back from the int frame through irrational
   scales;
+- ``pairs-r4-axes``: the ``pairs-r3`` draws lifted into each coordinate
+  3-flat of R^4, the constant k - 1 inserted at axis k for k = 0, 1, 2, 3;
 - ``enumeration``: the triangulations, classes and rejected face sets (in
   order) of ``enumerate_triangulations`` on every named graph, in each mode
   its edge count allows, with no target and with each named surface.
@@ -30,7 +32,7 @@ outside the hash: equal outputs from more calls mean verdicts decided again
 that the pair table should have copied.
 
 Run it as ``python3 scripts/predicate_digest.py [SECTION ...]`` from the
-repository root; with no section named it runs all seven, in the order above.
+repository root; with no section named it runs all eight, in the order above.
 ``--src DIR`` imports flextri from another tree's ``src`` directory, so
 ``--src ../parent/src`` digests the parent commit with the same inputs.
 Standard library only, besides flextri and the benchmark's input
@@ -83,7 +85,7 @@ class Section:
         self.flagged += flagged
 
     def __str__(self):
-        return (f"{self.name:<11} {self.hash.hexdigest()}  "
+        return (f"{self.name:<13} {self.hash.hexdigest()}  "
                 f"items={self.items} flagged={self.flagged}")
 
 
@@ -180,8 +182,26 @@ def _draw_pair(rng, dim, category):
     return tuple(t1), tuple(t2)
 
 
+def _pairs(dim):
+    """The seeded nondegenerate draws of R^dim, PAIRS_PER_CATEGORY per
+    category, as (category, t1, t2)."""
+    from flextri.geometry import face_is_degenerate
+
+    rng = random.Random(PAIR_SEED + dim)
+    for category in PAIR_CATEGORIES:
+        if dim == 3 and category == "flat3":
+            continue
+        n = 0
+        while n < PAIRS_PER_CATEGORY:
+            t1, t2 = _draw_pair(rng, dim, category)
+            if face_is_degenerate(*t1) or face_is_degenerate(*t2):
+                continue
+            yield category, t1, t2
+            n += 1
+
+
 def pairs_section(dim, field=False):
-    from flextri.geometry import Point, face_is_degenerate, make_point
+    from flextri.geometry import Point, make_point
     from flextri.numeric import CTX_SQRT2_SQRT3, QQ, QuadExt
     from flextri.verify import pair_intersection_check
 
@@ -194,18 +214,24 @@ def pairs_section(dim, field=False):
         def place(p):
             return make_point(QQ, *p)
     section = Section("pairs-field" if field else f"pairs-r{dim}")
-    rng = random.Random(PAIR_SEED + dim)
-    for category in PAIR_CATEGORIES:
-        if dim == 3 and category == "flat3":
-            continue
-        n = 0
-        while n < PAIRS_PER_CATEGORY:
-            t1, t2 = _draw_pair(rng, dim, category)
-            if face_is_degenerate(*t1) or face_is_degenerate(*t2):
-                continue
-            v = pair_intersection_check(*(tuple(map(place, t)) for t in (t1, t2)))
-            section.add(f"{category} {t1} {t2} {_verdict(v)}", not v.admissible)
-            n += 1
+    for category, t1, t2 in _pairs(dim):
+        v = pair_intersection_check(*(tuple(map(place, t)) for t in (t1, t2)))
+        section.add(f"{category} {t1} {t2} {_verdict(v)}", not v.admissible)
+    return section
+
+
+def pairs_axes_section():
+    from flextri.geometry import make_point
+    from flextri.numeric import QQ
+    from flextri.verify import pair_intersection_check
+
+    section = Section("pairs-r4-axes")
+    for category, t1, t2 in _pairs(3):
+        for k in range(4):
+            v = pair_intersection_check(*(
+                tuple(make_point(QQ, *p[:k], k - 1, *p[k:]) for p in t) for t in (t1, t2)
+            ))
+            section.add(f"{category} {k} {t1} {t2} {_verdict(v)}", not v.admissible)
     return section
 
 
@@ -253,6 +279,7 @@ def main() -> int:
         "pairs-r3": lambda workloads: pairs_section(3),
         "pairs-r4": lambda workloads: pairs_section(4),
         "pairs-field": lambda workloads: pairs_section(3, field=True),
+        "pairs-r4-axes": lambda workloads: pairs_axes_section(),
         "enumeration": lambda workloads: enumeration_section(),
     }
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])

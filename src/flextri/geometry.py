@@ -148,29 +148,49 @@ def integer_frame(placement: dict):
     denominator: a value with one nonzero numerator is in lowest terms.
     Returns ({label: tuple of ints}, (s_0, ..., s_{n-1})).
     """
-    labels = list(placement)
-    dims = sorted({len(p.coords) for p in placement.values()})
+    ctx, ints, units = _frame([p.coords for p in placement.values()])
+    return dict(zip(placement, ints)), tuple(_reduced(ctx, *u) for u in units)
+
+
+def _one_dimension(coords) -> None:
+    """Raise ``integer_frame``'s ValueError unless the coordinate tuples
+    all have one length."""
+    dims = {len(x) for x in coords}
     if len(dims) > 1:
-        raise ValueError(f"points of dimensions {dims}: no int frame")
-    ctx = next((p.ctx for p in placement.values()), None)
-    columns, scales = [], []
-    for i, axis in enumerate(zip(*(placement[v].coords for v in labels))):
+        raise ValueError(f"points of dimensions {sorted(dims)}: no int frame")
+
+
+def _frame(coords):
+    """``integer_frame`` on a list of QuadExt coordinate tuples, with the
+    same checks in the same order.  Returns the context, one int tuple per
+    input, and each axis's scale as its raw numerators and denominator
+    [a, b, c, e, d], one of a, b, c, e nonzero and d > 0."""
+    _one_dimension(coords)
+    ctx = coords[0][0].ctx if coords else None
+    columns, units = [], []
+    for i, axis in enumerate(zip(*coords)):
+        ns = []
         for x in axis:
             if x.ctx is not ctx and x.ctx != ctx:
                 raise ContextMismatchError(f"cannot combine contexts {ctx} and {x.ctx}")
-        *numerators, dens = zip(*(x._n for x in axis))
-        slots = [j for j, nums in enumerate(numerators) if any(nums)]
-        if len(slots) > 1:
-            raise ValueError(f"axis {i} mixes basis elements of {ctx}: no int frame")
-        slot = slots[0] if slots else 0
+            ns.append(x._n)
+        *numerators, dens = zip(*ns)
+        slot = 0
+        for j in 1, 2, 3:
+            if any(numerators[j]):
+                if slot or any(numerators[0]):
+                    raise ValueError(f"axis {i} mixes basis elements of {ctx}: no int frame")
+                slot = j
+        nums = numerators[slot]
         den = math.lcm(*dens)
-        nums = [x * (den // d) for x, d in zip(numerators[slot], dens)]
+        if den != 1:
+            nums = [x * (den // d) for x, d in zip(nums, dens)]
         g = math.gcd(*nums) or 1
-        columns.append([x // g for x in nums])
+        columns.append(nums if g == 1 else [x // g for x in nums])
         unit = [0, 0, 0, 0, den]
         unit[slot] = g
-        scales.append(_reduced(ctx, *unit))
-    return dict(zip(labels, zip(*columns))), tuple(scales)
+        units.append(unit)
+    return ctx, list(zip(*columns)), units
 
 
 def isometry_group(labels, placement: dict, scales) -> list[dict]:

@@ -12,23 +12,25 @@ writes a point set whose axes are each a rational multiple of one basis
 element of the field as int points times one positive scale per axis, and
 refuses any other point set.  That diagonal map keeps every sign the
 predicate tests.  One body, ``_check_dim3``, decides the pairs of R^3 and
-the pairs of R^4 inside one 3-flat; ``_check_dim4`` decides only the R^4
-pairs that span R^4, whose planes meet in at most one point.  A point the
-body derives (a trace end, a clipped polygon vertex, the point where two
-planes meet) is homogeneous, an int numerator tuple over a positive int
-denominator, and points are compared by cross-multiplication.  One
-Sutherland-Hodgman clip, ``_clip``, finds what lies inside the first face:
-of the second face when the two are coplanar, of the second face's trace
-on the first face's plane otherwise.  A violation's witness leaves the
-body as those homogeneous points, and each coordinate is built straight
-into the field in one step, through the scale of its axis (a 2-D coplanar
-witness through those of the first face's ``plane_axes``).
+the pairs of R^4 inside one 3-flat (a coordinate 3-flat before any
+determinant); ``_check_dim4`` decides only the R^4 pairs that span R^4,
+whose planes meet in at most one point.  A point the body derives (a trace
+end, a clipped polygon vertex, the point where two planes meet) is
+homogeneous, an int numerator tuple over a positive int denominator, and
+points are compared by cross-multiplication.  One Sutherland-Hodgman clip,
+``_clip``, finds what lies inside the first face: of the second face when
+the two are coplanar, of the second face's trace on the first face's plane
+otherwise, unless that trace is one vertex.  A violation's witness leaves
+the body as those homogeneous points, and each coordinate is built
+straight into the field in one step, through the scale of its axis (a 2-D
+coplanar witness through those of the first face's ``plane_axes``).
 ``verify_catalog`` frames its placement, refuses two labels on one frame
 point, makes one int Point per label, numbers the distinct faces, tests
 each for degeneracy once, and runs ``pair_intersection_check`` on one
 nondegenerate pair per orbit of the isometry group, copying admissible
 verdicts into a flat list indexed by face-index pairs.  A direct call on
-QuadExt points frames the six points of its pair and tests both faces.
+QuadExt points frames the six points of its pair in one pass, tests both
+faces, and maps a witness back through the raw scales of that frame.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from itertools import combinations
 
 from .geometry import (
     Point,
+    _frame,
+    _one_dimension,
     _sub,
     check_placement,
     face_is_degenerate,
@@ -160,10 +164,10 @@ def _clip(poly, tri, axes):
     """Sutherland-Hodgman on homogeneous points: the part of the hull of
     ``poly`` inside the closed triangle ``tri`` of int points, every point
     read on the coordinate pair ``axes``, in walking order.  Three points
-    are a closed polygon, whose walk can repeat a point; one or two, a
-    trace, are walked along their one edge only, so a segment keeps its
-    first end first, and its points stay distinct: a crossing lies strictly
-    between two points."""
+    are a closed polygon, whose walk can repeat a point; two, a trace, are
+    walked along their one edge only, so the segment keeps its first end
+    first, and its points stay distinct: a crossing lies strictly between
+    two points."""
     i, j = axes
     closed = len(poly) > 2
     a, b, c = _positively_oriented([(p[i], p[j]) for p in tri])
@@ -248,8 +252,9 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     affine bijection that keeps every sign tested here up to one global
     sign: the signs are taken on ``flat``, while trace and clip points and
     ``plane_axes`` use the full coordinates, so witnesses are R^4 points.
-    A pair that crosses T1's plane is decided by T2's trace there, one
-    vertex of T2 or a segment, clipped to T1 on the ``plane_axes`` of T1."""
+    A pair that crosses T1's plane is decided by T2's trace there, on the
+    ``plane_axes`` of T1: one vertex of T2, tested against T1, or a segment,
+    clipped to T1."""
     f1, f2 = flat or (t1, t2)
     a, b, c = f1
     u, w = _sub(b, a), _sub(c, a)
@@ -288,7 +293,13 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     for i, j in combinations(range(3), 2):
         if s2[i] * s2[j] < 0:
             trace.append(_crossing((t2[i], 1), d2[i], (t2[j], 1), d2[j]))
-    hit = _clip(trace, t1, axes)
+    if len(trace) == 1:  # one vertex of T2, the rest strictly on one side
+        i, j = axes
+        (q, _), = trace
+        inside = _point_in_tri_2d((q[i], q[j]), [(p[i], p[j]) for p in t1])
+        hit = trace if inside else []
+    else:
+        hit = _clip(trace, t1, axes)
     return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
 
 
@@ -314,9 +325,18 @@ def _check_dim4(t1, t2, shared_pts):
     det(u1, u2, w1, w2) != 0; never, when q0 - p0 leaves the span of the
     four.  Otherwise the six points lie in one 3-flat, which the R^3 body
     decides; axis 3 is dropped first, so the lift (x, y, z, 0) of an R^3
-    pair keeps its verdict, kind and witness order."""
+    pair keeps its verdict, kind and witness order.  Six points that agree
+    on one axis, tried in the order 3, 2, 1, 0, lie in a coordinate 3-flat
+    and go to the R^3 body with that axis dropped before any determinant:
+    the rule below drops the same axis there, and where the six span only
+    a 2-flat, the coplanar path reads no sign of the dropped flat."""
     p0, p1, p2 = t1
     q0, q1, q2 = t2
+    for k in (3, 2, 1, 0):
+        x = p0[k]
+        if p1[k] == x and p2[k] == x and q0[k] == x and q1[k] == x and q2[k] == x:
+            flat = tuple(tuple(p[:k] + p[k + 1:] for p in t) for t in (t1, t2))
+            return _check_dim3(t1, t2, shared_pts, flat)
     u1, u2 = _sub(p1, p0), _sub(p2, p0)
     w1, w2, r = _sub(q1, q0), _sub(q2, q0), _sub(q0, p0)
     normal = _cross4(u1, u2, w1)
@@ -352,16 +372,17 @@ def _check_dim4(t1, t2, shared_pts):
 
 # -- public predicates -----------------------------------------------------
 
-def _pair_check(t1, t2, shared) -> PairVerdict:
+def _pair_check(t1, t2, shared, faces=None) -> PairVerdict:
     """The pair predicate on two nondegenerate faces of int coordinate
-    tuples."""
+    tuples; the verdict names ``faces``, by default (t1, t2)."""
+    faces = faces or (t1, t2)
     if shared is None:
         shared = [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
     shared_pts = [t1[i] for i, _ in shared]
     n_shared = len(shared_pts)
 
     if n_shared == 3:
-        return PairVerdict((t1, t2), 3, "violation", "coplanar_overlap", tuple((p, 1) for p in t1))
+        return PairVerdict(faces, 3, "violation", "coplanar_overlap", tuple((p, 1) for p in t1))
 
     if n_shared == 2:
         # non-coplanar triangles on a common edge meet exactly in that edge;
@@ -373,7 +394,7 @@ def _pair_check(t1, t2, shared) -> PairVerdict:
         for cols in combinations(range(len(base)), 3):
             u, v, w = ([x[c] for c in cols] for x in vecs)
             if _dot(_cross(u, v), w):
-                return PairVerdict((t1, t2), 2, "admissible")
+                return PairVerdict(faces, 2, "admissible")
 
     dim = len(t1[0])
     if dim == 3:
@@ -383,55 +404,59 @@ def _pair_check(t1, t2, shared) -> PairVerdict:
     else:
         raise ValueError(f"unsupported dimension {dim}")
     if ok:
-        return PairVerdict((t1, t2), n_shared, "admissible")
-    return PairVerdict((t1, t2), n_shared, "violation", kind, witness)
+        return PairVerdict(faces, n_shared, "admissible")
+    return PairVerdict(faces, n_shared, "violation", kind, witness)
 
 
 def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     """Exact verdict for one pair of triangles (tuples of Points in R^3/R^4).
 
     ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
-    omitted it is recovered from coordinate equality.  QuadExt points are
-    decided on the ``integer_frame`` of the six points, after both faces
-    are tested for degeneracy, and the witness mapped back; a pair with no
-    frame raises ValueError, and a pair of two contexts
-    ContextMismatchError.  Int points are a frame whose faces the caller
-    has found nondegenerate, as ``verify_catalog`` passes them, and are
-    decided as given, each witness point homogeneous: (x, w), x an int
-    tuple (of length 2 for a coplanar witness), w a positive int.
+    omitted it is recovered from coordinate equality.  Six points of more
+    than one dimension raise ValueError.  QuadExt points are decided on the
+    int frame of the six points (``geometry.integer_frame``, in one pass
+    over their coordinates), after both faces are tested for degeneracy,
+    and a witness is mapped back; a pair with no frame raises ValueError,
+    and a pair of two contexts ContextMismatchError.  Int points are a
+    frame whose faces the caller has found nondegenerate, as
+    ``verify_catalog`` passes them, and are decided as given, each witness
+    point homogeneous: (x, w), x an int tuple (of length 2 for a coplanar
+    witness), w a positive int.
     """
     (a, b, c), (d, e, f) = t1, t2
-    if type(a.coords[0]) is int:
-        return _pair_check((a.coords, b.coords, c.coords), (d.coords, e.coords, f.coords), shared)
-    t1, t2 = (a, b, c), (d, e, f)
-    ints, scales = integer_frame(dict(enumerate(t1 + t2)))
-    q = tuple(ints.values())
-    q1, q2 = q[:3], q[3:]
+    t1, t2 = (a.coords, b.coords, c.coords), (d.coords, e.coords, f.coords)
+    if type(t1[0][0]) is int:
+        (a, b, c), (d, e, f) = t1, t2
+        if not len(a) == len(b) == len(c) == len(d) == len(e) == len(f):
+            _one_dimension(t1 + t2)
+        return _pair_check(t1, t2, shared)
+    faces = (a, b, c), (d, e, f)
+    ctx, q, units = _frame(t1 + t2)
+    q1, q2 = tuple(q[:3]), tuple(q[3:])
     if face_is_degenerate(*q1) or face_is_degenerate(*q2):
-        return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
-    return _map_back(_pair_check(q1, q2, shared), scales, (t1, t2))
+        return PairVerdict(faces, 0, "violation", "degenerate_face")
+    v = _pair_check(q1, q2, shared, faces)
+    return _map_back(v, q1, ctx, units, faces) if v.witness else v
 
 
-def _map_back(verdict: PairVerdict, scales, faces) -> PairVerdict:
-    """A verdict on the int frame as a verdict on ``faces``, its witness
-    mapped back through the per-axis ``scales``: a 2-D coplanar witness lies
-    in the ``plane_axes`` projection of the first face, so it takes the
-    scales of those two axes.  A homogeneous coordinate x / w on an axis of
-    scale (a, b, c, e) / d is built as (a x, b x, c x, e x) / (d w)."""
+def _map_back(verdict: PairVerdict, t1, ctx, units, faces) -> PairVerdict:
+    """A violation on the int frame, whose first face is ``t1``, as a
+    violation on ``faces``, its witness mapped back into the context ``ctx``
+    through the per-axis ``units``, each scale's raw numerators and
+    denominator: a 2-D coplanar witness lies in the ``plane_axes``
+    projection of ``t1``, so it takes the units of those two axes.  A
+    homogeneous coordinate x / w on an axis of scale (a, b, c, e) / d is
+    built as (a x, b x, c x, e x) / (d w)."""
     witness = verdict.witness
-    if witness:
-        t1 = verdict.faces[0]
-        axes = range(len(scales))
-        if len(witness[0][0]) != len(scales):
-            axes = plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))
-        ctx, units = scales[0].ctx, [scales[i]._n for i in axes]
-        witness = tuple(
-            Point(tuple(
-                _reduced(ctx, a * n, b * n, c * n, e * n, d * w)
-                for (a, b, c, e, d), n in zip(units, x)
-            ))
-            for x, w in witness
-        )
+    if len(witness[0][0]) != len(units):
+        units = [units[i] for i in plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))]
+    witness = tuple(
+        Point(tuple(
+            _reduced(ctx, a * n, b * n, c * n, e * n, d * w)
+            for (a, b, c, e, d), n in zip(units, x)
+        ))
+        for x, w in witness
+    )
     return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, witness)
 
 
@@ -467,6 +492,7 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
         if not 0 <= i < n:
             raise ValueError(f"triangulation id {i} out of range 0..{n - 1}")
     group = isometry_group(labels, placement, scales)
+    units = [s._n for s in scales]
     tris = [catalog.triangulations[i] for i in ids]
     # a face is keyed by its label set, one bit per label, and indexed in
     # sorted order; an image face outside the selection gets a fresh index
@@ -500,6 +526,8 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
                     v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
                 else:
                     v = pair_intersection_check(corners[a], corners[b])
+                    if v.witness:
+                        v = _map_back(v, v.faces[0], scales[0].ctx, units, (fa, fb))
                 if v.admissible:
                     v = None
                     for ra, gb, rb, ga in zip(rows[a], images[b], rows[b], images[a]):
@@ -508,7 +536,7 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
                         if table[rb + ga] is undecided:
                             table[rb + ga] = None
                 else:
-                    v = table[a * m + b] = _map_back(v, scales, (fa, fb))
+                    table[a * m + b] = v
             if v:
                 violations.append(v)
         verdict = "embedded" if not violations else "not_embedded"

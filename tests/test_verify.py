@@ -530,9 +530,9 @@ def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_po
     # turned so that its axes mix sqrt2 and sqrt6 has no frame and is refused
     seen = []
 
-    def spy(t1, t2, shared):
+    def spy(t1, t2, *rest):
         seen.append({type(c) for p in t1 + t2 for c in p})
-        return _pair_check(t1, t2, shared)
+        return _pair_check(t1, t2, *rest)
 
     monkeypatch.setattr(verify, "_pair_check", spy)
     rotated = _rotated_xy(suspension_points)
@@ -651,10 +651,14 @@ def test_suspension_witnesses_equal_the_field_oracle(suspension_points, torus_ca
 def test_pairs_and_placements_of_mixed_dimension_are_refused(moebius_points, moebius_catalog):
     # a face of R^3 and one of R^4: framing only their first three axes
     # would put the vertex (1, 1, 0, 5) on the first face
-    t1 = (pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0))
-    t2 = (pt(1, 1, 0, 5), pt(1, 1, 1, 1), pt(3, 3, 1, 0))
-    with pytest.raises(ValueError, match=r"dimensions \[3, 4\]"):
-        pair_intersection_check(t1, t2)
+    raw1, raw2 = ((0, 0, 0), (4, 0, 0), (0, 4, 0)), ((1, 1, 0, 5), (1, 1, 1, 1), (3, 3, 1, 0))
+    # on QuadExt points and on int Points, the frame verify_catalog passes,
+    # in both orders
+    for place in (lambda p: pt(*p), Point):
+        t1, t2 = (tuple(map(place, t)) for t in (raw1, raw2))
+        for pair in ((t1, t2), (t2, t1)):
+            with pytest.raises(ValueError, match=r"dimensions \[3, 4\]"):
+                pair_intersection_check(*pair)
     # E at (0, 0, 0, 1) would frame as A = (0, 0, 0) and be refused as an
     # equal point
     placement = dict(moebius_points, E=make_point(CTX_SQRT5, 0, 0, 0, 1))
@@ -1005,8 +1009,19 @@ def _touching_pairs(seed, count):
     return pairs
 
 
-def _zero_lift(p):
-    return (*p, 0)
+def _axis_lift(k, c):
+    """The lift of R^3 into the coordinate 3-flat x_k = c of R^4."""
+    def lift(p):
+        return (*p[:k], c, *p[k:])
+    return lift
+
+
+# the lift (x, y, z, 0) and a constant at every other axis: each keeps a
+# pair in a coordinate 3-flat, which the R^4 predicate hands to the R^3
+# body with that axis dropped
+_AXIS_LIFTS = (
+    _axis_lift(3, 0), _axis_lift(0, 2), _axis_lift(1, -1), _axis_lift(2, 0), _axis_lift(3, 5),
+)
 
 
 def _linear_lift(p):
@@ -1015,10 +1030,11 @@ def _linear_lift(p):
 
 def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
     # the cases the Cramer oracle skips: each R^3 verdict, kind and shared
-    # count equals that of the pair lifted to R^4 by (x, y, z, 0) and by
-    # _LIFT; off the coplanar kinds, whose witnesses are 2-D, each lift's
-    # witnesses are the lifted R^3 witnesses in the same order; and each
-    # violation's witnesses lie in both closed faces, outside the shared hull
+    # count equals that of the pair lifted to R^4 by every axis lift and by
+    # _LIFT; each lift's witnesses are the lifted R^3 witnesses in the same
+    # order, and on the coplanar kinds, whose witnesses are 2-D, each axis
+    # lift's witnesses are the R^3 witnesses; and each violation's
+    # witnesses lie in both closed faces, outside the shared hull
     kinds = set()
     for raw1, raw2 in _touching_pairs(20261018, 2000):
         t1, t2 = (tuple(pt(*p) for p in t) for t in (raw1, raw2))
@@ -1027,25 +1043,29 @@ def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
         if not v.admissible:
             _assert_witnesses_violate(t1, t2, v)
         expected = (v.verdict, v.kind, v.shared)
-        for lift in (_zero_lift, _linear_lift):
+        for lift in (*_AXIS_LIFTS, _linear_lift):
             lifted = pair_intersection_check(
                 *(tuple(pt(*lift(p)) for p in t) for t in (raw1, raw2))
             )
             assert (lifted.verdict, lifted.kind, lifted.shared) == expected, (raw1, raw2)
-            if v.kind not in ("coplanar_overlap", "containment"):
-                assert [w.coords for w in lifted.witness] == [
-                    lift(w.coords) for w in v.witness
-                ], (raw1, raw2, lift)
+            _assert_lifted_witnesses(v, lifted, lift, (raw1, raw2))
     assert kinds == {
         None, "coplanar_overlap", "containment", "interior_crossing",
         "edge_through_face", "vertex_in_face",
     }
 
 
+def _assert_lifted_witnesses(r3, lifted, lift, case):
+    if r3.kind not in ("coplanar_overlap", "containment"):
+        assert [w.coords for w in lifted.witness] == [lift(w.coords) for w in r3.witness], case
+    elif lift is not _linear_lift:
+        assert lifted.witness == r3.witness, case
+
+
 def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
-    # both lifts keep every pair inside a 3-flat of R^4, which the R^4
-    # predicate hands to the R^3 body: each lift must give the R^3 verdict
-    # and kind, and off the coplanar path the lifted witnesses in order
+    # every lift keeps every pair inside a 3-flat of R^4, which the R^4
+    # predicate hands to the R^3 body: each lift must give the R^3 verdict,
+    # kind and witnesses, as in the touching-pairs test above
     def check(tri_pair, lift):
         t1, t2 = (tuple(pt(*lift(p)) for p in t) for t in tri_pair)
         return pair_intersection_check(t1, t2)
@@ -1056,14 +1076,29 @@ def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
     assert len(pool) == 280
     for case in pool:
         r3 = check(case["r3"], tuple)
-        zero = check(case["r3"], _zero_lift)
-        linear = check(case["r3"], _linear_lift)
         expected = (r3.verdict, r3.kind, r3.shared)
-        assert (zero.verdict, zero.kind, zero.shared) == expected, case["id"]
-        assert (linear.verdict, linear.kind, linear.shared) == expected, case["id"]
-        if r3.kind in (None, "coplanar_overlap", "containment"):
-            continue
-        for lifted, lift in ((zero, _zero_lift), (linear, _linear_lift)):
-            assert [w.coords for w in lifted.witness] == [
-                lift(w.coords) for w in r3.witness
-            ], case["id"]
+        for lift in (*_AXIS_LIFTS, _linear_lift):
+            lifted = check(case["r3"], lift)
+            assert (lifted.verdict, lifted.kind, lifted.shared) == expected, case["id"]
+            _assert_lifted_witnesses(r3, lifted, lift, case["id"])
+
+
+def test_pairs_in_a_coordinate_3_flat_take_no_r4_determinant(monkeypatch, perfbench):
+    # a pair whose six points agree on one axis goes to the R^3 body before
+    # any _cross4; the linear lift keeps most pairs out of coordinate 3-flats
+    calls = []
+    cross4 = verify._cross4
+
+    def spy(*vectors):
+        calls.append(vectors)
+        return cross4(*vectors)
+
+    monkeypatch.setattr(verify, "_cross4", spy)
+    pool = perfbench.workloads.degenerate_pool()
+    for lift in _AXIS_LIFTS:
+        for case in pool:
+            pair_intersection_check(*(tuple(pt(*lift(p)) for p in t) for t in case["r3"]))
+    assert not calls
+    for case in pool:
+        pair_intersection_check(*(tuple(pt(*_linear_lift(p)) for p in t) for t in case["r3"]))
+    assert calls
