@@ -1,17 +1,17 @@
-"""Exact coordinate constructions, projections and metric computations.
+"""Exact coordinate constructions, an orthogonal projection, the int frame
+and metric computations.
 
 A placement is a plain dict {vertex label: Point}: ``check_placement``
-validates one against a list of labels, and ``face_shapes`` gives the shape
-of each face of a complex placed on it.
-
-The constructions give QuadExt coordinates, so every derived quantity
-(squared lengths, plane evaluations, projection images) stays inside one
-quadratic field context and is compared exactly.  ``integer_frame`` is the
-one way from the field to the pair predicate: it writes a point set of one
-context whose axes each carry one basis element of the field as int
-coordinate tuples under a positive scale per axis, and refuses any other
-point set.  ``plane_axes`` and ``face_is_degenerate`` take coordinate
-tuples, so they serve field points and the int frame alike.
+validates one against a list of labels.  ``construction_coords`` gives the
+named placements in QuadExt coordinates, and ``orthogonal_project`` drops
+one axis of a placement.  ``integer_frame`` is the one way from the field
+to the pair predicate: it writes a point set of one context whose axes each
+carry one basis element of the field as int coordinate tuples under a
+positive scale per axis, and refuses any other point set.  ``plane_axes``
+and ``face_is_degenerate`` take coordinate tuples, so they serve field
+points and the int frame alike.  The metrics (``face_shapes``, squared
+lengths, circumcenters, inradii and ``tetra_containment``) stay inside one
+quadratic field context and are compared exactly.
 """
 
 from __future__ import annotations
@@ -295,9 +295,12 @@ def construction_coords(name: str, params: RealizationParams | None = None) -> d
             "E": make_point(ctx, -1, -1, 1),
         }
     if name == "std_hyperoctahedron":
-        return _unit_cross_polytope(4, "ABCD", "EFGH")
-    if name == "std_octahedron":
-        return _unit_cross_polytope(3, "BCD", "FGH")
+        # the 16-cell: A..D are the unit vectors, E..H their antipodes
+        units = [[int(j == i) for j in range(4)] for i in range(4)]
+        return {
+            **{v: make_point(QQ, *u) for v, u in zip("ABCD", units)},
+            **{v: make_point(QQ, *(-x for x in u)) for v, u in zip("EFGH", units)},
+        }
     raise ParameterError(f"unknown construction {name!r}")
 
 
@@ -323,15 +326,6 @@ def sixteen_cell_diagram(k: Fraction) -> dict:
     }
 
 
-def _unit_cross_polytope(dim: int, plus_labels: str, minus_labels: str) -> dict:
-    out = {}
-    for i, label in enumerate(plus_labels):
-        out[label] = make_point(QQ, *(1 if j == i else 0 for j in range(dim)))
-    for i, label in enumerate(minus_labels):
-        out[label] = make_point(QQ, *(-1 if j == i else 0 for j in range(dim)))
-    return out
-
-
 def _require_k(name: str, params: RealizationParams | None, lower: Fraction) -> Fraction:
     if params is None:
         raise ParameterError(f"{name} requires parameter k > {lower}")
@@ -347,71 +341,7 @@ DEFAULT_PARAMS = {
 }
 
 
-# -- projections -----------------------------------------------------------
-
-def centroid(points) -> Point:
-    pts = list(points)
-    acc = pts[0]
-    for p in pts[1:]:
-        acc = acc + p
-    return acc.scale(Fraction(1, len(pts)))
-
-
-def default_viewpoint(points: dict, facet, offset: Fraction = Fraction(1, 10)) -> Point:
-    """Facet centroid pushed outward (away from the body centroid)."""
-    fc = centroid(points[v] for v in facet)
-    bc = centroid(points.values())
-    return fc + (fc - bc).scale(offset)
-
-
-def schlegel_project(points: dict, facet, viewpoint: Point | None = None) -> dict:
-    """Central projection onto the hyperplane of a facet, from a viewpoint
-    just outside it; images are affine coordinates in the facet frame
-    (origin = first facet vertex, axes = other facet vertices minus it)."""
-    facet = list(facet)
-    if viewpoint is None:
-        viewpoint = default_viewpoint(points, facet)
-    base = points[facet[0]]
-    axes = [points[v] - base for v in facet[1:]]
-    m = len(axes)
-    n = base.dim
-
-    # facet must affinely span its hyperplane
-    probe = solve_linear(
-        [[axes[j].coords[i] for j in range(m)] for i in range(n)],
-        [QuadExt(0, ctx=base.ctx)] * n,
-    )
-    if probe.kind != "unique":
-        raise ParameterError("degenerate facet: vertices are affinely dependent")
-    if _in_facet_hull_span(viewpoint, base, axes):
-        raise ParameterError("viewpoint lies on the facet hyperplane")
-
-    out = {}
-    for label, p in points.items():
-        direction = p - viewpoint
-        # solve  sum_j s_j * axes_j - t * direction = viewpoint - base
-        matrix = [
-            [axes[j].coords[i] for j in range(m)] + [-direction.coords[i]]
-            for i in range(n)
-        ]
-        rhs = [(viewpoint - base).coords[i] for i in range(n)]
-        sol = solve_linear(matrix, rhs)
-        if sol.kind != "unique":
-            raise ParameterError(
-                f"projection line through {label} does not meet the facet "
-                f"hyperplane in a single point"
-            )
-        out[label] = Point(tuple(sol.particular[:m]))
-    return out
-
-
-def _in_facet_hull_span(viewpoint: Point, base: Point, axes) -> bool:
-    m = len(axes)
-    n = base.dim
-    matrix = [[axes[j].coords[i] for j in range(m)] for i in range(n)]
-    rhs = [(viewpoint - base).coords[i] for i in range(n)]
-    return solve_linear(matrix, rhs).kind != "inconsistent"
-
+# -- orthogonal projection -------------------------------------------------
 
 def orthogonal_project(points: dict, drop_axis: int) -> dict:
     """Delete one coordinate from every point; exact."""

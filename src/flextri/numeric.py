@@ -359,7 +359,7 @@ class LinearSolution(_Value, frozen=False):
         self.kind, self.rank, self.particular, self.nullspace = kind, rank, particular, nullspace
 
 
-def solve_linear(matrix: Sequence[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> LinearSolution:
+def solve_linear(matrix: list[list[QuadExt]], rhs: list[QuadExt]) -> LinearSolution:
     """Exact Gaussian elimination over one QuadExt context."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0

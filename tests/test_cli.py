@@ -1,9 +1,11 @@
 import contextlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -409,6 +411,9 @@ def test_reproduce_results_script(tmp_path):
 
 # -- cold start ------------------------------------------------------------
 
+LAYERS = ("cli", "enumeration", "geometry", "numeric", "surfaces", "verify")
+
+
 def _fresh_modules(code: str) -> set:
     """The names in sys.modules after ``code`` runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -425,6 +430,42 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
     # .pth files may load some of these before any code runs
     bare = _fresh_modules("pass")
     loaded = _fresh_modules("import flextri.cli") - bare
-    layers = ("cli", "enumeration", "geometry", "numeric", "surfaces", "verify")
-    assert {f"flextri.{m}" for m in layers} <= loaded
+    assert {f"flextri.{m}" for m in LAYERS} <= loaded
     assert not loaded & {"dataclasses", "inspect", "typing"}
+
+
+# -- annotations -----------------------------------------------------------
+
+
+def _public_callables():
+    """Every public function, and every public method or property of a
+    public class, defined in one of the six modules."""
+    for name in LAYERS:
+        module = importlib.import_module(f"flextri.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                for meth, member in vars(obj).items():
+                    if meth.startswith("_") and not meth.endswith("__"):
+                        continue
+                    member = getattr(member, "fget", getattr(member, "__func__", member))
+                    if callable(member) and hasattr(member, "__annotations__"):
+                        yield f"{module.__name__}.{attr}.{meth}", member
+            elif callable(obj):
+                yield f"{module.__name__}.{attr}", obj
+
+
+def test_every_public_annotation_resolves():
+    # the modules postpone annotations, so a name an annotation uses but the
+    # module never imports shows only when the hints are resolved
+    callables = dict(_public_callables())
+    assert "flextri.numeric.solve_linear" in callables
+    assert "flextri.geometry.Point.__init__" in callables
+    unresolved = []
+    for qualname, obj in callables.items():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{qualname}: {exc}")
+    assert unresolved == []

@@ -9,23 +9,20 @@ from flextri.geometry import (
     Point,
     RealizationParams,
     check_placement,
-    centroid,
     circumcenter,
     circumradius_sq,
     construction_coords,
-    default_viewpoint,
     dist_sq,
     face_is_degenerate,
     face_shapes,
     integer_frame,
     make_point,
     orthogonal_project,
-    schlegel_project,
     sixteen_cell_diagram,
     tetra_containment,
     tetra_inradius_sq,
 )
-from flextri.numeric import CTX_SQRT2_SQRT3, CTX_SQRT5, ContextMismatchError, QuadExt
+from flextri.numeric import CTX_SQRT2_SQRT3, CTX_SQRT5, QQ, ContextMismatchError, QuadExt
 from flextri.verify import verify_catalog
 
 from conftest import scale_placement
@@ -93,7 +90,6 @@ CONSTRUCTION_NAMES = (
     "rp2_simplex",
     "moebius",
     "std_hyperoctahedron",
-    "std_octahedron",
 )
 
 
@@ -161,43 +157,70 @@ def test_suspension_equator_circles_centered_at_origin(suspension_points):
         assert all(suspension_points[v].coords[2].is_zero() for v in tri)
 
 
-# -- Schlegel projection ---------------------------------------------------
+# -- the Schlegel reading --------------------------------------------------
 
-def test_schlegel_fixes_facet_vertices():
-    pts = construction_coords("std_octahedron")
-    img = schlegel_project(pts, ("B", "C", "D"))
-    zero = qq(0, ctx=pts["B"].ctx)
-    one = qq(1, ctx=pts["B"].ctx)
-    assert img["B"].coords == (zero, zero)
-    assert img["C"].coords == (one, zero)
-    assert img["D"].coords == (zero, one)
+FACET_FRAME = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
+ANTIPODES = (("A", "E"), ("B", "F"), ("C", "G"), ("D", "H"))
 
 
-def test_schlegel_octahedron_antipodal_ratio():
-    # with the default viewpoint offset 1/10 the far face lands as a
-    # homothetic copy of the facet with ratio -1/21 about the facet centroid
-    pts = construction_coords("std_octahedron")
-    img = schlegel_project(pts, ("B", "C", "D"))
-    cc = centroid([img[v] for v in "BCD"])
-    for far, near in (("F", "B"), ("G", "C"), ("H", "D")):
-        assert (
-            (img[far] - cc).coords
-            == (img[near] - cc).scale(Fraction(-1, 21)).coords
-        )
+def schlegel_reading(t):
+    """The 16-cell ``std_hyperoctahedron`` projected from the viewpoint
+    V = c + t(1, 1, 1, 1), c the centroid of the facet ABCD, onto that
+    facet's hyperplane x1 + x2 + x3 + x4 = 1, each image read in the facet
+    frame A, B - A, C - A, D - A; exact, as Fractions."""
+    v = [Fraction(1, 4) + t] * 4
+    out = {}
+    for label, p in construction_coords("std_hyperoctahedron").items():
+        x = [q.a for q in p.coords]
+        s = (sum(v) - 1) / (sum(v) - sum(x))  # V + s(P - V) meets the plane
+        y = [vi + s * (xi - vi) for vi, xi in zip(v, x)]
+        assert sum(y) == 1
+        # A = e1 and B - A = e2 - e1, ...: y = A + y2(B - A) + y3(C - A) + y4(D - A)
+        out[label] = tuple(y[1:])
+    return out
 
 
-def test_schlegel_rejects_viewpoint_on_facet():
-    pts = construction_coords("std_octahedron")
-    with pytest.raises(ParameterError):
-        schlegel_project(pts, ("B", "C", "D"), viewpoint=pts["B"])
+@pytest.mark.parametrize(
+    "t", [Fraction(1, 40), Fraction(1, 4), Fraction(1), Fraction(3, 7)], ids=str
+)
+def test_schlegel_reading_is_a_homothety_of_the_facet(t):
+    # EFGH lands on ABCD under the homothety about the facet centroid c with
+    # ratio -2t/(1 + 2t), which is -1/k for k = 1 + 1/(2t)
+    img = schlegel_reading(t)
+    c = (Fraction(1, 4),) * 3
+    ratio = -2 * t / (1 + 2 * t)
+    for near, far in ANTIPODES:
+        assert img[near] == FACET_FRAME[near]
+        assert img[far] == tuple(ci + ratio * (pi - ci) for ci, pi in zip(c, img[near]))
 
 
-def test_hyperoctahedron_schlegel_embeds_all_tori(torus_catalog):
-    pts = construction_coords("std_hyperoctahedron")
-    img = schlegel_project(pts, ("A", "B", "C", "D"))
-    assert all(p.dim == 3 for p in img.values())
-    reports = verify_catalog(img, torus_catalog)
-    assert sum(r.embedded for r in reports) == 12
+def schlegel_placement(k):
+    """The Schlegel reading at t = 1/(2(k - 1)) as a placement over QQ."""
+    t = 1 / (2 * (Fraction(k) - 1))
+    return {v: make_point(QQ, *xs) for v, xs in schlegel_reading(t).items()}
+
+
+# k = 21 is t = 1/40, the viewpoint V = (11/10)c.  For t > 0 (k > 1), V lies
+# beyond facet ABCD and beneath the other seven facets exactly when t < 1/4,
+# that is k > 3, and exactly there all 12 tori embed
+SCHLEGEL_KS = [21, 5, 4, Fraction(31, 10), Fraction(10000, 3333), 3,
+               Fraction(9999, 3334), 2, Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("k", SCHLEGEL_KS, ids=str)
+def test_schlegel_reading_certifies_as_the_sixteen_cell_diagram(k, torus_catalog):
+    # the reading is sixteen_cell_diagram(k) up to an affine map, so every
+    # verdict and every violation's faces and kind agree; the witnesses are
+    # points of two different coordinate systems and are not compared
+    reading = verify_catalog(schlegel_placement(k), torus_catalog)
+    diagram = verify_catalog(sixteen_cell_diagram(Fraction(k)), torus_catalog)
+    embedded = [r.identity for r in reading if r.embedded]
+    assert embedded == [r.identity for r in diagram if r.embedded]
+    assert len(embedded) == (12 if k > 3 else 0)
+    for r, d in zip(reading, diagram, strict=True):
+        assert r.identity == d.identity
+        assert ([(v.faces, v.kind) for v in r.violations]
+                == [(v.faces, v.kind) for v in d.violations])
 
 
 def test_orthogonal_projection_of_rp2_is_moebius(rp2_points, moebius_points):
@@ -296,8 +319,7 @@ def test_integer_frame_of_every_construction():
     for k in (Fraction(31, 7), Fraction(9999, 4001)):
         _assert_frame_reproduces(sixteen_cell_diagram(k))
         _assert_frame_reproduces(construction_coords("suspension", RealizationParams(k)))
-    hyper = construction_coords("std_hyperoctahedron")
-    _assert_frame_reproduces(schlegel_project(hyper, ("A", "B", "C", "D")))
+    _assert_frame_reproduces(schlegel_placement(21))
 
 
 def test_integer_frame_of_every_sweep_placement(sweep_placements):
@@ -356,14 +378,6 @@ def test_placement_rejects_colliding_labels(moebius_catalog, moebius_points):
     bad["B"] = bad["C"]
     with pytest.raises(ValueError):
         check_placement(moebius_catalog.triangulations[0].graph.vertices, bad)
-
-
-def test_default_viewpoint_outside_facet_plane():
-    pts = construction_coords("std_octahedron")
-    vp = default_viewpoint(pts, ("B", "C", "D"))
-    base = pts["B"]
-    normal = (pts["C"] - base).cross(pts["D"] - base)
-    assert normal.dot(vp - base).sign() != 0
 
 
 def test_circumcenter_underdetermined():
