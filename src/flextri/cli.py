@@ -28,12 +28,12 @@ from .geometry import (
     check_placement,
     circumradius_sq,
     construction_coords,
-    dist_sq,
     face_shapes,
     integer_frame,
     isometry_group,
     orthogonal_project,
     sixteen_cell_diagram,
+    squared_distances,
     tetra_containment,
     tetra_inradius_sq,
 )
@@ -278,7 +278,7 @@ def _outer_tetra(points: dict) -> list:
     outer tetrahedron ABCD."""
     outer = [points[v] for v in "ABCD"]
     return [
-        ("metric-16cell-edge", "outer tetra squared edge", dist_sq(outer[0], outer[1])),
+        ("metric-16cell-edge", "outer tetra squared edge", squared_distances(points)["A", "B"]),
         ("metric-16cell-circum", "outer tetra circumradius^2", circumradius_sq(outer)),
         ("metric-16cell-in", "outer tetra inradius^2", tetra_inradius_sq(outer)),
     ]
@@ -288,13 +288,14 @@ def cmd_metrics(args) -> int:
     points, graph_name, surface = construction_points(args.construction, args.k)
     catalog = build_catalog(graph_name, surface)
     ids = _selected_ids(catalog, args.id, args.all)
-    lengths = {dist_sq(points[u], points[v]) for u, v in map(sorted, catalog.task.graph.edges)}
+    dist = squared_distances(points)
+    lengths = {dist[tuple(e)] for e in catalog.task.graph.edges}
     print(f"squared edge lengths: {sorted(map(repr, lengths))}")
     if args.construction == "schlegel16cell":
         for _, label, value in _outer_tetra(points):
             print(f"{label}: {value!r}")
     if args.construction == "rp2-simplex":
-        print(f"circumradius^2 of A..E: {points['A'].norm_sq()!r}")
+        print(f"circumradius^2 of A..E: {circumradius_sq([points[v] for v in 'ABCDE'])!r}")
     shapes = face_shapes(enumerate_cliques3(catalog.task.graph), points)
     for i in ids:
         print(f"{i:3d}  census: {_census(catalog.triangulations[i].faces, shapes)}")
@@ -323,9 +324,9 @@ def cmd_export(args) -> int:
     except ValueError as exc:
         raise UsageError(f"cannot export this placement: {exc}")
     if args.format in ("off", "obj") and dim != 3:
+        hint = "" if args.project_drop_axis else "--project-drop-axis or "
         raise UsageError(
-            f"{args.format} export needs dim 3 (got dim {dim}); "
-            f"use --project-drop-axis or --format json"
+            f"{args.format} export needs dim 3 (got dim {dim}); use {hint}--format json"
         )
     if args.format == "off":
         text = export_off(tri, points)
@@ -400,6 +401,7 @@ def run_report() -> tuple[str, bool]:
     ]
 
     pts16, rp2, mo = points["schlegel16cell"], points["rp2-simplex"], points["moebius"]
+    rp2_dist, mo_dist = squared_distances(rp2), squared_distances(mo)
     mo_shapes = face_shapes(enumerate_cliques3(catalogs["k5"].task.graph), mo)
     rows += [
         (tag, label, value, QuadExt(e, ctx=pts16["A"].ctx))
@@ -407,12 +409,13 @@ def run_report() -> tuple[str, bool]:
     ]
     rows += [
         ("metric-simplex-dist", "regular 4-simplex squared distances",
-         {dist_sq(rp2[u], rp2[v]) for u, v in combinations("ABCDE", 2)},
+         {rp2_dist[p] for p in combinations("ABCDE", 2)},
          {QuadExt(8, ctx=rp2["A"].ctx)}),
         ("metric-simplex-radius", "squared circumradius of A..E",
-         {rp2[v].norm_sq() for v in "ABCDE"}, {QuadExt(Fraction(16, 5), ctx=rp2["A"].ctx)}),
+         {circumradius_sq([rp2[v] for v in "ABCDE"])},
+         {QuadExt(Fraction(16, 5), ctx=rp2["A"].ctx)}),
         ("metric-moebius-lengths", "Moebius squared edge lengths",
-         {dist_sq(mo[u], mo[v]) for u, v in combinations("ABCDE", 2)},
+         {mo_dist[p] for p in combinations("ABCDE", 2)},
          {QuadExt(3, ctx=mo["A"].ctx), QuadExt(8, ctx=mo["A"].ctx)}),
         ("metric-moebius-census", "each Moebius triangulation: 2 equilateral + 3 isosceles",
          all(_census(t.faces, mo_shapes) == {"equilateral": 2, "isosceles": 3, "scalene": 0}

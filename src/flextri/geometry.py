@@ -5,13 +5,15 @@ A placement is a plain dict {vertex label: Point}: ``check_placement``
 validates one against a list of labels.  ``construction_coords`` gives the
 named placements in QuadExt coordinates, and ``orthogonal_project`` drops
 one axis of a placement.  ``integer_frame`` is the one way from the field
-to the pair predicate: it writes a point set of one context whose axes each
-carry one basis element of the field as int coordinate tuples under a
-positive scale per axis, and refuses any other point set.  ``plane_axes``
-and ``face_is_degenerate`` take coordinate tuples, so they serve field
-points and the int frame alike.  The metrics (``face_shapes``, squared
-lengths, circumcenters, inradii and ``tetra_containment``) stay inside one
-quadratic field context and are compared exactly.
+to exact int arithmetic: it writes a point set of one context whose axes
+each carry one basis element of the field as int coordinate tuples under a
+positive scale per axis, and refuses any other point set.  ``plane_axes``,
+``face_is_degenerate`` and ``orientation_sign`` take coordinate tuples, so
+they serve field points and the int frame alike.  The metrics run on the
+int frame too: each s_i^2 is rational, so the squared distances are, and
+radii come from their Cayley-Menger determinants, as rational QuadExt
+values of the placement's context; ``tetra_containment`` takes orient3d
+signs, which the positive diagonal scale keeps.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .numeric import (
     QuadExt,
     _reduced,
     _Value,
-    solve_linear,
 )
 
 
@@ -55,28 +56,6 @@ class Point(_Value, frozen=True):
     def __sub__(self, other: "Point") -> "Point":
         return Point(tuple(map(operator.sub, self.coords, other.coords)))
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(tuple(map(operator.add, self.coords, other.coords)))
-
-    def scale(self, r) -> "Point":
-        return Point(tuple(a * r for a in self.coords))
-
-    def dot(self, other: "Point") -> QuadExt:
-        acc = self.coords[0] * other.coords[0]
-        for a, b in zip(self.coords[1:], other.coords[1:]):
-            acc = acc + a * b
-        return acc
-
-    def norm_sq(self) -> QuadExt:
-        return self.dot(self)
-
-    def cross(self, other: "Point") -> "Point":
-        (a1, a2, a3), (b1, b2, b3) = self.coords, other.coords
-        return Point((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
 
 _set_coords = Point.coords.__set__
 
@@ -86,10 +65,6 @@ def make_point(ctx: FieldContext, *entries) -> Point:
         e if isinstance(e, QuadExt) else QuadExt(e, ctx=ctx) for e in entries
     )
     return Point(coords)
-
-
-def dist_sq(p: Point, q: Point) -> QuadExt:
-    return (p - q).norm_sq()
 
 
 class RealizationParams(_Value, frozen=True):
@@ -111,6 +86,28 @@ def check_placement(labels, placement: dict) -> None:
 
 def _sub(p: tuple, q: tuple) -> tuple:
     return tuple(map(operator.sub, p, q))
+
+
+def _sign(x) -> int:
+    """Exact sign of an int."""
+    return (x > 0) - (x < 0)
+
+
+def _dot(u, w):
+    return sum(map(operator.mul, u, w))
+
+
+def _cross(u, w):
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+
+
+def orientation_sign(points) -> int:
+    """orient3d: the sign of the determinant of the difference vectors of
+    four coordinate tuples in R^3."""
+    a, b, c, d = points
+    if len(a) != 3:
+        raise ValueError(f"orient3d takes points of R^3, got R^{len(a)}")
+    return _sign(_dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a)))
 
 
 def plane_axes(u: tuple, w: tuple) -> tuple[int, int] | None:
@@ -193,6 +190,23 @@ def _frame(coords):
     return ctx, list(zip(*columns)), units
 
 
+def _sq_distances(pts, scales) -> tuple[list[list[int]], int]:
+    """The squared distances of int frame points ``pts`` under the frame's
+    ``scales``: (d, den), an int matrix and an int den > 0 with
+    |p_i - p_j|^2 = d[i][j] / den.  The squared distance of two int points
+    is sum_i s_i^2 (x_i - y_i)^2; s_i is a rational times one basis element,
+    so s_i^2 is rational, and the weights are the s_i^2 over their common
+    denominator."""
+    sq = [(s * s).a for s in scales]
+    den = math.lcm(*(q.denominator for q in sq))
+    weights = [q.numerator * (den // q.denominator) for q in sq]
+    n = len(pts)
+    d = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = sum(w * (x - y) ** 2 for w, x, y in zip(weights, pts[i], pts[j]))
+    return d, den
+
+
 def isometry_group(labels, placement: dict, scales) -> list[dict]:
     """Every permutation g of ``labels`` that keeps the exact squared
     distance of every pair of placed points: |p_g(u) - p_g(v)|^2 =
@@ -200,29 +214,16 @@ def isometry_group(labels, placement: dict, scales) -> list[dict]:
     so each g is the restriction of an isometry of the ambient space and
     keeps every incidence of the placed faces.
 
-    ``placement`` and ``scales`` are an ``integer_frame``: the squared
-    distance of two int points is sum_i s_i^2 (x_i - y_i)^2, with the
-    rational s_i^2 made int weights over their common denominator.  The
-    distance matrix is built once; labels are then assigned images in
-    order by backtracking, each to an unused label whose distances to the
-    images assigned so far match.  Returns {label: image} dicts, ordered by
-    the positions in ``labels`` of the images of labels[0], labels[1], ...
-    compared lexicographically; so the identity comes first.
+    ``placement`` and ``scales`` are an ``integer_frame``, whose distance
+    matrix is built once (``_sq_distances``); labels are then assigned
+    images in order by backtracking, each to an unused label whose distances
+    to the images assigned so far match.  Returns {label: image} dicts,
+    ordered by the positions in ``labels`` of the images of labels[0],
+    labels[1], ... compared lexicographically; so the identity comes first.
     """
     labels = list(labels)
-    pts = [placement[v] for v in labels]
-    # s_i is a rational times one basis element, so s_i^2 is rational
-    sq = [(s * s).a for s in scales]
-    den = math.lcm(*(q.denominator for q in sq))
-    weights = [q.numerator * (den // q.denominator) for q in sq]
-
-    def dist(p, q):
-        return sum(w * (x - y) ** 2 for w, x, y in zip(weights, p, q))
-
+    d, _ = _sq_distances([placement[v] for v in labels], scales)
     n = len(labels)
-    d = [[None] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        d[i][j] = d[j][i] = dist(pts[i], pts[j])
     group, image, free = [], [], [True] * n
 
     def extend(k):
@@ -356,85 +357,97 @@ def orthogonal_project(points: dict, drop_axis: int) -> dict:
 SHAPES = ("equilateral", "isosceles", "scalene")
 
 
+def _distance_matrix(points) -> tuple:
+    """(ctx, d, den): the context of a list of Points and their squared
+    distances on its int frame, |p_i - p_j|^2 = d[i][j] / den."""
+    ctx, ints, units = _frame([p.coords for p in points])
+    return ctx, *_sq_distances(ints, [_reduced(ctx, *u) for u in units])
+
+
+def _det(m) -> int:
+    """The determinant of a square int matrix, by Bareiss's fraction-free
+    elimination: every division is exact."""
+    m = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for row in m[k + 1:]:
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * m[k][k] - row[k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _cayley_menger_r2(d, den) -> Fraction:
+    """The squared circumradius of the simplex with squared distances
+    d / den: -det(D) / (2 det(CM)), with CM the matrix D bordered by a row
+    and a column of ones and a 0 corner.  det(CM) is zero iff the points are
+    affinely dependent, and that raises ValueError."""
+    cm = _det([[0] + [1] * len(d)] + [[1] + row for row in d])
+    if not cm:
+        raise ValueError("affinely dependent points have no unique circumsphere")
+    return Fraction(-_det(d), 2 * den * cm)
+
+
+def squared_distances(placement: dict) -> dict:
+    """{(u, v): |p_u - p_v|^2} for every ordered pair of distinct labels of
+    the placement."""
+    ctx, d, den = _distance_matrix(placement.values())
+    labels = list(placement)
+    return {(u, v): _reduced(ctx, d[i][j], 0, 0, 0, den)
+            for i, u in enumerate(labels) for j, v in enumerate(labels) if i != j}
+
+
 def face_shapes(faces, placement: dict) -> dict:
     """Each face's shape by its number of distinct exact squared side lengths:
-    {face: "equilateral" | "isosceles" | "scalene"}; each edge's length is
-    computed once."""
-    edges = {e for f in faces for e in combinations(f, 2)}
-    lengths = {(u, v): dist_sq(placement[u], placement[v]) for u, v in edges}
-    shapes = {}
-    for f in faces:
-        sq = [lengths[e] for e in combinations(f, 2)]
-        distinct = 1 + (sq[0] != sq[1]) + (sq[2] != sq[0] and sq[2] != sq[1])
-        shapes[f] = SHAPES[distinct - 1]
-    return shapes
-
-
-def circumcenter(points) -> Point:
-    """Center equidistant from all given points (must exist and be unique
-    inside their affine hull)."""
-    pts = list(points)
-    base = pts[0]
-    ctx = base.ctx
-    n = base.dim
-    # |x|^2 - 2 x.p_i = |x|^2 - 2 x.p_0 + (|p_0|^2 - |p_i|^2) ... linearized
-    matrix, rhs = [], []
-    for p in pts[1:]:
-        d = p - base
-        matrix.append([2 * d.coords[i] for i in range(n)])
-        rhs.append(p.norm_sq() - base.norm_sq())
-    sol = solve_linear(matrix, rhs)
-    if sol.kind == "inconsistent":
-        raise ValueError("points admit no equidistant center")
-    if sol.kind == "parametric":
-        # center not pinned by these points alone; pick the min-norm-free
-        # representative only if the nullspace is trivial in practice
-        raise ValueError("circumcenter under-determined for these points")
-    return Point(tuple(sol.particular))
+    {face: "equilateral" | "isosceles" | "scalene"}, read from one distance
+    matrix of the placement."""
+    _, d, _ = _distance_matrix(placement.values())
+    at = {v: i for i, v in enumerate(placement)}
+    return {f: SHAPES[len({d[at[u]][at[v]] for u, v in combinations(f, 2)}) - 1] for f in faces}
 
 
 def circumradius_sq(points) -> QuadExt:
-    pts = list(points)
-    return dist_sq(circumcenter(pts), pts[0])
-
-
-def plane_distance_sq(p: Point, a: Point, b: Point, c: Point) -> QuadExt:
-    """Squared distance from p to the plane through a, b, c (R^3 only)."""
-    n = (b - a).cross(c - a)
-    h = n.dot(p - a)
-    return h * h / n.norm_sq()
+    """The squared radius of the sphere through affinely independent points
+    centered in their affine hull, such as a triangle's circle in R^3 or a
+    4-simplex's sphere; affinely dependent points raise ValueError."""
+    ctx, d, den = _distance_matrix(points)
+    return QuadExt(_cayley_menger_r2(d, den), ctx=ctx)
 
 
 def tetra_inradius_sq(tetra) -> QuadExt:
     """Squared inradius of a tetrahedron whose incenter coincides with its
-    circumcenter (the regular-up-to-scaling cases used here); asserts the
-    four face-plane distances agree."""
-    a, b, c, d = tetra
-    center = circumcenter(tetra)
-    dists = [
-        plane_distance_sq(center, *face)
-        for face in ((b, c, d), (a, c, d), (a, b, d), (a, b, c))
-    ]
-    if any(x != dists[0] for x in dists[1:]):
+    circumcenter (the regular-up-to-scaling cases used here).  The
+    circumcenter projects onto each face plane at the face's circumcenter,
+    so its squared distance to that plane is R^2 - R_f^2; the four must
+    agree, or ValueError."""
+    ctx, d, den = _distance_matrix(tetra)
+    r2 = _cayley_menger_r2(d, den)
+    heights = {
+        r2 - _cayley_menger_r2([[d[i][j] for j in f] for i in f], den)
+        for f in combinations(range(4), 3)
+    }
+    if len(heights) > 1:
         raise ValueError("incenter does not coincide with circumcenter")
-    return dists[0]
+    return QuadExt(heights.pop(), ctx=ctx)
 
 
 def tetra_containment(outer, inner) -> str:
     """Position of the inner point set relative to the closed outer
-    tetrahedron: strict_interior, touching, or outside."""
-    a, b, c, d = outer
+    tetrahedron in R^3: strict_interior, touching, or outside; decided by
+    orient3d on the int frame of all the points."""
+    _, ints, _ = _frame([p.coords for p in (*outer, *inner)])
+    a, b, c, d = ints[:4]
     faces = ((b, c, d, a), (a, c, d, b), (a, b, d, c), (a, b, c, d))
-    any_on = False
-    for p in inner:
-        for (x, y, z, opp) in faces:
-            n = (y - x).cross(z - x)
-            ref = n.dot(opp - x).sign()
-            if ref == 0:
-                raise ValueError("degenerate outer tetrahedron")
-            s = n.dot(p - x).sign()
-            if s == 0:
-                any_on = True
-            elif s != ref:
-                return "outside"
-    return "touching" if any_on else "strict_interior"
+    refs = [orientation_sign(f) for f in faces]
+    if 0 in refs:
+        raise ValueError("degenerate outer tetrahedron")
+    # each inner point's side of each face, relative to the opposite vertex
+    sides = [orientation_sign((*f[:3], p)) * r for p in ints[4:] for f, r in zip(faces, refs)]
+    if min(sides, default=1) < 0:
+        return "outside"
+    return "touching" if 0 in sides else "strict_interior"

@@ -35,43 +35,24 @@ faces, and maps a witness back through the raw scales of that frame.
 
 from __future__ import annotations
 
-import operator
 from itertools import combinations
 
 from .geometry import (
     Point,
+    _cross,
+    _dot,
     _frame,
     _one_dimension,
+    _sign,
     _sub,
     check_placement,
     face_is_degenerate,
     integer_frame,
     isometry_group,
+    orientation_sign,
     plane_axes,
 )
 from .numeric import _reduced, _Value
-
-
-def _sign(x) -> int:
-    """Exact sign of an int."""
-    return (x > 0) - (x < 0)
-
-
-def _dot(u, w):
-    return sum(map(operator.mul, u, w))
-
-
-def _cross(u, w):
-    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
-
-
-def orientation_sign(points) -> int:
-    """orient3d: the sign of the determinant of the difference vectors of
-    four coordinate tuples in R^3."""
-    a, b, c, d = points
-    if len(a) != 3:
-        raise ValueError(f"orient3d takes points of R^3, got R^{len(a)}")
-    return _sign(_dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a)))
 
 
 def _orient2d(a, b, p):

@@ -1,4 +1,5 @@
 import importlib
+import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -9,13 +10,33 @@ from types import SimpleNamespace
 import pytest
 
 from flextri.enumeration import EnumerationTask, enumerate_triangulations
-from flextri.geometry import RealizationParams, construction_coords, dist_sq
+from flextri.geometry import Point, RealizationParams, construction_coords
 from flextri.surfaces import build_graph
+
+
+def dist_sq(p: Point, q: Point):
+    """The field reference for a squared distance, with no int frame:
+    subtract the two points, then sum the squares in QuadExt."""
+    d = (p - q).coords
+    acc = d[0] * d[0]
+    for x in d[1:]:
+        acc = acc + x * x
+    return acc
+
+
+def add(p: Point, q: Point) -> Point:
+    """The coordinatewise sum of two points."""
+    return Point(tuple(map(operator.add, p.coords, q.coords)))
+
+
+def scale(p: Point, r) -> Point:
+    """The point ``p`` with every coordinate multiplied by ``r``."""
+    return Point(tuple(a * r for a in p.coords))
 
 
 def scale_placement(points: dict, r) -> dict:
     """The placement with every point multiplied by ``r``."""
-    return {label: p.scale(r) for label, p in points.items()}
+    return {label: scale(p, r) for label, p in points.items()}
 
 
 def field_isometry_group(labels, placement: dict) -> list[dict]:

@@ -16,9 +16,9 @@ from flextri.enumeration import complement_pairing
 from flextri.geometry import (
     construction_coords,
     circumradius_sq,
-    dist_sq,
     face_shapes,
     sixteen_cell_diagram,
+    squared_distances,
     tetra_containment,
     tetra_inradius_sq,
 )
@@ -123,22 +123,20 @@ def test_07_metric_checks(schlegel16_points, rp2_points, moebius_points,
     ctx16 = schlegel16_points["A"].ctx
     ctx5 = rp2_points["A"].ctx
     outer = [schlegel16_points[v] for v in "ABCD"]
+    rp2_dist, mo_dist = squared_distances(rp2_points), squared_distances(moebius_points)
     ok = (
-        dist_sq(schlegel16_points["A"], schlegel16_points["B"])
-        == QuadExt(24, ctx=ctx16)
+        squared_distances(schlegel16_points)["A", "B"] == QuadExt(24, ctx=ctx16)
         and circumradius_sq(outer) == QuadExt(9, ctx=ctx16)
         and tetra_inradius_sq(outer) == QuadExt(1, ctx=ctx16)
     )
     ok = ok and {
-        dist_sq(rp2_points[u], rp2_points[v])
-        for u in "ABCDE" for v in "ABCDE" if u < v
+        rp2_dist[u, v] for u in "ABCDE" for v in "ABCDE" if u < v
     } == {QuadExt(8, ctx=ctx5)}
-    ok = ok and {rp2_points[v].norm_sq() for v in "ABCDE"} == {
+    ok = ok and {rp2_dist[v, "O"] for v in "ABCDE"} == {
         QuadExt(Fraction(16, 5), ctx=ctx5)
-    }
+    } == {circumradius_sq([rp2_points[v] for v in "ABCDE"])}
     ok = ok and {
-        dist_sq(moebius_points[u], moebius_points[v])
-        for u in "ABCDE" for v in "ABCDE" if u < v
+        mo_dist[u, v] for u in "ABCDE" for v in "ABCDE" if u < v
     } == {QuadExt(3, ctx=ctx5), QuadExt(8, ctx=ctx5)}
     for tri in moebius_catalog.triangulations:
         shapes = list(face_shapes(tri.faces, moebius_points).values())

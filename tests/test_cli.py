@@ -289,6 +289,17 @@ def test_export_dim4_without_projection_rejected(capsys):
     assert "dim" in err
 
 
+def test_export_after_projection_suggests_only_json(capsys):
+    # moebius lies in R^3: with x dropped it is 2-D, and the projection flag
+    # the user already gave is no remedy
+    code, out, err = run(capsys, "export", "--construction", "moebius",
+                         "--id", "0", "--project-drop-axis", "x", "--format", "obj")
+    assert code == 2
+    assert "got dim 2" in err and "use --format json" in err
+    assert "--project-drop-axis" not in err
+    assert out == ""
+
+
 def test_export_collapsing_projection_rejected(capsys):
     # dropping the last axis of the 4-simplex placement sends the center O
     # onto the apex shadow, so the projected complex is degenerate
@@ -355,6 +366,25 @@ def test_metrics_census_lines(capsys):
     assert code == 0
     assert out.count("census") == 12
     assert "  7  census: {'equilateral': 2, 'isosceles': 3, 'scalene': 0}" in out.splitlines()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("construction,k", [
+    ("suspension", None), ("schlegel16cell", None), ("rp2-simplex", None),
+    ("moebius", None), ("suspension", "7/2"), ("schlegel16cell", "7/2"),
+])
+def test_metrics_output_is_pinned(capsys, construction, k):
+    # every line of ``metrics --all``, as recorded in tests/golden
+    argv = ["metrics", "--construction", construction, "--all"]
+    name = f"metrics-{construction}"
+    if k is not None:
+        argv += ["--k", k]
+        name += "-k" + k.replace("/", "_")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_metrics_id_out_of_range_prints_nothing(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,23 +10,29 @@ from flextri.geometry import (
     Point,
     RealizationParams,
     check_placement,
-    circumcenter,
     circumradius_sq,
     construction_coords,
-    dist_sq,
     face_is_degenerate,
     face_shapes,
     integer_frame,
     make_point,
     orthogonal_project,
     sixteen_cell_diagram,
+    squared_distances,
     tetra_containment,
     tetra_inradius_sq,
 )
-from flextri.numeric import CTX_SQRT2_SQRT3, CTX_SQRT5, QQ, ContextMismatchError, QuadExt
+from flextri.numeric import (
+    CTX_SQRT2_SQRT3,
+    CTX_SQRT5,
+    QQ,
+    ContextMismatchError,
+    QuadExt,
+    solve_linear,
+)
 from flextri.verify import verify_catalog
 
-from conftest import scale_placement
+from conftest import dist_sq, scale, scale_placement
 
 CTX = CTX_SQRT2_SQRT3
 S2 = QuadExt(0, 1, ctx=CTX)
@@ -79,9 +86,9 @@ def test_rp2_last_coordinate(rp2_points):
     assert rp2_points["A"].coords[3] == up
     for v in "BCDE":
         assert rp2_points[v].coords[3] == dn
-    assert rp2_points["O"].is_zero()
+    assert not any(rp2_points["O"].coords)
     # the apex direction has length 5 * (4/5)^2 = 16/5
-    assert rp2_points["A"].norm_sq() == qq(Fraction(16, 5), ctx=CTX_SQRT5)
+    assert dist_sq(rp2_points["A"], rp2_points["O"]) == qq(Fraction(16, 5), ctx=CTX_SQRT5)
 
 
 CONSTRUCTION_NAMES = (
@@ -137,7 +144,7 @@ def test_sixteen_cell_inner_is_homothetic_image(schlegel16_points):
     for outer, inner in zip("ABCD", "EFGH"):
         assert (
             schlegel16_points[inner].coords
-            == schlegel16_points[outer].scale(ratio).coords
+            == scale(schlegel16_points[outer], ratio).coords
         )
 
 
@@ -146,13 +153,14 @@ def test_suspension_equator_homothety(suspension_points):
     for big, small in (("F", "B"), ("G", "C"), ("H", "D")):
         assert (
             suspension_points[small].coords
-            == suspension_points[big].scale(ratio).coords
+            == scale(suspension_points[big], ratio).coords
         )
 
 
 def test_suspension_equator_circles_centered_at_origin(suspension_points):
+    origin = make_point(CTX, 0, 0, 0)
     for tri in ("BCD", "FGH"):
-        norms = {suspension_points[v].norm_sq() for v in tri}
+        norms = {dist_sq(suspension_points[v], origin) for v in tri}
         assert len(norms) == 1  # equidistant from the origin, in the plane z=0
         assert all(suspension_points[v].coords[2].is_zero() for v in tri)
 
@@ -235,50 +243,46 @@ def test_orthogonal_projection_of_rp2_is_moebius(rp2_points, moebius_points):
 
 def test_sixteen_cell_outer_tetra_metrics(schlegel16_points):
     outer = [schlegel16_points[v] for v in "ABCD"]
-    for p, q in ((0, 1), (0, 2), (1, 3), (2, 3)):
-        assert dist_sq(outer[p], outer[q]) == qq(24)
+    dist = squared_distances(schlegel16_points)
+    for p, q in combinations("ABCD", 2):
+        assert dist[p, q] == qq(24)
     assert circumradius_sq(outer) == qq(9)
     assert tetra_inradius_sq(outer) == qq(1)
-    assert circumcenter(outer).is_zero()
 
 
 def test_rp2_simplex_is_regular(rp2_points):
-    labels = "ABCDE"
-    for i in range(5):
-        for j in range(i + 1, 5):
-            assert dist_sq(rp2_points[labels[i]], rp2_points[labels[j]]) == qq(
-                8, ctx=CTX_SQRT5
-            )
-        assert rp2_points[labels[i]].norm_sq() == qq(
-            Fraction(16, 5), ctx=CTX_SQRT5
-        )
+    dist = squared_distances(rp2_points)
+    for u, v in combinations("ABCDE", 2):
+        assert dist[u, v] == qq(8, ctx=CTX_SQRT5)
+    for v in "ABCDE":
+        assert dist[v, "O"] == qq(Fraction(16, 5), ctx=CTX_SQRT5)
 
 
 def test_moebius_metric_census(moebius_catalog, moebius_points):
+    dist = squared_distances(moebius_points)
     for tri in moebius_catalog.triangulations:
-        lengths = {
-            dist_sq(moebius_points[u], moebius_points[v])
-            for u, v in map(sorted, tri.graph.edges)
-        }
+        lengths = {dist[tuple(e)] for e in tri.graph.edges}
         assert lengths == {qq(3, ctx=CTX_SQRT5), qq(8, ctx=CTX_SQRT5)}
         shapes = list(face_shapes(tri.faces, moebius_points).values())
         assert sorted(shapes) == ["equilateral"] * 2 + ["isosceles"] * 3
 
 
 def test_face_shapes_computes_each_edge_once(monkeypatch, moebius_points):
-    # the 10 cliques of K_5 have 30 sides but only the 10 edges of K_5
+    # the 10 cliques of K_5 have 30 sides but only the 10 edges of K_5: one
+    # distance matrix of the placement serves them all
     import flextri.geometry as geometry
 
-    computed = []
+    calls = []
+    original = geometry._sq_distances
 
-    def spy(p, q):
-        computed.append((p, q))
-        return dist_sq(p, q)
+    def spy(pts, scales):
+        calls.append(len(pts))
+        return original(pts, scales)
 
-    monkeypatch.setattr(geometry, "dist_sq", spy)
+    monkeypatch.setattr(geometry, "_sq_distances", spy)
     cliques = list(combinations("ABCDE", 3))
     shapes = face_shapes(cliques, moebius_points)
-    assert len(computed) == 10 and sorted(shapes) == cliques
+    assert calls == [5] and sorted(shapes) == cliques
     monkeypatch.undo()
     assert shapes == {f: face_shapes([f], moebius_points)[f] for f in cliques}
 
@@ -287,6 +291,130 @@ def test_scaling_preserves_shape_census(moebius_catalog, moebius_points):
     scaled = scale_placement(moebius_points, Fraction(7, 3))
     tri = moebius_catalog.triangulations[0]
     assert face_shapes(tri.faces, moebius_points) == face_shapes(tri.faces, scaled)
+
+
+def _metric_placements():
+    """Every construction at its default k, the 16-cell diagram and the
+    suspension at further k, and one scaled placement."""
+    out = {name: construction_coords(name, DEFAULT_PARAMS.get(name)) for name in CONSTRUCTION_NAMES}
+    for k in (Fraction(31, 10), Fraction(10000, 3333), 5, 21):
+        out[f"schlegel16cell k={k}"] = construction_coords("schlegel16cell", RealizationParams(k))
+    for k in (3, 7):
+        out[f"suspension k={k}"] = construction_coords("suspension", RealizationParams(k))
+    out["suspension x 7/3"] = scale_placement(out["suspension"], Fraction(7, 3))
+    return out
+
+
+@pytest.mark.parametrize("name,points", _metric_placements().items())
+def test_squared_distances_equal_the_field_reference(name, points):
+    dist = squared_distances(points)
+    pairs = [(u, v) for u in points for v in points if u != v]
+    assert sorted(dist) == sorted(pairs)
+    for u, v in pairs:
+        assert dist[u, v] == dist_sq(points[u], points[v]), (u, v)
+
+
+def test_circumradius_of_lower_dimensional_simplices(moebius_points, rp2_points):
+    # the circle through a Moebius face in R^3: sides 3, 3 and 8 squared
+    face = [moebius_points[v] for v in "ABC"]
+    assert circumradius_sq(face) == qq(Fraction(9, 4), ctx=CTX_SQRT5)
+    # the regular 4-simplex A..E of R^4, centered at O
+    assert circumradius_sq([rp2_points[v] for v in "ABCDE"]) == qq(Fraction(16, 5), ctx=CTX_SQRT5)
+    # a segment's sphere is centered at its midpoint
+    assert circumradius_sq(face[:2]) == qq(Fraction(3, 4), ctx=CTX_SQRT5)
+    # affinely dependent points have no unique circumsphere
+    line = [make_point(CTX, i, 2 * i, 0) for i in range(3)]
+    with pytest.raises(ValueError):
+        circumradius_sq(line)
+    with pytest.raises(ValueError):
+        circumradius_sq([make_point(QQ, *p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))])
+
+
+def test_inradius_refuses_a_tetrahedron_whose_centers_differ():
+    # the corner tetrahedron's circumcenter (1/2, 1/2, 1/2) lies 1/4 from the
+    # coordinate faces and 1/12 from the slanted one, in squares
+    corner = [make_point(QQ, *p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert circumradius_sq(corner) == qq(Fraction(3, 4), ctx=QQ)
+    with pytest.raises(ValueError, match="incenter"):
+        tetra_inradius_sq(corner)
+
+
+def _field_dot(u, w):
+    acc = u[0] * w[0]
+    for a, b in zip(u[1:], w[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def _field_cross(u, w):
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+
+
+def _field_circumradius_sq(points):
+    """The reference: the center x with 2 x.(p_i - p_0) = |p_i|^2 - |p_0|^2,
+    solved by solve_linear in the field, then |x - p_0|^2."""
+    base, *rest = [p.coords for p in points]
+    matrix = [[2 * (a - b) for a, b in zip(p, base)] for p in rest]
+    rhs = [_field_dot(p, p) - _field_dot(base, base) for p in rest]
+    sol = solve_linear(matrix, rhs)
+    assert sol.kind == "unique"
+    d = [x - b for x, b in zip(sol.particular, base)]
+    return _field_dot(d, d)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_circumradius_equals_the_field_center(dim):
+    rng = random.Random(20261019 + dim)
+    done = 0
+    while done < 40:
+        pts = [make_point(QQ, *(rng.randint(-6, 6) for _ in range(dim))) for _ in range(dim + 1)]
+        base = pts[0].coords
+        rows = [[a - b for a, b in zip(p.coords, base)] for p in pts[1:]]
+        if solve_linear(rows, [QuadExt(0)] * dim).kind != "unique":
+            continue  # affinely dependent
+        assert circumradius_sq(pts) == _field_circumradius_sq(pts)
+        done += 1
+
+
+def _field_containment(outer, inner):
+    """The reference: each face's normal by the cross product in the field,
+    and QuadExt.sign of its dot products."""
+    a, b, c, d = (p.coords for p in outer)
+    faces = ((b, c, d, a), (a, c, d, b), (a, b, d, c), (a, b, c, d))
+    any_on = False
+    for p in (q.coords for q in inner):
+        for x, y, z, opp in faces:
+            n = _field_cross([s - t for s, t in zip(y, x)], [s - t for s, t in zip(z, x)])
+            ref = _field_dot(n, [s - t for s, t in zip(opp, x)]).sign()
+            if ref == 0:
+                raise ValueError("degenerate outer tetrahedron")
+            s = _field_dot(n, [s - t for s, t in zip(p, x)]).sign()
+            if s == 0:
+                any_on = True
+            elif s != ref:
+                return "outside"
+    return "touching" if any_on else "strict_interior"
+
+
+@pytest.mark.parametrize(
+    "k", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 1, 2, 3, Fraction(31, 10), 4, 21],
+    ids=str,
+)
+def test_containment_equals_the_field_normals(k):
+    pts = sixteen_cell_diagram(Fraction(k))
+    outer, inner = [pts[v] for v in "ABCD"], [pts[v] for v in "EFGH"]
+    expected = "strict_interior" if k > 3 else "touching" if k == 3 else "outside"
+    assert tetra_containment(outer, inner) == _field_containment(outer, inner) == expected
+    # each inner vertex on its own, and the outer vertices, which touch
+    for p in inner:
+        assert tetra_containment(outer, [p]) == _field_containment(outer, [p])
+    assert tetra_containment(outer, outer) == "touching"
+
+
+def test_containment_refuses_a_flat_outer_tetrahedron():
+    flat = [make_point(QQ, *p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    with pytest.raises(ValueError, match="degenerate outer"):
+        tetra_containment(flat, [make_point(QQ, 0, 0, 1)])
 
 
 # -- containment threshold -------------------------------------------------
@@ -378,10 +506,3 @@ def test_placement_rejects_colliding_labels(moebius_catalog, moebius_points):
     bad["B"] = bad["C"]
     with pytest.raises(ValueError):
         check_placement(moebius_catalog.triangulations[0].graph.vertices, bad)
-
-
-def test_circumcenter_underdetermined():
-    a = make_point(CTX, 0, 0, 0)
-    b = make_point(CTX, 1, 0, 0)
-    with pytest.raises(ValueError):
-        circumcenter([a, b])

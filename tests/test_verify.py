@@ -33,7 +33,7 @@ from flextri.verify import (
     verify_catalog,
 )
 
-from conftest import field_isometry_group, scale_placement
+from conftest import add, field_isometry_group, scale, scale_placement
 
 CTX = CTX_SQRT2_SQRT3
 
@@ -241,7 +241,7 @@ def test_verify_catalog_table_checks_and_selection(
     # E moved to 2B puts A, B, E on one line: face ABE is degenerate, and
     # every report containing it says so, first for the face itself and
     # then for each pair the face is in
-    collinear = dict(moebius_points, E=moebius_points["B"].scale(2))
+    collinear = dict(moebius_points, E=scale(moebius_points["B"], 2))
     abe = ("A", "B", "E")
     reports = verify_catalog(collinear, moebius_catalog)
     with_abe = [
@@ -713,7 +713,7 @@ def test_orbit_table_equals_the_full_table(
     nudge = make_point(
         CTX, QuadExt(0, Fraction(1, 9), ctx=CTX), QuadExt(0, 0, 0, Fraction(1, 13), ctx=CTX), 0
     )
-    perturbed = dict(suspension_points, A=suspension_points["A"] + nudge)
+    perturbed = dict(suspension_points, A=add(suspension_points["A"], nudge))
     cases = (
         (suspension_points, torus_catalog, 12),
         (schlegel16_points, torus_catalog, 24),
@@ -721,7 +721,7 @@ def test_orbit_table_equals_the_full_table(
         (moebius_points, moebius_catalog, 24),
         (construction_coords("std_hyperoctahedron"), torus_catalog, 384),
         (scale_placement(suspension_points, Fraction(7, 3)), torus_catalog, 12),
-        (dict(moebius_points, E=moebius_points["B"].scale(2)), moebius_catalog, 2),
+        (dict(moebius_points, E=scale(moebius_points["B"], 2)), moebius_catalog, 2),
         (perturbed, torus_catalog, 1),
     )
     for points, catalog, order in cases:
@@ -879,7 +879,7 @@ def test_r4_admissible_pairs_have_no_sampled_overlap(rp2_points, rp2_catalog):
         assert verdict.admissible, (f1, f2)
         a, b, c = t1
         for s, t in grid:
-            x = a + (b - a).scale(s) + (c - a).scale(t)
+            x = add(a, add(scale(b - a, s), scale(c - a, t)))
             assert not _in_hull(x, t2), (f1, f2, s, t)
 
 
@@ -894,7 +894,7 @@ def test_r4_transverse_and_parallel_planes():
     touching = (pt(0, 0, 0, 0), pt(0, 0, 1, 0), pt(0, 0, 0, 1))
     v = pair_intersection_check(t1, touching)
     assert (v.verdict, v.kind) == ("violation", "vertex_in_face")
-    parallel = tuple(p + pt(0, 0, 0, 1) for p in t1)
+    parallel = tuple(add(p, pt(0, 0, 0, 1)) for p in t1)
     assert pair_intersection_check(t1, parallel).admissible
     # skew planes, together spanning R^4: the xy-plane and a plane along x
     # and z at w = 1 never meet
@@ -925,7 +925,7 @@ def _unique_meeting_reference(t1, t2):
     s, t, a, b = sol.particular
     if min(w.sign() for w in (s, t, 1 - s - t, a, b, 1 - a - b)) < 0:
         return "admissible", None
-    x = (p0 + (p1 - p0).scale(s) + (p2 - p0).scale(t)).coords
+    x = add(p0, add(scale(p1 - p0, s), scale(p2 - p0, t))).coords
     if any(x == p.coords == q.coords for p in t1 for q in t2):
         return "admissible", None
     if any(x == p.coords for p in t1 + t2):
