@@ -24,7 +24,11 @@ bytes:
   3-flat of R^4, the constant k - 1 inserted at axis k for k = 0, 1, 2, 3;
 - ``enumeration``: the triangulations, classes and rejected face sets (in
   order) of ``enumerate_triangulations`` on every named graph, in each mode
-  its edge count allows, with no target and with each named surface.
+  its edge count allows, with no target and with each named surface;
+- ``values``: the ``_n`` and ``ctx`` of ``QuadExt(...)`` on seeded
+  arguments, 1 to 4 coefficients each an int, a Fraction, a bool, a
+  decimal string or a dyadic float, over Q, Q(sqrt5), Q(sqrt3) and Q(sqrt7)
+  as d2, and Q(sqrt2, sqrt3); and the exception type of each refused input.
 
 Each section also prints its number of calls of
 ``verify.pair_intersection_check``, the name ``verify_catalog`` calls,
@@ -32,7 +36,7 @@ outside the hash: equal outputs from more calls mean verdicts decided again
 that the pair table should have copied.
 
 Run it as ``python3 scripts/predicate_digest.py [SECTION ...]`` from the
-repository root; with no section named it runs all eight, in the order above.
+repository root; with no section named it runs all nine, in the order above.
 ``--src DIR`` imports flextri from another tree's ``src`` directory, so
 ``--src ../parent/src`` digests the parent commit with the same inputs.
 Standard library only, besides flextri and the benchmark's input
@@ -58,6 +62,10 @@ EXTRA_TORUS = (
     )]
     + [("suspension", Fraction(k)) for k in ("2001/1000", "3", "6", "1000")]
 )
+
+VALUE_CONTEXTS = ((1, 1), (5, 1), (1, 3), (1, 7), (2, 3))
+VALUES = 50000
+VALUE_SEED = 20261019
 
 PAIR_CATEGORIES = ("general", "shared_vertex", "shared_edge", "coplanar", "touching", "flat3")
 PAIRS_PER_CATEGORY = 1000
@@ -256,6 +264,42 @@ def enumeration_section():
     return section
 
 
+def _draw_coefficient(rng):
+    """One constructor argument: an int, a Fraction, a bool, a decimal
+    string or a dyadic float, each kind equally likely."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-30, 30)
+    if kind == 1:
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    if kind == 2:
+        return rng.random() < 0.5
+    if kind == 3:
+        return f"{rng.randint(-30, 30)}.{rng.randint(0, 999)}"
+    return rng.randint(-64, 64) / 8
+
+
+def values_section():
+    from flextri.numeric import FieldContext, QuadExt
+
+    section = Section("values")
+    rng = random.Random(VALUE_SEED)
+    contexts = [FieldContext(*d) for d in VALUE_CONTEXTS]
+    for _ in range(VALUES):
+        ctx = rng.choice(contexts)
+        args = [_draw_coefficient(rng) for _ in range(rng.randint(1, 4))]
+        x = QuadExt(*args, ctx=ctx)
+        section.add(f"{args!r} {x._n} {x.ctx}")
+    for args in ((1, QuadExt(0)), (None,), ("x",), ("1e",), (float("nan"),), (float("inf"),)):
+        try:
+            x = QuadExt(*args)
+        except (TypeError, ValueError, OverflowError) as exc:
+            section.add(f"{args!r} refused {type(exc).__name__}", True)
+        else:
+            section.add(f"{args!r} {x._n} {x.ctx}")
+    return section
+
+
 def _count_predicate_calls() -> list:
     """Wrap ``verify.pair_intersection_check`` with a counter; the sections
     import it when they run, and ``verify_catalog`` looks it up per call."""
@@ -281,6 +325,7 @@ def main() -> int:
         "pairs-field": lambda workloads: pairs_section(3, field=True),
         "pairs-r4-axes": lambda workloads: pairs_axes_section(),
         "enumeration": lambda workloads: enumeration_section(),
+        "values": lambda workloads: values_section(),
     }
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory to import flextri from")

@@ -27,9 +27,9 @@ from .numeric import (
     CTX_SQRT2_SQRT3,
     CTX_SQRT5,
     QQ,
-    ContextMismatchError,
     FieldContext,
     QuadExt,
+    _mismatch,
     _reduced,
     _Value,
 )
@@ -61,10 +61,17 @@ _set_coords = Point.coords.__set__
 
 
 def make_point(ctx: FieldContext, *entries) -> Point:
-    coords = tuple(
-        e if isinstance(e, QuadExt) else QuadExt(e, ctx=ctx) for e in entries
-    )
-    return Point(coords)
+    """A point of context ``ctx``: each entry is a QuadExt of that context
+    or a rational value, which the QuadExt constructor takes; a QuadExt of
+    another context raises ContextMismatchError."""
+    coords = []
+    for e in entries:
+        if not isinstance(e, QuadExt):
+            e = QuadExt(e, ctx=ctx)
+        elif e.ctx is not ctx and e.ctx != ctx:
+            raise _mismatch(ctx, e.ctx)
+        coords.append(e)
+    return Point(tuple(coords))
 
 
 class RealizationParams(_Value, frozen=True):
@@ -169,7 +176,7 @@ def _frame(coords):
         ns = []
         for x in axis:
             if x.ctx is not ctx and x.ctx != ctx:
-                raise ContextMismatchError(f"cannot combine contexts {ctx} and {x.ctx}")
+                raise _mismatch(ctx, x.ctx)
             ns.append(x._n)
         *numerators, dens = zip(*ns)
         slot = 0

@@ -16,6 +16,10 @@ class ContextMismatchError(ValueError):
     """Raised when combining values from different field contexts."""
 
 
+def _mismatch(ctx, other) -> ContextMismatchError:
+    return ContextMismatchError(f"cannot combine contexts {ctx} and {other}")
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
@@ -30,6 +34,18 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
+
+
+_EXACT = (int, Fraction)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """The numerator and denominator of a rational value, in lowest terms;
+    only a value that is neither an int nor a Fraction goes through
+    ``Fraction()``, which refuses what is not a rational."""
+    if type(x) not in _EXACT:
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _is_square_free(n: int) -> bool:
@@ -121,23 +137,32 @@ class QuadExt:
     ints with D > 0 and gcd(A, B, C, E, D) = 1.  That lowest-terms form is
     canonical, so equality and hashing are structural.  Degenerate contexts
     (d2 = 1, or d1 = 1) fold the redundant basis coefficients at construction
-    time, and every operation keeps them zero.  The coefficients a, b, c, e
-    read back as ``Fraction``.
+    time, and every operation keeps them zero.  The constructor does no
+    ``Fraction`` arithmetic: an int or Fraction value with no radical part
+    is already that form, (numerator, 0, 0, 0, denominator); otherwise the
+    coefficients' numerators and denominators are put over their lcm and
+    folded as ints, and one gcd brings the whole to lowest terms.  Only a
+    coefficient that is neither an int nor a Fraction (a string, a float, a
+    bool) is converted by ``Fraction()``.  The coefficients a, b, c, e read
+    back as ``Fraction``.
     """
 
     __slots__ = ("_n", "ctx")
 
     def __init__(self, a, b=0, c=0, e=0, ctx: FieldContext = QQ):
-        a, b, c, e = Fraction(a), Fraction(b), Fraction(c), Fraction(e)
-        if ctx.d2 == 1:
-            a, c = a + c, 0
-            b, e = b + e, 0
-        if ctx.d1 == 1:
-            a, b = a + b, 0
-            c, e = c + e, 0
-        # the lcm of lowest-terms denominators keeps the whole in lowest terms
-        d = math.lcm(a.denominator, b.denominator, c.denominator, e.denominator)
-        _set_n(self, tuple(q.numerator * (d // q.denominator) for q in (a, b, c, e)) + (d,))
+        if not (b or c or e) and type(b) is type(c) is type(e) is int and type(a) in _EXACT:
+            # a rational in lowest terms is already canonical
+            _set_n(self, (a.numerator, 0, 0, 0, a.denominator))
+        else:
+            (a, da), (b, db), (c, dc), (e, de) = map(_ratio, (a, b, c, e))
+            den = math.lcm(da, db, dc, de)
+            a, b, c, e = a * (den // da), b * (den // db), c * (den // dc), e * (den // de)
+            if ctx.d2 == 1:
+                a, b, c, e = a + c, b + e, 0, 0
+            if ctx.d1 == 1:
+                a, b, c, e = a + b, 0, c + e, 0
+            g = math.gcd(a, b, c, e, den)
+            _set_n(self, (a // g, b // g, c // g, e // g, den // g))
         _set_ctx(self, ctx)
 
     __setattr__ = __delattr__ = _frozen
@@ -163,9 +188,7 @@ class QuadExt:
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ContextMismatchError(
-                    f"cannot combine contexts {self.ctx} and {other.ctx}"
-                )
+                raise _mismatch(self.ctx, other.ctx)
             return other
         if isinstance(other, (int, Fraction)):
             return _reduced(self.ctx, other.numerator, 0, 0, 0, other.denominator)

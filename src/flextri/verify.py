@@ -245,12 +245,8 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     s2 = [_sign(v) for v in d2]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return True, (), None
-    if flat:
-        u, w = _sub(t1[1], t1[0]), _sub(t1[2], t1[0])
-    axes = plane_axes(u, w)
-    if all(s == 0 for s in s2):
-        return _coplanar_check(t1, t2, shared_pts, axes)
-    if len(shared_pts) == 1:
+    coplanar = all(s == 0 for s in s2)
+    if not coplanar and len(shared_pts) == 1:
         # T2 meets T1's plane in the shared vertex v and in the point x where
         # the line through its other vertices q, r meets that plane, if x is
         # on the segment qr: T2 meets T1 only in v when q and r lie strictly
@@ -265,8 +261,13 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
         for p, p_next in ((f1[k - 1], f1[k]), (f1[k], f1[(k + 1) % 3])):
             if (s2[i] - s2[j]) * orientation_sign((p, p_next, f2[i], f2[j])) > 0:
                 return True, (), None
-    if not shared_pts and _strictly_one_side(f1, f2):
+    if not coplanar and not shared_pts and _strictly_one_side(f1, f2):
         return True, (), None
+    if flat:
+        u, w = _sub(t1[1], t1[0]), _sub(t1[2], t1[0])
+    axes = plane_axes(u, w)
+    if coplanar:
+        return _coplanar_check(t1, t2, shared_pts, axes)
     # T2 crosses the plane of T1: its trace there is one vertex of T2, or
     # the segment between two points each on a vertex or an open edge of
     # T2; T2 is not degenerate, so the two are distinct

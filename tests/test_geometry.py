@@ -478,6 +478,19 @@ def test_integer_frame_scales():
         integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX_SQRT5, 2, 1, 0)})
 
 
+def test_make_point_refuses_a_value_of_another_context():
+    # a Q(sqrt5) entry in a point of Q would make the point's ctx read Q(sqrt5)
+    # while its other coordinates are rationals of Q
+    root5 = QuadExt(0, 1, ctx=CTX_SQRT5)
+    with pytest.raises(ContextMismatchError) as mixed:
+        QuadExt(0) + root5
+    with pytest.raises(ContextMismatchError) as refused:
+        make_point(QQ, root5, 0, 0)
+    assert str(refused.value) == str(mixed.value)
+    p = make_point(CTX_SQRT5, root5, 0, Fraction(1, 2))
+    assert p.ctx is CTX_SQRT5 and all(x.ctx is CTX_SQRT5 for x in p.coords)
+
+
 def test_integer_frame_refuses_points_of_mixed_dimension():
     # zip over the axes would stop at the shortest point and frame (1, 2, 3)
     # and (1, 2) as one point (1, 1); the error names the dimensions found

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flextri.geometry import make_point
 from flextri.numeric import (
     CTX_SQRT2_SQRT3,
     CTX_SQRT5,
@@ -15,6 +16,7 @@ from flextri.numeric import (
     ContextMismatchError,
     FieldContext,
     QuadExt,
+    _reduced,
     parse_rational,
     solve_linear,
 )
@@ -80,6 +82,93 @@ def test_immutable():
 def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
         qx(1) + qx(1, ctx=CTX_SQRT5)
+
+
+# -- the constructor -------------------------------------------------------
+
+def reference_n(a, b=0, c=0, e=0, ctx=QQ):
+    """The numerators and denominator of QuadExt(a, b, c, e, ctx=ctx) by the
+    constructor's earlier body, which converts every coefficient with
+    ``Fraction()`` and folds a degenerate context in Fraction arithmetic."""
+    a, b, c, e = Fraction(a), Fraction(b), Fraction(c), Fraction(e)
+    if ctx.d2 == 1:
+        a, c = a + c, 0
+        b, e = b + e, 0
+    if ctx.d1 == 1:
+        a, b = a + b, 0
+        c, e = c + e, 0
+    d = math.lcm(a.denominator, b.denominator, c.denominator, e.denominator)
+    return tuple(q.numerator * (d // q.denominator) for q in (a, b, c, e)) + (d,)
+
+
+# every context kind: Q, d2 = 1, d1 = 1 and a biquadratic field
+CONTEXTS = (QQ, CTX_SQRT5, FieldContext(1, 3), FieldContext(1, 7), CTX_SQRT2_SQRT3)
+coefficients = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.builds(Fraction, st.integers(min_value=-99, max_value=99),
+              st.integers(min_value=1, max_value=99)),
+    st.booleans(),
+    st.builds(lambda i, f: f"{i}.{f}", st.integers(min_value=-99, max_value=99),
+              st.integers(min_value=0, max_value=999)),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@given(st.lists(coefficients, min_size=1, max_size=4), st.sampled_from(CONTEXTS))
+@settings(max_examples=500, deadline=None)
+@example([3], QQ)
+@example([Fraction(-2, 6)], CTX_SQRT5)
+@example([Fraction(1, 2), Fraction(1, 2)], QQ)  # the fold leaves 2/2
+@example([True, "0.5", 0.25, Fraction(1, 4)], FieldContext(1, 7))
+def test_constructor_equals_the_fraction_reference(args, ctx):
+    x = QuadExt(*args, ctx=ctx)
+    n = reference_n(*args, ctx=ctx)
+    ref = _reduced(ctx, *n)
+    assert x._n == n == ref._n
+    assert x.ctx is ctx
+    assert x == ref and hash(x) == hash(ref) and repr(x) == repr(ref)
+    assert all(type(v) is int for v in x._n)
+    assert x._n[4] > 0 and math.gcd(*x._n) == 1
+
+
+@pytest.mark.parametrize(
+    "args", [(1, QuadExt(0)), (None,), ("x",), (float("nan"),), (float("inf"),)]
+)
+def test_constructor_refuses_what_the_reference_refuses(args):
+    # QuadExt(0) == 0, so only a type test keeps QuadExt(1, QuadExt(0)) off
+    # the rational shortcut
+    with pytest.raises(Exception) as expected:
+        reference_n(*args)
+    with pytest.raises(Exception) as refused:
+        QuadExt(*args)
+    assert type(refused.value) is type(expected.value)
+
+
+def test_constructor_does_no_fraction_arithmetic(monkeypatch):
+    inputs = [(3,), (-7,), (0,), (Fraction(1, 3),), (Fraction(-5, 2),), (1, 2, 3, 4)]
+    third = inputs[3][0]
+    made, added = [0], [0]
+    new, add = Fraction.__new__, Fraction.__add__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_add(x, y):
+        added[0] += 1
+        return add(x, y)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(Fraction, "__add__", counted_add)
+    Fraction(1) + Fraction(1)  # the counters see Fraction arithmetic
+    assert made[0] >= 2 and added[0] == 1
+    made[0] = added[0] = 0
+    values = [QuadExt(*a, ctx=ctx) for a in inputs for ctx in CONTEXTS]
+    p = make_point(QQ, 1, third, -2)
+    assert (made[0], added[0]) == (0, 0)
+    monkeypatch.undo()
+    assert [x._n for x in values] == [reference_n(*a, ctx=ctx) for a in inputs for ctx in CONTEXTS]
+    assert [x._n for x in p.coords] == [(1, 0, 0, 0, 1), (1, 0, 0, 0, 3), (-2, 0, 0, 0, 1)]
 
 
 def test_division_by_zero():
