@@ -33,7 +33,8 @@ bytes:
 Each section also prints its number of calls of
 ``verify.pair_intersection_check``, the name ``verify_catalog`` calls,
 outside the hash: equal outputs from more calls mean verdicts decided again
-that the pair table should have copied.
+that the pair table should have copied.  Last on its line comes the
+section's wall time, and a last line gives the total.
 
 Run it as ``python3 scripts/predicate_digest.py [SECTION ...]`` from the
 repository root; with no section named it runs all nine, in the order above.
@@ -345,9 +346,10 @@ def main() -> int:
     for name, make in sections.items():
         if args.section and name not in args.section:
             continue
-        before = calls[0]
+        before, began = calls[0], time.perf_counter()
         section = make(workloads)
-        print(f"{section} calls={calls[0] - before}", flush=True)
+        print(f"{section} calls={calls[0] - before} {time.perf_counter() - began:.1f} s",
+              flush=True)
     print(f"{time.perf_counter() - start:.1f} s")
     return 0
 

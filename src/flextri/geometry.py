@@ -114,7 +114,17 @@ def orientation_sign(points) -> int:
     a, b, c, d = points
     if len(a) != 3:
         raise ValueError(f"orient3d takes points of R^3, got R^{len(a)}")
-    return _sign(_dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a)))
+    return _orient3d(a, b, c, d)
+
+
+def _orient3d(a, b, c, d) -> int:
+    """``orientation_sign`` on four int points of R^3, unchecked, on scalars."""
+    x, y, z = a
+    ux, uy, uz = b[0] - x, b[1] - y, b[2] - z
+    wx, wy, wz = c[0] - x, c[1] - y, c[2] - z
+    vx, vy, vz = d[0] - x, d[1] - y, d[2] - z
+    det = ux * (wy * vz - wz * vy) + uy * (wz * vx - wx * vz) + uz * (wx * vy - wy * vx)
+    return (det > 0) - (det < 0)
 
 
 def plane_axes(u: tuple, w: tuple) -> tuple[int, int] | None:

@@ -317,9 +317,11 @@ class QuadExt:
         return NotImplemented
 
     def __hash__(self):
-        # the hash of the Fraction coefficients, so that the iteration order
-        # of a set of exact values does not depend on the representation
-        return hash((self.a, self.b, self.c, self.e, self.ctx))
+        # the hash of the Fraction coefficients, which an integral value's ints
+        # share, so that a set's order does not depend on the representation
+        n = self._n
+        key = n[:4] if n[4] == 1 else (self.a, self.b, self.c, self.e)
+        return hash((*key, self.ctx))
 
     def __bool__(self):
         return not self.is_zero()

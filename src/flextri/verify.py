@@ -14,8 +14,11 @@ refuses any other point set.  That diagonal map keeps every sign the
 predicate tests.  One body, ``_check_dim3``, decides the pairs of R^3 and
 the pairs of R^4 inside one 3-flat (a coordinate 3-flat before any
 determinant); ``_check_dim4`` decides only the R^4 pairs that span R^4,
-whose planes meet in at most one point.  A point the body derives (a trace
-end, a clipped polygon vertex, the point where two planes meet) is
+whose planes meet in at most one point.  The R^3 body takes its plane and
+orient3d signs on unpacked ints (``_plane``, ``geometry._orient3d``); the
+tuple helpers serve ``_check_dim4``, ``_in_shared_hull``, T1's edges on a
+flat and ``face_is_degenerate``.  A point the body derives (a trace end, a
+clipped polygon vertex, the point where two planes meet) is
 homogeneous, an int numerator tuple over a positive int denominator, and
 points are compared by cross-multiplication.  One Sutherland-Hodgman clip,
 ``_clip``, finds what lies inside the first face: of the second face when
@@ -43,13 +46,13 @@ from .geometry import (
     _dot,
     _frame,
     _one_dimension,
+    _orient3d,
     _sign,
     _sub,
     check_placement,
     face_is_degenerate,
     integer_frame,
     isometry_group,
-    orientation_sign,
     plane_axes,
 )
 from .numeric import _reduced, _Value
@@ -218,12 +221,21 @@ def _coplanar_check(t1, t2, shared_pts, axes):
 
 # -- dimension 3 -----------------------------------------------------------
 
+def _plane(face, points):
+    """The edge vectors u = b - a, w = c - a of the face (a, b, c) of R^3, and
+    n . q - n . a at each of the three ``points`` q, for n = u x w."""
+    (x, y, z), (bx, by, bz), (cx, cy, cz) = face
+    u = ux, uy, uz = bx - x, by - y, bz - z
+    w = wx, wy, wz = cx - x, cy - y, cz - z
+    nx, ny, nz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
+    offset = nx * x + ny * y + nz * z
+    return u, w, [nx * qx + ny * qy + nz * qz - offset for qx, qy, qz in points]
+
+
 def _strictly_one_side(t1, t2) -> bool:
     """True iff every vertex of t1 lies strictly on one side of t2's plane."""
-    q0, q1, q2 = t2
-    normal = _cross(_sub(q1, q0), _sub(q2, q0))
-    s1 = [_sign(_dot(normal, _sub(p, q0))) for p in t1]
-    return all(s > 0 for s in s1) or all(s < 0 for s in s1)
+    d0, d1, d2 = _plane(t2, t1)[2]
+    return d0 > 0 and d1 > 0 and d2 > 0 or d0 < 0 and d1 < 0 and d2 < 0
 
 
 def _check_dim3(t1, t2, shared_pts, flat=None):
@@ -237,15 +249,12 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     ``plane_axes`` of T1: one vertex of T2, tested against T1, or a segment,
     clipped to T1."""
     f1, f2 = flat or (t1, t2)
-    a, b, c = f1
-    u, w = _sub(b, a), _sub(c, a)
-    normal = _cross(u, w)
-    offset = _dot(normal, a)
-    d2 = [_dot(normal, q) - offset for q in f2]
-    s2 = [_sign(v) for v in d2]
-    if all(s > 0 for s in s2) or all(s < 0 for s in s2):
+    u, w, d2 = _plane(f1, f2)
+    s2 = [(d > 0) - (d < 0) for d in d2]
+    side = s2[0] + s2[1] + s2[2]
+    if side == 3 or side == -3:
         return True, (), None
-    coplanar = all(s == 0 for s in s2)
+    coplanar = not (s2[0] or s2[1] or s2[2])
     if not coplanar and len(shared_pts) == 1:
         # T2 meets T1's plane in the shared vertex v and in the point x where
         # the line through its other vertices q, r meets that plane, if x is
@@ -253,13 +262,13 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
         # on one side, or when x lies strictly outside one of T1's edge
         # lines through v; for the edge (p, p') in T1's orientation that is
         # sign(d_q - d_r) * orient3d(p, p', q, r) > 0
-        if abs(sum(s2)) == 2:
+        if side == 2 or side == -2:
             return True, (), None
         v = shared_pts[0]
         i, j = [n for n, q in enumerate(t2) if q != v]
         k = t1.index(v)
         for p, p_next in ((f1[k - 1], f1[k]), (f1[k], f1[(k + 1) % 3])):
-            if (s2[i] - s2[j]) * orientation_sign((p, p_next, f2[i], f2[j])) > 0:
+            if (s2[i] - s2[j]) * _orient3d(p, p_next, f2[i], f2[j]) > 0:
                 return True, (), None
     if not coplanar and not shared_pts and _strictly_one_side(f1, f2):
         return True, (), None
@@ -366,25 +375,19 @@ def _pair_check(t1, t2, shared, faces=None) -> PairVerdict:
     if n_shared == 3:
         return PairVerdict(faces, 3, "violation", "coplanar_overlap", tuple((p, 1) for p in t1))
 
+    dim = len(t1[0])
+    if dim != 3 and dim != 4:
+        raise ValueError(f"unsupported dimension {dim}")
     if n_shared == 2:
         # non-coplanar triangles on a common edge meet exactly in that edge;
-        # the four points are coplanar iff every 3x3 minor of their three
-        # difference vectors vanishes (one minor in R^3, four in R^4)
+        # four points are coplanar iff orient3d, in R^4 each 3x3 minor, is 0
         (i0, j0), (i1, j1) = shared
-        base = t1[i0]
-        vecs = [_sub(p, base) for p in (t1[i1], t1[3 - i0 - i1], t2[3 - j0 - j1])]
-        for cols in combinations(range(len(base)), 3):
-            u, v, w = ([x[c] for c in cols] for x in vecs)
-            if _dot(_cross(u, v), w):
-                return PairVerdict(faces, 2, "admissible")
+        quad = t1[i0], t1[i1], t1[3 - i0 - i1], t2[3 - j0 - j1]
+        if _orient3d(*quad) if dim == 3 else any(
+                _orient3d(*(p[:k] + p[k + 1:] for p in quad)) for k in (3, 2, 1, 0)):
+            return PairVerdict(faces, 2, "admissible")
 
-    dim = len(t1[0])
-    if dim == 3:
-        ok, witness, kind = _check_dim3(t1, t2, shared_pts)
-    elif dim == 4:
-        ok, witness, kind = _check_dim4(t1, t2, shared_pts)
-    else:
-        raise ValueError(f"unsupported dimension {dim}")
+    ok, witness, kind = (_check_dim3 if dim == 3 else _check_dim4)(t1, t2, shared_pts)
     if ok:
         return PairVerdict(faces, n_shared, "admissible")
     return PairVerdict(faces, n_shared, "violation", kind, witness)

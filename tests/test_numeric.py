@@ -171,6 +171,22 @@ def test_constructor_does_no_fraction_arithmetic(monkeypatch):
     assert [x._n for x in p.coords] == [(1, 0, 0, 0, 1), (1, 0, 0, 0, 3), (-2, 0, 0, 0, 1)]
 
 
+def test_hash_is_the_hash_of_the_fraction_coefficients():
+    # an integral value hashes its int numerators, a set's order follows the
+    # hash, so the hash must stay that of the Fraction coefficients
+    rng = random.Random(24)
+    integral = 0
+    for ctx in (QQ, CTX_SQRT5, FieldContext(1, 3), CTX_SQRT2_SQRT3):
+        for _ in range(300):
+            den = rng.choice((1, 1, 2, 3, 12, 10**20 + 7))
+            x = QuadExt(*(Fraction(rng.randint(-10**25, 10**25), den) for _ in range(4)), ctx=ctx)
+            a, b, c, e, d = x._n
+            integral += d == 1
+            ref = (Fraction(a, d), Fraction(b, d), Fraction(c, d), Fraction(e, d), ctx)
+            assert hash(x) == hash(ref)
+    assert 0 < integral < 1200
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         qx(1) / qx(0)

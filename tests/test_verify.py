@@ -7,11 +7,15 @@ import pytest
 from flextri import verify
 from flextri.geometry import (
     Point,
+    _cross,
+    _dot,
+    _sub,
     construction_coords,
     face_is_degenerate,
     integer_frame,
     isometry_group,
     make_point,
+    orientation_sign,
     plane_axes,
     sixteen_cell_diagram,
 )
@@ -28,7 +32,6 @@ from flextri.verify import (
     EmbeddingReport,
     PairVerdict,
     _pair_check,
-    orientation_sign,
     pair_intersection_check,
     verify_catalog,
 )
@@ -63,6 +66,27 @@ def test_orientation_coplanar_is_zero():
 def test_orientation_wrong_count():
     with pytest.raises(ValueError):
         orientation_sign([(0, 0, 0), (1, 0, 0)])
+
+
+def test_orientation_equals_the_tuple_reference():
+    # the scalar orient3d against the sign of (b - a) x (c - a) . (d - a) on
+    # seeded int points up to 2^80, exactly coplanar quadruples and repeated
+    # points; points of R^4 are refused
+    rng = random.Random(2024)
+    signs = set()
+    for bound in (3, 2**20, 2**80):
+        for _ in range(400):
+            a, b, c, d = (tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(4))
+            s, t = rng.randint(-5, 5), rng.randint(-5, 5)
+            coplanar = tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c))
+            for quad in ((a, b, c, d), (a, b, c, coplanar), (a, a, c, d), (a, b, c, b)):
+                det = _dot(_cross(_sub(quad[1], quad[0]), _sub(quad[2], quad[0])),
+                           _sub(quad[3], quad[0]))
+                assert orientation_sign(quad) == (det > 0) - (det < 0)
+                signs.add(orientation_sign(quad))
+    assert signs == {-1, 0, 1}
+    with pytest.raises(ValueError):
+        orientation_sign([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
 
 
 # -- single-pair verdicts --------------------------------------------------
@@ -120,6 +144,55 @@ def test_shared_vertex_only_contact_is_admissible():
     v = pair_intersection_check(t1, t2)
     assert v.admissible
     assert v.shared == 1
+
+
+# One R^3 pair per sign-test exit of the predicate, with T1 = (0,0,0),
+# (4,0,0), (0,4,0): (name, T2, orient3d calls, results of the T1-side test).
+EXIT_CASES = (
+    ("shared-edge-not-coplanar", ((0, 0, 0), (4, 0, 0), (1, 1, 3)), 1, []),
+    ("T2-strictly-on-one-side", ((1, 1, 1), (2, 1, 3), (1, 2, 5)), 0, []),
+    ("shared-vertex-others-on-one-side", ((0, 0, 0), (5, 1, 2), (1, 5, 3)), 0, []),
+    ("shared-vertex-outside-an-edge-line", ((0, 0, 0), (-1, -1, 2), (-2, -1, -3)), 1, []),
+    ("T1-strictly-on-one-side", ((9, 9, -1), (9, 10, 2), (10, 9, 3)), 0, [True]),
+)
+
+
+@pytest.mark.parametrize(
+    "t2, orient3d_calls, one_side", [c[1:] for c in EXIT_CASES], ids=[c[0] for c in EXIT_CASES]
+)
+def test_sign_test_exits_decide_without_a_trace(monkeypatch, t2, orient3d_calls, one_side):
+    # each pair is admissible by its sign tests alone: no trace point is
+    # built and nothing is clipped, in R^3 and lifted into coordinate
+    # 3-flats of R^4; there a shared edge tries its 3x3 minors dropping axis
+    # 3, 2, 1, 0 in turn, each an orient3d, and the first nonzero one decides
+    calls = {"trace": 0, "orient3d": 0}
+    sides = []
+
+    def spy(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    def one_side_spy(*args):
+        sides.append(strictly_one_side(*args))
+        return sides[-1]
+
+    strictly_one_side = verify._strictly_one_side
+    monkeypatch.setattr(verify, "_crossing", spy("trace", verify._crossing))
+    monkeypatch.setattr(verify, "_clip", spy("trace", verify._clip))
+    monkeypatch.setattr(verify, "_orient3d", spy("orient3d", verify._orient3d))
+    monkeypatch.setattr(verify, "_strictly_one_side", one_side_spy)
+    t1 = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
+    shared_edge = len(set(t1) & set(t2)) == 2
+    for lift, minors in ((lambda p: p, 1), (lambda p: (*p, 7), 1), (lambda p: (-2, *p), 4)):
+        calls.update(trace=0, orient3d=0)
+        sides.clear()
+        v = pair_intersection_check(*(tuple(pt(*lift(p)) for p in t) for t in (t1, t2)))
+        assert v.admissible
+        assert calls["trace"] == 0
+        assert calls["orient3d"] == (minors if shared_edge else orient3d_calls)
+        assert sides == one_side
 
 
 # Traces of T2 on the plane z = 0 of T1 = (0,0,0), (6,0,0), (0,6,0).  In
@@ -664,6 +737,17 @@ def test_pairs_and_placements_of_mixed_dimension_are_refused(moebius_points, moe
     placement = dict(moebius_points, E=make_point(CTX_SQRT5, 0, 0, 0, 1))
     with pytest.raises(ValueError, match=r"dimensions \[3, 4\]"):
         verify_catalog(placement, moebius_catalog)
+
+
+def test_pairs_outside_r3_and_r4_are_refused():
+    # the dimension is checked before the shared-edge test, so a pair of R^5
+    # on a common edge is refused like any other, not found admissible
+    for dim in (2, 5):
+        a, b, c, d = ((0, 0), (4, 0), (0, 4), (1, -3)) if dim == 2 else (
+            (0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (1, 1, 3, 0, 0))
+        for t2 in ((a, b, d), (a, c, d)):
+            with pytest.raises(ValueError, match=f"unsupported dimension {dim}"):
+                pair_intersection_check(tuple(pt(*p) for p in (a, b, c)), tuple(pt(*p) for p in t2))
 
 
 def _full_table_reports(points, catalog):
