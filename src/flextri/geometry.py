@@ -212,9 +212,13 @@ def _sq_distances(pts, scales) -> tuple[list[list[int]], int]:
     ``scales``: (d, den), an int matrix and an int den > 0 with
     |p_i - p_j|^2 = d[i][j] / den.  The squared distance of two int points
     is sum_i s_i^2 (x_i - y_i)^2; s_i is a rational times one basis element,
-    so s_i^2 is rational, and the weights are the s_i^2 over their common
+    so s_i^2 = (a^2 + d1 b^2 + d2 c^2 + d1 d2 e^2) / d^2 is rational, read
+    off its raw ints, and the weights are the s_i^2 over their common
     denominator."""
-    sq = [(s * s).a for s in scales]
+    sq = []
+    for s in scales:
+        (a, b, c, e, d), d1, d2 = s._n, s.ctx.d1, s.ctx.d2
+        sq.append(Fraction(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d))
     den = math.lcm(*(q.denominator for q in sq))
     weights = [q.numerator * (den // q.denominator) for q in sq]
     n = len(pts)
@@ -273,20 +277,17 @@ def construction_coords(name: str, params: RealizationParams | None = None) -> d
     homothety parameter k; the other constructions are parameter-free.
     """
     if name == "suspension":
-        k = _require_k(name, params, lower=Fraction(2))
-        ctx = CTX_SQRT2_SQRT3
-        s2 = QuadExt(0, 1, ctx=ctx)   # sqrt 2
-        s6 = QuadExt(0, 0, 0, 1, ctx=ctx)  # sqrt 6
-        s8 = 2 * s2
+        t = 1 / _require_k(name, params, lower=Fraction(2))
+        ctx, r = CTX_SQRT2_SQRT3, _surd
         return {
-            "A": make_point(ctx, 0, 0, s8),
-            "B": make_point(ctx, -s8 / k, 0, 0),
-            "C": make_point(ctx, s2 / k, s6 / k, 0),
-            "D": make_point(ctx, s2 / k, -s6 / k, 0),
-            "E": make_point(ctx, 0, 0, -s8),
-            "F": make_point(ctx, s8, 0, 0),
-            "G": make_point(ctx, -s2, -s6, 0),
-            "H": make_point(ctx, -s2, s6, 0),
+            "A": make_point(ctx, 0, 0, r(2)),
+            "B": make_point(ctx, r(-2 * t), 0, 0),
+            "C": make_point(ctx, r(t), r(0, t), 0),
+            "D": make_point(ctx, r(t), r(0, -t), 0),
+            "E": make_point(ctx, 0, 0, r(-2)),
+            "F": make_point(ctx, r(2), 0, 0),
+            "G": make_point(ctx, r(-1), r(0, -1), 0),
+            "H": make_point(ctx, r(-1), r(0, 1), 0),
         }
     if name == "schlegel16cell":
         k = _require_k(name, params, lower=Fraction(3))
@@ -328,20 +329,24 @@ def sixteen_cell_diagram(k: Fraction) -> dict:
     outer one only for k > 3, which construction_coords enforces)."""
     if k <= 0:
         raise ParameterError(f"homothety parameter must be positive, got {k}")
-    ctx = CTX_SQRT2_SQRT3
-    s2 = QuadExt(0, 1, ctx=ctx)
-    s6 = QuadExt(0, 0, 0, 1, ctx=ctx)
-    s8 = 2 * s2
+    t = 1 / Fraction(k)
+    ctx, r = CTX_SQRT2_SQRT3, _surd
     return {
         "A": make_point(ctx, 0, 0, 3),
-        "B": make_point(ctx, s8, 0, -1),
-        "C": make_point(ctx, -s2, s6, -1),
-        "D": make_point(ctx, -s2, -s6, -1),
-        "E": make_point(ctx, 0, 0, Fraction(-3, 1) / k),
-        "F": make_point(ctx, -s8 / k, 0, Fraction(1) / k),
-        "G": make_point(ctx, s2 / k, -s6 / k, Fraction(1) / k),
-        "H": make_point(ctx, s2 / k, s6 / k, Fraction(1) / k),
+        "B": make_point(ctx, r(2), 0, -1),
+        "C": make_point(ctx, r(-1), r(0, 1), -1),
+        "D": make_point(ctx, r(-1), r(0, -1), -1),
+        "E": make_point(ctx, 0, 0, -3 * t),
+        "F": make_point(ctx, r(-2 * t), 0, t),
+        "G": make_point(ctx, r(t), r(0, -t), t),
+        "H": make_point(ctx, r(t), r(0, t), t),
     }
+
+
+def _surd(b, e=0) -> QuadExt:
+    """b sqrt2 + e sqrt6 in Q(sqrt2, sqrt3), for rationals b and e; the
+    constructions write each coordinate as one of the two."""
+    return QuadExt(0, b, 0, e, ctx=CTX_SQRT2_SQRT3)
 
 
 def _require_k(name: str, params: RealizationParams | None, lower: Fraction) -> Fraction:

@@ -271,19 +271,10 @@ class QuadExt:
             norm = a
             num = (1, 0, 0, 0)
         else:
-            raise ZeroDivisionError("QuadExt division by zero")
+            raise ZeroDivisionError("QuadExt inverse of zero")
         if norm < 0:
             norm, den = -norm, -den
         return _reduced(self.ctx, num[0] * den, num[1] * den, num[2] * den, num[3] * den, norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     # -- predicates -------------------------------------------------------
 

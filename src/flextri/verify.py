@@ -28,12 +28,15 @@ the body as those homogeneous points, and each coordinate is built
 straight into the field in one step, through the scale of its axis (a 2-D
 coplanar witness through those of the first face's ``plane_axes``).
 ``verify_catalog`` frames its placement, refuses two labels on one frame
-point, makes one int Point per label, numbers the distinct faces, tests
-each for degeneracy once, and runs ``pair_intersection_check`` on one
-nondegenerate pair per orbit of the isometry group, copying admissible
-verdicts into a flat list indexed by face-index pairs.  A direct call on
-QuadExt points frames the six points of its pair in one pass, tests both
-faces, and maps a witness back through the raw scales of that frame.
+point, makes one int Point per label, numbers the 3-cliques of the
+catalog's graph, tests each for degeneracy once, and decides every clique
+pair into one table for the placement, whatever the selection: it runs
+``pair_intersection_check`` on one nondegenerate pair per orbit of the
+isometry group, copies an admissible verdict to the rest of its orbit,
+and each report is then a lookup of its face pairs in that table.  A
+direct call on QuadExt points frames the six points of its pair in one
+pass, tests both faces, and maps a witness back through the raw scales of
+that frame.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .geometry import (
     plane_axes,
 )
 from .numeric import _reduced, _Value
+from .surfaces import enumerate_cliques3
 
 
 def _orient2d(a, b, p):
@@ -449,24 +453,27 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
     """Certify the triangulations ``ids`` of a catalog (default: all) on one
     placement, one report per id in the order given.
 
-    All triangulations draw their faces from the catalog's 3-cliques, so the
-    verdicts come from one table for the placement: its m faces are numbered
-    in sorted order, and it is one flat list, the pair (a, b) at a * m + b.  A
-    label permutation that keeps the placement's exact squared distances
+    All triangulations draw their faces from the 3-cliques of the catalog's
+    graph, so the verdicts come from one table for the placement, whatever
+    the selection: with the m cliques numbered in sorted order, it is one
+    flat list of (m + 1)^2 slots, the pair (a, b) at a * (m + 1) + b, each
+    None (undecided), False (admissible) or the pair's violation.  A label
+    permutation that keeps the placement's exact squared distances
     (``geometry.isometry_group``) is a congruence, so it maps an admissible
-    pair to an admissible pair: the predicate runs on one pair of each
-    orbit of the group, and an admissible verdict is written to both orders
-    of every undecided image pair.  Violations are never copied; every
-    violating pair is checked on its own points, so its kind and witness
-    are its own.  Each face is tested for degeneracy once, and that test
-    serves both the report's degenerate-face violations and every pair the
-    face is in: a pair with a degenerate face is decided here, and every
-    other pair is handed to ``pair_intersection_check`` as a triple of the
-    one int Point per label.  All of it is decided on the placement's
-    ``geometry.integer_frame``, where labels on equal points are refused,
-    so the predicate finds the shared vertices of a pair by coordinate
-    equality, and each witness is built in the field; a placement with no
-    frame raises ValueError, one of two contexts ContextMismatchError.
+    pair to an admissible pair.  So the pairs a < b are decided in index
+    order, the predicate runs on one pair of each orbit, and an admissible
+    verdict marks both orders of every image pair; an image that is no
+    clique lands on the sink index m, which no report reads.  Violations
+    are never copied, so each kind and witness is the pair's own.  Each
+    clique is tested for degeneracy once, for the reports' degenerate-face
+    violations and for every pair it is in: a pair with a degenerate face
+    is decided here, every other one by ``pair_intersection_check`` on the
+    one int Point per label.  A report is then a lookup of its face pairs.
+    All of it runs on the placement's ``geometry.integer_frame``, where
+    labels on equal points are refused, so the predicate finds a pair's
+    shared vertices by coordinate equality, and each witness is built in
+    the field; a placement with no frame raises ValueError, one of two
+    contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
     placement, scales = integer_frame(placement)
@@ -478,52 +485,44 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
             raise ValueError(f"triangulation id {i} out of range 0..{n - 1}")
     group = isometry_group(labels, placement, scales)
     units = [s._n for s in scales]
-    tris = [catalog.triangulations[i] for i in ids]
-    # a face is keyed by its label set, one bit per label, and indexed in
-    # sorted order; an image face outside the selection gets a fresh index
+    # a clique's image under the group is keyed by its label set, one bit
+    # per label; an image that is no clique goes to the sink index m
+    cliques = enumerate_cliques3(catalog.task.graph)
+    m = len(cliques)
     bit = {v: 1 << k for k, v in enumerate(labels)}
-    faces = sorted({f for t in tris for f in t.faces})
-    index = {bit[u] | bit[v] | bit[w]: k for k, (u, v, w) in enumerate(faces)}
+    index = {bit[u] | bit[v] | bit[w]: k for k, (u, v, w) in enumerate(cliques)}
     moves = [{v: bit[w] for v, w in g.items()} for g in group]
-    images = [
-        [index.setdefault(h[u] | h[v] | h[w], len(index)) for h in moves] for u, v, w in faces
-    ]
-    m = len(index)
-    rows = [[g * m for g in row] for row in images]
+    images = [[index.get(h[u] | h[v] | h[w], m) for h in moves] for u, v, w in cliques]
     points = {v: Point(placement[v]) for v in labels}
-    corners = [tuple(map(points.__getitem__, f)) for f in faces]
-    degenerate = [face_is_degenerate(*map(placement.__getitem__, f)) for f in faces]
-    undecided = object()
-    table = [undecided] * (m * m)  # a * m + b: the pair's violation, or None
+    corners = [tuple(map(points.__getitem__, f)) for f in cliques]
+    degenerate = [face_is_degenerate(*map(placement.__getitem__, f)) for f in cliques]
+    row = m + 1
+    table = [None] * (row * row)
+    for a, b in combinations(range(m), 2):
+        if table[a * row + b] is not None:
+            continue
+        fa, fb = cliques[a], cliques[b]
+        if degenerate[a] or degenerate[b]:
+            v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
+        else:
+            v = pair_intersection_check(corners[a], corners[b])
+            if v.admissible:
+                for ga, gb in zip(images[a], images[b]):
+                    table[ga * row + gb] = table[gb * row + ga] = False
+                continue
+            if v.witness:
+                v = _map_back(v, v.faces[0], scales[0].ctx, units, (fa, fb))
+        table[a * row + b] = table[b * row + a] = v
+    at = {f: k for k, f in enumerate(cliques)}
     reports = []
-    for i, tri in zip(ids, tris):
-        face_ids = [index[bit[u] | bit[v] | bit[w]] for u, v, w in tri.faces]
+    for i in ids:
+        face_ids = [at[f] for f in catalog.triangulations[i].faces]
         violations = [
-            PairVerdict((faces[a], faces[a]), 3, "violation", "degenerate_face")
+            PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")
             for a in face_ids if degenerate[a]
         ]
         pairs = list(combinations(face_ids, 2))
-        for a, b in pairs:
-            v = table[a * m + b]
-            if v is undecided:
-                fa, fb = faces[a], faces[b]
-                if degenerate[a] or degenerate[b]:
-                    v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
-                else:
-                    v = pair_intersection_check(corners[a], corners[b])
-                    if v.witness:
-                        v = _map_back(v, v.faces[0], scales[0].ctx, units, (fa, fb))
-                if v.admissible:
-                    v = None
-                    for ra, gb, rb, ga in zip(rows[a], images[b], rows[b], images[a]):
-                        if table[ra + gb] is undecided:
-                            table[ra + gb] = None
-                        if table[rb + ga] is undecided:
-                            table[rb + ga] = None
-                else:
-                    table[a * m + b] = v
-            if v:
-                violations.append(v)
+        violations += [v for a, b in pairs if (v := table[a * row + b])]
         verdict = "embedded" if not violations else "not_embedded"
         reports.append(EmbeddingReport(str(i), verdict, violations, len(pairs)))
     return reports

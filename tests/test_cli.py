@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flextri.cli import construction_points, main, qx_to_json
+from flextri.cli import CONSTRUCTIONS, construction_points, main, qx_to_json, run_report
 from flextri.enumeration import complement_pairing
+from flextri.numeric import QuadExt
 from flextri.verify import verify_catalog
 
 
@@ -416,6 +417,41 @@ def test_report_json_shape(capsys):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert any(l.startswith("[count-k2222] PASS") for l in doc["lines"])
+
+
+# -- no field arithmetic past the constructions ----------------------------
+
+FIELD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                    "__neg__", "inverse", "sign")
+
+
+def test_commands_make_no_field_arithmetic(monkeypatch, capsys, tmp_path):
+    # the constructions write every coordinate as a rational multiple of one
+    # basis element, and everything after them runs on the int frame, so
+    # report, metrics, export and verify never add, multiply, negate, invert
+    # or take the sign of a QuadExt
+    def refuse(*args):
+        raise AssertionError("QuadExt arithmetic past the constructions")
+
+    for name in FIELD_ARITHMETIC:
+        monkeypatch.setattr(QuadExt, name, refuse)
+    text, _ = run_report()
+    assert text == (ROOT / "perfbench" / "references" / "report.txt").read_text()
+    for construction in CONSTRUCTIONS:
+        code, _, err = run(capsys, "metrics", "--construction", construction, "--all")
+        assert (code, err) == (0, ""), construction
+        code, _, err = run(capsys, "export", "--construction", construction, "--id", "0",
+                           "--format", "json")
+        assert (code, err) == (0, ""), construction
+        drop = ["--project-drop-axis", "x"] if construction == "rp2-simplex" else []
+        code, _, err = run(capsys, "export", "--construction", construction, "--id", "0",
+                           "--format", "off", *drop)
+        assert (code, err) == (0, ""), construction
+        out = tmp_path / f"{construction}.json"
+        code, _, err = run(capsys, "verify", "--construction", construction, "--all",
+                           "--out", str(out))
+        assert code in (0, 4) and err == "", construction
+        assert json.loads(out.read_text(encoding="utf-8"))["reports"]
 
 
 # -- scripts ---------------------------------------------------------------

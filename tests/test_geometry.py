@@ -47,12 +47,14 @@ def qq(x, ctx=CTX):
 # -- transcription of the named coordinate sets ----------------------------
 
 def test_suspension_coordinates(suspension_points):
-    k = Fraction(14, 5)
+    t = Fraction(5, 14)  # 1 / k
     assert suspension_points["A"].coords == (qq(0), qq(0), S8)
     assert suspension_points["E"].coords == (qq(0), qq(0), -S8)
     assert suspension_points["F"].coords == (S8, qq(0), qq(0))
-    assert suspension_points["B"].coords == (-S8 / k, qq(0), qq(0))
-    assert suspension_points["C"].coords == (S2 / k, S6 / k, qq(0))
+    assert suspension_points["B"].coords == (QuadExt(0, -2 * t, ctx=CTX), qq(0), qq(0))
+    assert suspension_points["C"].coords == (
+        QuadExt(0, t, ctx=CTX), QuadExt(0, 0, 0, t, ctx=CTX), qq(0)
+    )
     assert suspension_points["G"].coords == (-S2, -S6, qq(0))
 
 
@@ -62,7 +64,7 @@ def test_sixteen_cell_coordinates(schlegel16_points):
     assert schlegel16_points["C"].coords == (-S2, S6, qq(-1))
     assert schlegel16_points["E"].coords == (qq(0), qq(0), qq(Fraction(-3, 4)))
     assert schlegel16_points["F"].coords == (
-        -S8 / Fraction(4), qq(0), qq(Fraction(1, 4))
+        QuadExt(0, Fraction(-1, 2), ctx=CTX), qq(0), qq(Fraction(1, 4))
     )
 
 
@@ -460,7 +462,10 @@ def test_integer_frame_scales():
     # the 16-cell diagram at k = 4 has the axes sqrt2, sqrt6 and 1, with
     # coefficients in (1/4)Z: the scales take the basis element and 1/4
     ints, scales = integer_frame(sixteen_cell_diagram(Fraction(4)))
-    assert scales == (S2 / 4, S6 / 4, qq(Fraction(1, 4)))
+    quarter = Fraction(1, 4)
+    assert scales == (
+        QuadExt(0, quarter, ctx=CTX), QuadExt(0, 0, 0, quarter, ctx=CTX), qq(quarter)
+    )
     assert ints["B"] == (8, 0, -4)
     assert ints["H"] == (1, 1, 1)
     # an axis that is zero everywhere keeps the scale 1; the gcd of an

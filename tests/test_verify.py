@@ -359,8 +359,8 @@ def test_verify_catalog_table_checks_and_selection(
 def test_verify_catalog_tests_each_face_for_degeneracy_once(
     monkeypatch, suspension_points, torus_catalog
 ):
-    # one test per distinct face of the selected triangulations serves the
-    # report's degenerate-face violations and every pair the face is in
+    # one test per 3-clique of the graph, whatever the selection, serves the
+    # reports' degenerate-face violations and every pair the clique is in
     tested = []
 
     def spy(a, b, c):
@@ -368,11 +368,12 @@ def test_verify_catalog_tests_each_face_for_degeneracy_once(
         return face_is_degenerate(a, b, c)
 
     monkeypatch.setattr(verify, "face_is_degenerate", spy)
-    ids = [0, 3, 8]
-    verify_catalog(suspension_points, torus_catalog, ids)
     ints, _ = integer_frame(suspension_points)
-    faces = {f for i in ids for f in torus_catalog.triangulations[i].faces}
-    assert sorted(tested) == sorted(tuple(ints[v] for v in f) for f in faces)
+    cliques = [tuple(ints[v] for v in f) for f in enumerate_cliques3(torus_catalog.task.graph)]
+    for ids in ([0, 3, 8], [5], None):
+        tested.clear()
+        verify_catalog(suspension_points, torus_catalog, ids)
+        assert tested == cliques
 
 
 def test_verify_catalog_predicate_calls(
@@ -384,6 +385,8 @@ def test_verify_catalog_predicate_calls(
     # below: one call per orbit of admissible pairs and one per violating
     # pair.  A table that missed the copied verdicts would call it more
     # often and still give the same reports, so only the count shows it.
+    # The table covers every clique pair of the graph, whatever the
+    # selection, so one id costs as many calls as the whole catalog.
     calls = []
 
     def spy(t1, t2, shared=None):
@@ -405,6 +408,9 @@ def test_verify_catalog_predicate_calls(
             assert type(face) is tuple and len(face) == 3
             assert all(type(p) is Point for p in face)
         counts[name] = len(calls)
+        calls.clear()
+        verify_catalog(points, catalog, [0])
+        assert len(calls) == counts[name], name
     # the sweep's 16-cell diagrams at k <= 3 and its suspensions embed no
     # torus, and each of their violating pairs is checked on its own
     sweep = {
@@ -414,8 +420,11 @@ def test_verify_catalog_predicate_calls(
         **{f"suspension:{k}": 80 for k in ("5/2", "14/5", "4", "7", "9999/4001")},
     }
     assert sum(sweep.values()) == 911
+    # on K_2,2,2,2 and K_5 every clique pair occurs in some triangulation;
+    # on K_6 the 10 pairs of vertex-disjoint triangles occur in none, and on
+    # rp2-simplex they are one admissible orbit: the seventh call
     assert counts == {
-        "suspension": 80, "schlegel16cell": 33, "rp2-simplex": 6, "moebius": 5, **sweep
+        "suspension": 80, "schlegel16cell": 33, "rp2-simplex": 7, "moebius": 5, **sweep
     }
 
 
@@ -464,7 +473,7 @@ def test_verify_catalog_refuses_a_placement_of_two_contexts(moebius_points, moeb
     # frame that read the numerators alone would take sqrt2 for sqrt5
     s5 = QuadExt(0, 1, ctx=CTX_SQRT5)
     points = {v: Point((p.coords[0] * s5, *p.coords[1:])) for v, p in moebius_points.items()}
-    points["A"] = make_point(CTX_SQRT5, s5 / 7, 0, 0)
+    points["A"] = make_point(CTX_SQRT5, QuadExt(0, Fraction(1, 7), ctx=CTX_SQRT5), 0, 0)
     points["B"] = make_point(CTX, QuadExt(0, 1, ctx=CTX), 1, 1)
     with pytest.raises(ContextMismatchError):
         verify_catalog(points, moebius_catalog)
@@ -798,6 +807,14 @@ def test_orbit_table_equals_the_full_table(
         CTX, QuadExt(0, Fraction(1, 9), ctx=CTX), QuadExt(0, 0, 0, Fraction(1, 13), ctx=CTX), 0
     )
     perturbed = dict(suspension_points, A=add(suspension_points["A"], nudge))
+    # the unit cube with the missing matching on its vertical edges: 32 of
+    # its 48 symmetries swap vertical and horizontal edges, so they are no
+    # automorphisms of K_2,2,2,2 and map some cliques to non-cliques, which
+    # the table sends to its sink index
+    square = ((0, 0), (1, 0), (1, 1), (0, 1))
+    cube = {
+        v: pt(x, y, z) for z, vs in enumerate(("ABCD", "EFGH")) for v, (x, y) in zip(vs, square)
+    }
     cases = (
         (suspension_points, torus_catalog, 12),
         (schlegel16_points, torus_catalog, 24),
@@ -807,6 +824,7 @@ def test_orbit_table_equals_the_full_table(
         (scale_placement(suspension_points, Fraction(7, 3)), torus_catalog, 12),
         (dict(moebius_points, E=scale(moebius_points["B"], 2)), moebius_catalog, 2),
         (perturbed, torus_catalog, 1),
+        (cube, torus_catalog, 48),
     )
     for points, catalog, order in cases:
         assert len(field_isometry_group(catalog.task.graph.vertices, points)) == order
