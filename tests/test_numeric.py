@@ -61,6 +61,12 @@ def test_sqrt2_squared_is_two():
     assert qx(0, 1) * qx(0, 1) == qx(2)
 
 
+def test_division_by_self_is_one():
+    x = qx(1, 1)
+    assert x * x.inverse() == qx(1)
+    assert x.inverse() == qx(-1, 1)  # (1 + sqrt2)(sqrt2 - 1) = 1
+
+
 def test_degenerate_context_folds():
     x = QuadExt(1, 2, 3, 4, ctx=CTX_SQRT5)  # 1 + 2√5 + 3 + 4√5
     assert (x.a, x.b, x.c, x.e) == (4, 6, 0, 0)
@@ -182,6 +188,11 @@ def test_hash_is_the_hash_of_the_fraction_coefficients():
     assert 0 < integral < 1200
 
 
+def test_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        qx(1) * qx(0).inverse()
+
+
 def test_square_free_context_rejected():
     with pytest.raises(ValueError):
         FieldContext(4, 3)
@@ -285,22 +296,21 @@ def test_rational_operands(x, r):
     assert qx(r) == r
 
 
-def test_inverse_of_one_plus_sqrt2_and_of_zero():
-    x = qx(1, 1)
-    assert x * x.inverse() == qx(1)
-    assert x.inverse() == qx(-1, 1)  # (1 + sqrt2)(sqrt2 - 1) = 1
-    with pytest.raises(ZeroDivisionError):
-        qx(0).inverse()
-
-
-@given(quadexts, quadexts)
+@given(quadexts)
 @settings(max_examples=200, deadline=None)
-def test_multiplicative_inverse(x, y):
+def test_multiplicative_inverse(x):
     if not x.is_zero():
         assert_canonical(x.inverse())
         assert_same(x * x.inverse(), qx(1))
         assert_same(x.inverse().inverse(), x)
-        assert_same(y * x.inverse() * x, y)
+
+
+# QuadExt has no `/`: division is multiplication by the inverse.
+@given(quadexts, quadexts)
+@settings(max_examples=200, deadline=None)
+def test_division(x, y):
+    if not y.is_zero():
+        assert_same((x * y.inverse()) * y, x)
 
 
 @given(quadexts, quadexts)
