@@ -22,6 +22,9 @@ bytes:
   scales;
 - ``pairs-r4-axes``: the ``pairs-r3`` draws lifted into each coordinate
   3-flat of R^4, the constant k - 1 inserted at axis k for k = 0, 1, 2, 3;
+- ``pairs-r5``: the ``pairs-r3`` and ``pairs-r4`` draws under one injective
+  int linear map of R^4 into R^5 (an R^3 point as (x, y, z, 0)), so that
+  the R^5 predicate finds each pair's rank by elimination;
 - ``enumeration``: the triangulations, classes and rejected face sets (in
   order) of ``enumerate_triangulations`` on every named graph, in each mode
   its edge count allows, with no target and with each named surface;
@@ -37,7 +40,7 @@ that the pair table should have copied.  Last on its line comes the
 section's wall time, and a last line gives the total.
 
 Run it as ``python3 scripts/predicate_digest.py [SECTION ...]`` from the
-repository root; with no section named it runs all nine, in the order above.
+repository root; with no section named it runs all ten, in the order above.
 ``--src DIR`` imports flextri from another tree's ``src`` directory, so
 ``--src ../parent/src`` digests the parent commit with the same inputs.
 Standard library only, besides flextri and the benchmark's input
@@ -67,6 +70,15 @@ EXTRA_TORUS = (
 VALUE_CONTEXTS = ((1, 1), (5, 1), (1, 3), (1, 7), (2, 3))
 VALUES = 50000
 VALUE_SEED = 20261019
+
+# an injective int linear map R^4 -> R^5 (rank 4)
+R5_MAP = (
+    (1, 0, 2, -1),
+    (0, 1, -1, 2),
+    (2, -1, 0, 1),
+    (-1, 3, 1, 0),
+    (0, 2, 5, -3),
+)
 
 PAIR_CATEGORIES = ("general", "shared_vertex", "shared_edge", "coplanar", "touching", "flat3")
 PAIRS_PER_CATEGORY = 1000
@@ -244,6 +256,22 @@ def pairs_axes_section():
     return section
 
 
+def pairs_r5_section():
+    from flextri.geometry import make_point
+    from flextri.numeric import QQ
+    from flextri.verify import pair_intersection_check
+
+    def place(p):
+        return make_point(QQ, *(sum(m * x for m, x in zip(row, p)) for row in R5_MAP))
+
+    section = Section("pairs-r5")
+    for dim in (3, 4):
+        for category, t1, t2 in _pairs(dim):
+            v = pair_intersection_check(*(tuple(map(place, t)) for t in (t1, t2)))
+            section.add(f"r{dim} {category} {t1} {t2} {_verdict(v)}", not v.admissible)
+    return section
+
+
 def enumeration_section():
     from flextri.enumeration import EnumerationTask, enumerate_triangulations
     from flextri.surfaces import SURFACE_NAMES, build_graph
@@ -325,6 +353,7 @@ def main() -> int:
         "pairs-r4": lambda workloads: pairs_section(4),
         "pairs-field": lambda workloads: pairs_section(3, field=True),
         "pairs-r4-axes": lambda workloads: pairs_axes_section(),
+        "pairs-r5": lambda workloads: pairs_r5_section(),
         "enumeration": lambda workloads: enumeration_section(),
         "values": lambda workloads: values_section(),
     }

@@ -12,12 +12,13 @@ writes a point set whose axes are each a rational multiple of one basis
 element of the field as int points times one positive scale per axis, and
 refuses any other point set.  That diagonal map keeps every sign the
 predicate tests.  One body, ``_check_dim3``, decides the pairs of R^3 and
-the pairs of R^4 inside one 3-flat (a coordinate 3-flat before any
-determinant); ``_check_dim4`` decides only the R^4 pairs that span R^4,
-whose planes meet in at most one point.  The R^3 body takes its plane and
-orient3d signs on unpacked ints (``_plane``, ``geometry._orient3d``); the
-tuple helpers serve ``_check_dim4``, ``_in_shared_hull``, T1's edges on a
-flat and ``face_is_degenerate``.  A point the body derives (a trace end, a
+those of R^4 and up whose points span a flat of dimension 3 at most, on
+three coordinates onto which it projects one-to-one; ``_check_rank``
+dispatches a pair of R^4 and up on that affine rank.  The R^3 body takes
+its plane and orient3d signs on unpacked ints (``_plane``,
+``geometry._orient3d``); the tuple helpers serve ``_cramer``,
+``_in_shared_hull``, T1's edges on a flat and ``face_is_degenerate``.  A
+point the body derives (a trace end, a
 clipped polygon vertex, the point where two planes meet) is
 homogeneous, an int numerator tuple over a positive int denominator, and
 points are compared by cross-multiplication.  One Sutherland-Hodgman clip,
@@ -42,10 +43,11 @@ that frame.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 
 from .geometry import (
     Point,
-    _cross,
+    _det,
     _dot,
     _frame,
     _one_dimension,
@@ -243,16 +245,21 @@ def _strictly_one_side(t1, t2) -> bool:
 
 
 def _check_dim3(t1, t2, shared_pts, flat=None):
-    """The pair predicate on two faces of R^3, or of R^4 inside one 3-flat;
-    returns (admissible, witness, kind).  In R^4, ``flat`` is the two faces
-    on three coordinates onto which that 3-flat projects one-to-one, an
-    affine bijection that keeps every sign tested here up to one global
+    """The pair predicate on two faces of R^3, or of R^4 and up inside one
+    3-flat; returns (admissible, witness, kind).  There, ``flat`` is the two
+    faces on three coordinates onto which that 3-flat projects one-to-one,
+    an affine bijection that keeps every sign tested here up to one global
     sign: the signs are taken on ``flat``, while trace and clip points and
-    ``plane_axes`` use the full coordinates, so witnesses are R^4 points.
+    ``plane_axes`` use the full coordinates, so witnesses keep them.
     A pair that crosses T1's plane is decided by T2's trace there, on the
     ``plane_axes`` of T1: one vertex of T2, tested against T1, or a segment,
     clipped to T1."""
     f1, f2 = flat or (t1, t2)
+    if len(shared_pts) == 2:
+        # non-coplanar triangles on a common edge meet exactly in that edge
+        q = next(q for q, p in zip(f2, t2) if p not in shared_pts)
+        if _orient3d(*f1, q):
+            return True, (), None
     u, w, d2 = _plane(f1, f2)
     s2 = [(d > 0) - (d < 0) for d in d2]
     side = s2[0] + s2[1] + s2[2]
@@ -298,71 +305,70 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
 
 
-# -- dimension 4 -----------------------------------------------------------
+# -- dimension 4 and up ---------------------------------------------------
 
-def _cross4(a, b, c):
-    """The vector n with n . x = det(a, b, c, x) for every x of R^4: a
-    normal of span(a, b, c), zero iff a, b and c are linearly dependent."""
-    def minor(k):
-        a3, b3, c3 = (v[:k] + v[k + 1:] for v in (a, b, c))
-        return _dot(_cross(a3, b3), c3)
-    return (-minor(0), minor(1), -minor(2), minor(3))
+def _pivots(rows, axes):
+    """The pivot coordinates, among ``axes``, of a fraction-free elimination
+    of the int vectors ``rows``: as many as the rank of the rows, and their
+    span projects one-to-one onto them."""
+    pivots = []
+    for k in axes:
+        pivot = next((r for r in rows if r[k]), None)
+        if pivot:
+            pivots.append(k)
+            c = pivot[k]
+            rows = [[x * c - y * r[k] for x, y in zip(r, pivot)] for r in rows if r is not pivot]
+    return pivots
 
 
-def _det4(a, b, c, d):
-    return _dot(_cross4(a, b, c), d)
-
-
-def _check_dim4(t1, t2, shared_pts):
-    """The pair predicate on two faces of R^4.  Their planes meet where
+def _cramer(t1, t2, shared_pts, axes):
+    """Two faces whose six points span a 4-flat that projects one-to-one
+    onto the coordinates ``axes``.  Their planes meet where
     s u1 + t u2 - a w1 - b w2 = q0 - p0 (u1, u2 T1's edge vectors at p0,
-    w1, w2 T2's at q0): in one point, found by Cramer's rule on ints, when
-    det(u1, u2, w1, w2) != 0; never, when q0 - p0 leaves the span of the
-    four.  Otherwise the six points lie in one 3-flat, which the R^3 body
-    decides; axis 3 is dropped first, so the lift (x, y, z, 0) of an R^3
-    pair keeps its verdict, kind and witness order.  Six points that agree
-    on one axis, tried in the order 3, 2, 1, 0, lie in a coordinate 3-flat
-    and go to the R^3 body with that axis dropped before any determinant:
-    the rule below drops the same axis there, and where the six span only
-    a 2-flat, the coplanar path reads no sign of the dropped flat."""
+    w1, w2 T2's at q0): in one point, found by Cramer's rule on ``axes``,
+    when det(u1, u2, w1, w2) != 0 there; never otherwise, as q0 - p0 then
+    leaves the span of the four.  The point keeps its full coordinates."""
     p0, p1, p2 = t1
     q0, q1, q2 = t2
-    for k in (3, 2, 1, 0):
-        x = p0[k]
-        if p1[k] == x and p2[k] == x and q0[k] == x and q1[k] == x and q2[k] == x:
-            flat = tuple(tuple(p[:k] + p[k + 1:] for p in t) for t in (t1, t2))
-            return _check_dim3(t1, t2, shared_pts, flat)
     u1, u2 = _sub(p1, p0), _sub(p2, p0)
-    w1, w2, r = _sub(q1, q0), _sub(q2, q0), _sub(q0, p0)
-    normal = _cross4(u1, u2, w1)
-    det = _dot(normal, w2)
-    if det:
-        # Cramer's rule on the columns (u1, u2, -w1, -w2), whose determinant
-        # is det, with the weights s, t, a, b as numerators over |det|
-        cols = (u1, u2, tuple(-c for c in w1), tuple(-c for c in w2))
-        sign = _sign(det)
-        s, t, a, b = (sign * _det4(*cols[:i], r, *cols[i + 1:]) for i in range(4))
-        det *= sign
-        if min(s, t, a, b) < 0 or s + t > det or a + b > det:
+    # the columns (u1, u2, -w1, -w2) and q0 - p0, as rows of the transpose
+    cols = [[v[k] for k in axes] for v in (u1, u2, _sub(q0, q1), _sub(q0, q2))]
+    r = [q0[k] - p0[k] for k in axes]
+    det = _det(cols)
+    if not det:
+        return True, (), None
+    # the weights s, t, a, b as numerators over |det|
+    sign = _sign(det)
+    s, t, a, b = (sign * _det([*cols[:i], r, *cols[i + 1:]]) for i in range(4))
+    det *= sign
+    if min(s, t, a, b) < 0 or s + t > det or a + b > det:
+        return True, (), None
+    x = (tuple(det * c + s * e + t * f for c, e, f in zip(p0, u1, u2)), det)
+    if _in_shared_hull(x, shared_pts):
+        return True, (), None
+    on_vertex = any(_equals(x, q) for q in t1 + t2)
+    return False, (x,), "vertex_in_face" if on_vertex else "interior_crossing"
+
+
+def _check_rank(t1, t2, shared_pts):
+    """The pair predicate on two faces of R^4 and up, dispatched on the
+    affine rank r of their 6 - len(shared_pts) distinct points: found by one
+    elimination of their differences from t1[0], unless they vary on three
+    coordinates at most.  Affinely independent points meet exactly in the
+    shared face; for r = 4 ``_cramer`` decides; for r <= 3 the R^3 body, on
+    three coordinates that contain the varying ones or the pivots."""
+    points = t1 + t2
+    axes = [k for k, column in enumerate(zip(*points)) if column.count(column[0]) < 6]
+    if len(axes) > 3:
+        axes = _pivots([_sub(q, points[0]) for q in points[1:]], axes)
+        if len(axes) == 5 - len(shared_pts):
             return True, (), None
-        x = (tuple(det * c + s * e + t * f for c, e, f in zip(p0, u1, u2)), det)
-        if _in_shared_hull(x, shared_pts):
-            return True, (), None
-        on_vertex = any(_equals(x, q) for q in t1 + t2)
-        return False, (x,), "vertex_in_face" if on_vertex else "interior_crossing"
-    if not any(normal):  # w1 lies in span(u1, u2)
-        normal = _cross4(u1, u2, w2)
-    if any(normal):
-        if _dot(normal, r):  # r leaves span(u1, u2, w1, w2) = normal^perp
-            return True, (), None
-    else:  # parallel planes: in the 3-flat p0 + span(u1, u2, r), or a 2-flat
-        normal = _cross4(u1, u2, r)
-    if any(normal):
-        drop = next(k for k in (3, 2, 1, 0) if normal[k])
-    else:
-        drop = next(k for k in (3, 2, 1, 0) if k not in plane_axes(u1, u2))
-    flat = tuple(tuple(p[:drop] + p[drop + 1:] for p in t) for t in (t1, t2))
-    return _check_dim3(t1, t2, shared_pts, flat)
+        if len(axes) == 4:
+            return _cramer(t1, t2, shared_pts, axes)
+    if len(axes) < 3:
+        axes += [k for k in range(len(points[0])) if k not in axes][:3 - len(axes)]
+    get = itemgetter(*axes)
+    return _check_dim3(t1, t2, shared_pts, (tuple(map(get, t1)), tuple(map(get, t2))))
 
 
 # -- public predicates -----------------------------------------------------
@@ -380,29 +386,21 @@ def _pair_check(t1, t2, shared, faces=None) -> PairVerdict:
         return PairVerdict(faces, 3, "violation", "coplanar_overlap", tuple((p, 1) for p in t1))
 
     dim = len(t1[0])
-    if dim != 3 and dim != 4:
+    if dim < 3:
         raise ValueError(f"unsupported dimension {dim}")
-    if n_shared == 2:
-        # non-coplanar triangles on a common edge meet exactly in that edge;
-        # four points are coplanar iff orient3d, in R^4 each 3x3 minor, is 0
-        (i0, j0), (i1, j1) = shared
-        quad = t1[i0], t1[i1], t1[3 - i0 - i1], t2[3 - j0 - j1]
-        if _orient3d(*quad) if dim == 3 else any(
-                _orient3d(*(p[:k] + p[k + 1:] for p in quad)) for k in (3, 2, 1, 0)):
-            return PairVerdict(faces, 2, "admissible")
-
-    ok, witness, kind = (_check_dim3 if dim == 3 else _check_dim4)(t1, t2, shared_pts)
+    ok, witness, kind = (_check_dim3 if dim == 3 else _check_rank)(t1, t2, shared_pts)
     if ok:
         return PairVerdict(faces, n_shared, "admissible")
     return PairVerdict(faces, n_shared, "violation", kind, witness)
 
 
 def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
-    """Exact verdict for one pair of triangles (tuples of Points in R^3/R^4).
+    """Exact verdict for one pair of triangles (tuples of Points of R^3 or
+    higher).
 
     ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
     omitted it is recovered from coordinate equality.  Six points of more
-    than one dimension raise ValueError.  QuadExt points are decided on the
+    than one dimension, or of a dimension below 3, raise ValueError.  QuadExt points are decided on the
     int frame of the six points (``geometry.integer_frame``, in one pass
     over their coordinates), after both faces are tested for degeneracy,
     and a witness is mapped back; a pair with no frame raises ValueError,

@@ -163,8 +163,8 @@ EXIT_CASES = (
 def test_sign_test_exits_decide_without_a_trace(monkeypatch, t2, orient3d_calls, one_side):
     # each pair is admissible by its sign tests alone: no trace point is
     # built and nothing is clipped, in R^3 and lifted into coordinate
-    # 3-flats of R^4; there a shared edge tries its 3x3 minors dropping axis
-    # 3, 2, 1, 0 in turn, each an orient3d, and the first nonzero one decides
+    # 3-flats of R^4, where the R^3 body takes the same signs on the three
+    # coordinates that vary
     calls = {"trace": 0, "orient3d": 0}
     sides = []
 
@@ -184,14 +184,13 @@ def test_sign_test_exits_decide_without_a_trace(monkeypatch, t2, orient3d_calls,
     monkeypatch.setattr(verify, "_orient3d", spy("orient3d", verify._orient3d))
     monkeypatch.setattr(verify, "_strictly_one_side", one_side_spy)
     t1 = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
-    shared_edge = len(set(t1) & set(t2)) == 2
-    for lift, minors in ((lambda p: p, 1), (lambda p: (*p, 7), 1), (lambda p: (-2, *p), 4)):
+    for lift in (lambda p: p, lambda p: (*p, 7), lambda p: (-2, *p)):
         calls.update(trace=0, orient3d=0)
         sides.clear()
         v = pair_intersection_check(*(tuple(pt(*lift(p)) for p in t) for t in (t1, t2)))
         assert v.admissible
         assert calls["trace"] == 0
-        assert calls["orient3d"] == (minors if shared_edge else orient3d_calls)
+        assert calls["orient3d"] == orient3d_calls
         assert sides == one_side
 
 
@@ -748,15 +747,17 @@ def test_pairs_and_placements_of_mixed_dimension_are_refused(moebius_points, moe
         verify_catalog(placement, moebius_catalog)
 
 
-def test_pairs_outside_r3_and_r4_are_refused():
-    # the dimension is checked before the shared-edge test, so a pair of R^5
-    # on a common edge is refused like any other, not found admissible
-    for dim in (2, 5):
-        a, b, c, d = ((0, 0), (4, 0), (0, 4), (1, -3)) if dim == 2 else (
-            (0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (1, 1, 3, 0, 0))
-        for t2 in ((a, b, d), (a, c, d)):
-            with pytest.raises(ValueError, match=f"unsupported dimension {dim}"):
-                pair_intersection_check(tuple(pt(*p) for p in (a, b, c)), tuple(pt(*p) for p in t2))
+def test_pairs_below_r3_are_refused_and_r5_shared_edges_are_decided():
+    # a pair of R^2 is refused before the shared-edge test; two faces of R^5
+    # on a common edge span a 3-flat, and meet only in that edge
+    a, b, c, d = (0, 0), (4, 0), (0, 4), (1, -3)
+    for t2 in ((a, b, d), (a, c, d)):
+        with pytest.raises(ValueError, match="unsupported dimension 2"):
+            pair_intersection_check(tuple(pt(*p) for p in (a, b, c)), tuple(pt(*p) for p in t2))
+    a, b, c, d = (0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (1, 1, 3, 0, 0)
+    for t2 in ((a, b, d), (a, c, d)):
+        v = pair_intersection_check(tuple(pt(*p) for p in (a, b, c)), tuple(pt(*p) for p in t2))
+        assert (v.verdict, v.shared) == ("admissible", 2)
 
 
 def _full_table_reports(points, catalog):
@@ -1126,17 +1127,36 @@ _AXIS_LIFTS = (
 )
 
 
-def _linear_lift(p):
-    return tuple(sum(Fraction(m) * x for m, x in zip(row, p)) for row in _LIFT)
+# an injective int linear map R^3 -> R^5 (rank 3): the R^5 predicate finds
+# each pair's rank by elimination and decides it on three pivot coordinates
+_LIFT5 = (
+    (1, 0, 2),
+    (0, 1, -1),
+    (2, -1, 0),
+    (-1, 3, 1),
+    (0, 2, 5),
+)
+
+
+def _matrix_lift(matrix):
+    def lift(p):
+        return tuple(sum(Fraction(m) * x for m, x in zip(row, p)) for row in matrix)
+    return lift
+
+
+_linear_lift = _matrix_lift(_LIFT)
+_r5_lift = _matrix_lift(_LIFT5)
+_LIFTS = (*_AXIS_LIFTS, _linear_lift, _r5_lift)
 
 
 def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
     # the cases the Cramer oracle skips: each R^3 verdict, kind and shared
     # count equals that of the pair lifted to R^4 by every axis lift and by
-    # _LIFT; each lift's witnesses are the lifted R^3 witnesses in the same
-    # order, and on the coplanar kinds, whose witnesses are 2-D, each axis
-    # lift's witnesses are the R^3 witnesses; and each violation's
-    # witnesses lie in both closed faces, outside the shared hull
+    # _LIFT, and to R^5 by _LIFT5; each lift's witnesses are the lifted R^3
+    # witnesses in the same order, and on the coplanar kinds, whose
+    # witnesses are 2-D, each axis lift's witnesses are the R^3 witnesses;
+    # and each violation's witnesses lie in both closed faces, outside the
+    # shared hull
     kinds = set()
     for raw1, raw2 in _touching_pairs(20261018, 2000):
         t1, t2 = (tuple(pt(*p) for p in t) for t in (raw1, raw2))
@@ -1145,7 +1165,7 @@ def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
         if not v.admissible:
             _assert_witnesses_violate(t1, t2, v)
         expected = (v.verdict, v.kind, v.shared)
-        for lift in (*_AXIS_LIFTS, _linear_lift):
+        for lift in _LIFTS:
             lifted = pair_intersection_check(
                 *(tuple(pt(*lift(p)) for p in t) for t in (raw1, raw2))
             )
@@ -1160,12 +1180,12 @@ def test_r3_verdicts_and_witnesses_on_touching_pairs_agree_with_the_r4_lift():
 def _assert_lifted_witnesses(r3, lifted, lift, case):
     if r3.kind not in ("coplanar_overlap", "containment"):
         assert [w.coords for w in lifted.witness] == [lift(w.coords) for w in r3.witness], case
-    elif lift is not _linear_lift:
+    elif lift in _AXIS_LIFTS:
         assert lifted.witness == r3.witness, case
 
 
 def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
-    # every lift keeps every pair inside a 3-flat of R^4, which the R^4
+    # every lift keeps every pair inside a 3-flat of R^4 or R^5, which the
     # predicate hands to the R^3 body: each lift must give the R^3 verdict,
     # kind and witnesses, as in the touching-pairs test above
     def check(tri_pair, lift):
@@ -1179,28 +1199,98 @@ def test_r4_lift_agrees_with_r3_on_degenerate_pairs(perfbench):
     for case in pool:
         r3 = check(case["r3"], tuple)
         expected = (r3.verdict, r3.kind, r3.shared)
-        for lift in (*_AXIS_LIFTS, _linear_lift):
+        for lift in _LIFTS:
             lifted = check(case["r3"], lift)
             assert (lifted.verdict, lifted.kind, lifted.shared) == expected, case["id"]
             _assert_lifted_witnesses(r3, lifted, lift, case["id"])
 
 
 def test_pairs_in_a_coordinate_3_flat_take_no_r4_determinant(monkeypatch, perfbench):
-    # a pair whose six points agree on one axis goes to the R^3 body before
-    # any _cross4; the linear lift keeps most pairs out of coordinate 3-flats
-    calls = []
-    cross4 = verify._cross4
+    # a pair whose six points vary on three coordinates at most goes to the
+    # R^3 body without an elimination; the linear lift keeps most pairs out
+    # of coordinate 3-flats, and those take one
+    calls = {"_pivots": 0, "_check_dim3": 0}
 
-    def spy(*vectors):
-        calls.append(vectors)
-        return cross4(*vectors)
+    def spy(name):
+        f = getattr(verify, name)
 
-    monkeypatch.setattr(verify, "_cross4", spy)
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(verify, name, counted)
+
+    spy("_pivots")
+    spy("_check_dim3")
     pool = perfbench.workloads.degenerate_pool()
     for lift in _AXIS_LIFTS:
         for case in pool:
             pair_intersection_check(*(tuple(pt(*lift(p)) for p in t) for t in case["r3"]))
-    assert not calls
+    assert calls == {"_pivots": 0, "_check_dim3": len(_AXIS_LIFTS) * len(pool)}
     for case in pool:
         pair_intersection_check(*(tuple(pt(*_linear_lift(p)) for p in t) for t in case["r3"]))
-    assert calls
+    assert calls["_pivots"]
+
+
+# -- theorem oracles: polytopes and van Kampen-Flores ----------------------
+
+def _simplex5():
+    """The standard 5-simplex: K6 at 0, e1, ..., e5 of R^5."""
+    units = [tuple(int(i == k) for i in range(5)) for k in range(5)]
+    return dict(zip(("A", "B", "C", "D", "E", "O"), (pt(0, 0, 0, 0, 0), *(pt(*u) for u in units))))
+
+
+def test_every_clique_pair_is_admissible_on_the_papers_polytopes(torus_catalog, rp2_catalog):
+    # the boundary complex of a polytope, and a Schlegel diagram of it, is a
+    # polyhedral complex (Ziegler, Lectures on Polytopes, 5.2): two of its
+    # triangles meet in a common face; every 3-clique of K2222 is a triangle
+    # of the 16-cell, and every 3-clique of K6 one of the 5-simplex
+    placements = [
+        (construction_coords("std_hyperoctahedron"), torus_catalog, 496),
+        (_simplex5(), rp2_catalog, 190),
+        *((sixteen_cell_diagram(Fraction(k)), torus_catalog, 496) for k in ("31/10", "4", "5")),
+    ]
+    for points, catalog, count in placements:
+        pairs = list(combinations(enumerate_cliques3(catalog.task.graph), 2))
+        assert len(pairs) == count
+        for f1, f2 in pairs:
+            v = pair_intersection_check(*(tuple(map(points.__getitem__, f)) for f in (f1, f2)))
+            assert v.admissible, (f1, f2, v.kind)
+    # so the paper's 12 RP^2 all embed on the 5-simplex
+    reports = verify_catalog(_simplex5(), rp2_catalog)
+    assert len(reports) == 12
+    assert all(r.embedded for r in reports)
+
+
+def _int_det(m):
+    """The determinant of a small square int matrix, by Laplace expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def test_van_kampen_flores_parity_on_generic_placements_of_seven_points():
+    # the 2-skeleton of the 6-simplex does not embed in R^4 (van Kampen 1932,
+    # Flores 1933): when every 5 of 7 points of R^4 are affinely independent,
+    # two disjoint triangles on them meet in at most one point, interior to
+    # both, and an odd number of the 70 disjoint pairs meet
+    pairs = [
+        (f1, f2) for f1, f2 in combinations(combinations(range(7), 3), 2) if not set(f1) & set(f2)
+    ]
+    assert len(pairs) == 70
+    rng = random.Random(20261026)
+    placed = 0
+    while placed < 100:
+        raw = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(7)]
+        if not all(_int_det([[a - b for a, b in zip(q, five[0])] for q in five[1:]])
+                   for five in combinations(raw, 5)):
+            continue
+        points = [Point(p) for p in raw]
+        meeting = 0
+        for f1, f2 in pairs:
+            v = pair_intersection_check(*(tuple(points[i] for i in f) for f in (f1, f2)))
+            if not v.admissible:
+                assert v.kind == "interior_crossing", (raw, f1, f2)
+                meeting += 1
+        assert meeting % 2 == 1, raw
+        placed += 1
