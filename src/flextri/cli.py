@@ -1,6 +1,8 @@
 """Command-line front end: enumeration, verification, metrics, export, and a
 full reproduction report whose acceptance criteria are one table of
-(tag, label, observed, expected) rows in ``run_report``.
+(tag, label, observed, expected) rows, built in ``_report_rows``: the text
+report prints one line per row, ``report --format json`` adds the rows
+themselves, and the acceptance tests read them.
 
 Exit codes: 0 ok, 2 usage/parameter error, 3 expectation mismatch,
 4 verification failure.
@@ -353,11 +355,12 @@ _SUSPENSION_NOTE = (
 )
 
 
-def run_report() -> tuple[str, bool]:
+def _report_rows() -> list[tuple]:
     """All enumerations, pairings, verifications, metrics and the threshold
-    scan as one table of (tag, label, observed, expected) rows; each becomes
-    a line tagged with its check id and PASS/FAIL, and a row's optional
-    fifth entry is a note printed under it when it fails."""
+    scan as one table of (tag, label, observed, expected) rows, the only
+    place the acceptance criteria are computed and their expected values
+    written; a row passes when observed == expected, and its optional fifth
+    entry is a note printed under it when it fails."""
     rows = []
     catalogs = {}
     for graph_name, surface in dict.fromkeys((g, s) for _, g, s in CONSTRUCTIONS.values()):
@@ -426,7 +429,12 @@ def run_report() -> tuple[str, bool]:
         rows.append((f"threshold-k{k}", f"inner tetra vs outer tetra at k={k}",
                      tetra_containment([coords[v] for v in "ABCD"], [coords[v] for v in "EFGH"]),
                      expected))
+    return rows
 
+
+def _report_text(rows: list[tuple]) -> tuple[str, bool]:
+    """Each row as a line tagged with its check id and PASS/FAIL, a failing
+    row's note under it, then the verdict line; and whether all rows pass."""
     lines = []
     all_ok = True
     for tag, label, observed, expected, *note in rows:
@@ -440,10 +448,21 @@ def run_report() -> tuple[str, bool]:
     return "\n".join(lines) + "\n", all_ok
 
 
+def run_report() -> tuple[str, bool]:
+    return _report_text(_report_rows())
+
+
 def cmd_report(args) -> int:
-    text, ok = run_report()
-    if args.format == "json":
-        text = _json_text({"lines": text.splitlines(), "ok": ok})
+    if args.format == "text":
+        text, ok = run_report()
+    else:
+        rows = _report_rows()
+        text, ok = _report_text(rows)
+        text = _json_text({"lines": text.splitlines(), "ok": ok, "rows": [
+            {"tag": tag, "label": label, "observed": f"{observed}",
+             "expected": f"{expected}", "ok": observed == expected}
+            for tag, label, observed, expected, *_ in rows
+        ]})
     _write_out(text, args.out)
     return EXIT_OK if ok else EXIT_EXPECT
 

@@ -9,8 +9,6 @@ counts of *labeled* face sets.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .numeric import _Value
 from .surfaces import (
     LabeledGraph,
@@ -160,24 +158,6 @@ def _catalog(task: EnumerationTask, face_sets) -> Catalog:
         else:
             rejected.append((tri, cls))
     return Catalog(task, matched, classes, rejected)
-
-
-def brute_force_catalog(task: EnumerationTask) -> Catalog:
-    """Independent completeness oracle: scan all 2^N subsets of 3-cliques.
-
-    Only sensible for small graphs (K_5 has N = 10).
-    """
-    graph = task.graph
-    cliques = enumerate_cliques3(graph)
-    n = len(cliques)
-    closed = task.mode == "closed"
-    results = []
-    for mask in range(1 << n):
-        faces = tuple(cliques[i] for i in range(n) if mask >> i & 1)
-        counts = Counter(e for f in faces for e in _face_edges(f))
-        if all(counts[e] == 2 if closed else 1 <= counts[e] <= 2 for e in graph.edges):
-            results.append(faces)
-    return _catalog(task, results)
 
 
 def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[int]]:

@@ -1,6 +1,7 @@
 import importlib
 import operator
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -9,9 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from flextri.enumeration import EnumerationTask, enumerate_triangulations
+from flextri.enumeration import Catalog, EnumerationTask, _catalog, enumerate_triangulations
 from flextri.geometry import Point, RealizationParams, construction_coords
-from flextri.surfaces import build_graph
+from flextri.surfaces import _face_edges, build_graph, enumerate_cliques3
 
 
 def dist_sq(p: Point, q: Point):
@@ -54,6 +55,26 @@ def field_isometry_group(labels, placement: dict) -> list[dict]:
         for perm in permutations(range(len(labels)))
         if all(d[perm[i]][perm[j]] == d[i][j] for i, j in pairs)
     ]
+
+
+def brute_force_catalog(task: EnumerationTask) -> Catalog:
+    """Independent completeness oracle for ``enumerate_triangulations``: scan
+    all 2^N subsets of 3-cliques, keep those whose edge multiplicities the
+    task's mode allows, and classify them as the search's results are.
+
+    Only sensible for small graphs (K_5 has N = 10).
+    """
+    graph = task.graph
+    cliques = enumerate_cliques3(graph)
+    n = len(cliques)
+    closed = task.mode == "closed"
+    results = []
+    for mask in range(1 << n):
+        faces = tuple(cliques[i] for i in range(n) if mask >> i & 1)
+        counts = Counter(e for f in faces for e in _face_edges(f))
+        if all(counts[e] == 2 if closed else 1 <= counts[e] <= 2 for e in graph.edges):
+            results.append(faces)
+    return _catalog(task, results)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,10 @@
 """Acceptance gate: one test per documented acceptance criterion, each
 printing a single PASS/FAIL line.
 
+Criteria 01-03 and 04b-08 read the rows of ``flextri report``
+(``cli._report_rows``), where each is computed and its expected value
+written once; a tag the report lacks fails the test with a KeyError.
+
 Criterion 4 is split: 04a asserts the documented expectation of exactly one
 embeddable torus triangulation on the suspension coordinates, which the
 exact checker refutes (six embed, forming the symmetry orbit of the
@@ -10,27 +14,16 @@ and passes.
 """
 
 import time
-from fractions import Fraction
 
-from flextri.enumeration import complement_pairing
-from flextri.geometry import (
-    construction_coords,
-    circumradius_sq,
-    face_shapes,
-    sixteen_cell_diagram,
-    squared_distances,
-    tetra_containment,
-    tetra_inradius_sq,
-)
-from flextri.numeric import QuadExt
-from flextri.surfaces import enumerate_cliques3
-from flextri.cli import run_report
+import pytest
+
+from flextri.cli import CONSTRUCTIONS, _report_rows, build_catalog, run_report
+from flextri.geometry import squared_distances
 from flextri.verify import verify_catalog
 
 import test_numeric
 import test_verify
-from conftest import catalog_for, scale_placement
-from flextri.enumeration import brute_force_catalog
+from conftest import brute_force_catalog
 
 
 def _report(num: str, label: str, ok: bool, detail: str = ""):
@@ -40,40 +33,55 @@ def _report(num: str, label: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num} {label}{suffix}"
 
 
-def test_01_enumeration_counts(torus_catalog, rp2_catalog, moebius_catalog):
+@pytest.fixture(scope="module")
+def report_rows():
+    """The report's rows by tag, from one ``_report_rows`` call, and the
+    seconds it took."""
     t0 = time.perf_counter()
-    counts = (
-        len(catalog_for("k2222").triangulations),
-        len(catalog_for("k6").triangulations),
-        len(catalog_for("k5").triangulations),
-    )
+    rows = _report_rows()
     elapsed = time.perf_counter() - t0
-    ok = counts == (12, 12, 12) and elapsed < 5.0
+    return {row[0]: row for row in rows}, elapsed
+
+
+def _rows_pass(rows: dict, tags) -> tuple[bool, str]:
+    """Whether the rows of ``tags`` all observe their expected values, and
+    the observed values; a tag the report lacks raises KeyError."""
+    observed = [rows[tag][2] for tag in tags]
+    ok = all(value == rows[tag][3] for tag, value in zip(tags, observed))
+    return ok, ", ".join(f"{tag}={value}" for tag, value in zip(tags, observed))
+
+
+def _pairs_tags(graph_name: str) -> list[str]:
+    return [f"pairs-{graph_name}{suffix}"
+            for suffix in ("", "-unmatched", "-disjoint", "-union")]
+
+
+def test_01_enumeration_counts(report_rows):
+    rows, _ = report_rows
+    # the catalogs the report enumerates, enumerated afresh and timed
+    t0 = time.perf_counter()
+    fresh = [len(build_catalog(g, s).triangulations)
+             for g, s in dict.fromkeys((g, s) for _, g, s in CONSTRUCTIONS.values())]
+    elapsed = time.perf_counter() - t0
+    tags = ["count-k2222", "count-k6", "count-k5"]
+    ok, detail = _rows_pass(rows, tags)
+    ok = ok and fresh == [rows[tag][2] for tag in tags] and elapsed < 5.0
     _report("01", "enumeration counts 12/12/12 in < 5 s", ok,
-            f"counts={counts}, {elapsed:.2f} s")
+            f"{detail}, {elapsed:.2f} s")
 
 
-def test_02_complementary_pairing(torus_catalog, rp2_catalog, moebius_catalog):
-    ok = True
-    for cat in (torus_catalog, rp2_catalog, moebius_catalog):
-        pairs, unmatched = complement_pairing(cat)
-        cliques = set(enumerate_cliques3(cat.task.graph))
-        ok = ok and len(pairs) == 6 and unmatched == []
-        for i, j in pairs:
-            fi = set(cat.triangulations[i].faces)
-            fj = set(cat.triangulations[j].faces)
-            ok = ok and not (fi & fj) and (fi | fj) == cliques
+def test_02_complementary_pairing(report_rows):
+    rows, _ = report_rows
+    ok, _ = _rows_pass(rows, [t for g in ("k2222", "k6", "k5") for t in _pairs_tags(g)])
     _report("02", "six disjoint complementary pairs per catalog", ok)
 
 
-def test_03_all_tori_embed_on_16cell_diagram(schlegel16_points, torus_catalog):
-    t0 = time.perf_counter()
-    reports = verify_catalog(schlegel16_points, torus_catalog)
-    elapsed = time.perf_counter() - t0
-    n = sum(r.embedded for r in reports)
-    ok = n == 12 and elapsed < 30.0
+def test_03_all_tori_embed_on_16cell_diagram(report_rows):
+    rows, elapsed = report_rows
+    ok, detail = _rows_pass(rows, ["embed-16cell"])
+    ok = ok and elapsed < 30.0
     _report("03", "12/12 torus embeddings on 16-cell diagram (k=4) in < 30 s",
-            ok, f"{n}/12, {elapsed:.2f} s")
+            ok, f"{detail}, whole report in {elapsed:.2f} s")
 
 
 def test_04a_suspension_admits_exactly_one(suspension_points, torus_catalog):
@@ -84,75 +92,43 @@ def test_04a_suspension_admits_exactly_one(suspension_points, torus_catalog):
             f"of the reference triangulation")
 
 
-def test_04b_suspension_failures_hit_face_fgh(suspension_points, torus_catalog):
-    reports = verify_catalog(suspension_points, torus_catalog)
-    hit = False
-    for r in reports:
-        for v in r.violations:
-            if v.kind in ("containment", "coplanar_overlap") and (
-                ("F", "G", "H") in v.faces
-            ):
-                hit = True
-    _report("04b", "failing suspension reports show containment at face FGH",
-            hit)
+def test_04b_suspension_failures_hit_face_fgh(report_rows):
+    rows, _ = report_rows
+    ok, _ = _rows_pass(rows, ["rigidity-suspension-fgh"])
+    _report("04b", "failing suspension reports show containment at face FGH", ok)
 
 
-def test_05_all_projective_planes_embed(rp2_points, rp2_catalog):
-    reports = verify_catalog(rp2_points, rp2_catalog)
-    n = sum(r.embedded for r in reports)
-    _report("05", "12/12 projective-plane embeddings in dim 4", n == 12,
-            f"{n}/12")
+def test_05_all_projective_planes_embed(report_rows):
+    rows, _ = report_rows
+    ok, detail = _rows_pass(rows, ["embed-5simplex"])
+    _report("05", "12/12 projective-plane embeddings in dim 4", ok, detail)
 
 
-def test_06_all_moebius_bands_embed_and_pair(moebius_points, moebius_catalog):
-    reports = verify_catalog(moebius_points, moebius_catalog)
-    n = sum(r.embedded for r in reports)
-    pairs, unmatched = complement_pairing(moebius_catalog)
-    cliques = set(enumerate_cliques3(moebius_catalog.task.graph))
-    ok = n == 12 and len(pairs) == 6 and unmatched == []
-    for i, j in pairs:
-        fi = set(moebius_catalog.triangulations[i].faces)
-        fj = set(moebius_catalog.triangulations[j].faces)
-        ok = ok and not (fi & fj) and (fi | fj) == cliques
+def test_06_all_moebius_bands_embed_and_pair(report_rows):
+    rows, _ = report_rows
+    ok, detail = _rows_pass(rows, ["embed-moebius", *_pairs_tags("k5")])
     _report("06", "12/12 Moebius embeddings; pairs partition all 10 triangles",
-            ok, f"{n}/12")
+            ok, detail)
 
 
-def test_07_metric_checks(schlegel16_points, rp2_points, moebius_points,
-                          moebius_catalog):
-    ctx16 = schlegel16_points["A"].ctx
-    ctx5 = rp2_points["A"].ctx
-    outer = [schlegel16_points[v] for v in "ABCD"]
-    rp2_dist, mo_dist = squared_distances(rp2_points), squared_distances(moebius_points)
-    ok = (
-        squared_distances(schlegel16_points)["A", "B"] == QuadExt(24, ctx=ctx16)
-        and circumradius_sq(outer) == QuadExt(9, ctx=ctx16)
-        and tetra_inradius_sq(outer) == QuadExt(1, ctx=ctx16)
-    )
-    ok = ok and {
-        rp2_dist[u, v] for u in "ABCDE" for v in "ABCDE" if u < v
-    } == {QuadExt(8, ctx=ctx5)}
-    ok = ok and {rp2_dist[v, "O"] for v in "ABCDE"} == {
-        QuadExt(Fraction(16, 5), ctx=ctx5)
-    } == {circumradius_sq([rp2_points[v] for v in "ABCDE"])}
-    ok = ok and {
-        mo_dist[u, v] for u in "ABCDE" for v in "ABCDE" if u < v
-    } == {QuadExt(3, ctx=ctx5), QuadExt(8, ctx=ctx5)}
-    for tri in moebius_catalog.triangulations:
-        shapes = list(face_shapes(tri.faces, moebius_points).values())
-        ok = ok and sorted(shapes) == ["equilateral"] * 2 + ["isosceles"] * 3
+def test_07_metric_checks(report_rows, rp2_points):
+    rows, _ = report_rows
+    ok, _ = _rows_pass(rows, [
+        "metric-16cell-edge", "metric-16cell-circum", "metric-16cell-in",
+        "metric-simplex-dist", "metric-simplex-radius",
+        "metric-moebius-lengths", "metric-moebius-census",
+    ])
+    # the centre O of the simplex is at squared distance 16/5 from A..E,
+    # the squared circumradius that metric-simplex-radius expects
+    radius_sq = rows["metric-simplex-radius"][3]
+    ok = ok and {squared_distances(rp2_points)[v, "O"] for v in "ABCDE"} == radius_sq
     _report("07", "exact metric checks (24/9/1, 8 & 16/5, {3,8} census)", ok)
 
 
-def test_08_containment_threshold():
-    ok = True
-    for k, expected in ((4, "strict_interior"), (3, "touching"), (2, "outside")):
-        pts = sixteen_cell_diagram(Fraction(k))
-        outcome = tetra_containment(
-            [pts[v] for v in "ABCD"], [pts[v] for v in "EFGH"]
-        )
-        ok = ok and outcome == expected
-    _report("08", "inner-tetra containment threshold at k = 4/3/2", ok)
+def test_08_containment_threshold(report_rows):
+    rows, _ = report_rows
+    ok, detail = _rows_pass(rows, ["threshold-k4", "threshold-k3", "threshold-k2"])
+    _report("08", "inner-tetra containment threshold at k = 4/3/2", ok, detail)
 
 
 def test_09_property_suites(moebius_catalog, moebius_points):

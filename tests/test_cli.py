@@ -417,6 +417,20 @@ def test_report_json_shape(capsys):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert any(l.startswith("[count-k2222] PASS") for l in doc["lines"])
+    text, _ = run_report()
+    assert doc["lines"] == text.splitlines()
+    rows = doc["rows"]
+    assert len(rows) == 33
+    assert all(sorted(row) == ["expected", "label", "observed", "ok", "tag"] for row in rows)
+    assert len({row["tag"] for row in rows}) == 33
+    # each row is its text line, in order, with the report's verdict on it;
+    # the note under the failing row is no row
+    lines = [l for l in doc["lines"][:-1] if " note: " not in l]
+    assert len(lines) == 33
+    for row, line in zip(rows, lines):
+        assert line == (f"[{row['tag']}] {'PASS' if row['ok'] else 'FAIL'} {row['label']}: "
+                        f"expected {row['expected']}, observed {row['observed']}")
+    assert [row["tag"] for row in rows if not row["ok"]] == ["rigidity-suspension"]
 
 
 # -- no field arithmetic past the constructions ----------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from flextri.enumeration import (
     EnumerationTask,
-    brute_force_catalog,
     complement_pairing,
     enumerate_triangulations,
 )
@@ -15,6 +14,8 @@ from flextri.surfaces import (
     classify_surface,
     enumerate_cliques3,
 )
+
+from conftest import brute_force_catalog
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flextri.enumeration import EnumerationTask, brute_force_catalog, enumerate_triangulations
+from flextri.enumeration import EnumerationTask, enumerate_triangulations
 from flextri.surfaces import (
     LabeledGraph,
     Triangulation,
@@ -14,7 +14,7 @@ from flextri.surfaces import (
     enumerate_cliques3,
 )
 
-from conftest import catalog_for
+from conftest import brute_force_catalog, catalog_for
 
 
 def _edge_counts(tri) -> Counter:

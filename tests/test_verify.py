@@ -16,6 +16,7 @@ from flextri.geometry import (
     isometry_group,
     make_point,
     orientation_sign,
+    orthogonal_project,
     plane_axes,
     sixteen_cell_diagram,
 )
@@ -1294,3 +1295,58 @@ def test_van_kampen_flores_parity_on_generic_placements_of_seven_points():
                 meeting += 1
         assert meeting % 2 == 1, raw
         placed += 1
+
+
+# -- theorem oracles: K6 in R^3 --------------------------------------------
+
+def _k6_placements_in_r3(labels, seed, count):
+    """``count`` seeded int placements of K6's labels in [-4, 4]^3, no two
+    labels on one point, as (int coordinates, QQ points)."""
+    rng = random.Random(seed)
+    while count:
+        raw = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in labels]
+        if len(set(raw)) < len(raw):
+            continue
+        count -= 1
+        yield dict(zip(labels, raw)), {v: pt(*p) for v, p in zip(labels, raw)}
+
+
+def _collinear(a, b, c) -> bool:
+    """Whether three int points of R^3 are collinear: (b - a) x (c - a) = 0."""
+    u, w = [q - p for p, q in zip(a, b)], [q - p for p, q in zip(a, c)]
+    return u[1] * w[2] == u[2] * w[1] and u[2] * w[0] == u[0] * w[2] and u[0] * w[1] == u[1] * w[0]
+
+
+def test_no_projective_plane_embeds_in_r3(rp2_catalog, rp2_points):
+    # a closed non-orientable surface does not embed in R^3, so no RP^2 of
+    # the k6 catalog embeds on any placement of K6 in R^3, degenerate or not
+    for _, points in _k6_placements_in_r3(rp2_catalog.task.graph.vertices, 20261020, 200):
+        reports = verify_catalog(points, rp2_catalog)
+        assert len(reports) == 12
+        assert not any(r.embedded for r in reports), points
+    # nor on a projection of rp2-simplex to R^3 that keeps its labels apart
+    for axis in range(3):
+        reports = verify_catalog(orthogonal_project(rp2_points, axis), rp2_catalog)
+        assert len(reports) == 12 and not any(r.embedded for r in reports), axis
+    # dropping the last axis puts A on O
+    with pytest.raises(ValueError, match="equal points"):
+        verify_catalog(orthogonal_project(rp2_points, 3), rp2_catalog)
+
+
+def test_weak_conway_gordon_sachs_on_k6_placements_in_r3(rp2_catalog):
+    # K6 is intrinsically linked (Conway & Gordon 1983, Sachs 1983): on six
+    # distinct points of R^3 whose 20 triangles are nondegenerate, some two
+    # vertex-disjoint triangles meet
+    labels = rp2_catalog.task.graph.vertices
+    triangles = list(combinations(labels, 3))
+    pairs = [(f1, f2) for f1, f2 in combinations(triangles, 2) if not set(f1) & set(f2)]
+    assert (len(triangles), len(pairs)) == (20, 10)
+    checked = 0
+    for raw, points in _k6_placements_in_r3(labels, 20261020, 200):
+        if any(_collinear(*map(raw.__getitem__, f)) for f in triangles):
+            continue
+        verdicts = [pair_intersection_check(*(tuple(map(points.__getitem__, f)) for f in fs))
+                    for fs in pairs]
+        assert any(not v.admissible for v in verdicts), raw
+        checked += 1
+    assert checked > 150
