@@ -9,8 +9,8 @@ bytes:
 - ``catalogs``: every report of every catalog on the four default
   placements, the benchmark's ``sweep`` grid and torus placements on both
   sides of the critical k (16-cell diagram: k = 3 and k = 1/3; suspension:
-  k = 2), and on each placement the reports of one selection: every id in
-  reverse order, then id 0 again;
+  k = 2), and on each placement the reports of a second call indexed by
+  one selection: every id in reverse order, then id 0 again;
 - ``degenerate``: the benchmark's 840 degenerate inputs (R^3, R^4 lift and
   affine image of each pool case);
 - ``pairs-r3`` and ``pairs-r4``: seeded small-int pairs in general
@@ -139,9 +139,11 @@ def catalogs_section(workloads):
 
     section = Section("catalogs")
     for name, points, catalog in placements:
-        selection = [*reversed(catalog.ids), catalog.ids[0]]
-        for ids, label in ((None, name), (selection, f"{name} {selection}")):
-            for r in verify_catalog(points, catalog, ids):
+        selection = [*reversed(range(len(catalog.triangulations))), 0]
+        full, again = verify_catalog(points, catalog), verify_catalog(points, catalog)
+        chosen = [again[i] for i in selection]
+        for label, reports in ((name, full), (f"{name} {selection}", chosen)):
+            for r in reports:
                 section.add(f"{label} {r.identity} {r.verdict} {r.pairs_checked}")
                 for v in r.violations:
                     section.add(f"  {v.faces} {_verdict(v)}", True)

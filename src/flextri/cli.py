@@ -65,7 +65,7 @@ CONSTRUCTIONS = {
 }
 
 
-def make_task(graph_name: str, surface: str | None) -> EnumerationTask:
+def build_catalog(graph_name: str, surface: str | None) -> Catalog:
     if graph_name not in GRAPH_MODES:
         raise UsageError(f"unknown graph {graph_name!r} (expected k2222, k6 or k5)")
     target = None
@@ -75,11 +75,9 @@ def make_task(graph_name: str, surface: str | None) -> EnumerationTask:
                 f"unknown surface {surface!r} (expected one of {sorted(SURFACE_NAMES)})"
             )
         target = SURFACE_NAMES[surface]
-    return EnumerationTask(build_graph(graph_name), GRAPH_MODES[graph_name], target)
-
-
-def build_catalog(graph_name: str, surface: str | None) -> Catalog:
-    return enumerate_triangulations(make_task(graph_name, surface))
+    return enumerate_triangulations(
+        EnumerationTask(build_graph(graph_name), GRAPH_MODES[graph_name], target)
+    )
 
 
 def construction_points(cli_name: str, k_text: str | None):
@@ -138,29 +136,21 @@ def placement_to_json(points: dict) -> dict:
     }
 
 
-def _fmt_float(x: QuadExt) -> str:
-    return format(float(x), ".17g")
-
-
-def export_off(tri: Triangulation, points: dict) -> str:
+def _mesh(tri: Triangulation, points: dict, fmt: str) -> str:
+    """The triangulation on ``points`` as an OFF or OBJ mesh: one line per
+    vertex, in the graph's label order, then one per face.  OFF adds its
+    header and numbers the vertices from 0; OBJ prefixes its lines with v
+    and f and numbers from 1."""
     labels = list(tri.graph.vertices)
-    index = {v: i for i, v in enumerate(labels)}
-    lines = ["OFF", f"{len(labels)} {len(tri.faces)} {len(tri.graph.edges)}"]
-    for v in labels:
-        lines.append(" ".join(_fmt_float(c) for c in points[v].coords))
-    for f in tri.faces:
-        lines.append("3 " + " ".join(str(index[v]) for v in f))
-    return "\n".join(lines) + "\n"
-
-
-def export_obj(tri: Triangulation, points: dict) -> str:
-    labels = list(tri.graph.vertices)
-    index = {v: i + 1 for i, v in enumerate(labels)}
-    lines = []
-    for v in labels:
-        lines.append("v " + " ".join(_fmt_float(c) for c in points[v].coords))
-    for f in tri.faces:
-        lines.append("f " + " ".join(str(index[v]) for v in f))
+    if fmt == "off":
+        lines = ["OFF", f"{len(labels)} {len(tri.faces)} {len(tri.graph.edges)}"]
+        vertex, face, base = "", "3 ", 0
+    else:
+        lines, vertex, face, base = [], "v ", "f ", 1
+    index = {v: i + base for i, v in enumerate(labels)}
+    lines += [vertex + " ".join(format(float(c), ".17g") for c in points[v].coords)
+              for v in labels]
+    lines += [face + " ".join(str(index[v]) for v in f) for f in tri.faces]
     return "\n".join(lines) + "\n"
 
 
@@ -210,14 +200,13 @@ def cmd_pairs(args) -> int:
 
 def _selected_ids(catalog: Catalog, id_: int | None, all_: bool = False) -> list:
     """The ids that --all or --id select, [] when neither is given."""
+    ids = range(len(catalog.triangulations))
     if all_:
-        return list(catalog.ids)
+        return list(ids)
     if id_ is None:
         return []
-    if not 0 <= id_ < len(catalog.triangulations):
-        raise UsageError(
-            f"triangulation id {id_} out of range 0..{len(catalog.triangulations) - 1}"
-        )
+    if id_ not in ids:
+        raise UsageError(f"triangulation id {id_} out of range 0..{len(ids) - 1}")
     return [id_]
 
 
@@ -227,7 +216,8 @@ def cmd_verify(args) -> int:
     ids = _selected_ids(catalog, args.id, args.all)
     if not ids:
         raise UsageError("select a triangulation with --id N or --all")
-    reports = verify_catalog(points, catalog, ids)
+    reports = verify_catalog(points, catalog)
+    reports = [reports[i] for i in ids]
     rows = []
     ok = True
     for i, r in zip(ids, reports):
@@ -330,18 +320,15 @@ def cmd_export(args) -> int:
         raise UsageError(
             f"{args.format} export needs dim 3 (got dim {dim}); use {hint}--format json"
         )
-    if args.format == "off":
-        text = export_off(tri, points)
-    elif args.format == "obj":
-        text = export_obj(tri, points)
-    else:
-        doc = {
+    if args.format == "json":
+        text = _json_text({
             "construction": args.construction,
             "id": ids[0],
             "faces": [list(f) for f in tri.faces],
             "placement": placement_to_json(points),
-        }
-        text = _json_text(doc)
+        })
+    else:
+        text = _mesh(tri, points, args.format)
     _write_out(text, args.out)
     return EXIT_OK
 

@@ -40,10 +40,6 @@ class Catalog(_Value, frozen=False):
         self.task, self.triangulations, self.classes = task, triangulations, classes
         self.rejected = [] if rejected is None else rejected
 
-    @property
-    def ids(self) -> range:
-        return range(len(self.triangulations))
-
 
 def _closes_short_cycle(link: dict, u, w) -> bool:
     """Whether the link edge uw, just added to ``link``, closes a cycle

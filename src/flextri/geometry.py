@@ -104,10 +104,6 @@ def _dot(u, w):
     return sum(map(operator.mul, u, w))
 
 
-def _cross(u, w):
-    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
-
-
 def orientation_sign(points) -> int:
     """orient3d: the sign of the determinant of the difference vectors of
     four coordinate tuples in R^3."""

@@ -31,13 +31,12 @@ coplanar witness through those of the first face's ``plane_axes``).
 ``verify_catalog`` frames its placement, refuses two labels on one frame
 point, makes one int Point per label, numbers the 3-cliques of the
 catalog's graph, tests each for degeneracy once, and decides every clique
-pair into one table for the placement, whatever the selection: it runs
-``pair_intersection_check`` on one nondegenerate pair per orbit of the
-isometry group, copies an admissible verdict to the rest of its orbit,
-and each report is then a lookup of its face pairs in that table.  A
-direct call on QuadExt points frames the six points of its pair in one
-pass, tests both faces, and maps a witness back through the raw scales of
-that frame.
+pair into one table for the placement: it runs ``pair_intersection_check``
+on one nondegenerate pair per orbit of the isometry group, copies an
+admissible verdict to the rest of its orbit, and each triangulation's
+report is then a lookup of its face pairs in that table.  A direct call
+on QuadExt points frames the six points of its pair in one pass, tests
+both faces, and maps a witness back through the raw scales of that frame.
 """
 
 from __future__ import annotations
@@ -447,40 +446,34 @@ def _map_back(verdict: PairVerdict, t1, ctx, units, faces) -> PairVerdict:
     return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, witness)
 
 
-def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
-    """Certify the triangulations ``ids`` of a catalog (default: all) on one
-    placement, one report per id in the order given.
+def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
+    """Certify every triangulation of a catalog on one placement, one report
+    per triangulation in catalog order, its identity the id.
 
     All triangulations draw their faces from the 3-cliques of the catalog's
-    graph, so the verdicts come from one table for the placement, whatever
-    the selection: with the m cliques numbered in sorted order, it is one
-    flat list of (m + 1)^2 slots, the pair (a, b) at a * (m + 1) + b, each
-    None (undecided), False (admissible) or the pair's violation.  A label
-    permutation that keeps the placement's exact squared distances
-    (``geometry.isometry_group``) is a congruence, so it maps an admissible
-    pair to an admissible pair.  So the pairs a < b are decided in index
-    order, the predicate runs on one pair of each orbit, and an admissible
-    verdict marks both orders of every image pair; an image that is no
-    clique lands on the sink index m, which no report reads.  Violations
-    are never copied, so each kind and witness is the pair's own.  Each
-    clique is tested for degeneracy once, for the reports' degenerate-face
-    violations and for every pair it is in: a pair with a degenerate face
-    is decided here, every other one by ``pair_intersection_check`` on the
-    one int Point per label.  A report is then a lookup of its face pairs.
-    All of it runs on the placement's ``geometry.integer_frame``, where
-    labels on equal points are refused, so the predicate finds a pair's
-    shared vertices by coordinate equality, and each witness is built in
-    the field; a placement with no frame raises ValueError, one of two
-    contexts ContextMismatchError.
+    graph, so the verdicts come from one table for the placement: with the m
+    cliques numbered in sorted order, it is one flat list of (m + 1)^2
+    slots, the pair (a, b) at a * (m + 1) + b, each None (undecided), False
+    (admissible) or the pair's violation.  A label permutation that keeps
+    the placement's exact squared distances (``geometry.isometry_group``) is
+    a congruence, so it maps an admissible pair to an admissible pair.  So
+    the pairs a < b are decided in index order, the predicate runs on one
+    pair of each orbit, and an admissible verdict marks both orders of every
+    image pair; an image that is no clique lands on the sink index m, which
+    no report reads.  Violations are never copied, so each kind and witness
+    is the pair's own.  Each clique is tested for degeneracy once, for the
+    reports' degenerate-face violations and for every pair it is in: a pair
+    with a degenerate face is decided here, every other one by
+    ``pair_intersection_check`` on the one int Point per label.  A report is
+    then a lookup of its face pairs.  All of it runs on the placement's
+    ``geometry.integer_frame``, where labels on equal points are refused, so
+    the predicate finds a pair's shared vertices by coordinate equality, and
+    each witness is built in the field; a placement with no frame raises
+    ValueError, one of two contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
     placement, scales = integer_frame(placement)
     check_placement(labels, placement)
-    n = len(catalog.triangulations)
-    ids = list(catalog.ids if ids is None else ids)
-    for i in ids:
-        if not 0 <= i < n:
-            raise ValueError(f"triangulation id {i} out of range 0..{n - 1}")
     group = isometry_group(labels, placement, scales)
     units = [s._n for s in scales]
     # a clique's image under the group is keyed by its label set, one bit
@@ -513,8 +506,8 @@ def verify_catalog(placement: dict, catalog, ids=None) -> list[EmbeddingReport]:
         table[a * row + b] = table[b * row + a] = v
     at = {f: k for k, f in enumerate(cliques)}
     reports = []
-    for i in ids:
-        face_ids = [at[f] for f in catalog.triangulations[i].faces]
+    for i, tri in enumerate(catalog.triangulations):
+        face_ids = [at[f] for f in tri.faces]
         violations = [
             PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")
             for a in face_ids if degenerate[a]

@@ -140,7 +140,8 @@ def test_09_property_suites(moebius_catalog, moebius_points):
     assert [t.faces for t in brute.triangulations] == [
         t.faces for t in moebius_catalog.triangulations
     ]
-    # verdict symmetry, scaling invariance, float/independent-oracle agreement
+    # verdict symmetry, scaling invariance, agreement with the exact
+    # (Fraction, Cramer rule) independent oracle
     test_verify.test_verdict_symmetric_under_swap()
     test_verify.test_verdicts_invariant_under_scaling(
         moebius_points, moebius_catalog

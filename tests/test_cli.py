@@ -215,10 +215,30 @@ def test_verify_out_writes_isometry_group_order(capsys, tmp_path):
 
 
 def test_verify_id_out_of_range(capsys):
-    code, _, err = run(capsys, "verify", "--construction", "moebius",
-                       "--id", "12")
-    assert code == 2
-    assert "out of range" in err
+    for bad in ("-1", "12"):
+        code, out, err = run(capsys, "verify", "--construction", "moebius", "--id", bad)
+        assert (code, out) == (2, "")
+        assert f"triangulation id {bad} out of range 0..11" in err
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+def test_verify_id_is_its_row_of_all(capsys, tmp_path, construction):
+    # --id i prints row i of --all with its own k/1 tally and exit code, and
+    # writes entry i of the --all report under the same header
+    whole_out = tmp_path / "all.json"
+    _, out, _ = run(capsys, "verify", "--construction", construction, "--all",
+                    "--out", str(whole_out))
+    rows = out.splitlines()[:-1]
+    whole = json.loads(whole_out.read_text(encoding="utf-8"))
+    assert len(rows) == len(whole["reports"]) == 12
+    for i, row in enumerate(rows):
+        one_out = tmp_path / f"{i}.json"
+        code, out, _ = run(capsys, "verify", "--construction", construction, "--id", str(i),
+                           "--out", str(one_out))
+        passed = row.endswith("PASS")
+        assert (code, out) == (0 if passed else 4, f"{row}\n{int(passed)}/1 embedded\n")
+        one = json.loads(one_out.read_text(encoding="utf-8"))
+        assert one == dict(whole, reports=[whole["reports"][i]])
 
 
 def test_verify_needs_selection(capsys):

@@ -7,9 +7,6 @@ import pytest
 from flextri import verify
 from flextri.geometry import (
     Point,
-    _cross,
-    _dot,
-    _sub,
     construction_coords,
     face_is_degenerate,
     integer_frame,
@@ -67,6 +64,18 @@ def test_orientation_coplanar_is_zero():
 def test_orientation_wrong_count():
     with pytest.raises(ValueError):
         orientation_sign([(0, 0, 0), (1, 0, 0)])
+
+
+def _sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def test_orientation_equals_the_tuple_reference():
@@ -343,24 +352,19 @@ def test_verify_catalog_table_checks_and_selection(
     with pytest.raises(ValueError, match="distinct labels to equal points"):
         verify_catalog(doubled, moebius_catalog)
 
-    # a selection is the same reports as the full run, in the order asked
-    full = verify_catalog(suspension_points, torus_catalog)
-    assert verify_catalog(suspension_points, torus_catalog, [8, 3]) == [full[8], full[3]]
-    assert [full[8].identity, full[3].identity] == ["8", "3"]
-
-    # also on a placement that embeds nothing, whose isometries map faces of
-    # the selection to faces outside it, and with an id asked twice
-    points = sixteen_cell_diagram(Fraction(2999, 1000))
-    full = verify_catalog(points, torus_catalog)
-    assert not any(r.embedded for r in full)
-    assert verify_catalog(points, torus_catalog, [11, 2, 2]) == [full[11], full[2], full[2]]
+    # one report per triangulation, in catalog order, each named by its id;
+    # also on a placement that embeds nothing
+    nothing = verify_catalog(sixteen_cell_diagram(Fraction(2999, 1000)), torus_catalog)
+    assert not any(r.embedded for r in nothing)
+    for full in (verify_catalog(suspension_points, torus_catalog), nothing):
+        assert [r.identity for r in full] == [str(i) for i in range(12)]
 
 
 def test_verify_catalog_tests_each_face_for_degeneracy_once(
     monkeypatch, suspension_points, torus_catalog
 ):
-    # one test per 3-clique of the graph, whatever the selection, serves the
-    # reports' degenerate-face violations and every pair the clique is in
+    # one test per 3-clique of the graph serves the reports' degenerate-face
+    # violations and every pair the clique is in
     tested = []
 
     def spy(a, b, c):
@@ -370,10 +374,8 @@ def test_verify_catalog_tests_each_face_for_degeneracy_once(
     monkeypatch.setattr(verify, "face_is_degenerate", spy)
     ints, _ = integer_frame(suspension_points)
     cliques = [tuple(ints[v] for v in f) for f in enumerate_cliques3(torus_catalog.task.graph)]
-    for ids in ([0, 3, 8], [5], None):
-        tested.clear()
-        verify_catalog(suspension_points, torus_catalog, ids)
-        assert tested == cliques
+    verify_catalog(suspension_points, torus_catalog)
+    assert tested == cliques
 
 
 def test_verify_catalog_predicate_calls(
@@ -385,8 +387,6 @@ def test_verify_catalog_predicate_calls(
     # below: one call per orbit of admissible pairs and one per violating
     # pair.  A table that missed the copied verdicts would call it more
     # often and still give the same reports, so only the count shows it.
-    # The table covers every clique pair of the graph, whatever the
-    # selection, so one id costs as many calls as the whole catalog.
     calls = []
 
     def spy(t1, t2, shared=None):
@@ -408,9 +408,6 @@ def test_verify_catalog_predicate_calls(
             assert type(face) is tuple and len(face) == 3
             assert all(type(p) is Point for p in face)
         counts[name] = len(calls)
-        calls.clear()
-        verify_catalog(points, catalog, [0])
-        assert len(calls) == counts[name], name
     # the sweep's 16-cell diagrams at k <= 3 and its suspensions embed no
     # torus, and each of their violating pairs is checked on its own
     sweep = {
@@ -778,7 +775,7 @@ def _full_table_reports(points, catalog):
                 witness = _field_witness(v.witness, ta, scales)
                 table[a, b] = PairVerdict((a, b), v.shared, v.verdict, v.kind, witness)
     reports = []
-    for i, tri in zip(catalog.ids, catalog.triangulations):
+    for i, tri in enumerate(catalog.triangulations):
         violations = [
             PairVerdict((f, f), 3, "violation", "degenerate_face")
             for f in tri.faces
@@ -870,11 +867,10 @@ def test_relabelling_the_placement_and_the_catalog_keeps_every_verdict(
         labels = catalog.task.graph.vertices
         perms = _automorphisms(catalog.task.graph, seed, 3)
         assert any(g not in isometry_group(labels, *integer_frame(points)) for g in perms)
-        ids = range(len(catalog.triangulations))
         index = {frozenset(t.faces): i for i, t in enumerate(catalog.triangulations)}
-        base = verify_catalog(points, catalog, ids)
+        base = verify_catalog(points, catalog)
         for g in perms:
-            reports = verify_catalog({g[v]: p for v, p in points.items()}, catalog, ids)
+            reports = verify_catalog({g[v]: p for v, p in points.items()}, catalog)
             for tri, r in zip(catalog.triangulations, base):
                 image = reports[index[frozenset(_image(g, f) for f in tri.faces)]]
                 assert image.verdict == r.verdict
@@ -886,12 +882,6 @@ def test_relabelling_the_placement_and_the_catalog_keeps_every_verdict(
                     if a <= b:
                         assert (w.kind, w.shared) == (v.kind, v.shared), v.faces
                         assert {p.coords for p in w.witness} == {p.coords for p in v.witness}
-
-
-def test_verify_catalog_refuses_ids_out_of_range(moebius_points, moebius_catalog):
-    for bad in (-1, 12):
-        with pytest.raises(ValueError, match=r"out of range 0\.\.11"):
-            verify_catalog(moebius_points, moebius_catalog, [0, bad])
 
 
 # -- independent oracle: Cramer-rule segment/triangle tests ----------------
