@@ -9,8 +9,8 @@ bytes:
 - ``catalogs``: every report of every catalog on the four default
   placements, the benchmark's ``sweep`` grid and torus placements on both
   sides of the critical k (16-cell diagram: k = 3 and k = 1/3; suspension:
-  k = 2), and on each placement the reports of a second call indexed by
-  one selection: every id in reverse order, then id 0 again;
+  k = 2), each with its id and pair count, and on each placement the same
+  reports again in one selection: every id in reverse order, then id 0;
 - ``degenerate``: the benchmark's 840 degenerate inputs (R^3, R^4 lift and
   affine image of each pool case);
 - ``pairs-r3`` and ``pairs-r4``: seeded small-int pairs in general
@@ -125,10 +125,10 @@ def catalogs_section(workloads):
     from flextri.geometry import RealizationParams, construction_coords, sixteen_cell_diagram
     from flextri.verify import verify_catalog
 
-    catalogs = {g: build_catalog(g, s) for _, g, s in CONSTRUCTIONS.values()}
+    catalogs = {g: build_catalog(g, s) for g, s in CONSTRUCTIONS.values()}
     placements = [
         (name, construction_points(name, None)[0], catalogs[g])
-        for name, (_, g, _) in CONSTRUCTIONS.items()
+        for name, (g, _) in CONSTRUCTIONS.items()
     ]
     for construction, k in (*workloads.SWEEP_GRID, *EXTRA_TORUS):
         points = (
@@ -139,12 +139,13 @@ def catalogs_section(workloads):
 
     section = Section("catalogs")
     for name, points, catalog in placements:
-        selection = [*reversed(range(len(catalog.triangulations))), 0]
-        full, again = verify_catalog(points, catalog), verify_catalog(points, catalog)
-        chosen = [again[i] for i in selection]
-        for label, reports in ((name, full), (f"{name} {selection}", chosen)):
-            for r in reports:
-                section.add(f"{label} {r.identity} {r.verdict} {r.pairs_checked}")
+        ids = range(len(catalog.triangulations))
+        selection = [*reversed(ids), 0]
+        reports = verify_catalog(points, catalog)
+        for label, chosen in ((name, ids), (f"{name} {selection}", selection)):
+            for i in chosen:
+                r, faces = reports[i], len(catalog.triangulations[i].faces)
+                section.add(f"{label} {i} {r.verdict} {faces * (faces - 1) // 2}")
                 for v in r.violations:
                     section.add(f"  {v.faces} {_verdict(v)}", True)
     return section
@@ -276,7 +277,7 @@ def pairs_r5_section():
 
 def enumeration_section():
     from flextri.enumeration import EnumerationTask, enumerate_triangulations
-    from flextri.surfaces import SURFACE_NAMES, build_graph
+    from flextri.surfaces import SURFACE_NAMES, build_graph, classify_surface
 
     section = Section("enumeration")
     for name in ("k2222", "k6", "k5", "octahedron"):
@@ -288,8 +289,8 @@ def enumeration_section():
                     continue
                 catalog = enumerate_triangulations(task)
                 label = f"{name} {mode} {target}"
-                for t, c in zip(catalog.triangulations, catalog.classes):
-                    section.add(f"{label} + {t.faces} {c}")
+                for t in catalog.triangulations:
+                    section.add(f"{label} + {t.faces} {classify_surface(t)}")
                 for t, c in catalog.rejected:
                     section.add(f"{label} - {t.faces} {c}", True)
     return section

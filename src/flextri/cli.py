@@ -58,10 +58,10 @@ class UsageError(Exception):
 GRAPH_MODES = {"k2222": "closed", "k6": "closed", "k5": "with_boundary"}
 
 CONSTRUCTIONS = {
-    "suspension": ("suspension", "k2222", "torus"),
-    "schlegel16cell": ("schlegel16cell", "k2222", "torus"),
-    "rp2-simplex": ("rp2_simplex", "k6", "projective-plane"),
-    "moebius": ("moebius", "k5", "moebius"),
+    "suspension": ("k2222", "torus"),
+    "schlegel16cell": ("k2222", "torus"),
+    "rp2-simplex": ("k6", "projective-plane"),
+    "moebius": ("k5", "moebius"),
 }
 
 
@@ -85,19 +85,19 @@ def construction_points(cli_name: str, k_text: str | None):
         raise UsageError(
             f"unknown construction {cli_name!r} (expected one of {sorted(CONSTRUCTIONS)})"
         )
-    internal, graph_name, surface = CONSTRUCTIONS[cli_name]
+    graph_name, surface = CONSTRUCTIONS[cli_name]
     params = None
     if k_text is not None:
-        if internal not in DEFAULT_PARAMS:
+        if cli_name not in DEFAULT_PARAMS:
             raise UsageError(f"{cli_name} takes no parameter k")
         try:
             params = RealizationParams(parse_rational(k_text))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"cannot parse k = {k_text!r} as an exact rational")
-    elif internal in DEFAULT_PARAMS:
-        params = DEFAULT_PARAMS[internal]
+    elif cli_name in DEFAULT_PARAMS:
+        params = DEFAULT_PARAMS[cli_name]
     try:
-        points = construction_coords(internal, params)
+        points = construction_coords(cli_name, params)
     except ParameterError as exc:
         raise UsageError(str(exc))
     return points, graph_name, surface
@@ -232,12 +232,12 @@ def cmd_verify(args) -> int:
     n_pass = sum(r.embedded for r in reports)
     print(f"{n_pass}/{len(ids)} embedded")
     if args.out:
+        ctx, ints, units = integer_frame([p.coords for p in points.values()])
         doc = {
             "construction": args.construction,
             "k": args.k,
-            "isometry_group_order": len(
-                isometry_group(catalog.task.graph.vertices, *integer_frame(points))
-            ),
+            "isometry_group_order": len(isometry_group(
+                catalog.task.graph.vertices, dict(zip(points, ints)), ctx, units)),
             "reports": [
                 {
                     "id": i,
@@ -350,7 +350,7 @@ def _report_rows() -> list[tuple]:
     entry is a note printed under it when it fails."""
     rows = []
     catalogs = {}
-    for graph_name, surface in dict.fromkeys((g, s) for _, g, s in CONSTRUCTIONS.values()):
+    for graph_name, surface in dict.fromkeys(CONSTRUCTIONS.values()):
         cat = catalogs[graph_name] = build_catalog(graph_name, surface)
         pairs, unmatched = complement_pairing(cat)
         faces = [set(t.faces) for t in cat.triangulations]
@@ -369,7 +369,7 @@ def _report_rows() -> list[tuple]:
         ]
 
     points, reports = {}, {}
-    for name, (_, graph_name, _) in CONSTRUCTIONS.items():
+    for name, (graph_name, _) in CONSTRUCTIONS.items():
         points[name] = construction_points(name, None)[0]
         reports[name] = verify_catalog(points[name], catalogs[graph_name])
     embedded = {name: sum(r.embedded for r in reps) for name, reps in reports.items()}

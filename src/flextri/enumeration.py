@@ -33,11 +33,11 @@ class EnumerationTask(_Value, frozen=True):
 
 
 class Catalog(_Value, frozen=False):
-    __slots__ = ("task", "triangulations", "classes", "rejected")
+    __slots__ = ("task", "triangulations", "rejected")
 
     def __init__(self, task: EnumerationTask, triangulations: list[Triangulation],
-                 classes: list[SurfaceClass], rejected: list[tuple] | None = None):
-        self.task, self.triangulations, self.classes = task, triangulations, classes
+                 rejected: list[tuple] | None = None):
+        self.task, self.triangulations = task, triangulations
         self.rejected = [] if rejected is None else rejected
 
 
@@ -143,17 +143,15 @@ def _catalog(task: EnumerationTask, face_sets) -> Catalog:
     target surface (any surface without a target) form the catalog, the
     rest go to ``rejected``."""
     matched: list[Triangulation] = []
-    classes: list[SurfaceClass] = []
     rejected: list[tuple[Triangulation, SurfaceClass]] = []
     for faces in sorted(face_sets):
         tri = Triangulation(task.graph, faces)
         cls = classify_surface(tri)
         if cls.is_manifold and task.target in (None, cls.name):
             matched.append(tri)
-            classes.append(cls)
         else:
             rejected.append((tri, cls))
-    return Catalog(task, matched, classes, rejected)
+    return Catalog(task, matched, rejected)
 
 
 def complement_pairing(catalog: Catalog) -> tuple[list[tuple[int, int]], list[int]]:

@@ -4,16 +4,17 @@ and metric computations.
 A placement is a plain dict {vertex label: Point}: ``check_placement``
 validates one against a list of labels.  ``construction_coords`` gives the
 named placements in QuadExt coordinates, and ``orthogonal_project`` drops
-one axis of a placement.  ``integer_frame`` is the one way from the field
-to exact int arithmetic: it writes a point set of one context whose axes
-each carry one basis element of the field as int coordinate tuples under a
-positive scale per axis, and refuses any other point set.  ``plane_axes``,
-``face_is_degenerate`` and ``orientation_sign`` take coordinate tuples, so
-they serve field points and the int frame alike.  The metrics run on the
-int frame too: each s_i^2 is rational, so the squared distances are, and
-radii come from their Cayley-Menger determinants, as rational QuadExt
-values of the placement's context; ``tetra_containment`` takes orient3d
-signs, which the positive diagonal scale keeps.
+one axis.  ``integer_frame`` is the one way from the field to exact int
+arithmetic: it writes coordinate tuples of one context whose axes each
+carry one basis element of the field as int tuples under a positive scale
+per axis, each scale as its raw ints, and refuses any other point set.
+``plane_axes``, ``face_is_degenerate`` and ``orientation_sign`` take
+coordinate tuples, so they serve field points and the int frame alike.
+The metrics and ``isometry_group`` run on the int frame too: each s_i^2 is
+rational, so the squared distances are, and radii come from their
+Cayley-Menger determinants, as rational QuadExt values of the placement's
+context; ``tetra_containment`` takes orient3d signs, which the positive
+diagonal scale keeps.
 """
 
 from __future__ import annotations
@@ -142,26 +143,6 @@ def face_is_degenerate(a: tuple, b: tuple, c: tuple) -> bool:
     return plane_axes(_sub(b, a), _sub(c, a)) is None
 
 
-def integer_frame(placement: dict):
-    """The placement as int points under one positive scale per axis.
-
-    The coordinates must be QuadExt values of one context, and those on
-    axis i rational multiples of one basis element of the field (1, sqrt d1,
-    sqrt d2 or sqrt(d1 d2)).  The placement is then the image of an int
-    placement under the diagonal map x_i -> s_i x_i with s_i > 0: s_i is
-    that basis element times g/L, where L is the lcm of the axis's
-    denominators and g the gcd of the numerators over L.  Raises
-    ContextMismatchError when the coordinates come from more than one
-    context, ValueError naming the dimensions found when the points differ
-    in dimension, and ValueError naming the axis when an axis mixes basis
-    elements.  The coordinates are read as their int numerators and
-    denominator: a value with one nonzero numerator is in lowest terms.
-    Returns ({label: tuple of ints}, (s_0, ..., s_{n-1})).
-    """
-    ctx, ints, units = _frame([p.coords for p in placement.values()])
-    return dict(zip(placement, ints)), tuple(_reduced(ctx, *u) for u in units)
-
-
 def _one_dimension(coords) -> None:
     """Raise ``integer_frame``'s ValueError unless the coordinate tuples
     all have one length."""
@@ -170,11 +151,24 @@ def _one_dimension(coords) -> None:
         raise ValueError(f"points of dimensions {sorted(dims)}: no int frame")
 
 
-def _frame(coords):
-    """``integer_frame`` on a list of QuadExt coordinate tuples, with the
-    same checks in the same order.  Returns the context, one int tuple per
-    input, and each axis's scale as its raw numerators and denominator
-    [a, b, c, e, d], one of a, b, c, e nonzero and d > 0."""
+def integer_frame(coords):
+    """QuadExt coordinate tuples as int tuples under one positive scale per axis.
+
+    The coordinates must be QuadExt values of one context, and those on
+    axis i rational multiples of one basis element of the field (1, sqrt d1,
+    sqrt d2 or sqrt(d1 d2)).  The points are then the image of int points
+    under the diagonal map x_i -> s_i x_i with s_i > 0: s_i is that basis
+    element times g/L, where L is the lcm of the axis's denominators and g
+    the gcd of the numerators over L.  Raises ContextMismatchError when the
+    coordinates come from more than one context, ValueError naming the
+    dimensions found when the points differ in dimension, and ValueError
+    naming the axis when an axis mixes basis elements.  The coordinates are
+    read as their int numerators and denominator: a value with one nonzero
+    numerator is in lowest terms.  Returns the context, one int tuple per
+    input, and each s_i as its raw numerators and denominator
+    [a, b, c, e, d], s_i = (a + b sqrt d1 + c sqrt d2 + e sqrt(d1 d2)) / d,
+    one of a, b, c, e nonzero and d > 0.
+    """
     _one_dimension(coords)
     ctx = coords[0][0].ctx if coords else None
     columns, units = [], []
@@ -203,18 +197,17 @@ def _frame(coords):
     return ctx, list(zip(*columns)), units
 
 
-def _sq_distances(pts, scales) -> tuple[list[list[int]], int]:
+def _sq_distances(pts, ctx, units) -> tuple[list[list[int]], int]:
     """The squared distances of int frame points ``pts`` under the frame's
-    ``scales``: (d, den), an int matrix and an int den > 0 with
+    context and ``units``: (d, den), an int matrix and an int den > 0 with
     |p_i - p_j|^2 = d[i][j] / den.  The squared distance of two int points
     is sum_i s_i^2 (x_i - y_i)^2; s_i is a rational times one basis element,
     so s_i^2 = (a^2 + d1 b^2 + d2 c^2 + d1 d2 e^2) / d^2 is rational, read
     off its raw ints, and the weights are the s_i^2 over their common
     denominator."""
-    sq = []
-    for s in scales:
-        (a, b, c, e, d), d1, d2 = s._n, s.ctx.d1, s.ctx.d2
-        sq.append(Fraction(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d))
+    d1, d2 = ctx.d1, ctx.d2
+    sq = [Fraction(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d)
+          for a, b, c, e, d in units]
     den = math.lcm(*(q.denominator for q in sq))
     weights = [q.numerator * (den // q.denominator) for q in sq]
     n = len(pts)
@@ -224,22 +217,23 @@ def _sq_distances(pts, scales) -> tuple[list[list[int]], int]:
     return d, den
 
 
-def isometry_group(labels, placement: dict, scales) -> list[dict]:
+def isometry_group(labels, placement: dict, ctx, units) -> list[dict]:
     """Every permutation g of ``labels`` that keeps the exact squared
     distance of every pair of placed points: |p_g(u) - p_g(v)|^2 =
     |p_u - p_v|^2.  Point sets with equal pairwise distances are congruent,
     so each g is the restriction of an isometry of the ambient space and
     keeps every incidence of the placed faces.
 
-    ``placement`` and ``scales`` are an ``integer_frame``, whose distance
-    matrix is built once (``_sq_distances``); labels are then assigned
-    images in order by backtracking, each to an unused label whose distances
-    to the images assigned so far match.  Returns {label: image} dicts,
+    ``placement`` maps each label to its int point on an ``integer_frame``
+    of context ``ctx`` and scales ``units``; their distance matrix is built
+    once (``_sq_distances``), and labels are then assigned images in order
+    by backtracking, each to an unused label whose distances to the images
+    assigned so far match.  Returns {label: image} dicts,
     ordered by the positions in ``labels`` of the images of labels[0],
     labels[1], ... compared lexicographically; so the identity comes first.
     """
     labels = list(labels)
-    d, _ = _sq_distances([placement[v] for v in labels], scales)
+    d, _ = _sq_distances([placement[v] for v in labels], ctx, units)
     n = len(labels)
     group, image, free = [], [], [True] * n
 
@@ -288,7 +282,7 @@ def construction_coords(name: str, params: RealizationParams | None = None) -> d
     if name == "schlegel16cell":
         k = _require_k(name, params, lower=Fraction(3))
         return sixteen_cell_diagram(k)
-    if name == "rp2_simplex":
+    if name == "rp2-simplex":
         ctx = CTX_SQRT5
         up = QuadExt(0, Fraction(4, 5), ctx=ctx)    # 4/sqrt5
         dn = QuadExt(0, Fraction(-1, 5), ctx=ctx)   # -1/sqrt5
@@ -378,8 +372,8 @@ SHAPES = ("equilateral", "isosceles", "scalene")
 def _distance_matrix(points) -> tuple:
     """(ctx, d, den): the context of a list of Points and their squared
     distances on its int frame, |p_i - p_j|^2 = d[i][j] / den."""
-    ctx, ints, units = _frame([p.coords for p in points])
-    return ctx, *_sq_distances(ints, [_reduced(ctx, *u) for u in units])
+    ctx, ints, units = integer_frame([p.coords for p in points])
+    return ctx, *_sq_distances(ints, ctx, units)
 
 
 def _det(m) -> int:
@@ -458,7 +452,7 @@ def tetra_containment(outer, inner) -> str:
     """Position of the inner point set relative to the closed outer
     tetrahedron in R^3: strict_interior, touching, or outside; decided by
     orient3d on the int frame of all the points."""
-    _, ints, _ = _frame([p.coords for p in (*outer, *inner)])
+    _, ints, _ = integer_frame([p.coords for p in (*outer, *inner)])
     a, b, c, d = ints[:4]
     faces = ((b, c, d, a), (a, c, d, b), (a, b, d, c), (a, b, c, d))
     refs = [orientation_sign(f) for f in faces]

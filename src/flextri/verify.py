@@ -9,34 +9,34 @@ contact) are decided by case analysis, never perturbed.
 The predicate body, ``_pair_check``, takes two faces of int coordinate
 tuples.  Field points reach it through ``geometry.integer_frame``, which
 writes a point set whose axes are each a rational multiple of one basis
-element of the field as int points times one positive scale per axis, and
-refuses any other point set.  That diagonal map keeps every sign the
-predicate tests.  One body, ``_check_dim3``, decides the pairs of R^3 and
-those of R^4 and up whose points span a flat of dimension 3 at most, on
-three coordinates onto which it projects one-to-one; ``_check_rank``
-dispatches a pair of R^4 and up on that affine rank.  The R^3 body takes
-its plane and orient3d signs on unpacked ints (``_plane``,
-``geometry._orient3d``); the tuple helpers serve ``_cramer``,
+element of the field as int points times one positive scale per axis, each
+scale as its raw ints, and refuses any other point set.  That diagonal map
+keeps every sign the predicate tests.  One body, ``_check_dim3``, decides
+the pairs of R^3 and those of R^4 and up whose points span a flat of
+dimension 3 at most, on three coordinates onto which it projects
+one-to-one; ``_check_rank`` dispatches a pair of R^4 and up on that affine
+rank.  The R^3 body takes its plane and orient3d signs on unpacked ints
+(``_plane``, ``geometry._orient3d``); the tuple helpers serve ``_cramer``,
 ``_in_shared_hull``, T1's edges on a flat and ``face_is_degenerate``.  A
-point the body derives (a trace end, a
-clipped polygon vertex, the point where two planes meet) is
-homogeneous, an int numerator tuple over a positive int denominator, and
-points are compared by cross-multiplication.  One Sutherland-Hodgman clip,
-``_clip``, finds what lies inside the first face: of the second face when
-the two are coplanar, of the second face's trace on the first face's plane
-otherwise, unless that trace is one vertex.  A violation's witness leaves
-the body as those homogeneous points, and each coordinate is built
-straight into the field in one step, through the scale of its axis (a 2-D
-coplanar witness through those of the first face's ``plane_axes``).
-``verify_catalog`` frames its placement, refuses two labels on one frame
-point, makes one int Point per label, numbers the 3-cliques of the
-catalog's graph, tests each for degeneracy once, and decides every clique
-pair into one table for the placement: it runs ``pair_intersection_check``
-on one nondegenerate pair per orbit of the isometry group, copies an
-admissible verdict to the rest of its orbit, and each triangulation's
-report is then a lookup of its face pairs in that table.  A direct call
-on QuadExt points frames the six points of its pair in one pass, tests
-both faces, and maps a witness back through the raw scales of that frame.
+point the body derives (a trace end, a clipped polygon vertex, the point
+where two planes meet) is homogeneous, an int numerator tuple over a
+positive int denominator, and points are compared by cross-multiplication.
+One Sutherland-Hodgman clip, ``_clip``, finds what lies inside the first
+face: of the second face when the two are coplanar, of the second face's
+trace on the first face's plane otherwise, unless that trace is one
+vertex.  A violation's witness leaves the body as those homogeneous
+points, and each coordinate is built straight into the field in one step,
+through the raw scale of its axis (a 2-D coplanar witness through those of
+the first face's ``plane_axes``).  ``verify_catalog`` frames its
+placement, refuses two labels on one frame point, makes one int Point per
+label, numbers the 3-cliques of the catalog's graph, tests each for
+degeneracy once, and decides every clique pair into one table for the
+placement: it runs ``pair_intersection_check`` on one nondegenerate pair
+per orbit of the isometry group, copies an admissible verdict to the rest
+of its orbit, and each triangulation's report, its list of violations, is
+then a lookup of its face pairs in that table.  A direct call on QuadExt
+points frames the six points of its pair in one pass, tests both faces,
+and maps a witness back through the raw scales of that frame.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .geometry import (
     Point,
     _det,
     _dot,
-    _frame,
     _one_dimension,
     _orient3d,
     _sign,
@@ -83,17 +82,18 @@ class PairVerdict(_Value, frozen=False):
 
 
 class EmbeddingReport(_Value, frozen=False):
-    __slots__ = ("identity", "verdict", "violations", "pairs_checked")
+    __slots__ = ("violations",)
 
-    def __init__(self, identity: str, verdict: str, violations: list | None = None,
-                 pairs_checked: int = 0):
-        # verdict is "embedded" | "not_embedded"
-        self.identity, self.verdict, self.pairs_checked = identity, verdict, pairs_checked
+    def __init__(self, violations: list | None = None):
         self.violations = [] if violations is None else violations
 
     @property
     def embedded(self) -> bool:
-        return self.verdict == "embedded"
+        return not self.violations
+
+    @property
+    def verdict(self) -> str:
+        return "embedded" if self.embedded else "not_embedded"
 
 
 # -- homogeneous points ----------------------------------------------------
@@ -417,7 +417,7 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
             _one_dimension(t1 + t2)
         return _pair_check(t1, t2, shared)
     faces = (a, b, c), (d, e, f)
-    ctx, q, units = _frame(t1 + t2)
+    ctx, q, units = integer_frame(t1 + t2)
     q1, q2 = tuple(q[:3]), tuple(q[3:])
     if face_is_degenerate(*q1) or face_is_degenerate(*q2):
         return PairVerdict(faces, 0, "violation", "degenerate_face")
@@ -447,8 +447,8 @@ def _map_back(verdict: PairVerdict, t1, ctx, units, faces) -> PairVerdict:
 
 
 def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
-    """Certify every triangulation of a catalog on one placement, one report
-    per triangulation in catalog order, its identity the id.
+    """Certify every triangulation of a catalog on one placement: one report
+    of its violations per triangulation, in catalog order.
 
     All triangulations draw their faces from the 3-cliques of the catalog's
     graph, so the verdicts come from one table for the placement: with the m
@@ -472,10 +472,10 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     ValueError, one of two contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
-    placement, scales = integer_frame(placement)
+    ctx, ints, units = integer_frame([p.coords for p in placement.values()])
+    placement = dict(zip(placement, ints))
     check_placement(labels, placement)
-    group = isometry_group(labels, placement, scales)
-    units = [s._n for s in scales]
+    group = isometry_group(labels, placement, ctx, units)
     # a clique's image under the group is keyed by its label set, one bit
     # per label; an image that is no clique goes to the sink index m
     cliques = enumerate_cliques3(catalog.task.graph)
@@ -501,19 +501,16 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
                 for ga, gb in zip(images[a], images[b]):
                     table[ga * row + gb] = table[gb * row + ga] = False
                 continue
-            if v.witness:
-                v = _map_back(v, v.faces[0], scales[0].ctx, units, (fa, fb))
+            v = _map_back(v, v.faces[0], ctx, units, (fa, fb))
         table[a * row + b] = table[b * row + a] = v
     at = {f: k for k, f in enumerate(cliques)}
     reports = []
-    for i, tri in enumerate(catalog.triangulations):
+    for tri in catalog.triangulations:
         face_ids = [at[f] for f in tri.faces]
         violations = [
             PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")
             for a in face_ids if degenerate[a]
         ]
-        pairs = list(combinations(face_ids, 2))
-        violations += [v for a, b in pairs if (v := table[a * row + b])]
-        verdict = "embedded" if not violations else "not_embedded"
-        reports.append(EmbeddingReport(str(i), verdict, violations, len(pairs)))
+        violations += [v for a, b in combinations(face_ids, 2) if (v := table[a * row + b])]
+        reports.append(EmbeddingReport(violations))
     return reports

@@ -11,7 +11,14 @@ from types import SimpleNamespace
 import pytest
 
 from flextri.enumeration import Catalog, EnumerationTask, _catalog, enumerate_triangulations
-from flextri.geometry import Point, RealizationParams, construction_coords
+from flextri.geometry import (
+    Point,
+    RealizationParams,
+    construction_coords,
+    integer_frame,
+    isometry_group,
+)
+from flextri.numeric import QuadExt
 from flextri.surfaces import _face_edges, build_graph, enumerate_cliques3
 
 
@@ -38,6 +45,21 @@ def scale(p: Point, r) -> Point:
 def scale_placement(points: dict, r) -> dict:
     """The placement with every point multiplied by ``r``."""
     return {label: scale(p, r) for label, p in points.items()}
+
+
+def field_frame(points: dict):
+    """The ``integer_frame`` of a placement as {label: int tuple} and its
+    scales as field values, each raw [a, b, c, e, d] rebuilt as
+    (a + b sqrt d1 + c sqrt d2 + e sqrt(d1 d2)) / d."""
+    ctx, ints, units = integer_frame([p.coords for p in points.values()])
+    scales = tuple(QuadExt(*(Fraction(x, d) for x in u[:4]), ctx=ctx) for *u, d in units)
+    return dict(zip(points, ints, strict=True)), scales
+
+
+def frame_isometry_group(labels, points: dict) -> list[dict]:
+    """``geometry.isometry_group`` on the ``integer_frame`` of a placement."""
+    ctx, ints, units = integer_frame([p.coords for p in points.values()])
+    return isometry_group(labels, dict(zip(points, ints)), ctx, units)
 
 
 def field_isometry_group(labels, placement: dict) -> list[dict]:
@@ -117,7 +139,7 @@ def suspension_points():
 
 @pytest.fixture(scope="session")
 def rp2_points():
-    return construction_coords("rp2_simplex")
+    return construction_coords("rp2-simplex")
 
 
 @pytest.fixture(scope="session")

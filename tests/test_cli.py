@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -507,6 +508,20 @@ def test_reproduce_results_script(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(artifacts)
     reference = ROOT / "perfbench" / "references" / "report.txt"
     assert (tmp_path / "report.txt").read_bytes() == reference.read_bytes()
+
+
+def test_predicate_digest_script_runs_its_sections():
+    # the digest compares two trees' outputs; it reads flextri's result
+    # types, so a change to one must keep it running
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "predicate_digest.py"), "report", "catalogs"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for name in ("report", "catalogs"):
+        (line,) = [x for x in lines if x.split()[0] == name]
+        assert re.fullmatch(rf"{name} +[0-9a-f]{{64}}  items=\d+ flagged=\d+ calls=\d+ .* s", line)
 
 
 # -- cold start ------------------------------------------------------------

@@ -165,4 +165,4 @@ def test_unfiltered_k2222_closed_is_still_twelve():
     task = EnumerationTask(build_graph("k2222"), "closed", target=None)
     cat = enumerate_triangulations(task)
     assert len(cat.triangulations) == 12
-    assert all(c.name == "torus" for c in cat.classes)
+    assert all(classify_surface(t).name == "torus" for t in cat.triangulations)

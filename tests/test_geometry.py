@@ -32,7 +32,7 @@ from flextri.numeric import (
 )
 from flextri.verify import verify_catalog
 
-from conftest import dist_sq, scale, scale_placement
+from conftest import dist_sq, field_frame, scale, scale_placement
 
 CTX = CTX_SQRT2_SQRT3
 S2 = QuadExt(0, 1, ctx=CTX)
@@ -96,7 +96,7 @@ def test_rp2_last_coordinate(rp2_points):
 CONSTRUCTION_NAMES = (
     "suspension",
     "schlegel16cell",
-    "rp2_simplex",
+    "rp2-simplex",
     "moebius",
     "std_hyperoctahedron",
 )
@@ -113,6 +113,9 @@ def test_every_construction_name_resolves():
 def test_unknown_construction():
     with pytest.raises(ParameterError):
         construction_coords("dodecahedron")
+    # the constructions go by their CLI names only
+    with pytest.raises(ParameterError):
+        construction_coords("rp2_simplex")
 
 
 # -- parameter validation --------------------------------------------------
@@ -224,11 +227,10 @@ def test_schlegel_reading_certifies_as_the_sixteen_cell_diagram(k, torus_catalog
     # points of two different coordinate systems and are not compared
     reading = verify_catalog(schlegel_placement(k), torus_catalog)
     diagram = verify_catalog(sixteen_cell_diagram(Fraction(k)), torus_catalog)
-    embedded = [r.identity for r in reading if r.embedded]
-    assert embedded == [r.identity for r in diagram if r.embedded]
+    embedded = [i for i, r in enumerate(reading) if r.embedded]
+    assert embedded == [i for i, r in enumerate(diagram) if r.embedded]
     assert len(embedded) == (12 if k > 3 else 0)
     for r, d in zip(reading, diagram, strict=True):
-        assert r.identity == d.identity
         assert ([(v.faces, v.kind) for v in r.violations]
                 == [(v.faces, v.kind) for v in d.violations])
 
@@ -277,9 +279,9 @@ def test_face_shapes_computes_each_edge_once(monkeypatch, moebius_points):
     calls = []
     original = geometry._sq_distances
 
-    def spy(pts, scales):
+    def spy(pts, ctx, units):
         calls.append(len(pts))
-        return original(pts, scales)
+        return original(pts, ctx, units)
 
     monkeypatch.setattr(geometry, "_sq_distances", spy)
     cliques = list(combinations("ABCDE", 3))
@@ -435,8 +437,7 @@ def test_inner_tetra_containment(k, expected):
 # -- integer frame ---------------------------------------------------------
 
 def _assert_frame_reproduces(points):
-    ints, scales = integer_frame(points)
-    assert sorted(ints) == sorted(points)
+    ints, scales = field_frame(points)
     assert all(s.sign() > 0 for s in scales)
     for label, p in points.items():
         assert all(type(c) is int for c in ints[label])
@@ -461,26 +462,30 @@ def test_integer_frame_of_every_sweep_placement(sweep_placements):
 def test_integer_frame_scales():
     # the 16-cell diagram at k = 4 has the axes sqrt2, sqrt6 and 1, with
     # coefficients in (1/4)Z: the scales take the basis element and 1/4
-    ints, scales = integer_frame(sixteen_cell_diagram(Fraction(4)))
+    ints, scales = field_frame(sixteen_cell_diagram(Fraction(4)))
     quarter = Fraction(1, 4)
     assert scales == (
         QuadExt(0, quarter, ctx=CTX), QuadExt(0, 0, 0, quarter, ctx=CTX), qq(quarter)
     )
     assert ints["B"] == (8, 0, -4)
     assert ints["H"] == (1, 1, 1)
+    # integer_frame itself returns the context and each scale's raw ints
+    pts = sixteen_cell_diagram(Fraction(4))
+    ctx, _, units = integer_frame([p.coords for p in pts.values()])
+    assert ctx is CTX and units == [[0, 1, 0, 0, 4], [0, 0, 0, 1, 4], [1, 0, 0, 0, 4]]
     # an axis that is zero everywhere keeps the scale 1; the gcd of an
     # axis's numerators moves into its scale
-    ints, scales = integer_frame({"A": make_point(CTX, 0, 6, 0), "B": make_point(CTX, 0, -4, S2)})
+    ints, scales = field_frame({"A": make_point(CTX, 0, 6, 0), "B": make_point(CTX, 0, -4, S2)})
     assert scales == (qq(1), qq(2), S2)
     assert [ints[v] for v in "AB"] == [(0, 3, 0), (0, -2, 1)]
     # an axis that mixes basis elements has no frame, and the error names it
     with pytest.raises(ValueError, match="axis 0 "):
-        integer_frame({"A": make_point(CTX, 1 + S2, 0, 0), "B": make_point(CTX, 0, 1, 0)})
+        integer_frame([make_point(CTX, 1 + S2, 0, 0).coords, make_point(CTX, 0, 1, 0).coords])
     with pytest.raises(ValueError, match="axis 0 "):
-        integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX, S2, 1, 0)})
+        integer_frame([make_point(CTX, 1, 0, 0).coords, make_point(CTX, S2, 1, 0).coords])
     # points of two contexts are refused, even on an axis of rationals
     with pytest.raises(ContextMismatchError):
-        integer_frame({"A": make_point(CTX, 1, 0, 0), "B": make_point(CTX_SQRT5, 2, 1, 0)})
+        integer_frame([make_point(CTX, 1, 0, 0).coords, make_point(CTX_SQRT5, 2, 1, 0).coords])
 
 
 def test_make_point_refuses_a_value_of_another_context():
@@ -505,7 +510,7 @@ def test_integer_frame_refuses_points_of_mixed_dimension():
     ):
         dims = sorted(p.dim for p in points.values())
         with pytest.raises(ValueError, match=rf"dimensions \[{dims[0]}, {dims[1]}\]"):
-            integer_frame(points)
+            integer_frame([p.coords for p in points.values()])
 
 
 # -- degeneracy and helpers ------------------------------------------------

@@ -49,7 +49,8 @@ def test_clique_counts(name, count):
 
 
 def test_torus_classification(torus_catalog):
-    for tri, cls in zip(torus_catalog.triangulations, torus_catalog.classes):
+    for tri in torus_catalog.triangulations:
+        cls = classify_surface(tri)
         assert len(tri.faces) == 16
         assert cls.euler == 0
         assert cls.orientable
@@ -60,7 +61,8 @@ def test_torus_classification(torus_catalog):
 
 
 def test_projective_plane_classification(rp2_catalog):
-    for tri, cls in zip(rp2_catalog.triangulations, rp2_catalog.classes):
+    for tri in rp2_catalog.triangulations:
+        cls = classify_surface(tri)
         assert len(tri.faces) == 10
         assert cls.euler == 1
         assert not cls.orientable
@@ -68,7 +70,8 @@ def test_projective_plane_classification(rp2_catalog):
 
 
 def test_moebius_classification(moebius_catalog):
-    for tri, cls in zip(moebius_catalog.triangulations, moebius_catalog.classes):
+    for tri in moebius_catalog.triangulations:
+        cls = classify_surface(tri)
         assert len(tri.faces) == 5
         assert cls.euler == 0
         assert not cls.orientable
@@ -165,8 +168,9 @@ def test_untargeted_manifolds_are_not_named_invalid(graph_name):
     catalog = enumerate_triangulations(
         EnumerationTask(build_graph(graph_name), "with_boundary", None)
     )
-    names = [cls.name for cls in catalog.classes]
-    assert all(cls.is_manifold for cls in catalog.classes)
+    classes = [classify_surface(t) for t in catalog.triangulations]
+    names = [cls.name for cls in classes]
+    assert all(cls.is_manifold for cls in classes)
     assert "other/invalid" not in names
     assert names.count("other manifold") == {"octahedron": 4, "k6": 120}[graph_name]
 
@@ -210,7 +214,7 @@ def _coherent_by_brute_force(faces) -> bool:
 )
 def test_orientability_matches_brute_force_on_scanned_face_sets(graph_name, mode):
     catalog = brute_force_catalog(EnumerationTask(build_graph(graph_name), mode))
-    complexes = [*zip(catalog.triangulations, catalog.classes), *catalog.rejected]
+    complexes = [(t, classify_surface(t)) for t in catalog.triangulations] + catalog.rejected
     if (graph_name, mode) == ("octahedron", "with_boundary"):
         assert len(complexes) == 35
         assert sum(not cls.is_manifold for _, cls in complexes) == 22

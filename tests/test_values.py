@@ -43,15 +43,14 @@ CASES = [
      "name='torus')", True, {}),
     (EnumerationTask, (GRAPH, "with_boundary"), (GRAPH, "closed"), TASK_REPR, True,
      {"target": None}),
-    (Catalog, (TASK, [], []), (TASK, [None], []),
-     f"Catalog(task={TASK_REPR}, triangulations=[], classes=[], rejected=[])", False,
+    (Catalog, (TASK, []), (TASK, [None]),
+     f"Catalog(task={TASK_REPR}, triangulations=[], rejected=[])", False,
      {"rejected": []}),
     (PairVerdict, ((1, 2), 0, "admissible"), ((1, 2), 0, "violation", "containment"),
      "PairVerdict(faces=(1, 2), shared=0, verdict='admissible', kind=None, witness=())",
      False, {"kind": None, "witness": ()}),
-    (EmbeddingReport, ("0", "embedded"), ("1", "embedded"),
-     "EmbeddingReport(identity='0', verdict='embedded', violations=[], pairs_checked=0)",
-     False, {"violations": [], "pairs_checked": 0}),
+    (EmbeddingReport, (), ([None],), "EmbeddingReport(violations=[])", False,
+     {"violations": []}),
 ]
 IDS = [case[0].__name__ for case in CASES]
 FROZEN = [case for case in CASES if case[4]]
@@ -124,11 +123,11 @@ def test_mutable_classes_are_unhashable_and_assignable(cls, args, other, text, f
 
 
 def test_mutable_defaults_are_fresh_lists():
-    a, b = Catalog(TASK, [], []), Catalog(TASK, [], [])
+    a, b = Catalog(TASK, []), Catalog(TASK, [])
     assert a.rejected == [] and a.rejected is not b.rejected
     a.rejected.append(None)
     assert b.rejected == []
-    r, s = EmbeddingReport("0", "embedded"), EmbeddingReport("0", "embedded")
+    r, s = EmbeddingReport(), EmbeddingReport()
     assert r.violations == [] and r.violations is not s.violations
     r.violations.append(None)
     assert s.violations == []

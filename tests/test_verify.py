@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -9,8 +9,6 @@ from flextri.geometry import (
     Point,
     construction_coords,
     face_is_degenerate,
-    integer_frame,
-    isometry_group,
     make_point,
     orientation_sign,
     orthogonal_project,
@@ -34,7 +32,14 @@ from flextri.verify import (
     verify_catalog,
 )
 
-from conftest import add, field_isometry_group, scale, scale_placement
+from conftest import (
+    add,
+    field_frame,
+    field_isometry_group,
+    frame_isometry_group,
+    scale,
+    scale_placement,
+)
 
 CTX = CTX_SQRT2_SQRT3
 
@@ -312,9 +317,6 @@ def test_full_catalogs_embed_on_reference_placements(
     ):
         reports = verify_catalog(points, catalog)
         assert all(r.embedded for r in reports)
-        assert all(r.pairs_checked == len(
-            list(combinations(catalog.triangulations[0].faces, 2))
-        ) for r in reports)
 
 
 def test_verify_catalog_table_checks_and_selection(
@@ -352,12 +354,13 @@ def test_verify_catalog_table_checks_and_selection(
     with pytest.raises(ValueError, match="distinct labels to equal points"):
         verify_catalog(doubled, moebius_catalog)
 
-    # one report per triangulation, in catalog order, each named by its id;
-    # also on a placement that embeds nothing
+    # one report per triangulation, also on a placement that embeds
+    # nothing; a report's verdict is read off its violations
     nothing = verify_catalog(sixteen_cell_diagram(Fraction(2999, 1000)), torus_catalog)
+    assert [r.verdict for r in nothing] == ["not_embedded"] * 12
     assert not any(r.embedded for r in nothing)
-    for full in (verify_catalog(suspension_points, torus_catalog), nothing):
-        assert [r.identity for r in full] == [str(i) for i in range(12)]
+    assert all(r.violations for r in nothing)
+    assert len(verify_catalog(suspension_points, torus_catalog)) == 12
 
 
 def test_verify_catalog_tests_each_face_for_degeneracy_once(
@@ -372,7 +375,7 @@ def test_verify_catalog_tests_each_face_for_degeneracy_once(
         return face_is_degenerate(a, b, c)
 
     monkeypatch.setattr(verify, "face_is_degenerate", spy)
-    ints, _ = integer_frame(suspension_points)
+    ints, _ = field_frame(suspension_points)
     cliques = [tuple(ints[v] for v in f) for f in enumerate_cliques3(torus_catalog.task.graph)]
     verify_catalog(suspension_points, torus_catalog)
     assert tested == cliques
@@ -531,6 +534,37 @@ def test_affine_maps_keep_a_whole_catalog(moebius_points, moebius_catalog):
                     ], v.faces
 
 
+def test_projective_maps_keep_every_verdict(torus_catalog):
+    # a projective map x -> (A x + b) / (c . x + d) whose 4x4 matrix is
+    # invertible and whose denominator c . x + d has one sign on the placed
+    # points (the negated matrix gives the same map with positive ones) maps
+    # each segment and face between them onto the segment or face between
+    # the images, and keeps every coplanarity and incidence; so it keeps
+    # every verdict, violating pair and kind, in order.  Witnesses move with
+    # the map and are not compared.  Distinct small-int points of [-2, 2]^3
+    # meet coplanar, collinear and touching pairs often.
+    labels = torus_catalog.task.graph.vertices
+    grid = list(product(range(-2, 3), repeat=3))
+    rng = random.Random(20261029)
+    kinds = set()
+    for _ in range(80):
+        raw = dict(zip(labels, rng.sample(grid, len(labels))))
+        while True:
+            m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+            w = {v: sum(c * x for c, x in zip(m[3], (*p, 1))) for v, p in raw.items()}
+            if _int_det(m) and (min(w.values()) > 0 or max(w.values()) < 0):
+                break
+        image = {
+            v: pt(*(Fraction(sum(c * x for c, x in zip(row, (*p, 1))), w[v]) for row in m[:3]))
+            for v, p in raw.items()
+        }
+        base = verify_catalog({v: pt(*p) for v, p in raw.items()}, torus_catalog)
+        assert _violations(verify_catalog(image, torus_catalog)) == _violations(base), raw
+        kinds |= {v.kind for r in base for v in r.violations}
+    assert kinds == {"degenerate_face", "coplanar_overlap", "containment", "vertex_in_face",
+                     "edge_through_face", "interior_crossing"}
+
+
 def _in_hull(x: Point, pts) -> bool:
     """x in the closed convex hull of one to three affinely independent
     field points, decided by solve_linear and QuadExt.sign alone."""
@@ -686,7 +720,7 @@ def test_isometry_group_orders_and_pair_orbits(
         assert group[0] == {v: v for v in labels}
         # the int frame's weighted distances give the same group, in the
         # same order
-        assert isometry_group(labels, *integer_frame(points)) == group
+        assert frame_isometry_group(labels, points) == group
         assert len(_pair_orbits(group, catalog)) == n_orbits
 
 
@@ -709,7 +743,7 @@ def test_suspension_witnesses_equal_the_field_oracle(suspension_points, torus_ca
     # include interior crossings and containments with 2-D witnesses, and
     # every witness verify_catalog builds is the predicate's homogeneous
     # witness read through QuadExt arithmetic
-    points, scales = integer_frame(suspension_points)
+    points, scales = field_frame(suspension_points)
     assert all(s.ctx == CTX and not s.a for s in scales)
     found = set()
     for r in verify_catalog(suspension_points, torus_catalog):
@@ -762,7 +796,7 @@ def _full_table_reports(points, catalog):
     """verify_catalog's reports from the full table, by brute force: the
     predicate on every co-occurring clique pair, on the placement's int
     frame, with each witness mapped back."""
-    points, scales = integer_frame(points)
+    points, scales = field_frame(points)
     table = {}
     for tri in catalog.triangulations:
         for a, b in combinations(tri.faces, 2):
@@ -775,20 +809,18 @@ def _full_table_reports(points, catalog):
                 witness = _field_witness(v.witness, ta, scales)
                 table[a, b] = PairVerdict((a, b), v.shared, v.verdict, v.kind, witness)
     reports = []
-    for i, tri in enumerate(catalog.triangulations):
+    for tri in catalog.triangulations:
         violations = [
             PairVerdict((f, f), 3, "violation", "degenerate_face")
             for f in tri.faces
             if face_is_degenerate(*(points[x] for x in f))
         ]
-        pairs = list(combinations(tri.faces, 2))
         violations += [
             PairVerdict((a, b), v.shared, v.verdict, v.kind, v.witness)
-            for a, b in pairs
+            for a, b in combinations(tri.faces, 2)
             if not (v := table[a, b]).admissible
         ]
-        verdict = "not_embedded" if violations else "embedded"
-        reports.append(EmbeddingReport(str(i), verdict, violations, len(pairs)))
+        reports.append(EmbeddingReport(violations))
     return reports
 
 
@@ -866,7 +898,7 @@ def test_relabelling_the_placement_and_the_catalog_keeps_every_verdict(
     for seed, (points, catalog) in enumerate(cases):
         labels = catalog.task.graph.vertices
         perms = _automorphisms(catalog.task.graph, seed, 3)
-        assert any(g not in isometry_group(labels, *integer_frame(points)) for g in perms)
+        assert any(g not in frame_isometry_group(labels, points) for g in perms)
         index = {frozenset(t.faces): i for i, t in enumerate(catalog.triangulations)}
         base = verify_catalog(points, catalog)
         for g in perms:
@@ -1321,6 +1353,46 @@ def test_no_projective_plane_embeds_in_r3(rp2_catalog, rp2_points):
     # dropping the last axis puts A on O
     with pytest.raises(ValueError, match="equal points"):
         verify_catalog(orthogonal_project(rp2_points, 3), rp2_catalog)
+
+
+def _orient(a, b, c, d) -> int:
+    """orient3d of four int points of R^3: the sign of det(b - a, c - a, d - a)."""
+    det = _int_det([[x - y for x, y in zip(p, a)] for p in (b, c, d)])
+    return (det > 0) - (det < 0)
+
+
+def test_conway_gordon_sachs_parity_on_generic_k6_placements_in_r3():
+    # on six points of R^3 with no four coplanar, an odd number of the 10
+    # vertex-disjoint triangle pairs of K6 have odd linking number (Conway &
+    # Gordon 1983, Sachs 1983).  A pair is linked mod 2 when an odd number of
+    # one triangle's edges cross the other's open face: edge pq crosses face
+    # abc iff p and q lie on opposite sides of its plane and pq turns the
+    # same way around each of its edges, all by orient3d on ints.  A linked
+    # pair meets, so the predicate finds a violation.
+    pairs = [
+        (f1, f2) for f1, f2 in combinations(combinations(range(6), 3), 2) if not set(f1) & set(f2)
+    ]
+    assert len(pairs) == 10
+    rng = random.Random(20261030)
+    placed = 0
+    while placed < 200:
+        raw = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(6)]
+        if not all(_orient(*four) for four in combinations(raw, 4)):
+            continue
+        linked = 0
+        for f1, f2 in pairs:
+            a, b, c = (raw[i] for i in f2)
+            crossings = sum(
+                _orient(a, b, c, p) != _orient(a, b, c, q)
+                and _orient(p, q, a, b) == _orient(p, q, b, c) == _orient(p, q, c, a)
+                for p, q in combinations([raw[i] for i in f1], 2)
+            )
+            if crossings % 2:
+                linked += 1
+                v = pair_intersection_check(*(tuple(pt(*raw[i]) for i in f) for f in (f1, f2)))
+                assert not v.admissible, (raw, f1, f2)
+        assert linked % 2 == 1, raw
+        placed += 1
 
 
 def test_weak_conway_gordon_sachs_on_k6_placements_in_r3(rp2_catalog):
