@@ -31,7 +31,16 @@ bytes:
 - ``values``: the ``_n`` and ``ctx`` of ``QuadExt(...)`` on seeded
   arguments, 1 to 4 coefficients each an int, a Fraction, a bool, a
   decimal string or a dyadic float, over Q, Q(sqrt5), Q(sqrt3) and Q(sqrt7)
-  as d2, and Q(sqrt2, sqrt3); and the exception type of each refused input.
+  as d2, and Q(sqrt2, sqrt3); and the exception type of each refused input;
+- ``cli``: the argv, exit code, stdout and stderr of ``flextri.cli.main``,
+  run in process, and the bytes it writes to ``--out`` (a temp file), on
+  ``verify``, ``metrics`` and ``export`` at every construction (and one
+  unknown name) with its default k and others that it takes or refuses,
+  with no selection, ``--all``, and ids -1, 0, 5 and 12; ``export`` in each
+  format with no projection and dropping axis x or w, where dropping w
+  comes only with a valid id (on a 3-D construction a bad id and the
+  missing axis are two errors, and the id's is reported); and ``enumerate
+  --out`` and ``pairs`` on the three catalogs.
 
 Each section also prints its number of calls of
 ``verify.pair_intersection_check``, the name ``verify_catalog`` calls,
@@ -40,7 +49,7 @@ that the pair table should have copied.  Last on its line comes the
 section's wall time, and a last line gives the total.
 
 Run it as ``python3 scripts/predicate_digest.py [SECTION ...]`` from the
-repository root; with no section named it runs all ten, in the order above.
+repository root; with no section named it runs all eleven, in the order above.
 ``--src DIR`` imports flextri from another tree's ``src`` directory, so
 ``--src ../parent/src`` digests the parent commit with the same inputs.
 Standard library only, besides flextri and the benchmark's input
@@ -48,9 +57,13 @@ generators (``perfbench/workloads.py``), which it only reads.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -79,6 +92,18 @@ R5_MAP = (
     (-1, 3, 1, 0),
     (0, 2, 5, -3),
 )
+
+# the k each construction is run at besides its default: taken, refused or
+# unparsable
+CLI_K = {
+    "suspension": ("3", "2", "1/0"),
+    "schlegel16cell": ("5", "3"),
+    "rp2-simplex": ("2",),
+    "moebius": ("2", "1/0"),
+    "nope": (),
+}
+CLI_IDS = ("-1", "0", "5", "12")
+CLI_CATALOGS = (("k2222", "torus"), ("k6", "projective-plane"), ("k5", "moebius"))
 
 PAIR_CATEGORIES = ("general", "shared_vertex", "shared_edge", "coplanar", "touching", "flat3")
 PAIRS_PER_CATEGORY = 1000
@@ -332,6 +357,48 @@ def values_section():
     return section
 
 
+def _cli_argv():
+    """The argv of the ``cli`` section, with OUT standing for the --out file."""
+    for construction, ks in CLI_K.items():
+        for k in (None, *ks):
+            base = ["--construction", construction, *(["--k", k] if k else [])]
+            selections = [[], *(["--id", i] for i in CLI_IDS)]
+            for selection in (*selections, ["--all"]):
+                yield ["verify", *base, *selection]
+                yield ["verify", *base, *selection, "--out", "OUT"]
+                yield ["metrics", *base, *selection]
+            for selection in selections:
+                for fmt in ("off", "obj", "json"):
+                    for axis in (None, "x", "w"):
+                        if axis == "w" and selection[1:] not in (["0"], ["5"]):
+                            continue
+                        drop = ["--project-drop-axis", axis] if axis else []
+                        yield ["export", *base, *selection, "--format", fmt, *drop]
+                        if selection[1:] == ["5"]:
+                            yield ["export", *base, *selection, "--format", fmt, *drop,
+                                   "--out", "OUT"]
+    for graph, surface in CLI_CATALOGS:
+        yield ["enumerate", "--graph", graph, "--surface", surface, "--out", "OUT"]
+        yield ["pairs", "--graph", graph, "--surface", surface]
+
+
+def cli_section():
+    from flextri.cli import main
+
+    section = Section("cli")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for argv in _cli_argv():
+            out.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([str(out) if a == "OUT" else a for a in argv])
+            written = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+            section.add(json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()])
+                        + f" {written}", code != 0)
+    return section
+
+
 def _count_predicate_calls() -> list:
     """Wrap ``verify.pair_intersection_check`` with a counter; the sections
     import it when they run, and ``verify_catalog`` looks it up per call."""
@@ -359,6 +426,7 @@ def main() -> int:
         "pairs-r5": lambda workloads: pairs_r5_section(),
         "enumeration": lambda workloads: enumeration_section(),
         "values": lambda workloads: values_section(),
+        "cli": lambda workloads: cli_section(),
     }
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory to import flextri from")

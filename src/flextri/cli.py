@@ -198,33 +198,30 @@ def cmd_pairs(args) -> int:
     return EXIT_OK
 
 
-def _selected_ids(catalog: Catalog, id_: int | None, all_: bool = False) -> list:
-    """The ids that --all or --id select, [] when neither is given."""
+def _construction(args, needs: str | None):
+    """The placement, catalog and selected ids of ``--construction``,
+    ``--k`` and ``--id`` or ``--all``; when the selection is empty and
+    ``needs`` names the options that make one, a usage error."""
+    points, graph_name, surface = construction_points(args.construction, args.k)
+    catalog = build_catalog(graph_name, surface)
     ids = range(len(catalog.triangulations))
-    if all_:
-        return list(ids)
-    if id_ is None:
-        return []
-    if id_ not in ids:
-        raise UsageError(f"triangulation id {id_} out of range 0..{len(ids) - 1}")
-    return [id_]
+    if args.id is not None and args.id not in ids:
+        raise UsageError(f"triangulation id {args.id} out of range 0..{len(ids) - 1}")
+    ids = list(ids) if args.all else [] if args.id is None else [args.id]
+    if needs and not ids:
+        raise UsageError(f"select a triangulation with {needs}")
+    return points, catalog, ids
 
 
 def cmd_verify(args) -> int:
-    points, graph_name, surface = construction_points(args.construction, args.k)
-    catalog = build_catalog(graph_name, surface)
-    ids = _selected_ids(catalog, args.id, args.all)
-    if not ids:
-        raise UsageError("select a triangulation with --id N or --all")
+    points, catalog, ids = _construction(args, "--id N or --all")
     reports = verify_catalog(points, catalog)
     reports = [reports[i] for i in ids]
     rows = []
-    ok = True
     for i, r in zip(ids, reports):
         if r.embedded:
             rows.append(f"{i:3d}  PASS")
         else:
-            ok = False
             kinds = sorted({v.kind for v in r.violations})
             rows.append(f"{i:3d}  FAIL  {len(r.violations)} violations ({', '.join(kinds)})")
     table = "\n".join(rows) + "\n"
@@ -255,7 +252,7 @@ def cmd_verify(args) -> int:
             ],
         }
         _write_out(_json_text(doc), args.out)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if n_pass == len(ids) else EXIT_VERIFY
 
 
 def _census(faces, shapes: dict) -> dict:
@@ -277,9 +274,7 @@ def _outer_tetra(points: dict) -> list:
 
 
 def cmd_metrics(args) -> int:
-    points, graph_name, surface = construction_points(args.construction, args.k)
-    catalog = build_catalog(graph_name, surface)
-    ids = _selected_ids(catalog, args.id, args.all)
+    points, catalog, ids = _construction(args, None)
     dist = squared_distances(points)
     lengths = {dist[tuple(e)] for e in catalog.task.graph.edges}
     print(f"squared edge lengths: {sorted(map(repr, lengths))}")
@@ -295,7 +290,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_export(args) -> int:
-    points, graph_name, surface = construction_points(args.construction, args.k)
+    points, catalog, ids = _construction(args, "--id N")
     dim = next(iter(points.values())).dim
     if args.project_drop_axis is not None:
         axis = "xyzw".index(args.project_drop_axis)
@@ -306,10 +301,6 @@ def cmd_export(args) -> int:
             )
         points = orthogonal_project(points, axis)
         dim -= 1
-    catalog = build_catalog(graph_name, surface)
-    ids = _selected_ids(catalog, args.id)
-    if not ids:
-        raise UsageError("select a triangulation with --id N")
     tri = catalog.triangulations[ids[0]]
     try:
         check_placement(tri.graph.vertices, points)
@@ -456,6 +447,20 @@ def cmd_report(args) -> int:
 
 # -- argument parsing ------------------------------------------------------
 
+def _construction_parser(sub, name: str, help: str, func, all_: bool = True):
+    """A subcommand that reads a construction: ``--construction``, ``--k``
+    and ``--id``, with ``--all`` as its alternative when ``all_``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--construction", required=True)
+    p.add_argument("--k")
+    selection = p.add_mutually_exclusive_group() if all_ else p
+    selection.add_argument("--id", type=int)
+    if all_:
+        selection.add_argument("--all", action="store_true")
+    p.set_defaults(func=func, all=False)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flextri",
@@ -476,31 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface")
     p.set_defaults(func=cmd_pairs)
 
-    p = sub.add_parser("verify", help="certify embeddings on a construction")
-    p.add_argument("--construction", required=True)
-    p.add_argument("--k")
-    selection = p.add_mutually_exclusive_group()
-    selection.add_argument("--id", type=int)
-    selection.add_argument("--all", action="store_true")
+    p = _construction_parser(sub, "verify", "certify embeddings on a construction", cmd_verify)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("metrics", help="exact metric report for a construction")
-    p.add_argument("--construction", required=True)
-    p.add_argument("--k")
-    selection = p.add_mutually_exclusive_group()
-    selection.add_argument("--id", type=int)
-    selection.add_argument("--all", action="store_true")
-    p.set_defaults(func=cmd_metrics)
+    _construction_parser(sub, "metrics", "exact metric report for a construction", cmd_metrics)
 
-    p = sub.add_parser("export", help="export a geometric complex (OFF/OBJ/JSON)")
-    p.add_argument("--construction", required=True)
-    p.add_argument("--k")
-    p.add_argument("--id", type=int)
+    p = _construction_parser(sub, "export", "export a geometric complex (OFF/OBJ/JSON)",
+                             cmd_export, all_=False)
     p.add_argument("--format", default="off", choices=("off", "obj", "json"))
     p.add_argument("--project-drop-axis", choices=tuple("xyzw"))
     p.add_argument("--out")
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("report", help="full reproduction report")
     p.add_argument("--format", default="text", choices=("text", "json"))

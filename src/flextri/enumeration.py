@@ -36,9 +36,8 @@ class Catalog(_Value, frozen=False):
     __slots__ = ("task", "triangulations", "rejected")
 
     def __init__(self, task: EnumerationTask, triangulations: list[Triangulation],
-                 rejected: list[tuple] | None = None):
-        self.task, self.triangulations = task, triangulations
-        self.rejected = [] if rejected is None else rejected
+                 rejected: list[tuple]):
+        self.task, self.triangulations, self.rejected = task, triangulations, rejected
 
 
 def _closes_short_cycle(link: dict, u, w) -> bool:

@@ -20,8 +20,7 @@ class LabeledGraph(_Value, frozen=True):
     def __init__(self, name: str, vertices: tuple[str, ...], edges: frozenset[frozenset]):
         self._set_slots(name, vertices, edges)
         for e in edges:
-            u, v = sorted(e)
-            if u == v or u not in vertices or v not in vertices:
+            if len(e) != 2 or not e.issubset(vertices):
                 raise ValueError(f"bad edge {set(e)} in graph {name}")
 
     def has_edge(self, u: str, v: str) -> bool:

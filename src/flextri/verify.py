@@ -84,8 +84,8 @@ class PairVerdict(_Value, frozen=False):
 class EmbeddingReport(_Value, frozen=False):
     __slots__ = ("violations",)
 
-    def __init__(self, violations: list | None = None):
-        self.violations = [] if violations is None else violations
+    def __init__(self, violations: list):
+        self.violations = violations
 
     @property
     def embedded(self) -> bool:

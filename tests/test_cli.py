@@ -261,6 +261,24 @@ def test_export_takes_no_all(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "metrics", "export"])
+@pytest.mark.parametrize("argv, message", [
+    (["--construction", "nope", "--id", "0"], "unknown construction 'nope' (expected one of "
+     "['moebius', 'rp2-simplex', 'schlegel16cell', 'suspension'])"),
+    (["--construction", "moebius", "--k", "2", "--id", "0"], "moebius takes no parameter k"),
+    (["--construction", "suspension", "--k", "1/0", "--id", "0"],
+     "cannot parse k = '1/0' as an exact rational"),
+    (["--construction", "schlegel16cell", "--k", "3", "--id", "0"],
+     "schlegel16cell requires k > 3, got k = 3"),
+    (["--construction", "moebius", "--id", "-1"], "triangulation id -1 out of range 0..11"),
+    (["--construction", "moebius", "--id", "12"], "triangulation id 12 out of range 0..11"),
+], ids=["unknown", "k-on-moebius", "k-unparsable", "k-at-threshold", "id-low", "id-high"])
+def test_construction_commands_resolve_alike(capsys, command, argv, message):
+    # verify, metrics and export read a construction and a selection through
+    # one step, so each refuses the same argv with the same line
+    assert run(capsys, command, *argv) == (2, "", f"error: {message}\n")
+
+
 # -- pairs -----------------------------------------------------------------
 
 def test_pairs_output(capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -1357,7 +1357,8 @@ def test_no_projective_plane_embeds_in_r3(rp2_catalog, rp2_points):
 
 def _orient(a, b, c, d) -> int:
     """orient3d of four int points of R^3: the sign of det(b - a, c - a, d - a)."""
-    det = _int_det([[x - y for x, y in zip(p, a)] for p in (b, c, d)])
+    (u1, u2, u3), (v1, v2, v3), (w1, w2, w3) = ([x - y for x, y in zip(p, a)] for p in (b, c, d))
+    det = u1 * (v2 * w3 - v3 * w2) - u2 * (v1 * w3 - v3 * w1) + u3 * (v1 * w2 - v2 * w1)
     return (det > 0) - (det < 0)
 
 
@@ -1393,6 +1394,41 @@ def test_conway_gordon_sachs_parity_on_generic_k6_placements_in_r3():
                 assert not v.admissible, (raw, f1, f2)
         assert linked % 2 == 1, raw
         placed += 1
+
+
+def test_sign_class_decides_verdict_and_kind_on_generic_k2222_placements(torus_catalog):
+    # the oriented matroid of a pair's points decides whether and how the
+    # two triangles meet (Bjorner et al., Oriented Matroids, 1993): on
+    # placements with no four points coplanar, two clique pairs that share
+    # vertices at the same positions and whose distinct points (the first
+    # face's vertices, then the second's others) have the same orient3d sign
+    # on every 4-subset get one (verdict, kind)
+    labels = torus_catalog.task.graph.vertices
+    cliques = enumerate_cliques3(torus_catalog.task.graph)
+    pairs = list(combinations(cliques, 2))
+    assert len(pairs) == 496
+    rng = random.Random(20261031)
+    outcomes = {}
+    placed = 0
+    while placed < 40:
+        raw = dict(zip(labels, (tuple(rng.randint(-8, 8) for _ in range(3)) for _ in labels)))
+        if not all(_orient(*four) for four in combinations(raw.values(), 4)):
+            continue
+        points = {v: Point(p) for v, p in raw.items()}
+        sign = {four: _orient(*map(raw.__getitem__, four)) for four in permutations(labels, 4)}
+        for f, g in pairs:
+            shared = tuple((i, g.index(v)) for i, v in enumerate(f) if v in g)
+            distinct = (*f, *(v for v in g if v not in f))
+            key = shared, tuple(sign[four] for four in combinations(distinct, 4))
+            v = pair_intersection_check(*(tuple(map(points.__getitem__, t)) for t in (f, g)))
+            outcomes.setdefault(key, set()).add((v.verdict, v.kind))
+        placed += 1
+    assert all(len(found) == 1 for found in outcomes.values())
+    assert set().union(*outcomes.values()) == {
+        ("admissible", None), ("violation", "interior_crossing")}
+    # the keys recur, so the check compares outcomes and does not just list
+    # them
+    assert len(outcomes) < len(pairs) * placed / 10
 
 
 def test_weak_conway_gordon_sachs_on_k6_placements_in_r3(rp2_catalog):
