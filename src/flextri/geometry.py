@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .numeric import (
@@ -217,31 +218,31 @@ def _sq_distances(pts, ctx, units) -> tuple[list[list[int]], int]:
     return d, den
 
 
-def isometry_group(labels, placement: dict, ctx, units) -> list[dict]:
-    """Every permutation g of ``labels`` that keeps the exact squared
-    distance of every pair of placed points: |p_g(u) - p_g(v)|^2 =
-    |p_u - p_v|^2.  Point sets with equal pairwise distances are congruent,
-    so each g is the restriction of an isometry of the ambient space and
-    keeps every incidence of the placed faces.
+def _distance_pattern(pts, ctx, units) -> tuple:
+    """The equality pattern of the squared distances of int frame points
+    ``pts`` (``_sq_distances``): the n x n matrix read row by row, each
+    distinct value numbered by its first occurrence, so 0 on the diagonal."""
+    first = {}
+    return tuple(first.setdefault(x, len(first))
+                 for row in _sq_distances(pts, ctx, units)[0] for x in row)
 
-    ``placement`` maps each label to its int point on an ``integer_frame``
-    of context ``ctx`` and scales ``units``; their distance matrix is built
-    once (``_sq_distances``), and labels are then assigned images in order
-    by backtracking, each to an unused label whose distances to the images
-    assigned so far match.  Returns {label: image} dicts,
-    ordered by the positions in ``labels`` of the images of labels[0],
-    labels[1], ... compared lexicographically; so the identity comes first.
-    """
-    labels = list(labels)
-    d, _ = _sq_distances([placement[v] for v in labels], ctx, units)
-    n = len(labels)
-    group, image, free = [], [], [True] * n
+
+@lru_cache(maxsize=256)
+def _isometries(pattern: tuple) -> tuple:
+    """The permutations of 0..n-1 that keep a ``_distance_pattern``, each
+    as the tuple of images: indices are assigned images in order by
+    backtracking, each to an unused index whose pattern entries against
+    the images assigned so far match.  In lexicographic order, so the
+    identity comes first."""
+    n = math.isqrt(len(pattern))
+    d = [pattern[i * n:(i + 1) * n] for i in range(n)]
+    perms, image, free = [], [], [True] * n
 
     def extend(k):
         if k == n:
-            group.append({u: labels[c] for u, c in zip(labels, image)})
+            perms.append(tuple(image))
             return
-        want = list(zip(image, d[k]))  # (image of labels[j], d[k][j]) for j < k
+        want = list(zip(image, d[k]))  # (image of j, d[k][j]) for j < k
         for c in range(n):
             if free[c]:
                 for m, r in want:
@@ -255,7 +256,30 @@ def isometry_group(labels, placement: dict, ctx, units) -> list[dict]:
                     free[c] = True
 
     extend(0)
-    return group
+    return tuple(perms)
+
+
+def isometry_group(labels, placement: dict, ctx, units) -> list[dict]:
+    """Every permutation g of ``labels`` that keeps the exact squared
+    distance of every pair of placed points: |p_g(u) - p_g(v)|^2 =
+    |p_u - p_v|^2.  Point sets with equal pairwise distances are congruent,
+    so each g is the restriction of an isometry of the ambient space and
+    keeps every incidence of the placed faces.
+
+    ``placement`` maps each label to its int point on an ``integer_frame``
+    of context ``ctx`` and scales ``units``.  g keeps the distances exactly
+    when it keeps which of them are equal, so the group is the automorphism
+    group of the complete graph on the labels with each edge coloured by
+    its squared distance: it depends only on their equality pattern
+    (``_distance_pattern``), and the permutation search runs once per
+    pattern (``_isometries``, a bounded cache).  Returns {label: image}
+    dicts, ordered by the positions in ``labels`` of the images of
+    labels[0], labels[1], ... compared lexicographically; so the identity
+    comes first.
+    """
+    labels = list(labels)
+    perms = _isometries(_distance_pattern([placement[v] for v in labels], ctx, units))
+    return [dict(zip(labels, map(labels.__getitem__, p))) for p in perms]
 
 
 # -- named constructions ---------------------------------------------------

@@ -29,25 +29,30 @@ points, and each coordinate is built straight into the field in one step,
 through the raw scale of its axis (a 2-D coplanar witness through those of
 the first face's ``plane_axes``).  ``verify_catalog`` frames its
 placement, refuses two labels on one frame point, makes one int Point per
-label, numbers the 3-cliques of the catalog's graph, tests each for
-degeneracy once, and decides every clique pair into one table for the
-placement: it runs ``pair_intersection_check`` on one nondegenerate pair
-per orbit of the isometry group, copies an admissible verdict to the rest
-of its orbit, and each triangulation's report, its list of violations, is
-then a lookup of its face pairs in that table.  A direct call on QuadExt
+label, tests each 3-clique of the catalog's graph for degeneracy once, and
+decides every clique pair once for the placement: it runs
+``pair_intersection_check`` on one nondegenerate pair of each admissible
+orbit of the isometry group and on every violating pair, and each
+triangulation's report, its list of violations, keeps the violating pairs
+among its faces.  The cliques and the orbit of each pair depend only on
+the graph and on which squared distances are equal, and are computed
+once per (graph, pattern) (``_table_plan``).  A direct call on QuadExt
 points frames the six points of its pair in one pass, tests both faces,
 and maps a witness back through the raw scales of that frame.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
 from .geometry import (
     Point,
     _det,
+    _distance_pattern,
     _dot,
+    _isometries,
     _one_dimension,
     _orient3d,
     _sign,
@@ -55,7 +60,6 @@ from .geometry import (
     check_placement,
     face_is_degenerate,
     integer_frame,
-    isometry_group,
     plane_axes,
 )
 from .numeric import _reduced, _Value
@@ -142,11 +146,12 @@ def _in_shared_hull(p, shared_pts) -> bool:
 # -- clipping --------------------------------------------------------------
 
 def _positively_oriented(tri):
+    """The 2-D triangle, its last two points swapped if it turns clockwise.
+    Every caller passes a nondegenerate face that lies in T1's plane, read
+    on T1's ``plane_axes``, which are one-to-one on that plane: so the
+    orient2d is never 0."""
     a, b, c = tri
-    s = _orient2d(a, b, c)
-    if s == 0:
-        raise ValueError("degenerate clip triangle")
-    return (a, b, c) if s > 0 else (a, c, b)
+    return (a, b, c) if _orient2d(a, b, c) > 0 else (a, c, b)
 
 
 def _clip(poly, tri, axes):
@@ -320,13 +325,17 @@ def _pivots(rows, axes):
     return pivots
 
 
-def _cramer(t1, t2, shared_pts, axes):
-    """Two faces whose six points span a 4-flat that projects one-to-one
-    onto the coordinates ``axes``.  Their planes meet where
-    s u1 + t u2 - a w1 - b w2 = q0 - p0 (u1, u2 T1's edge vectors at p0,
-    w1, w2 T2's at q0): in one point, found by Cramer's rule on ``axes``,
-    when det(u1, u2, w1, w2) != 0 there; never otherwise, as q0 - p0 then
-    leaves the span of the four.  The point keeps its full coordinates."""
+def _cramer(t1, t2, axes):
+    """Two faces with no shared vertex whose six points span a 4-flat that
+    projects one-to-one onto the coordinates ``axes``.  Their planes meet
+    where s u1 + t u2 - a w1 - b w2 = q0 - p0 (u1, u2 T1's edge vectors at
+    p0, w1, w2 T2's at q0): in one point, found by Cramer's rule on
+    ``axes``, when det(u1, u2, w1, w2) != 0 there; never otherwise, as
+    q0 - p0 then leaves the span of the four.  The point keeps its full
+    coordinates.  Rank 4 leaves no shared vertex to test the point
+    against: the five points of a pair on one vertex are then affinely
+    independent, and the four of a pair on an edge span 3 dimensions at
+    most."""
     p0, p1, p2 = t1
     q0, q1, q2 = t2
     u1, u2 = _sub(p1, p0), _sub(p2, p0)
@@ -343,8 +352,6 @@ def _cramer(t1, t2, shared_pts, axes):
     if min(s, t, a, b) < 0 or s + t > det or a + b > det:
         return True, (), None
     x = (tuple(det * c + s * e + t * f for c, e, f in zip(p0, u1, u2)), det)
-    if _in_shared_hull(x, shared_pts):
-        return True, (), None
     on_vertex = any(_equals(x, q) for q in t1 + t2)
     return False, (x,), "vertex_in_face" if on_vertex else "interior_crossing"
 
@@ -363,7 +370,7 @@ def _check_rank(t1, t2, shared_pts):
         if len(axes) == 5 - len(shared_pts):
             return True, (), None
         if len(axes) == 4:
-            return _cramer(t1, t2, shared_pts, axes)
+            return _cramer(t1, t2, axes)
     if len(axes) < 3:
         axes += [k for k in range(len(points[0])) if k not in axes][:3 - len(axes)]
     get = itemgetter(*axes)
@@ -446,51 +453,74 @@ def _map_back(verdict: PairVerdict, t1, ctx, units, faces) -> PairVerdict:
     return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, witness)
 
 
+@lru_cache(maxsize=256)
+def _table_plan(graph, pattern: tuple):
+    """The part of ``verify_catalog``'s table that depends only on the graph
+    and the equality pattern of the squared distances, as tuples, which
+    every caller shares: the sorted 3-cliques, each clique as label indices,
+    and every clique pair a < b in order as (a, b, bits with a and b set,
+    orbit id).  Two pairs share an orbit when an element of the isometry
+    group (``geometry._isometries``) maps one to the other."""
+    cliques = tuple(enumerate_cliques3(graph))
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    faces = tuple(tuple(map(index.__getitem__, f)) for f in cliques)
+    # a clique's image is looked up by its label set, one bit per label; an
+    # image that is no clique goes to the sink index m
+    m = len(cliques)
+    key = {(1 << i) | (1 << j) | (1 << k): c for c, (i, j, k) in enumerate(faces)}
+    moves = [tuple(1 << c for c in g) for g in _isometries(pattern)]
+    images = [[key.get(h[i] | h[j] | h[k], m) for h in moves] for i, j, k in faces]
+    # orbit ids on a flat (m + 1) x (m + 1) table, both orders of each pair
+    row, n = m + 1, 0
+    orbit = [None] * (row * row)
+    pairs = []
+    for a, b in combinations(range(m), 2):
+        if orbit[a * row + b] is None:
+            for ga, gb in zip(images[a], images[b]):
+                orbit[ga * row + gb] = orbit[gb * row + ga] = n
+            n += 1
+        pairs.append((a, b, (1 << a) | (1 << b), orbit[a * row + b]))
+    return cliques, faces, tuple(pairs)
+
+
 def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     """Certify every triangulation of a catalog on one placement: one report
     of its violations per triangulation, in catalog order.
 
     All triangulations draw their faces from the 3-cliques of the catalog's
-    graph, so the verdicts come from one table for the placement: with the m
-    cliques numbered in sorted order, it is one flat list of (m + 1)^2
-    slots, the pair (a, b) at a * (m + 1) + b, each None (undecided), False
-    (admissible) or the pair's violation.  A label permutation that keeps
-    the placement's exact squared distances (``geometry.isometry_group``) is
-    a congruence, so it maps an admissible pair to an admissible pair.  So
-    the pairs a < b are decided in index order, the predicate runs on one
-    pair of each orbit, and an admissible verdict marks both orders of every
-    image pair; an image that is no clique lands on the sink index m, which
-    no report reads.  Violations are never copied, so each kind and witness
-    is the pair's own.  Each clique is tested for degeneracy once, for the
-    reports' degenerate-face violations and for every pair it is in: a pair
-    with a degenerate face is decided here, every other one by
-    ``pair_intersection_check`` on the one int Point per label.  A report is
-    then a lookup of its face pairs.  All of it runs on the placement's
-    ``geometry.integer_frame``, where labels on equal points are refused, so
-    the predicate finds a pair's shared vertices by coordinate equality, and
-    each witness is built in the field; a placement with no frame raises
-    ValueError, one of two contexts ContextMismatchError.
+    graph, so every clique pair is decided once, in sorted order, for the
+    placement.  A label permutation that keeps the placement's exact squared
+    distances (``geometry.isometry_group``) is a congruence, so it maps
+    admissible pairs to admissible pairs and violating ones to violating
+    ones: the predicate runs on one pair of each admissible orbit and on
+    every violating pair, so each kind and witness is the pair's own.  A
+    permutation keeps the distances exactly when it keeps which of them are
+    equal, so the group and the orbits are computed once per (graph,
+    equality pattern) (``_table_plan``).  Each clique is tested for
+    degeneracy once, for the reports' degenerate-face violations and for
+    every pair it is in: a pair with a degenerate face is decided here,
+    every other one by ``pair_intersection_check`` on the one int Point per
+    label.  A report lists its degenerate faces, then its violating face
+    pairs in the order of ``combinations(tri.faces, 2)``.  All of it runs on
+    the placement's ``geometry.integer_frame``, where labels on equal points
+    are refused, so the predicate finds a pair's shared vertices by
+    coordinate equality, and each witness is built in the field; a
+    placement with no frame raises ValueError, one of two contexts
+    ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
     ctx, ints, units = integer_frame([p.coords for p in placement.values()])
     placement = dict(zip(placement, ints))
     check_placement(labels, placement)
-    group = isometry_group(labels, placement, ctx, units)
-    # a clique's image under the group is keyed by its label set, one bit
-    # per label; an image that is no clique goes to the sink index m
-    cliques = enumerate_cliques3(catalog.task.graph)
-    m = len(cliques)
-    bit = {v: 1 << k for k, v in enumerate(labels)}
-    index = {bit[u] | bit[v] | bit[w]: k for k, (u, v, w) in enumerate(cliques)}
-    moves = [{v: bit[w] for v, w in g.items()} for g in group]
-    images = [[index.get(h[u] | h[v] | h[w], m) for h in moves] for u, v, w in cliques]
-    points = {v: Point(placement[v]) for v in labels}
-    corners = [tuple(map(points.__getitem__, f)) for f in cliques]
-    degenerate = [face_is_degenerate(*map(placement.__getitem__, f)) for f in cliques]
-    row = m + 1
-    table = [None] * (row * row)
-    for a, b in combinations(range(m), 2):
-        if table[a * row + b] is not None:
+    ints = [placement[v] for v in labels]
+    cliques, faces, pairs = _table_plan(catalog.task.graph, _distance_pattern(ints, ctx, units))
+    points = [Point(p) for p in ints]
+    corners = [(points[i], points[j], points[k]) for i, j, k in faces]
+    degenerate = [face_is_degenerate(ints[i], ints[j], ints[k]) for i, j, k in faces]
+    admissible = [False] * len(pairs)  # by orbit id; no more orbits than pairs
+    decided = []  # (bits, violation) in pair order
+    for a, b, bits, o in pairs:
+        if admissible[o]:
             continue
         fa, fb = cliques[a], cliques[b]
         if degenerate[a] or degenerate[b]:
@@ -498,19 +528,23 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
         else:
             v = pair_intersection_check(corners[a], corners[b])
             if v.admissible:
-                for ga, gb in zip(images[a], images[b]):
-                    table[ga * row + gb] = table[gb * row + ga] = False
+                admissible[o] = True
                 continue
             v = _map_back(v, v.faces[0], ctx, units, (fa, fb))
-        table[a * row + b] = table[b * row + a] = v
+        decided.append((bits, v))
     at = {f: k for k, f in enumerate(cliques)}
     reports = []
     for tri in catalog.triangulations:
         face_ids = [at[f] for f in tri.faces]
+        mask = sum(1 << a for a in face_ids)
+        found = [v for bits, v in decided if mask & bits == bits]
+        if face_ids != sorted(face_ids):
+            # the order of combinations(tri.faces, 2): by the two faces' positions
+            pos = {f: k for k, f in enumerate(tri.faces)}
+            found.sort(key=lambda v: sorted(map(pos.__getitem__, v.faces)))
         violations = [
             PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")
             for a in face_ids if degenerate[a]
         ]
-        violations += [v for a, b in combinations(face_ids, 2) if (v := table[a * row + b])]
-        reports.append(EmbeddingReport(violations))
+        reports.append(EmbeddingReport(violations + found))
     return reports

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flextri import geometry, verify
 from flextri.cli import CONSTRUCTIONS, construction_points, main, qx_to_json, run_report
 from flextri.enumeration import complement_pairing
 from flextri.numeric import QuadExt
@@ -202,17 +204,36 @@ def test_fuzzed_argv_exits_with_a_known_code(missing_out, data):
     assert not missing_out.parent.exists()
 
 
-def test_verify_out_writes_isometry_group_order(capsys, tmp_path):
+def test_verify_out_writes_isometry_group_order(capsys, tmp_path, monkeypatch):
     # the order of the placement's isometry group goes to the --out file
-    # only; stdout is the same table as without --out
-    for construction, order in (("suspension", 12), ("schlegel16cell", 24), ("moebius", 24)):
+    # only; stdout is the same table as without --out.  The order comes
+    # from the permutation search that verify_catalog's table ran: with
+    # empty caches, both runs of a construction search its group once, and
+    # the --out run reads that search's cached result
+    searches = []
+    search = geometry._isometries.__wrapped__
+
+    def spy(pattern):
+        searches.append(pattern)
+        return search(pattern)
+
+    isometries = functools.lru_cache(maxsize=None)(spy)
+    monkeypatch.setattr(geometry, "_isometries", isometries)
+    monkeypatch.setattr(verify, "_isometries", isometries)
+    monkeypatch.setattr(verify, "_table_plan",
+                        functools.lru_cache(maxsize=None)(verify._table_plan.__wrapped__))
+    cases = (("suspension", 12), ("schlegel16cell", 24), ("moebius", 24))
+    for n, (construction, order) in enumerate(cases, 1):
         out = tmp_path / f"{construction}.json"
+        searches.clear()
         code, plain, _ = run(capsys, "verify", "--construction", construction, "--all")
         code_out, written, _ = run(capsys, "verify", "--construction", construction,
                                    "--all", "--out", str(out))
         assert (code_out, written) == (code, plain)
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["isometry_group_order"] == order
+        assert len(searches) == 1
+        assert isometries.cache_info()[:2] == (n, n)  # hits, misses
 
 
 def test_verify_id_out_of_range(capsys):

@@ -23,7 +23,8 @@ from flextri.numeric import (
     QuadExt,
     solve_linear,
 )
-from flextri.surfaces import enumerate_cliques3
+from flextri.enumeration import Catalog
+from flextri.surfaces import Triangulation, enumerate_cliques3
 from flextri.verify import (
     EmbeddingReport,
     PairVerdict,
@@ -46,6 +47,16 @@ CTX = CTX_SQRT2_SQRT3
 
 def pt(*coords, ctx=QQ):
     return make_point(ctx, *[Fraction(c) for c in coords])
+
+
+# an int torus placement near the suspension, found by a local search: its
+# isometry group is trivial, and it embeds torus 0 alone
+ASYMMETRIC_TORUS = {
+    v: pt(*c) for v, c in zip("ABCDEFGH", (
+        (22, -9, 103), (-46, 12, 0), (27, 44, -19), (14, -49, 24),
+        (12, 25, -130), (104, 27, -8), (-38, -84, 17), (-56, 78, 2),
+    ))
+}
 
 
 # -- orientation -----------------------------------------------------------
@@ -403,6 +414,7 @@ def test_verify_catalog_predicate_calls(
         ("schlegel16cell", schlegel16_points, torus_catalog),
         ("rp2-simplex", rp2_points, rp2_catalog),
         ("moebius", moebius_points, moebius_catalog),
+        ("asymmetric", ASYMMETRIC_TORUS, torus_catalog),
         *((key, points, torus_catalog) for key, points in sweep_placements.items()),
     ):
         calls.clear()
@@ -422,9 +434,11 @@ def test_verify_catalog_predicate_calls(
     assert sum(sweep.values()) == 911
     # on K_2,2,2,2 and K_5 every clique pair occurs in some triangulation;
     # on K_6 the 10 pairs of vertex-disjoint triangles occur in none, and on
-    # rp2-simplex they are one admissible orbit: the seventh call
+    # rp2-simplex they are one admissible orbit: the seventh call.  With a
+    # trivial group every one of the 496 pairs of K_2,2,2,2 is its own orbit
     assert counts == {
-        "suspension": 80, "schlegel16cell": 33, "rp2-simplex": 7, "moebius": 5, **sweep
+        "suspension": 80, "schlegel16cell": 33, "rp2-simplex": 7, "moebius": 5,
+        "asymmetric": 496, **sweep,
     }
 
 
@@ -856,10 +870,75 @@ def test_orbit_table_equals_the_full_table(
         (dict(moebius_points, E=scale(moebius_points["B"], 2)), moebius_catalog, 2),
         (perturbed, torus_catalog, 1),
         (cube, torus_catalog, 48),
+        (ASYMMETRIC_TORUS, torus_catalog, 1),
+        # the faces of each triangulation relabelled by an automorphism of
+        # the graph, so no longer in sorted order: a report keeps the order
+        # of its triangulation's face pairs
+        (perturbed, _relabelled(torus_catalog, 31), 1),
+        (moebius_points, _relabelled(moebius_catalog, 32), 24),
     )
     for points, catalog, order in cases:
         assert len(field_isometry_group(catalog.task.graph.vertices, points)) == order
+    # verify_catalog keeps what depends only on the graph and the equality
+    # pattern of the squared distances; the reversed pass reuses each
+    # pattern's entry after those of the others
+    for points, catalog, _ in cases + cases[::-1]:
         assert verify_catalog(points, catalog) == _full_table_reports(points, catalog)
+    embedded = [i for i, r in enumerate(_full_table_reports(ASYMMETRIC_TORUS, torus_catalog))
+                if r.embedded]
+    assert embedded == [0]
+
+
+def _relabelled(catalog, seed):
+    """The catalog with each triangulation's faces relabelled, in their
+    order, by one seeded automorphism of its graph."""
+    (g,) = _automorphisms(catalog.task.graph, seed, 1)
+    triangulations = [Triangulation(t.graph, tuple(_image(g, f) for f in t.faces))
+                      for t in catalog.triangulations]
+    assert any(list(t.faces) != sorted(t.faces) for t in triangulations)
+    return Catalog(catalog.task, triangulations, catalog.rejected)
+
+
+def _catalog_orbits(group, catalog):
+    """The orbits of ``group`` on the catalog's triangulations, as sets of
+    ids; an element that maps a triangulation to a face set outside the
+    catalog is no automorphism of the graph, and is left out."""
+    index = {frozenset(t.faces): i for i, t in enumerate(catalog.triangulations)}
+    orbits = set()
+    for tri in catalog.triangulations:
+        images = (frozenset(_image(g, f) for f in tri.faces) for g in group)
+        orbits.add(frozenset(index[x] for x in images if x in index))
+    return orbits
+
+
+def test_embedded_sets_are_unions_of_isometry_orbits(
+    suspension_points, schlegel16_points, rp2_points, moebius_points,
+    torus_catalog, rp2_catalog, moebius_catalog, sweep_placements,
+):
+    # an isometry of the placement maps an embedded triangulation to an
+    # embedded one, so every embedded set, taken from the full table with
+    # no group, is a union of orbits of isometry_group on the catalog.  On
+    # the suspension the group has order 12 at every k of the sweep, and
+    # its two orbits split the tori into the 6 that embed and the 6 that
+    # do not: so no suspension embeds exactly one torus (test_04a)
+    suspension_orbits = {frozenset({0, 1, 2, 4, 6, 8}), frozenset({3, 5, 7, 9, 10, 11})}
+    for name, points, catalog in (
+        ("suspension", suspension_points, torus_catalog),
+        ("schlegel16cell", schlegel16_points, torus_catalog),
+        ("rp2-simplex", rp2_points, rp2_catalog),
+        ("moebius", moebius_points, moebius_catalog),
+        *((key, points, torus_catalog) for key, points in sweep_placements.items()),
+    ):
+        group = frame_isometry_group(catalog.task.graph.vertices, points)
+        orbits = _catalog_orbits(group, catalog)
+        assert sorted(i for o in orbits for i in o) == list(range(12)), name
+        reports = _full_table_reports(points, catalog)
+        embedded = {i for i, r in enumerate(reports) if r.embedded}
+        assert all(o <= embedded or not o & embedded for o in orbits), name
+        if name.startswith("suspension"):
+            assert len(group) == 12, name
+            assert orbits == suspension_orbits, name
+            assert embedded == {0, 1, 2, 4, 6, 8}, name
 
 
 def _automorphisms(graph, seed, count):
