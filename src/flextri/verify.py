@@ -21,24 +21,29 @@ rank.  The R^3 body takes its plane and orient3d signs on unpacked ints
 point the body derives (a trace end, a clipped polygon vertex, the point
 where two planes meet) is homogeneous, an int numerator tuple over a
 positive int denominator, and points are compared by cross-multiplication.
-One Sutherland-Hodgman clip, ``_clip``, finds what lies inside the first
-face: of the second face when the two are coplanar, of the second face's
-trace on the first face's plane otherwise, unless that trace is one
-vertex.  A violation's witness leaves the body as those homogeneous
-points, and each coordinate is built straight into the field in one step,
-through the raw scale of its axis (a 2-D coplanar witness through those of
-the first face's ``plane_axes``).  ``verify_catalog`` frames its
-placement, refuses two labels on one frame point, makes one int Point per
-label, tests each 3-clique of the catalog's graph for degeneracy once, and
-decides every clique pair once for the placement: it runs
-``pair_intersection_check`` on one nondegenerate pair of each admissible
-orbit of the isometry group and on every violating pair, and each
-triangulation's report, its list of violations, keeps the violating pairs
-among its faces.  The cliques and the orbit of each pair depend only on
-the graph and on which squared distances are equal, and are computed
-once per (graph, pattern) (``_table_plan``).  A direct call on QuadExt
-points frames the six points of its pair in one pass, tests both faces,
-and maps a witness back through the raw scales of that frame.
+What lies inside the first face is found on its plane: a Sutherland-Hodgman
+clip, ``_clip``, cuts the second face down to it when the two are coplanar;
+a pair on one vertex that crosses the first face's plane meets the first
+face in a segment from that vertex, whose far end one side test against
+the opposite edge gives; and the trace of a pair with no shared vertex,
+one point or a segment, is clipped by replacing an end at each edge
+(``_clip_segment``).  A violation's witness leaves the body as those
+homogeneous points, and each coordinate is built straight into the field
+in one step, through the raw scale of its axis (a 2-D coplanar witness
+through those of the first face's ``plane_axes``).  ``verify_catalog``
+frames its placement, refuses two labels on one frame point, makes one
+int Point per label, tests each 3-clique of the catalog's graph for
+degeneracy once, and decides every clique pair once for the placement: it
+runs ``pair_intersection_check``, given the pair's shared vertices, on one
+nondegenerate pair of each admissible orbit of the isometry group and on
+every violating pair, and each triangulation's report, its list of
+violations, keeps the violating pairs among its faces.  The cliques and
+the orbit of each pair depend only on the graph and on which squared
+distances are equal, and are computed once per (graph, pattern)
+(``_table_plan``).  A direct call without the shared vertices tests both
+faces for degeneracy; on QuadExt points it frames the six points of its
+pair in one pass and maps a witness back through the raw scales of that
+frame.
 """
 
 from __future__ import annotations
@@ -155,15 +160,12 @@ def _positively_oriented(tri):
 
 
 def _clip(poly, tri, axes):
-    """Sutherland-Hodgman on homogeneous points: the part of the hull of
-    ``poly`` inside the closed triangle ``tri`` of int points, every point
-    read on the coordinate pair ``axes``, in walking order.  Three points
-    are a closed polygon, whose walk can repeat a point; two, a trace, are
-    walked along their one edge only, so the segment keeps its first end
-    first, and its points stay distinct: a crossing lies strictly between
-    two points."""
+    """Sutherland-Hodgman on homogeneous points: the part of the convex
+    polygon ``poly``, the second face of a coplanar pair, inside the closed
+    triangle ``tri`` of int points, every point read on the coordinate pair
+    ``axes``, in walking order.  The walk is closed, so it can repeat a
+    point."""
     i, j = axes
-    closed = len(poly) > 2
     a, b, c = _positively_oriented([(p[i], p[j]) for p in tri])
     for p, q in ((a, b), (b, c), (c, a)):
         if not poly:
@@ -180,10 +182,52 @@ def _clip(poly, tri, axes):
             if hs[k] >= 0:
                 out.append(poly[k])
             m = (k + 1) % n
-            if hs[k] * hs[m] < 0 and (closed or m):
+            if hs[k] * hs[m] < 0:
                 out.append(_crossing(poly[k], hs[k], poly[m], hs[m]))
         poly = out
     return poly
+
+
+def _clip_segment(trace, tri, axes):
+    """The part of the trace, one or two homogeneous points, inside the
+    closed triangle ``tri`` of int points, read on the coordinate pair
+    ``axes``: an empty list, one point, or two distinct points in the
+    trace's order.  Each edge line with one end strictly outside replaces
+    that end by the crossing, which lies strictly between the two ends, or
+    by the other end itself when that one lies on the line; a one-point
+    trace, or a segment cut down to one point, is one object at both ends."""
+    i, j = axes
+    p, q = trace[0], trace[-1]
+    a, b, c = _positively_oriented([(x[i], x[j]) for x in tri])
+    for s, t in ((a, b), (b, c), (c, a)):
+        dx, dy = t[0] - s[0], t[1] - s[1]
+        c0 = dy * s[0] - dx * s[1]
+        hp = dx * p[0][j] - dy * p[0][i] + c0 * p[1]
+        hq = dx * q[0][j] - dy * q[0][i] + c0 * q[1]
+        if hp < 0:
+            if hq < 0:
+                return []
+            p = q if hq == 0 else _crossing(p, hp, q, hq)
+        elif hq < 0:
+            q = p if hp == 0 else _crossing(p, hp, q, hq)
+    return [p] if p is q else [p, q]
+
+
+def _wedge_end(t1, k, x, axes):
+    """The far end y of T1's part of the segment [v, x], for v = t1[k] and
+    the homogeneous point x != v in T1's closed wedge at v, read on the
+    coordinate pair ``axes``: x itself on v's side of the opposite edge
+    line or on it, else the point where [v, x] crosses that edge."""
+    i, j = axes
+    v = t1[k]
+    a, b, c = _positively_oriented([(p[i], p[j]) for p in (v, t1[k - 2], t1[k - 1])])
+    # w times orient2d(b, c, x / w), positive at v, on the edge from b to c
+    dx, dy = c[0] - b[0], c[1] - b[1]
+    c0 = dy * b[0] - dx * b[1]
+    h_x = dx * x[0][j] - dy * x[0][i] + c0 * x[1]
+    if h_x >= 0:
+        return x
+    return _crossing((v, 1), dx * a[1] - dy * a[0] + c0, x, h_x)
 
 
 def _point_in_tri_2d(p, tri) -> bool:
@@ -197,18 +241,18 @@ def _point_in_tri_2d(p, tri) -> bool:
 
 # -- the kind rule ---------------------------------------------------------
 
-def _line_verdict(hit, t1, t2, shared_pts, along_t2_edge: bool):
-    """Verdict for the homogeneous points where T2 meets T1 along one line,
-    the trace of T2 on T1's plane.  Returns (admissible, witness, kind)."""
-    offenders = [p for p in hit if not _in_shared_hull(p, shared_pts)]
-    if not offenders:
+def _line_verdict(hit, t1, t2, along_t2_edge: bool):
+    """Verdict for the homogeneous points where two faces with no shared
+    vertex meet along one line, the trace of T2 on T1's plane.  Returns
+    (admissible, witness, kind)."""
+    if not hit:
         return True, (), None
-    if len(hit) >= 2:
+    if len(hit) == 2:
         kind = "edge_through_face" if along_t2_edge else "interior_crossing"
     else:
-        on_vertex = any(_equals(offenders[0], q) for q in t1 + t2)
+        on_vertex = any(_equals(hit[0], q) for q in t1 + t2)
         kind = "vertex_in_face" if on_vertex else "edge_through_face"
-    return False, tuple(offenders), kind
+    return False, tuple(hit), kind
 
 
 # -- coplanar overlap ------------------------------------------------------
@@ -255,9 +299,11 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     an affine bijection that keeps every sign tested here up to one global
     sign: the signs are taken on ``flat``, while trace and clip points and
     ``plane_axes`` use the full coordinates, so witnesses keep them.
-    A pair that crosses T1's plane is decided by T2's trace there, on the
-    ``plane_axes`` of T1: one vertex of T2, tested against T1, or a segment,
-    clipped to T1."""
+    Points in T1's plane are read on the ``plane_axes`` of T1.  A pair on
+    one vertex that crosses T1's plane and passes the edge-line tests
+    meets T1 in a segment from that vertex, whose far end one side test
+    gives (``_wedge_end``); a pair with no shared vertex is decided by T2's
+    trace on T1's plane, one vertex of T2 or a segment, clipped to T1."""
     f1, f2 = flat or (t1, t2)
     if len(shared_pts) == 2:
         # non-coplanar triangles on a common edge meet exactly in that edge
@@ -292,21 +338,24 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
     axes = plane_axes(u, w)
     if coplanar:
         return _coplanar_check(t1, t2, shared_pts, axes)
-    # T2 crosses the plane of T1: its trace there is one vertex of T2, or
-    # the segment between two points each on a vertex or an open edge of
-    # T2; T2 is not degenerate, so the two are distinct
+    if shared_pts:
+        # T2 meets T1's plane in [v, x], x the vertex of T2 on that plane
+        # or the point where qr crosses it, and [v, x] lies in T1's closed
+        # wedge at v
+        if s2[i] and s2[j]:
+            x, kind = _crossing((t2[i], 1), d2[i], (t2[j], 1), d2[j]), "interior_crossing"
+        else:
+            x, kind = (t2[j] if s2[i] else t2[i], 1), "edge_through_face"
+        return False, (_wedge_end(t1, k, x, axes),), kind
+    # T2, on no vertex of T1, crosses the plane of T1: its trace there is
+    # one vertex of T2, or the segment between two points each on a vertex
+    # or an open edge of T2; T2 is not degenerate, so the two are distinct
     trace = [(q, 1) for q, s in zip(t2, s2) if s == 0]
     for i, j in combinations(range(3), 2):
         if s2[i] * s2[j] < 0:
             trace.append(_crossing((t2[i], 1), d2[i], (t2[j], 1), d2[j]))
-    if len(trace) == 1:  # one vertex of T2, the rest strictly on one side
-        i, j = axes
-        (q, _), = trace
-        inside = _point_in_tri_2d((q[i], q[j]), [(p[i], p[j]) for p in t1])
-        hit = trace if inside else []
-    else:
-        hit = _clip(trace, t1, axes)
-    return _line_verdict(hit, t1, t2, shared_pts, s2.count(0) == 2)
+    hit = _clip_segment(trace, t1, axes)
+    return _line_verdict(hit, t1, t2, s2.count(0) == 2)
 
 
 # -- dimension 4 and up ---------------------------------------------------
@@ -405,16 +454,19 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     higher).
 
     ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
-    omitted it is recovered from coordinate equality.  Six points of more
-    than one dimension, or of a dimension below 3, raise ValueError.  QuadExt points are decided on the
-    int frame of the six points (``geometry.integer_frame``, in one pass
-    over their coordinates), after both faces are tested for degeneracy,
-    and a witness is mapped back; a pair with no frame raises ValueError,
-    and a pair of two contexts ContextMismatchError.  Int points are a
-    frame whose faces the caller has found nondegenerate, as
-    ``verify_catalog`` passes them, and are decided as given, each witness
-    point homogeneous: (x, w), x an int tuple (of length 2 for a coplanar
-    witness), w a positive int.
+    omitted it is recovered from coordinate equality, and both faces are
+    tested for degeneracy first: a face with collinear vertices makes the
+    pair a ``degenerate_face`` violation.  Passing ``shared``, as
+    ``verify_catalog`` does once it has tested every clique, turns that
+    test off for int points.  Six points of more than one dimension, or of
+    a dimension below 3, raise ValueError.  QuadExt points are always
+    tested, then decided on the int frame of the six points
+    (``geometry.integer_frame``, in one pass over their coordinates), and a
+    witness is mapped back; a pair with no frame raises ValueError, and a
+    pair of two contexts ContextMismatchError.  Int points are a frame,
+    decided as given: the verdict names the faces by their coordinate
+    tuples, and each witness point is homogeneous, (x, w), x an int tuple
+    (of length 2 for a coplanar witness), w a positive int.
     """
     (a, b, c), (d, e, f) = t1, t2
     t1, t2 = (a.coords, b.coords, c.coords), (d.coords, e.coords, f.coords)
@@ -422,6 +474,8 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
         (a, b, c), (d, e, f) = t1, t2
         if not len(a) == len(b) == len(c) == len(d) == len(e) == len(f):
             _one_dimension(t1 + t2)
+        if shared is None and (face_is_degenerate(*t1) or face_is_degenerate(*t2)):
+            return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
         return _pair_check(t1, t2, shared)
     faces = (a, b, c), (d, e, f)
     ctx, q, units = integer_frame(t1 + t2)
@@ -500,13 +554,13 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     degeneracy once, for the reports' degenerate-face violations and for
     every pair it is in: a pair with a degenerate face is decided here,
     every other one by ``pair_intersection_check`` on the one int Point per
-    label.  A report lists its degenerate faces, then its violating face
-    pairs in the order of ``combinations(tri.faces, 2)``.  All of it runs on
-    the placement's ``geometry.integer_frame``, where labels on equal points
-    are refused, so the predicate finds a pair's shared vertices by
-    coordinate equality, and each witness is built in the field; a
-    placement with no frame raises ValueError, one of two contexts
-    ContextMismatchError.
+    label, given the pair's shared vertices from the two cliques' labels.
+    A report lists its degenerate faces, then its violating face pairs in
+    the order of ``combinations(tri.faces, 2)``.  All of it runs on the
+    placement's ``geometry.integer_frame``, where labels on equal points
+    are refused, so equal labels are equal points, and each witness is
+    built in the field; a placement with no frame raises ValueError, one
+    of two contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
     ctx, ints, units = integer_frame([p.coords for p in placement.values()])
@@ -526,7 +580,9 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
         if degenerate[a] or degenerate[b]:
             v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
         else:
-            v = pair_intersection_check(corners[a], corners[b])
+            ia, ib = faces[a], faces[b]
+            shared = [(i, ib.index(x)) for i, x in enumerate(ia) if x in ib]
+            v = pair_intersection_check(corners[a], corners[b], shared)
             if v.admissible:
                 admissible[o] = True
                 continue

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flextri import geometry, verify
+from flextri import cli, geometry, verify
 from flextri.cli import CONSTRUCTIONS, construction_points, main, qx_to_json, run_report
-from flextri.enumeration import complement_pairing
+from flextri.enumeration import Catalog, complement_pairing
 from flextri.numeric import QuadExt
 from flextri.verify import verify_catalog
 
@@ -47,6 +47,19 @@ def test_enumerate_unknown_graph(capsys):
     code, _, err = run(capsys, "enumerate", "--graph", "petersen")
     assert code == 2
     assert "unknown graph" in err
+
+
+def test_enumerate_unknown_surface(capsys):
+    code, out, err = run(capsys, "enumerate", "--graph", "k5", "--surface", "cylinder")
+    assert (code, out) == (2, "")
+    assert "unknown surface 'cylinder'" in err
+
+
+def test_enumerate_counts_candidates_of_another_surface(capsys):
+    # the 12 complexes of K_5 with boundary are Moebius bands, which the
+    # disk filter rejects
+    code, out, _ = run(capsys, "enumerate", "--graph", "k5", "--surface", "disk")
+    assert (code, out) == (0, "0 triangulations\n12 candidates rejected by the surface filter\n")
 
 
 def test_verify_all_pass(capsys):
@@ -311,6 +324,19 @@ def test_pairs_output(capsys):
     assert sorted(i for r in rows for i in r) == list(range(12))
 
 
+def test_pairs_reports_unmatched_ids(capsys, monkeypatch, torus_catalog):
+    # the torus catalog without torus 0 leaves the torus whose complement
+    # it was without a partner: its id in the shorter catalog is printed
+    # after the 5 pairs, and the exit code is 3
+    (partner,) = [j for i, j in complement_pairing(torus_catalog)[0] if i == 0]
+    dropped = Catalog(torus_catalog.task, torus_catalog.triangulations[1:], [])
+    monkeypatch.setattr(cli, "build_catalog", lambda graph, surface: dropped)
+    code, out, _ = run(capsys, "pairs", "--graph", "k2222", "--surface", "torus")
+    assert code == 3
+    lines = out.splitlines()
+    assert (len(lines), lines[-1]) == (6, f"unmatched ids: [{partner - 1}]")
+
+
 # -- exports ---------------------------------------------------------------
 
 def test_export_off_header_torus(tmp_path, capsys):
@@ -549,18 +575,32 @@ def test_reproduce_results_script(tmp_path):
     assert (tmp_path / "report.txt").read_bytes() == reference.read_bytes()
 
 
+# the digests of the sections below as recorded: the verdict, kind, shared
+# count and every witness point, in order, of each of their inputs
+PREDICATE_DIGESTS = {
+    "degenerate": "5f09ddeaea237e2be1f1faba7eda4a227cb553cdfedadd5527df15c4cdcb7cb0",
+    "pairs-r3": "cb9ba91031d2b41ecd71c6c50e58005f78c2a6a4a08ccc115674abac73cdccd8",
+    "pairs-field": "3b6ec525ffd75126817f27f961cec98f9aca5595a041394ff3e23d9f1935216b",
+}
+
+
 def test_predicate_digest_script_runs_its_sections():
     # the digest compares two trees' outputs; it reads flextri's result
-    # types, so a change to one must keep it running
+    # types, so a change to one must keep it running.  Its pair sections
+    # must also reproduce their recorded hashes: a predicate change that
+    # moves a witness, or reorders one, fails here
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "predicate_digest.py"), "report", "catalogs"],
+        [sys.executable, str(ROOT / "scripts" / "predicate_digest.py"), "report", "catalogs",
+         *PREDICATE_DIGESTS],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    for name in ("report", "catalogs"):
+    for name in ("report", "catalogs", *PREDICATE_DIGESTS):
         (line,) = [x for x in lines if x.split()[0] == name]
         assert re.fullmatch(rf"{name} +[0-9a-f]{{64}}  items=\d+ flagged=\d+ calls=\d+ .* s", line)
+        if name in PREDICATE_DIGESTS:
+            assert line.split()[1] == PREDICATE_DIGESTS[name], line
 
 
 # -- cold start ------------------------------------------------------------

@@ -9,6 +9,7 @@ from flextri.enumeration import (
 )
 from flextri.surfaces import (
     SURFACE_NAMES,
+    LabeledGraph,
     Triangulation,
     build_graph,
     classify_surface,
@@ -159,6 +160,18 @@ def test_catalog_is_one_automorphism_orbit(catalog_name, order, request):
 def test_closed_mode_divisibility_check():
     with pytest.raises(ValueError):
         EnumerationTask(build_graph("k5"), "closed")
+
+
+def test_an_edge_on_one_triangle_leaves_closed_mode_empty():
+    # in closed mode every edge lies on two faces: the octahedron with a
+    # triangle hung from one vertex has three edges on one 3-clique each,
+    # so the search finds nothing before it starts, as the full scan does
+    octahedron = build_graph("octahedron")
+    hung = {frozenset(e) for e in (("B", "X"), ("B", "Y"), ("X", "Y"))}
+    graph = LabeledGraph("hung", octahedron.vertices + ("X", "Y"), octahedron.edges | hung)
+    task = EnumerationTask(graph, "closed")
+    for catalog in (enumerate_triangulations(task), brute_force_catalog(task)):
+        assert (catalog.triangulations, catalog.rejected) == ([], [])
 
 
 def test_unfiltered_k2222_closed_is_still_twelve():

@@ -57,6 +57,14 @@ ASYMMETRIC_TORUS = {
         (12, 25, -130), (104, 27, -8), (-38, -84, 17), (-56, 78, 2),
     ))
 }
+# a second one, found by the same search from random int points in
+# [-8, 8]^3: its group is trivial too, and torus 0 alone embeds
+RANDOM_START_TORUS = {
+    v: pt(*c) for v, c in zip("ABCDEFGH", (
+        (-4, 24, -6), (34, -74, 33), (52, -40, 10), (-8, -19, 50),
+        (30, -8, 28), (35, 8, 12), (6, 6, 58), (17, 59, 41),
+    ))
+}
 
 
 # -- orientation -----------------------------------------------------------
@@ -155,6 +163,22 @@ def test_degenerate_face_flagged():
     assert pair_intersection_check(t1, t2).kind == "degenerate_face"
 
 
+@pytest.mark.parametrize("t1, t2", [
+    # a degenerate first face once raised TypeError (no plane_axes) ...
+    (((0, 0, 0), (1, 1, 1), (2, 2, 2)), ((0, 0, 5), (1, 0, 5), (0, 1, 5))),
+    # ... and a degenerate second face once gave interior_crossing
+    (((-1, 1, 0), (3, 1, 0), (1, 1, 9)), ((0, 0, 0), (2, 2, 0), (4, 4, 0))),
+])
+def test_int_points_without_shared_are_tested_for_degeneracy(t1, t2):
+    # on int Points as on QuadExt points, unless the caller passes the
+    # shared vertices, which says it has tested both faces itself
+    ints = tuple(tuple(map(Point, t)) for t in (t1, t2))
+    v = pair_intersection_check(*ints)
+    assert (v.faces, v.shared, v.verdict, v.kind) == ((t1, t2), 0, "violation", "degenerate_face")
+    field = tuple(tuple(pt(*p) for p in t) for t in (t1, t2))
+    assert pair_intersection_check(*field) == PairVerdict(field, 0, "violation", "degenerate_face")
+
+
 def test_vertex_touch_without_sharing_label_is_violation():
     # t2 has a vertex in the strict interior of t1
     t1 = (pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0))
@@ -207,6 +231,7 @@ def test_sign_test_exits_decide_without_a_trace(monkeypatch, t2, orient3d_calls,
     strictly_one_side = verify._strictly_one_side
     monkeypatch.setattr(verify, "_crossing", spy("trace", verify._crossing))
     monkeypatch.setattr(verify, "_clip", spy("trace", verify._clip))
+    monkeypatch.setattr(verify, "_clip_segment", spy("trace", verify._clip_segment))
     monkeypatch.setattr(verify, "_orient3d", spy("orient3d", verify._orient3d))
     monkeypatch.setattr(verify, "_strictly_one_side", one_side_spy)
     t1 = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
@@ -238,6 +263,10 @@ CLIP_CASES = (
     ("segment-along-an-edge-of-T2", ((-1, 1, 0), (7, 1, 0), (3, 1, 4)), "edge_through_face",
      ((0, 1, 0), (5, 1, 0))),
     ("segment-missing-T1", ((7, 1, -1), (5, 1, 1), (9, 1, 1)), None, ()),
+    ("segment-through-a-vertex-of-T1", ((5, -1, 0), (7, 1, 0), (6, 0, 3)), "vertex_in_face",
+     ((6, 0, 0),)),
+    ("segment-ending-on-an-edge", ((3, 0, -1), (3, 0, 1), (3, -3, 0)), "edge_through_face",
+     ((3, 0, 0),)),
 )
 
 
@@ -246,12 +275,82 @@ CLIP_CASES = (
 )
 def test_trace_clip_cases_have_exact_witnesses(t2, kind, witness):
     # verdict, kind and the witness points in order, in R^3 and lifted by
-    # (x, y, z, 0) into R^4
+    # (x, y, z, 0) into R^4; a segment cut down to one point is one witness
     t1 = ((0, 0, 0), (6, 0, 0), (0, 6, 0))
     for lift in ((), (0,)):
-        v = pair_intersection_check(*(tuple(pt(*p, *lift) for p in t) for t in (t1, t2)))
+        pair = tuple(tuple(pt(*p, *lift) for p in t) for t in (t1, t2))
+        v = pair_intersection_check(*pair)
         assert (v.verdict, v.kind) == ("violation" if kind else "admissible", kind)
         assert [w.coords for w in v.witness] == [pt(*p, *lift).coords for p in witness]
+        if kind:
+            _assert_witnesses_violate(*pair, v)
+
+
+# Pairs on the vertex v = (0,0,0) of T1 = (0,0,0), (6,0,0), (0,6,0) that pass
+# both edge-line tests: T2 meets T1's plane z = 0 in [v, x], and T1 in
+# [v, y], whose far end y is the witness.  Each is (name, T2, kind, y).
+SHARED_VERTEX_CASES = (
+    ("x-inside-T1", ((0, 0, 0), (1, 1, -1), (1, 3, 1)), "interior_crossing", (1, 2, 0)),
+    ("x-on-the-opposite-edge", ((0, 0, 0), (3, 3, -1), (3, 3, 1)), "interior_crossing",
+     (3, 3, 0)),
+    ("x-beyond-the-opposite-edge", ((0, 0, 0), (4, 4, -1), (4, 4, 1)), "interior_crossing",
+     (3, 3, 0)),
+    ("q-on-the-plane-inside-T1", ((0, 0, 0), (2, 1, 0), (1, 1, 3)), "edge_through_face",
+     (2, 1, 0)),
+    ("q-on-the-plane-beyond-T1", ((0, 0, 0), (1, 1, 3), (8, 4, 0)), "edge_through_face",
+     (4, 2, 0)),
+    ("x-on-an-edge-line-through-v", ((0, 0, 0), (3, 0, -1), (3, 0, 1)), "interior_crossing",
+     (3, 0, 0)),
+    ("x-on-an-edge-line-beyond-T1", ((0, 0, 0), (9, 0, 1), (9, 0, -1)), "interior_crossing",
+     (6, 0, 0)),
+)
+
+
+@pytest.mark.parametrize(
+    "t2, kind, witness", [c[1:] for c in SHARED_VERTEX_CASES],
+    ids=[c[0] for c in SHARED_VERTEX_CASES],
+)
+def test_shared_vertex_crossings_witness_the_far_end(monkeypatch, t2, kind, witness):
+    # the one witness point y, with no trace and no clip, for every order
+    # of T1's vertices (so v at each position, in both orientations), in
+    # R^3 and lifted by (x, y, z, 0) into R^4
+    monkeypatch.setattr(verify, "_clip", None)
+    monkeypatch.setattr(verify, "_clip_segment", None)
+    for t1 in permutations(((0, 0, 0), (6, 0, 0), (0, 6, 0))):
+        for lift in ((), (0,)):
+            pair = tuple(tuple(pt(*p, *lift) for p in t) for t in (t1, t2))
+            v = pair_intersection_check(*pair)
+            assert (v.verdict, v.kind, v.shared) == ("violation", kind, 1)
+            assert [w.coords for w in v.witness] == [pt(*witness, *lift).coords]
+            _assert_witnesses_violate(*pair, v)
+
+
+def test_seeded_pairs_on_no_or_one_vertex_have_witnesses_in_both_faces():
+    # small-int pairs of R^3 on no shared vertex or on one: every violation
+    # that is not coplanar has one or two witness points, each in both
+    # closed faces and off the shared vertex, by barycentric weights
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(8000):
+        t1 = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        t2 = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        if rng.randint(0, 1):
+            t2[rng.randint(0, 2)] = t1[0]
+        shared = len(set(t1) & set(t2))
+        if shared > 1 or face_is_degenerate(*t1) or face_is_degenerate(*t2):
+            continue
+        pair = tuple(tuple(pt(*p) for p in t) for t in (t1, t2))
+        v = pair_intersection_check(*pair)
+        assert v.shared == shared
+        if v.kind in (None, "coplanar_overlap", "containment"):
+            continue
+        assert 1 <= len(v.witness) <= 2 - shared
+        _assert_witnesses_violate(*pair, v)
+        seen.add((shared, v.kind))
+    assert seen == {
+        (0, "interior_crossing"), (0, "edge_through_face"), (0, "vertex_in_face"),
+        (1, "interior_crossing"), (1, "edge_through_face"),
+    }
 
 
 def test_verdict_symmetric_under_swap():
@@ -397,7 +496,8 @@ def test_verify_catalog_predicate_calls(
     torus_catalog, rp2_catalog, moebius_catalog, sweep_placements,
 ):
     # catalog pairs reach the module global pair_intersection_check as Point
-    # triples, and on the report's and the sweep's placements as often as
+    # triples with their shared index pairs, and on the report's and the
+    # sweep's placements as often as
     # below: one call per orbit of admissible pairs and one per violating
     # pair.  A table that missed the copied verdicts would call it more
     # often and still give the same reports, so only the count shows it.
@@ -405,6 +505,7 @@ def test_verify_catalog_predicate_calls(
 
     def spy(t1, t2, shared=None):
         calls.append((t1, t2))
+        assert shared == [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
         return pair_intersection_check(t1, t2, shared)
 
     monkeypatch.setattr(verify, "pair_intersection_check", spy)
@@ -415,6 +516,7 @@ def test_verify_catalog_predicate_calls(
         ("rp2-simplex", rp2_points, rp2_catalog),
         ("moebius", moebius_points, moebius_catalog),
         ("asymmetric", ASYMMETRIC_TORUS, torus_catalog),
+        ("random-start", RANDOM_START_TORUS, torus_catalog),
         *((key, points, torus_catalog) for key, points in sweep_placements.items()),
     ):
         calls.clear()
@@ -438,7 +540,7 @@ def test_verify_catalog_predicate_calls(
     # trivial group every one of the 496 pairs of K_2,2,2,2 is its own orbit
     assert counts == {
         "suspension": 80, "schlegel16cell": 33, "rp2-simplex": 7, "moebius": 5,
-        "asymmetric": 496, **sweep,
+        "asymmetric": 496, "random-start": 496, **sweep,
     }
 
 
@@ -871,6 +973,7 @@ def test_orbit_table_equals_the_full_table(
         (perturbed, torus_catalog, 1),
         (cube, torus_catalog, 48),
         (ASYMMETRIC_TORUS, torus_catalog, 1),
+        (RANDOM_START_TORUS, torus_catalog, 1),
         # the faces of each triangulation relabelled by an automorphism of
         # the graph, so no longer in sorted order: a report keeps the order
         # of its triangulation's face pairs
@@ -884,9 +987,10 @@ def test_orbit_table_equals_the_full_table(
     # pattern's entry after those of the others
     for points, catalog, _ in cases + cases[::-1]:
         assert verify_catalog(points, catalog) == _full_table_reports(points, catalog)
-    embedded = [i for i, r in enumerate(_full_table_reports(ASYMMETRIC_TORUS, torus_catalog))
-                if r.embedded]
-    assert embedded == [0]
+    for points in (ASYMMETRIC_TORUS, RANDOM_START_TORUS):
+        embedded = [i for i, r in enumerate(_full_table_reports(points, torus_catalog))
+                    if r.embedded]
+        assert embedded == [0]
 
 
 def _relabelled(catalog, seed):
@@ -920,13 +1024,17 @@ def test_embedded_sets_are_unions_of_isometry_orbits(
     # no group, is a union of orbits of isometry_group on the catalog.  On
     # the suspension the group has order 12 at every k of the sweep, and
     # its two orbits split the tori into the 6 that embed and the 6 that
-    # do not: so no suspension embeds exactly one torus (test_04a)
+    # do not: so no suspension embeds exactly one torus (test_04a).  The two
+    # asymmetric placements have the trivial group, whose orbits are single
+    # tori, and embed torus 0 alone
     suspension_orbits = {frozenset({0, 1, 2, 4, 6, 8}), frozenset({3, 5, 7, 9, 10, 11})}
     for name, points, catalog in (
         ("suspension", suspension_points, torus_catalog),
         ("schlegel16cell", schlegel16_points, torus_catalog),
         ("rp2-simplex", rp2_points, rp2_catalog),
         ("moebius", moebius_points, moebius_catalog),
+        ("asymmetric", ASYMMETRIC_TORUS, torus_catalog),
+        ("random-start", RANDOM_START_TORUS, torus_catalog),
         *((key, points, torus_catalog) for key, points in sweep_placements.items()),
     ):
         group = frame_isometry_group(catalog.task.graph.vertices, points)
@@ -939,6 +1047,9 @@ def test_embedded_sets_are_unions_of_isometry_orbits(
             assert len(group) == 12, name
             assert orbits == suspension_orbits, name
             assert embedded == {0, 1, 2, 4, 6, 8}, name
+        if name in ("asymmetric", "random-start"):
+            assert len(group) == 1, name
+            assert embedded == {0}, name
 
 
 def _automorphisms(graph, seed, count):
