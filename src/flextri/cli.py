@@ -31,7 +31,6 @@ from .geometry import (
     circumradius_sq,
     construction_coords,
     face_shapes,
-    integer_frame,
     isometry_group,
     orthogonal_project,
     sixteen_cell_diagram,
@@ -229,12 +228,10 @@ def cmd_verify(args) -> int:
     n_pass = sum(r.embedded for r in reports)
     print(f"{n_pass}/{len(ids)} embedded")
     if args.out:
-        ctx, ints, units = integer_frame([p.coords for p in points.values()])
         doc = {
             "construction": args.construction,
             "k": args.k,
-            "isometry_group_order": len(isometry_group(
-                catalog.task.graph.vertices, dict(zip(points, ints)), ctx, units)),
+            "isometry_group_order": len(isometry_group(catalog.task.graph.vertices, points)),
             "reports": [
                 {
                     "id": i,

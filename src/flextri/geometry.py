@@ -102,10 +102,6 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _dot(u, w):
-    return sum(map(operator.mul, u, w))
-
-
 def orientation_sign(points) -> int:
     """orient3d: the sign of the determinant of the difference vectors of
     four coordinate tuples in R^3."""
@@ -259,26 +255,27 @@ def _isometries(pattern: tuple) -> tuple:
     return tuple(perms)
 
 
-def isometry_group(labels, placement: dict, ctx, units) -> list[dict]:
+def isometry_group(labels, placement: dict) -> list[dict]:
     """Every permutation g of ``labels`` that keeps the exact squared
     distance of every pair of placed points: |p_g(u) - p_g(v)|^2 =
     |p_u - p_v|^2.  Point sets with equal pairwise distances are congruent,
     so each g is the restriction of an isometry of the ambient space and
     keeps every incidence of the placed faces.
 
-    ``placement`` maps each label to its int point on an ``integer_frame``
-    of context ``ctx`` and scales ``units``.  g keeps the distances exactly
-    when it keeps which of them are equal, so the group is the automorphism
-    group of the complete graph on the labels with each edge coloured by
-    its squared distance: it depends only on their equality pattern
-    (``_distance_pattern``), and the permutation search runs once per
-    pattern (``_isometries``, a bounded cache).  Returns {label: image}
+    ``placement`` maps each label to its Point, and the distances are read
+    on the ``integer_frame`` of the labels' points.  g keeps the distances
+    exactly when it keeps which of them are equal, so the group is the
+    automorphism group of the complete graph on the labels with each edge
+    coloured by its squared distance: it depends only on their equality
+    pattern (``_distance_pattern``), and the permutation search runs once
+    per pattern (``_isometries``, a bounded cache).  Returns {label: image}
     dicts, ordered by the positions in ``labels`` of the images of
     labels[0], labels[1], ... compared lexicographically; so the identity
     comes first.
     """
     labels = list(labels)
-    perms = _isometries(_distance_pattern([placement[v] for v in labels], ctx, units))
+    ctx, ints, units = integer_frame([placement[v].coords for v in labels])
+    perms = _isometries(_distance_pattern(ints, ctx, units))
     return [dict(zip(labels, map(labels.__getitem__, p))) for p in perms]
 
 

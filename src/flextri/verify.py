@@ -17,16 +17,19 @@ dimension 3 at most, on three coordinates onto which it projects
 one-to-one; ``_check_rank`` dispatches a pair of R^4 and up on that affine
 rank.  The R^3 body takes its plane and orient3d signs on unpacked ints
 (``_plane``, ``geometry._orient3d``); the tuple helpers serve ``_cramer``,
-``_in_shared_hull``, T1's edges on a flat and ``face_is_degenerate``.  A
-point the body derives (a trace end, a clipped polygon vertex, the point
-where two planes meet) is homogeneous, an int numerator tuple over a
-positive int denominator, and points are compared by cross-multiplication.
-What lies inside the first face is found on its plane: a Sutherland-Hodgman
-clip, ``_clip``, cuts the second face down to it when the two are coplanar;
-a pair on one vertex that crosses the first face's plane meets the first
-face in a segment from that vertex, whose far end one side test against
-the opposite edge gives; and the trace of a pair with no shared vertex,
-one point or a segment, is clipped by replacing an end at each edge
+T1's edges on a flat and ``face_is_degenerate``.  A point the body derives
+(a trace end, a clipped polygon vertex, the point where two planes meet)
+is homogeneous, an int numerator tuple over a positive int denominator,
+and points are compared by cross-multiplication.  What lies inside the
+first face is found on its plane, and every test made there reads the
+one form ``_edge_lines`` gives of a face's three edge lines on a
+coordinate pair: a Sutherland-Hodgman clip, ``_clip``, cuts the second
+face down to the first when the two are coplanar, and the same lines tell
+containment from overlap; a pair on one vertex that crosses the first
+face's plane meets the first face in a segment from that vertex, whose
+far end one side test against the line of the opposite edge gives
+(``_wedge_end``); and the trace of a pair with no shared vertex, one
+point or a segment, is clipped by replacing an end at each edge line
 (``_clip_segment``).  A violation's witness leaves the body as those
 homogeneous points, and each coordinate is built straight into the field
 in one step, through the raw scale of its axis (a 2-D coplanar witness
@@ -56,7 +59,6 @@ from .geometry import (
     Point,
     _det,
     _distance_pattern,
-    _dot,
     _isometries,
     _one_dimension,
     _orient3d,
@@ -69,11 +71,6 @@ from .geometry import (
 )
 from .numeric import _reduced, _Value
 from .surfaces import enumerate_cliques3
-
-
-def _orient2d(a, b, p):
-    """orient2d of three int 2-D points: twice the signed area of abp."""
-    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
 
 
 class PairVerdict(_Value, frozen=False):
@@ -133,46 +130,45 @@ def _equals(p, q) -> bool:
 
 
 def _in_shared_hull(p, shared_pts) -> bool:
-    """The homogeneous point p lies in the hull of the shared vertices."""
+    """The homogeneous 2-D point p, a point of T1, lies in the hull of the
+    shared vertices: on the line through the shared edge [a, b], which
+    meets T1 exactly in that edge."""
     if len(shared_pts) < 2:
         return bool(shared_pts) and _equals(p, shared_pts[0])
-    # on the closed segment [a, b]: w (p - a) is a multiple t of u = b - a
-    # with 0 <= t <= w |u|^2
-    x, w = p
-    a, b = shared_pts
-    u = _sub(b, a)
-    d = tuple(c - e * w for c, e in zip(x, a))
-    if plane_axes(u, d) is not None:
-        return False
-    t = _dot(d, u)
-    return t >= 0 and w * _dot(u, u) - t >= 0
+    (x, y), w = p
+    (ax, ay), (bx, by) = shared_pts
+    return (bx - ax) * (y - ay * w) == (by - ay) * (x - ax * w)
 
 
 # -- clipping --------------------------------------------------------------
 
-def _positively_oriented(tri):
-    """The 2-D triangle, its last two points swapped if it turns clockwise.
-    Every caller passes a nondegenerate face that lies in T1's plane, read
-    on T1's ``plane_axes``, which are one-to-one on that plane: so the
-    orient2d is never 0."""
+def _edge_lines(tri, axes):
+    """The edge lines of the nondegenerate triangle ``tri`` of int points,
+    read on the coordinate pair ``axes`` (i, j), on which its plane
+    projects one-to-one: (a, b), (b, c), (c, a), its last two points
+    swapped if it turns clockwise, each as (dx, dy, c0) with
+    h(x, w) = dx x[j] - dy x[i] + c0 w, which is w times orient2d of the
+    edge's two ends and x / w: so h >= 0 on the closed triangle."""
+    i, j = axes
     a, b, c = tri
-    return (a, b, c) if _orient2d(a, b, c) > 0 else (a, c, b)
+    ax, ay, bx, by, cx, cy = a[i], a[j], b[i], b[j], c[i], c[j]
+    if (bx - ax) * (cy - ay) < (by - ay) * (cx - ax):
+        bx, by, cx, cy = cx, cy, bx, by
+    return ((bx - ax, by - ay, (by - ay) * ax - (bx - ax) * ay),
+            (cx - bx, cy - by, (cy - by) * bx - (cx - bx) * by),
+            (ax - cx, ay - cy, (ay - cy) * cx - (ax - cx) * cy))
 
 
 def _clip(poly, tri, axes):
     """Sutherland-Hodgman on homogeneous points: the part of the convex
     polygon ``poly``, the second face of a coplanar pair, inside the closed
-    triangle ``tri`` of int points, every point read on the coordinate pair
-    ``axes``, in walking order.  The walk is closed, so it can repeat a
-    point."""
+    triangle ``tri`` of int points, read on the coordinate pair ``axes``
+    (``_edge_lines``), in walking order.  The walk is closed, so it can
+    repeat a point."""
     i, j = axes
-    a, b, c = _positively_oriented([(p[i], p[j]) for p in tri])
-    for p, q in ((a, b), (b, c), (c, a)):
+    for dx, dy, c0 in _edge_lines(tri, axes):
         if not poly:
             break
-        # w times orient2d(p, q, x / w), whose sign is that of orient2d
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        c0 = dy * p[0] - dx * p[1]
         hs = [dx * x[j] - dy * x[i] + c0 * w for x, w in poly]
         if min(hs) >= 0:
             continue
@@ -191,17 +187,15 @@ def _clip(poly, tri, axes):
 def _clip_segment(trace, tri, axes):
     """The part of the trace, one or two homogeneous points, inside the
     closed triangle ``tri`` of int points, read on the coordinate pair
-    ``axes``: an empty list, one point, or two distinct points in the
-    trace's order.  Each edge line with one end strictly outside replaces
-    that end by the crossing, which lies strictly between the two ends, or
-    by the other end itself when that one lies on the line; a one-point
-    trace, or a segment cut down to one point, is one object at both ends."""
+    ``axes`` (``_edge_lines``): an empty list, one point, or two distinct
+    points in the trace's order.  Each
+    edge line with one end strictly outside replaces that end by the
+    crossing, which lies strictly between the two ends, or by the other end
+    itself when that one lies on the line; a one-point trace, or a segment
+    cut down to one point, is one object at both ends."""
     i, j = axes
     p, q = trace[0], trace[-1]
-    a, b, c = _positively_oriented([(x[i], x[j]) for x in tri])
-    for s, t in ((a, b), (b, c), (c, a)):
-        dx, dy = t[0] - s[0], t[1] - s[1]
-        c0 = dy * s[0] - dx * s[1]
+    for dx, dy, c0 in _edge_lines(tri, axes):
         hp = dx * p[0][j] - dy * p[0][i] + c0 * p[1]
         hq = dx * q[0][j] - dy * q[0][i] + c0 * q[1]
         if hp < 0:
@@ -220,23 +214,12 @@ def _wedge_end(t1, k, x, axes):
     line or on it, else the point where [v, x] crosses that edge."""
     i, j = axes
     v = t1[k]
-    a, b, c = _positively_oriented([(p[i], p[j]) for p in (v, t1[k - 2], t1[k - 1])])
-    # w times orient2d(b, c, x / w), positive at v, on the edge from b to c
-    dx, dy = c[0] - b[0], c[1] - b[1]
-    c0 = dy * b[0] - dx * b[1]
+    # line 1 of (v, b, c) is the edge opposite v, positive at v
+    dx, dy, c0 = _edge_lines((v, t1[k - 2], t1[k - 1]), axes)[1]
     h_x = dx * x[0][j] - dy * x[0][i] + c0 * x[1]
     if h_x >= 0:
         return x
-    return _crossing((v, 1), dx * a[1] - dy * a[0] + c0, x, h_x)
-
-
-def _point_in_tri_2d(p, tri) -> bool:
-    a, b, c = _positively_oriented(tri)
-    return (
-        _orient2d(a, b, p) >= 0
-        and _orient2d(b, c, p) >= 0
-        and _orient2d(c, a, p) >= 0
-    )
+    return _crossing((v, 1), dx * v[j] - dy * v[i] + c0, x, h_x)
 
 
 # -- the kind rule ---------------------------------------------------------
@@ -267,9 +250,11 @@ def _coplanar_check(t1, t2, shared_pts, axes):
     offenders = [p for p in poly if not _in_shared_hull(p, shared_pts)]
     if not offenders:
         return True, (), None
-    t1_in_t2 = all(_point_in_tri_2d(p, t2) for p in t1)
-    t2_in_t1 = all(_point_in_tri_2d(p, t1) for p in t2)
-    kind = "containment" if (t1_in_t2 or t2_in_t1) else "coplanar_overlap"
+    contained = any(
+        all(dx * y - dy * x + c0 >= 0 for dx, dy, c0 in _edge_lines(s, (0, 1)) for x, y in t)
+        for s, t in ((t2, t1), (t1, t2))
+    )
+    kind = "containment" if contained else "coplanar_overlap"
     return False, tuple(offenders), kind
 
 
@@ -428,10 +413,9 @@ def _check_rank(t1, t2, shared_pts):
 
 # -- public predicates -----------------------------------------------------
 
-def _pair_check(t1, t2, shared, faces=None) -> PairVerdict:
+def _pair_check(t1, t2, shared, faces) -> PairVerdict:
     """The pair predicate on two nondegenerate faces of int coordinate
-    tuples; the verdict names ``faces``, by default (t1, t2)."""
-    faces = faces or (t1, t2)
+    tuples; the verdict names ``faces``."""
     if shared is None:
         shared = [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
     shared_pts = [t1[i] for i, _ in shared]
@@ -464,20 +448,20 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     (``geometry.integer_frame``, in one pass over their coordinates), and a
     witness is mapped back; a pair with no frame raises ValueError, and a
     pair of two contexts ContextMismatchError.  Int points are a frame,
-    decided as given: the verdict names the faces by their coordinate
-    tuples, and each witness point is homogeneous, (x, w), x an int tuple
-    (of length 2 for a coplanar witness), w a positive int.
+    decided as given, and each witness point is homogeneous, (x, w), x an
+    int tuple (of length 2 for a coplanar witness), w a positive int.  The
+    verdict names the faces by the Points given, of either kind.
     """
     (a, b, c), (d, e, f) = t1, t2
+    faces = (a, b, c), (d, e, f)
     t1, t2 = (a.coords, b.coords, c.coords), (d.coords, e.coords, f.coords)
     if type(t1[0][0]) is int:
         (a, b, c), (d, e, f) = t1, t2
         if not len(a) == len(b) == len(c) == len(d) == len(e) == len(f):
             _one_dimension(t1 + t2)
         if shared is None and (face_is_degenerate(*t1) or face_is_degenerate(*t2)):
-            return PairVerdict((t1, t2), 0, "violation", "degenerate_face")
-        return _pair_check(t1, t2, shared)
-    faces = (a, b, c), (d, e, f)
+            return PairVerdict(faces, 0, "violation", "degenerate_face")
+        return _pair_check(t1, t2, shared, faces)
     ctx, q, units = integer_frame(t1 + t2)
     q1, q2 = tuple(q[:3]), tuple(q[3:])
     if face_is_degenerate(*q1) or face_is_degenerate(*q2):
@@ -586,7 +570,8 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
             if v.admissible:
                 admissible[o] = True
                 continue
-            v = _map_back(v, v.faces[0], ctx, units, (fa, fb))
+            i, j, k = ia
+            v = _map_back(v, (ints[i], ints[j], ints[k]), ctx, units, (fa, fb))
         decided.append((bits, v))
     at = {f: k for k, f in enumerate(cliques)}
     reports = []

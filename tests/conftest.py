@@ -16,7 +16,6 @@ from flextri.geometry import (
     RealizationParams,
     construction_coords,
     integer_frame,
-    isometry_group,
 )
 from flextri.numeric import QuadExt
 from flextri.surfaces import _face_edges, build_graph, enumerate_cliques3
@@ -54,12 +53,6 @@ def field_frame(points: dict):
     ctx, ints, units = integer_frame([p.coords for p in points.values()])
     scales = tuple(QuadExt(*(Fraction(x, d) for x in u[:4]), ctx=ctx) for *u, d in units)
     return dict(zip(points, ints, strict=True)), scales
-
-
-def frame_isometry_group(labels, points: dict) -> list[dict]:
-    """``geometry.isometry_group`` on the ``integer_frame`` of a placement."""
-    ctx, ints, units = integer_frame([p.coords for p in points.values()])
-    return isometry_group(labels, dict(zip(points, ints)), ctx, units)
 
 
 def field_isometry_group(labels, placement: dict) -> list[dict]:

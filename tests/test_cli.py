@@ -580,7 +580,9 @@ def test_reproduce_results_script(tmp_path):
 PREDICATE_DIGESTS = {
     "degenerate": "5f09ddeaea237e2be1f1faba7eda4a227cb553cdfedadd5527df15c4cdcb7cb0",
     "pairs-r3": "cb9ba91031d2b41ecd71c6c50e58005f78c2a6a4a08ccc115674abac73cdccd8",
+    "pairs-r4": "401b8ae592118138b18c29a04c0a67c55feee882ca2d5246c46de45279740822",
     "pairs-field": "3b6ec525ffd75126817f27f961cec98f9aca5595a041394ff3e23d9f1935216b",
+    "pairs-r5": "69218682443251becaa893ad47af882ec652a050a7bb4b72235ba8da2bac7672",
 }
 
 

@@ -9,6 +9,7 @@ from flextri.geometry import (
     Point,
     construction_coords,
     face_is_degenerate,
+    isometry_group,
     make_point,
     orientation_sign,
     orthogonal_project,
@@ -37,7 +38,6 @@ from conftest import (
     add,
     field_frame,
     field_isometry_group,
-    frame_isometry_group,
     scale,
     scale_placement,
 )
@@ -173,8 +173,7 @@ def test_int_points_without_shared_are_tested_for_degeneracy(t1, t2):
     # on int Points as on QuadExt points, unless the caller passes the
     # shared vertices, which says it has tested both faces itself
     ints = tuple(tuple(map(Point, t)) for t in (t1, t2))
-    v = pair_intersection_check(*ints)
-    assert (v.faces, v.shared, v.verdict, v.kind) == ((t1, t2), 0, "violation", "degenerate_face")
+    assert pair_intersection_check(*ints) == PairVerdict(ints, 0, "violation", "degenerate_face")
     field = tuple(tuple(pt(*p) for p in t) for t in (t1, t2))
     assert pair_intersection_check(*field) == PairVerdict(field, 0, "violation", "degenerate_face")
 
@@ -836,7 +835,7 @@ def test_isometry_group_orders_and_pair_orbits(
         assert group[0] == {v: v for v in labels}
         # the int frame's weighted distances give the same group, in the
         # same order
-        assert frame_isometry_group(labels, points) == group
+        assert isometry_group(labels, points) == group
         assert len(_pair_orbits(group, catalog)) == n_orbits
 
 
@@ -865,7 +864,7 @@ def test_suspension_witnesses_equal_the_field_oracle(suspension_points, torus_ca
     for r in verify_catalog(suspension_points, torus_catalog):
         for v in r.violations:
             ta, tb = (tuple(points[x] for x in f) for f in v.faces)
-            expected = _pair_check(ta, tb, None)
+            expected = _pair_check(ta, tb, None, (ta, tb))
             assert (v.shared, v.kind) == (expected.shared, expected.kind)
             assert v.witness == _field_witness(expected.witness, ta, scales)
             found.add((v.kind, v.witness[0].dim))
@@ -921,7 +920,7 @@ def _full_table_reports(points, catalog):
             if face_is_degenerate(*ta) or face_is_degenerate(*tb):
                 table[a, b] = PairVerdict((a, b), 0, "violation", "degenerate_face")
             else:
-                v = _pair_check(ta, tb, shared)
+                v = _pair_check(ta, tb, shared, (ta, tb))
                 witness = _field_witness(v.witness, ta, scales)
                 table[a, b] = PairVerdict((a, b), v.shared, v.verdict, v.kind, witness)
     reports = []
@@ -1037,7 +1036,7 @@ def test_embedded_sets_are_unions_of_isometry_orbits(
         ("random-start", RANDOM_START_TORUS, torus_catalog),
         *((key, points, torus_catalog) for key, points in sweep_placements.items()),
     ):
-        group = frame_isometry_group(catalog.task.graph.vertices, points)
+        group = isometry_group(catalog.task.graph.vertices, points)
         orbits = _catalog_orbits(group, catalog)
         assert sorted(i for o in orbits for i in o) == list(range(12)), name
         reports = _full_table_reports(points, catalog)
@@ -1088,7 +1087,7 @@ def test_relabelling_the_placement_and_the_catalog_keeps_every_verdict(
     for seed, (points, catalog) in enumerate(cases):
         labels = catalog.task.graph.vertices
         perms = _automorphisms(catalog.task.graph, seed, 3)
-        assert any(g not in frame_isometry_group(labels, points) for g in perms)
+        assert any(g not in isometry_group(labels, points) for g in perms)
         index = {frozenset(t.faces): i for i, t in enumerate(catalog.triangulations)}
         base = verify_catalog(points, catalog)
         for g in perms:
