@@ -428,11 +428,9 @@ def run_report() -> tuple[str, bool]:
 
 
 def cmd_report(args) -> int:
-    if args.format == "text":
-        text, ok = run_report()
-    else:
-        rows = _report_rows()
-        text, ok = _report_text(rows)
+    rows = _report_rows()
+    text, ok = _report_text(rows)
+    if args.format == "json":
         text = _json_text({"lines": text.splitlines(), "ok": ok, "rows": [
             {"tag": tag, "label": label, "observed": f"{observed}",
              "expected": f"{expected}", "ok": observed == expected}

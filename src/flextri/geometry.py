@@ -97,11 +97,6 @@ def _sub(p: tuple, q: tuple) -> tuple:
     return tuple(map(operator.sub, p, q))
 
 
-def _sign(x) -> int:
-    """Exact sign of an int."""
-    return (x > 0) - (x < 0)
-
-
 def orientation_sign(points) -> int:
     """orient3d: the sign of the determinant of the difference vectors of
     four coordinate tuples in R^3."""

@@ -233,7 +233,10 @@ class QuadExt:
         )
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

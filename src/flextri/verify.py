@@ -7,46 +7,49 @@ of int expressions; degenerate configurations (coplanarity, collinear
 contact) are decided by case analysis, never perturbed.
 
 The predicate body, ``_pair_check``, takes two faces of int coordinate
-tuples.  Field points reach it through ``geometry.integer_frame``, which
-writes a point set whose axes are each a rational multiple of one basis
-element of the field as int points times one positive scale per axis, each
-scale as its raw ints, and refuses any other point set.  That diagonal map
-keeps every sign the predicate tests.  One body, ``_check_dim3``, decides
-the pairs of R^3 and those of R^4 and up whose points span a flat of
-dimension 3 at most, on three coordinates onto which it projects
-one-to-one; ``_check_rank`` dispatches a pair of R^4 and up on that affine
-rank.  The R^3 body takes its plane and orient3d signs on unpacked ints
-(``_plane``, ``geometry._orient3d``); the tuple helpers serve ``_cramer``,
-T1's edges on a flat and ``face_is_degenerate``.  A point the body derives
-(a trace end, a clipped polygon vertex, the point where two planes meet)
-is homogeneous, an int numerator tuple over a positive int denominator,
-and points are compared by cross-multiplication.  What lies inside the
-first face is found on its plane, and every test made there reads the
-one form ``_edge_lines`` gives of a face's three edge lines on a
-coordinate pair: a Sutherland-Hodgman clip, ``_clip``, cuts the second
-face down to the first when the two are coplanar, and the same lines tell
-containment from overlap; a pair on one vertex that crosses the first
-face's plane meets the first face in a segment from that vertex, whose
-far end one side test against the line of the opposite edge gives
-(``_wedge_end``); and the trace of a pair with no shared vertex, one
-point or a segment, is clipped by replacing an end at each edge line
-(``_clip_segment``).  A violation's witness leaves the body as those
-homogeneous points, and each coordinate is built straight into the field
-in one step, through the raw scale of its axis (a 2-D coplanar witness
-through those of the first face's ``plane_axes``).  ``verify_catalog``
-frames its placement, refuses two labels on one frame point, makes one
-int Point per label, tests each 3-clique of the catalog's graph for
-degeneracy once, and decides every clique pair once for the placement: it
-runs ``pair_intersection_check``, given the pair's shared vertices, on one
-nondegenerate pair of each admissible orbit of the isometry group and on
-every violating pair, and each triangulation's report, its list of
-violations, keeps the violating pairs among its faces.  The cliques and
-the orbit of each pair depend only on the graph and on which squared
-distances are equal, and are computed once per (graph, pattern)
-(``_table_plan``).  A direct call without the shared vertices tests both
-faces for degeneracy; on QuadExt points it frames the six points of its
-pair in one pass and maps a witness back through the raw scales of that
-frame.
+tuples and their shared vertices as index pairs (i, j), t1[i] == t2[j],
+the one form every branch reads.  Field points reach it through
+``geometry.integer_frame``, which writes a point set whose axes are each a
+rational multiple of one basis element of the field as int points times
+one positive scale per axis, each scale as its raw ints, and refuses any
+other point set.  That diagonal map keeps every sign the predicate tests.
+One body, ``_check_dim3``, decides the pairs of R^3 and those of R^4 and
+up whose points span a flat of dimension 3 at most, on three coordinates
+onto which it projects one-to-one; ``_check_rank`` dispatches a pair of
+R^4 and up on that affine rank.  The R^3 body takes its plane and orient3d
+signs on unpacked ints (``_plane``, ``geometry._orient3d``); the plane
+values alone decide a pair whose vertices off the shared ones lie strictly
+on one side of the first face's plane, a non-coplanar shared edge among
+them.  The tuple helpers serve ``_cramer``, T1's edges on a flat and
+``face_is_degenerate``.  A point the body derives (a trace end, a clipped
+polygon vertex, the point where two planes meet) is homogeneous, an int
+numerator tuple over a positive int denominator, and points are compared
+by cross-multiplication.  What lies inside the first face is found on its
+plane, and every test made there reads the one form ``_edge_lines`` gives
+of a face's three edge lines on a coordinate pair: a Sutherland-Hodgman
+clip, ``_clip``, cuts the second face down to the first when the two are
+coplanar, and the same lines tell containment from overlap; and one
+segment clip, ``_clip_segment``, replaces an end at each edge line: it
+cuts the trace of a pair with no shared vertex, one point or a segment,
+and, for a pair on one vertex v that crosses the first face's plane in
+[v, x], gives the far end of the segment the two faces share.  A
+violation's witness leaves the body as those homogeneous points, and each
+coordinate is built straight into the field in one step, through the raw
+scale of its axis (a 2-D coplanar witness through those of the first
+face's ``plane_axes``).  ``verify_catalog`` frames its placement, refuses
+two labels on one frame point, makes one int Point per label, tests each
+3-clique of the catalog's graph for degeneracy once, and decides every
+clique pair once for the placement: it runs ``pair_intersection_check``,
+given the pair's shared index pairs, on one nondegenerate pair of each
+admissible orbit of the isometry group and on every violating pair, and
+each triangulation's report, its list of violations, keeps the violating
+pairs among its faces.  The cliques and the orbit of each pair depend only
+on the graph and on which squared distances are equal, and are computed
+once per (graph, pattern), with each pair's shared index pairs
+(``_table_plan``).  A direct call without the shared vertices recovers
+them once, by coordinate equality, and tests both faces for degeneracy; on
+QuadExt points it frames the six points of its pair in one pass and maps a
+witness back through the raw scales of that frame.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .geometry import (
     _isometries,
     _one_dimension,
     _orient3d,
-    _sign,
     _sub,
     check_placement,
     face_is_degenerate,
@@ -185,14 +187,16 @@ def _clip(poly, tri, axes):
 
 
 def _clip_segment(trace, tri, axes):
-    """The part of the trace, one or two homogeneous points, inside the
-    closed triangle ``tri`` of int points, read on the coordinate pair
-    ``axes`` (``_edge_lines``): an empty list, one point, or two distinct
-    points in the trace's order.  Each
-    edge line with one end strictly outside replaces that end by the
-    crossing, which lies strictly between the two ends, or by the other end
-    itself when that one lies on the line; a one-point trace, or a segment
-    cut down to one point, is one object at both ends."""
+    """The part of the trace, one or two homogeneous points on the plane of
+    the closed triangle ``tri`` of int points, inside ``tri``, read on the
+    coordinate pair ``axes`` (``_edge_lines``): an empty list, one point,
+    or two distinct points in the trace's order.  The trace is T2's on
+    T1's plane, or the segment [v, x] from T1's vertex v, whose last point
+    is then the far end of T1's part of it.  Each edge line with one end
+    strictly outside replaces that end by the crossing, which lies strictly
+    between the two ends, or by the other end itself when that one lies on
+    the line; a one-point trace, or a segment cut down to one point, is one
+    object at both ends."""
     i, j = axes
     p, q = trace[0], trace[-1]
     for dx, dy, c0 in _edge_lines(tri, axes):
@@ -205,21 +209,6 @@ def _clip_segment(trace, tri, axes):
         elif hq < 0:
             q = p if hp == 0 else _crossing(p, hp, q, hq)
     return [p] if p is q else [p, q]
-
-
-def _wedge_end(t1, k, x, axes):
-    """The far end y of T1's part of the segment [v, x], for v = t1[k] and
-    the homogeneous point x != v in T1's closed wedge at v, read on the
-    coordinate pair ``axes``: x itself on v's side of the opposite edge
-    line or on it, else the point where [v, x] crosses that edge."""
-    i, j = axes
-    v = t1[k]
-    # line 1 of (v, b, c) is the edge opposite v, positive at v
-    dx, dy, c0 = _edge_lines((v, t1[k - 2], t1[k - 1]), axes)[1]
-    h_x = dx * x[0][j] - dy * x[0][i] + c0 * x[1]
-    if h_x >= 0:
-        return x
-    return _crossing((v, 1), dx * v[j] - dy * v[i] + c0, x, h_x)
 
 
 # -- the kind rule ---------------------------------------------------------
@@ -240,13 +229,15 @@ def _line_verdict(hit, t1, t2, along_t2_edge: bool):
 
 # -- coplanar overlap ------------------------------------------------------
 
-def _coplanar_check(t1, t2, shared_pts, axes):
+def _coplanar_check(t1, t2, shared, axes):
     """Both triangles in one 2-flat, which projects one-to-one onto the
     coordinate pair ``axes``; decided, and witnessed, in that projection by
-    clipping T2 to T1.  Returns (admissible, witness, kind)."""
+    clipping T2 to T1.  ``shared`` holds the index pairs (i, j) with
+    t1[i] == t2[j].  Returns (admissible, witness, kind)."""
     i, j = axes
-    t1, t2, shared_pts = ([(p[i], p[j]) for p in t] for t in (t1, t2, shared_pts))
+    t1, t2 = ([(p[i], p[j]) for p in t] for t in (t1, t2))
     poly = _dedupe(_clip([(q, 1) for q in t2], t1, (0, 1)))
+    shared_pts = [t1[k] for k, _ in shared]
     offenders = [p for p in poly if not _in_shared_hull(p, shared_pts)]
     if not offenders:
         return True, (), None
@@ -277,53 +268,50 @@ def _strictly_one_side(t1, t2) -> bool:
     return d0 > 0 and d1 > 0 and d2 > 0 or d0 < 0 and d1 < 0 and d2 < 0
 
 
-def _check_dim3(t1, t2, shared_pts, flat=None):
+def _check_dim3(t1, t2, shared, flat=None):
     """The pair predicate on two faces of R^3, or of R^4 and up inside one
-    3-flat; returns (admissible, witness, kind).  There, ``flat`` is the two
-    faces on three coordinates onto which that 3-flat projects one-to-one,
-    an affine bijection that keeps every sign tested here up to one global
-    sign: the signs are taken on ``flat``, while trace and clip points and
-    ``plane_axes`` use the full coordinates, so witnesses keep them.
-    Points in T1's plane are read on the ``plane_axes`` of T1.  A pair on
-    one vertex that crosses T1's plane and passes the edge-line tests
-    meets T1 in a segment from that vertex, whose far end one side test
-    gives (``_wedge_end``); a pair with no shared vertex is decided by T2's
+    3-flat, that share the vertices t1[i] == t2[j] of the index pairs (i, j)
+    in ``shared``; returns (admissible, witness, kind).  There, ``flat`` is
+    the two faces on three coordinates onto which that 3-flat projects
+    one-to-one, an affine bijection that keeps every sign tested here up to
+    one global sign: the signs are taken on ``flat``, while trace and clip
+    points and ``plane_axes`` use the full coordinates, so witnesses keep
+    them.  A pair whose other vertices of T2 lie strictly on one side of
+    T1's plane is admissible; so a shared edge is decided by the plane
+    values alone.  Points in T1's plane are read on the ``plane_axes`` of
+    T1.  A pair on one vertex v that crosses T1's plane and passes the
+    edge-line tests meets T1 in a segment [v, y], the part of [v, x] inside
+    T1 (``_clip_segment``); a pair with no shared vertex is decided by T2's
     trace on T1's plane, one vertex of T2 or a segment, clipped to T1."""
     f1, f2 = flat or (t1, t2)
-    if len(shared_pts) == 2:
-        # non-coplanar triangles on a common edge meet exactly in that edge
-        q = next(q for q, p in zip(f2, t2) if p not in shared_pts)
-        if _orient3d(*f1, q):
-            return True, (), None
     u, w, d2 = _plane(f1, f2)
     s2 = [(d > 0) - (d < 0) for d in d2]
     side = s2[0] + s2[1] + s2[2]
-    if side == 3 or side == -3:
+    # the shared vertices lie on T1's plane: the others all strictly on one
+    # side leave only the shared face in common
+    if side == 3 - len(shared) or side == len(shared) - 3:
         return True, (), None
     coplanar = not (s2[0] or s2[1] or s2[2])
-    if not coplanar and len(shared_pts) == 1:
-        # T2 meets T1's plane in the shared vertex v and in the point x where
-        # the line through its other vertices q, r meets that plane, if x is
-        # on the segment qr: T2 meets T1 only in v when q and r lie strictly
-        # on one side, or when x lies strictly outside one of T1's edge
-        # lines through v; for the edge (p, p') in T1's orientation that is
+    if not coplanar and shared:
+        # one shared vertex v = t1[k] = t2[m]: T2 meets T1's plane in v and
+        # in the point x where the line through its other vertices q, r
+        # meets that plane, with x on the segment qr; T2 meets T1 only in v
+        # when x lies strictly outside one of T1's edge lines through v; for
+        # the edge (p, p') in T1's orientation that is
         # sign(d_q - d_r) * orient3d(p, p', q, r) > 0
-        if side == 2 or side == -2:
-            return True, (), None
-        v = shared_pts[0]
-        i, j = [n for n, q in enumerate(t2) if q != v]
-        k = t1.index(v)
+        (k, m), = shared
+        i, j = (m + 1) % 3, (m + 2) % 3
         for p, p_next in ((f1[k - 1], f1[k]), (f1[k], f1[(k + 1) % 3])):
             if (s2[i] - s2[j]) * _orient3d(p, p_next, f2[i], f2[j]) > 0:
                 return True, (), None
-    if not coplanar and not shared_pts and _strictly_one_side(f1, f2):
+    if not coplanar and not shared and _strictly_one_side(f1, f2):
         return True, (), None
     if flat:
         u, w = _sub(t1[1], t1[0]), _sub(t1[2], t1[0])
     axes = plane_axes(u, w)
     if coplanar:
-        return _coplanar_check(t1, t2, shared_pts, axes)
-    if shared_pts:
+        return _coplanar_check(t1, t2, shared, axes)
+    if shared:
         # T2 meets T1's plane in [v, x], x the vertex of T2 on that plane
         # or the point where qr crosses it, and [v, x] lies in T1's closed
         # wedge at v
@@ -331,7 +319,7 @@ def _check_dim3(t1, t2, shared_pts, flat=None):
             x, kind = _crossing((t2[i], 1), d2[i], (t2[j], 1), d2[j]), "interior_crossing"
         else:
             x, kind = (t2[j] if s2[i] else t2[i], 1), "edge_through_face"
-        return False, (_wedge_end(t1, k, x, axes),), kind
+        return False, (_clip_segment([(t1[k], 1), x], t1, axes)[-1],), kind
     # T2, on no vertex of T1, crosses the plane of T1: its trace there is
     # one vertex of T2, or the segment between two points each on a vertex
     # or an open edge of T2; T2 is not degenerate, so the two are distinct
@@ -380,7 +368,7 @@ def _cramer(t1, t2, axes):
     if not det:
         return True, (), None
     # the weights s, t, a, b as numerators over |det|
-    sign = _sign(det)
+    sign = -1 if det < 0 else 1
     s, t, a, b = (sign * _det([*cols[:i], r, *cols[i + 1:]]) for i in range(4))
     det *= sign
     if min(s, t, a, b) < 0 or s + t > det or a + b > det:
@@ -390,9 +378,9 @@ def _cramer(t1, t2, axes):
     return False, (x,), "vertex_in_face" if on_vertex else "interior_crossing"
 
 
-def _check_rank(t1, t2, shared_pts):
+def _check_rank(t1, t2, shared):
     """The pair predicate on two faces of R^4 and up, dispatched on the
-    affine rank r of their 6 - len(shared_pts) distinct points: found by one
+    affine rank r of their 6 - len(shared) distinct points: found by one
     elimination of their differences from t1[0], unless they vary on three
     coordinates at most.  Affinely independent points meet exactly in the
     shared face; for r = 4 ``_cramer`` decides; for r <= 3 the R^3 body, on
@@ -401,14 +389,14 @@ def _check_rank(t1, t2, shared_pts):
     axes = [k for k, column in enumerate(zip(*points)) if column.count(column[0]) < 6]
     if len(axes) > 3:
         axes = _pivots([_sub(q, points[0]) for q in points[1:]], axes)
-        if len(axes) == 5 - len(shared_pts):
+        if len(axes) == 5 - len(shared):
             return True, (), None
         if len(axes) == 4:
             return _cramer(t1, t2, axes)
     if len(axes) < 3:
         axes += [k for k in range(len(points[0])) if k not in axes][:3 - len(axes)]
     get = itemgetter(*axes)
-    return _check_dim3(t1, t2, shared_pts, (tuple(map(get, t1)), tuple(map(get, t2))))
+    return _check_dim3(t1, t2, shared, (tuple(map(get, t1)), tuple(map(get, t2))))
 
 
 # -- public predicates -----------------------------------------------------
@@ -418,16 +406,13 @@ def _pair_check(t1, t2, shared, faces) -> PairVerdict:
     tuples; the verdict names ``faces``."""
     if shared is None:
         shared = [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
-    shared_pts = [t1[i] for i, _ in shared]
-    n_shared = len(shared_pts)
-
+    n_shared = len(shared)
     if n_shared == 3:
         return PairVerdict(faces, 3, "violation", "coplanar_overlap", tuple((p, 1) for p in t1))
-
     dim = len(t1[0])
     if dim < 3:
         raise ValueError(f"unsupported dimension {dim}")
-    ok, witness, kind = (_check_dim3 if dim == 3 else _check_rank)(t1, t2, shared_pts)
+    ok, witness, kind = (_check_dim3 if dim == 3 else _check_rank)(t1, t2, shared)
     if ok:
         return PairVerdict(faces, n_shared, "admissible")
     return PairVerdict(faces, n_shared, "violation", kind, witness)
@@ -437,7 +422,7 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     """Exact verdict for one pair of triangles (tuples of Points of R^3 or
     higher).
 
-    ``shared`` is a list of index pairs (i, j) with t1[i] == t2[j]; when
+    ``shared`` is a sequence of index pairs (i, j) with t1[i] == t2[j]; when
     omitted it is recovered from coordinate equality, and both faces are
     tested for degeneracy first: a face with collinear vertices makes the
     pair a ``degenerate_face`` violation.  Passing ``shared``, as
@@ -497,8 +482,10 @@ def _table_plan(graph, pattern: tuple):
     and the equality pattern of the squared distances, as tuples, which
     every caller shares: the sorted 3-cliques, each clique as label indices,
     and every clique pair a < b in order as (a, b, bits with a and b set,
-    orbit id).  Two pairs share an orbit when an element of the isometry
-    group (``geometry._isometries``) maps one to the other."""
+    orbit id, shared), ``shared`` the index pairs (i, j) of the labels the
+    two cliques share, clique a's i-th equal to clique b's j-th.  Two pairs
+    share an orbit when an element of the isometry group
+    (``geometry._isometries``) maps one to the other."""
     cliques = tuple(enumerate_cliques3(graph))
     index = {v: k for k, v in enumerate(graph.vertices)}
     faces = tuple(tuple(map(index.__getitem__, f)) for f in cliques)
@@ -517,7 +504,9 @@ def _table_plan(graph, pattern: tuple):
             for ga, gb in zip(images[a], images[b]):
                 orbit[ga * row + gb] = orbit[gb * row + ga] = n
             n += 1
-        pairs.append((a, b, (1 << a) | (1 << b), orbit[a * row + b]))
+        fa, fb = faces[a], faces[b]
+        shared = tuple((i, fb.index(x)) for i, x in enumerate(fa) if x in fb)
+        pairs.append((a, b, (1 << a) | (1 << b), orbit[a * row + b], shared))
     return cliques, faces, tuple(pairs)
 
 
@@ -538,7 +527,7 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     degeneracy once, for the reports' degenerate-face violations and for
     every pair it is in: a pair with a degenerate face is decided here,
     every other one by ``pair_intersection_check`` on the one int Point per
-    label, given the pair's shared vertices from the two cliques' labels.
+    label, given the pair's shared index pairs from the plan.
     A report lists its degenerate faces, then its violating face pairs in
     the order of ``combinations(tri.faces, 2)``.  All of it runs on the
     placement's ``geometry.integer_frame``, where labels on equal points
@@ -557,20 +546,18 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     degenerate = [face_is_degenerate(ints[i], ints[j], ints[k]) for i, j, k in faces]
     admissible = [False] * len(pairs)  # by orbit id; no more orbits than pairs
     decided = []  # (bits, violation) in pair order
-    for a, b, bits, o in pairs:
+    for a, b, bits, o, shared in pairs:
         if admissible[o]:
             continue
         fa, fb = cliques[a], cliques[b]
         if degenerate[a] or degenerate[b]:
             v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
         else:
-            ia, ib = faces[a], faces[b]
-            shared = [(i, ib.index(x)) for i, x in enumerate(ia) if x in ib]
             v = pair_intersection_check(corners[a], corners[b], shared)
             if v.admissible:
                 admissible[o] = True
                 continue
-            i, j, k = ia
+            i, j, k = faces[a]
             v = _map_back(v, (ints[i], ints[j], ints[k]), ctx, units, (fa, fb))
         decided.append((bits, v))
     at = {f: k for k, f in enumerate(cliques)}

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import typing
@@ -41,6 +42,18 @@ def test_enumerate_expectation_mismatch(capsys):
                        "--surface", "moebius", "--expect", "11")
     assert code == 3
     assert "mismatch" in out
+
+
+@pytest.mark.filterwarnings("ignore:'flextri.cli' found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    # python -m flextri.cli exits with main's code on sys.argv; the module
+    # is imported already, which runpy warns of
+    monkeypatch.setattr(sys, "argv", ["flextri", "enumerate", "--graph", "k5",
+                                      "--surface", "moebius", "--expect", "11"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("flextri.cli", run_name="__main__")
+    assert exit_.value.code == 3
+    assert "mismatch" in capsys.readouterr().out
 
 
 def test_enumerate_unknown_graph(capsys):
@@ -575,9 +588,13 @@ def test_reproduce_results_script(tmp_path):
     assert (tmp_path / "report.txt").read_bytes() == reference.read_bytes()
 
 
-# the digests of the sections below as recorded: the verdict, kind, shared
-# count and every witness point, in order, of each of their inputs
+# the digests of the sections below as recorded: the report text, and the
+# verdict, kind, shared count and every witness point, in order, of each
+# input of the others (``catalogs`` runs verify_catalog on the sweep grid,
+# the critical k and the reversed selections)
 PREDICATE_DIGESTS = {
+    "report": "64b472d7644f148076eeb5c73ef0c6a19a2616056603b76cfd272c8d12d6cf79",
+    "catalogs": "2139d78bb71e1895ec5ec2d5da50d6f2f170f0848edd642e4274cc9871abfa09",
     "degenerate": "5f09ddeaea237e2be1f1faba7eda4a227cb553cdfedadd5527df15c4cdcb7cb0",
     "pairs-r3": "cb9ba91031d2b41ecd71c6c50e58005f78c2a6a4a08ccc115674abac73cdccd8",
     "pairs-r4": "401b8ae592118138b18c29a04c0a67c55feee882ca2d5246c46de45279740822",
@@ -588,21 +605,19 @@ PREDICATE_DIGESTS = {
 
 def test_predicate_digest_script_runs_its_sections():
     # the digest compares two trees' outputs; it reads flextri's result
-    # types, so a change to one must keep it running.  Its pair sections
-    # must also reproduce their recorded hashes: a predicate change that
-    # moves a witness, or reorders one, fails here
+    # types, so a change to one must keep it running.  Its sections must
+    # also reproduce their recorded hashes: a predicate or pair-table
+    # change that moves a witness, or reorders one, fails here
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "predicate_digest.py"), "report", "catalogs",
-         *PREDICATE_DIGESTS],
+        [sys.executable, str(ROOT / "scripts" / "predicate_digest.py"), *PREDICATE_DIGESTS],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    for name in ("report", "catalogs", *PREDICATE_DIGESTS):
+    for name, digest in PREDICATE_DIGESTS.items():
         (line,) = [x for x in lines if x.split()[0] == name]
         assert re.fullmatch(rf"{name} +[0-9a-f]{{64}}  items=\d+ flagged=\d+ calls=\d+ .* s", line)
-        if name in PREDICATE_DIGESTS:
-            assert line.split()[1] == PREDICATE_DIGESTS[name], line
+        assert line.split()[1] == digest, line
 
 
 # -- cold start ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -294,6 +295,17 @@ def test_rational_operands(x, r):
     assert_same(r - x, qx(r) - x)
     assert_same(x * r, qx(r) * x)
     assert qx(r) == r
+
+
+def test_foreign_operands_are_refused_in_operand_order():
+    # every operator returns NotImplemented for a type _coerce refuses, so
+    # the TypeError names the operands in the order they were written
+    x = QuadExt(1)
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((x, 1.5), (1.5, x)):
+            with pytest.raises(TypeError, match=f"'{type(a).__name__}' and '{type(b).__name__}'"):
+                op(a, b)
+    assert x != "x"
 
 
 @given(quadexts)

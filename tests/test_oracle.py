@@ -104,10 +104,37 @@ def _seeded_pairs(rng, dim, n, r):
     return pairs
 
 
+# an int linear map of R^4 into R^5 of rank 4, so injective: an R^3 point
+# goes in as (x, y, z, 0)
+_INTO_R5 = ((1, 0, 0, 1), (0, 1, 0, -1), (0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 2))
+
+
+def _into_r5(pair):
+    return tuple(
+        tuple(tuple(sum(m * x for m, x in zip(row, (*p, 0))) for row in _INTO_R5) for p in t)
+        for t in pair
+    )
+
+
+def _k6_clique_pairs(rng, n):
+    """Every clique pair of ``n`` seeded placements of K_6 in [-1, 1]^4,
+    each with six distinct points and no degenerate 3-clique."""
+    pairs = []
+    while n:
+        points = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(6)]
+        faces = [tuple(points[i] for i in f) for f in combinations(range(6), 3)]
+        if len(set(points)) < 6 or any(is_degenerate(f) for f in faces):
+            continue
+        pairs += combinations(faces, 2)
+        n -= 1
+    return pairs
+
+
 def test_every_verdict_agrees_with_the_oracle(perfbench):
     # the benchmark's degenerate pool, each case in R^3, lifted into R^4
     # and under a rational affine map, on QuadExt points of Q; then seeded
-    # int pairs of R^3, of R^4, and of R^3 inside R^4, on int Points
+    # int pairs of R^3, of R^4, of R^3 inside R^4 and of both in R^5, and
+    # every clique pair of seeded K_6 placements in R^4, on int Points
     cases = [
         (raw, points)
         for case in perfbench.workloads.degenerate_pool()
@@ -122,6 +149,10 @@ def test_every_verdict_agrees_with_the_oracle(perfbench):
     # R^3 draws mapped into a 3-flat of R^4 that is no coordinate flat
     seeded += [tuple(tuple((*p, p[0] - p[1] + 2 * p[2]) for p in t) for t in pair)
                for pair in _seeded_pairs(rng, 3, 300, 2)]
+    # R^3 and R^4 draws under an injective int map into R^5, where the
+    # predicate finds each pair's rank by elimination
+    seeded += map(_into_r5, _seeded_pairs(rng, 3, 150, 2) + _seeded_pairs(rng, 4, 150, 1))
+    seeded += _k6_clique_pairs(rng, 3)
     cases += [(raw, tuple(tuple(map(Point, t)) for t in raw)) for raw in seeded]
     disagreements, verdicts = [], []
     for (t1, t2), points in cases:
@@ -137,3 +168,10 @@ def test_every_verdict_agrees_with_the_oracle(perfbench):
     for key in ("verdict", "kind", "shared"):
         counts = Counter(getattr(v, key) for v in verdicts)
         assert min(counts.values()) > 20, counts
+    # the R^5 draws reach both verdicts on 0, 1 and 2 shared vertices each;
+    # the K_6 placements give 30 clique pairs on no vertex, 270 on one and
+    # 270 on an edge
+    r5 = Counter((v.shared, v.verdict) for v in verdicts[-870:-570])
+    assert len(r5) == 6 and min(r5.values()) > 5, r5
+    assert Counter(v.shared for v in verdicts[-570:]) == {0: 30, 1: 270, 2: 270}
+

@@ -198,7 +198,7 @@ def test_shared_vertex_only_contact_is_admissible():
 # One R^3 pair per sign-test exit of the predicate, with T1 = (0,0,0),
 # (4,0,0), (0,4,0): (name, T2, orient3d calls, results of the T1-side test).
 EXIT_CASES = (
-    ("shared-edge-not-coplanar", ((0, 0, 0), (4, 0, 0), (1, 1, 3)), 1, []),
+    ("shared-edge-not-coplanar", ((0, 0, 0), (4, 0, 0), (1, 1, 3)), 0, []),
     ("T2-strictly-on-one-side", ((1, 1, 1), (2, 1, 3), (1, 2, 5)), 0, []),
     ("shared-vertex-others-on-one-side", ((0, 0, 0), (5, 1, 2), (1, 5, 3)), 0, []),
     ("shared-vertex-outside-an-edge-line", ((0, 0, 0), (-1, -1, 2), (-2, -1, -3)), 1, []),
@@ -310,11 +310,11 @@ SHARED_VERTEX_CASES = (
     ids=[c[0] for c in SHARED_VERTEX_CASES],
 )
 def test_shared_vertex_crossings_witness_the_far_end(monkeypatch, t2, kind, witness):
-    # the one witness point y, with no trace and no clip, for every order
-    # of T1's vertices (so v at each position, in both orientations), in
-    # R^3 and lifted by (x, y, z, 0) into R^4
+    # the one witness point y, with no polygon clip (only the segment
+    # [v, x] is clipped), for every order of T1's vertices (so v at each
+    # position, in both orientations), in R^3 and lifted by (x, y, z, 0)
+    # into R^4
     monkeypatch.setattr(verify, "_clip", None)
-    monkeypatch.setattr(verify, "_clip_segment", None)
     for t1 in permutations(((0, 0, 0), (6, 0, 0), (0, 6, 0))):
         for lift in ((), (0,)):
             pair = tuple(tuple(pt(*p, *lift) for p in t) for t in (t1, t2))
@@ -504,7 +504,7 @@ def test_verify_catalog_predicate_calls(
 
     def spy(t1, t2, shared=None):
         calls.append((t1, t2))
-        assert shared == [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
+        assert list(shared) == [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
         return pair_intersection_check(t1, t2, shared)
 
     monkeypatch.setattr(verify, "pair_intersection_check", spy)
