@@ -209,13 +209,21 @@ def _sq_distances(pts, ctx, units) -> tuple[list[list[int]], int]:
     return d, den
 
 
-def _distance_pattern(pts, ctx, units) -> tuple:
-    """The equality pattern of the squared distances of int frame points
-    ``pts`` (``_sq_distances``): the n x n matrix read row by row, each
-    distinct value numbered by its first occurrence, so 0 on the diagonal."""
+def _collinear(d, i, j, k) -> bool:
+    """Points i, j and k of a squared-distance matrix ``d`` are collinear
+    (two equal included): 4 d_ij d_ik = (d_ij + d_ik - d_jk)^2, the Gram
+    test |u|^2 |w|^2 = (u . w)^2, exact in any dimension."""
+    a, b = d[i][j], d[i][k]
+    c = a + b - d[j][k]
+    return 4 * a * b == c * c
+
+
+def _distance_pattern(d) -> tuple:
+    """The equality pattern of a squared-distance matrix ``d``
+    (``_sq_distances``): read row by row, each distinct value numbered by
+    its first occurrence, so 0 on the diagonal."""
     first = {}
-    return tuple(first.setdefault(x, len(first))
-                 for row in _sq_distances(pts, ctx, units)[0] for x in row)
+    return tuple(first.setdefault(x, len(first)) for row in d for x in row)
 
 
 @lru_cache(maxsize=256)
@@ -270,7 +278,7 @@ def isometry_group(labels, placement: dict) -> list[dict]:
     """
     labels = list(labels)
     ctx, ints, units = integer_frame([placement[v].coords for v in labels])
-    perms = _isometries(_distance_pattern(ints, ctx, units))
+    perms = _isometries(_distance_pattern(_sq_distances(ints, ctx, units)[0]))
     return [dict(zip(labels, map(labels.__getitem__, p))) for p in perms]
 
 

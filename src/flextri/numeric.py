@@ -361,6 +361,24 @@ def _reduced(ctx: FieldContext, a: int, b: int, c: int, e: int, den: int) -> Qua
     return x
 
 
+def _on_axes(ctx: FieldContext, scales, x, w: int) -> tuple:
+    """Internal constructor: the homogeneous point x / w, w > 0, on axes of
+    ``scales`` (slot, g, d), each g / d times the basis element of its
+    slot (0 to 3: 1, sqrt d1, sqrt d2, sqrt(d1 d2)): each coordinate is
+    g x_i / (d w) in that slot alone, in lowest terms by one gcd of two."""
+    coords = []
+    for (slot, g, d), n in zip(scales, x):
+        num, den = g * n, d * w
+        k = math.gcd(num, den)
+        t = [0, 0, 0, 0, den // k]
+        t[slot] = num // k
+        v = _new(QuadExt)
+        _set_n(v, tuple(t))
+        _set_ctx(v, ctx)
+        coords.append(v)
+    return tuple(coords)
+
+
 # -- exact linear algebra --------------------------------------------------
 
 class LinearSolution(_Value, frozen=False):

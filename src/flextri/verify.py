@@ -7,49 +7,35 @@ of int expressions; degenerate configurations (coplanarity, collinear
 contact) are decided by case analysis, never perturbed.
 
 The predicate body, ``_pair_check``, takes two faces of int coordinate
-tuples and their shared vertices as index pairs (i, j), t1[i] == t2[j],
-the one form every branch reads.  Field points reach it through
-``geometry.integer_frame``, which writes a point set whose axes are each a
-rational multiple of one basis element of the field as int points times
-one positive scale per axis, each scale as its raw ints, and refuses any
-other point set.  That diagonal map keeps every sign the predicate tests.
-One body, ``_check_dim3``, decides the pairs of R^3 and those of R^4 and
-up whose points span a flat of dimension 3 at most, on three coordinates
-onto which it projects one-to-one; ``_check_rank`` dispatches a pair of
-R^4 and up on that affine rank.  The R^3 body takes its plane and orient3d
-signs on unpacked ints (``_plane``, ``geometry._orient3d``); the plane
-values alone decide a pair whose vertices off the shared ones lie strictly
-on one side of the first face's plane, a non-coplanar shared edge among
-them.  The tuple helpers serve ``_cramer``, T1's edges on a flat and
-``face_is_degenerate``.  A point the body derives (a trace end, a clipped
-polygon vertex, the point where two planes meet) is homogeneous, an int
-numerator tuple over a positive int denominator, and points are compared
-by cross-multiplication.  What lies inside the first face is found on its
-plane, and every test made there reads the one form ``_edge_lines`` gives
-of a face's three edge lines on a coordinate pair: a Sutherland-Hodgman
-clip, ``_clip``, cuts the second face down to the first when the two are
-coplanar, and the same lines tell containment from overlap; and one
-segment clip, ``_clip_segment``, replaces an end at each edge line: it
-cuts the trace of a pair with no shared vertex, one point or a segment,
-and, for a pair on one vertex v that crosses the first face's plane in
-[v, x], gives the far end of the segment the two faces share.  A
-violation's witness leaves the body as those homogeneous points, and each
-coordinate is built straight into the field in one step, through the raw
-scale of its axis (a 2-D coplanar witness through those of the first
-face's ``plane_axes``).  ``verify_catalog`` frames its placement, refuses
-two labels on one frame point, makes one int Point per label, tests each
-3-clique of the catalog's graph for degeneracy once, and decides every
-clique pair once for the placement: it runs ``pair_intersection_check``,
-given the pair's shared index pairs, on one nondegenerate pair of each
-admissible orbit of the isometry group and on every violating pair, and
-each triangulation's report, its list of violations, keeps the violating
-pairs among its faces.  The cliques and the orbit of each pair depend only
-on the graph and on which squared distances are equal, and are computed
-once per (graph, pattern), with each pair's shared index pairs
-(``_table_plan``).  A direct call without the shared vertices recovers
-them once, by coordinate equality, and tests both faces for degeneracy; on
-QuadExt points it frames the six points of its pair in one pass and maps a
-witness back through the raw scales of that frame.
+tuples and their shared vertices as index pairs (i, j), t1[i] == t2[j].
+Field points reach it through ``geometry.integer_frame``: int points times
+one positive scale per axis, a rational multiple of one basis element of
+the field, a diagonal map that keeps every sign the predicate tests.
+``_check_dim3`` decides the pairs of R^3, and those of R^4 and up whose
+points span a flat of dimension 3 at most, on three coordinates onto which
+it projects one-to-one; ``_check_rank`` dispatches a pair of R^4 and up on
+that affine rank.  The plane values alone decide a pair whose vertices off
+the shared ones lie strictly on one side of the first face's plane.  A
+point the body derives is homogeneous, an int numerator tuple over a
+positive int denominator, compared by cross-multiplication.  What lies
+inside the first face is found on its plane, on the one form
+``_edge_lines`` gives of its edge lines on a coordinate pair: the polygon
+clip ``_clip`` of a coplanar pair and the segment clip ``_clip_segment``
+of a trace, or of [v, x] for a pair on one vertex v.  A witness leaves the
+body as homogeneous points and each coordinate x / w is built in the
+field on its axis alone: g x / (d w) for an axis scale g / d times one
+basis element (``_map_back``; a 2-D coplanar witness on the first face's
+``plane_axes``).  ``verify_catalog`` frames its placement, refuses two
+labels on one frame point, and takes one matrix of squared distances: its
+equality pattern gives the isometry group and the orbits of the clique
+pairs (``_table_plan``, per graph and pattern, over ``_graph_plan``, per
+graph), and its entries test each 3-clique for degeneracy once
+(``geometry._collinear``).  The walk decides the first pair of each orbit
+by ``pair_intersection_check``, given its shared index pairs, skips the
+rest of an admissible orbit and decides every pair of a violating one.  A
+direct call without the shared vertices recovers them by coordinate
+equality and tests both faces with ``face_is_degenerate``; on QuadExt
+points it frames the six points of its pair in one pass.
 """
 
 from __future__ import annotations
@@ -60,18 +46,20 @@ from operator import itemgetter
 
 from .geometry import (
     Point,
+    _collinear,
     _det,
     _distance_pattern,
     _isometries,
     _one_dimension,
     _orient3d,
+    _sq_distances,
     _sub,
     check_placement,
     face_is_degenerate,
     integer_frame,
     plane_axes,
 )
-from .numeric import _reduced, _Value
+from .numeric import _on_axes, _Value
 from .surfaces import enumerate_cliques3
 
 
@@ -452,43 +440,51 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     if face_is_degenerate(*q1) or face_is_degenerate(*q2):
         return PairVerdict(faces, 0, "violation", "degenerate_face")
     v = _pair_check(q1, q2, shared, faces)
-    return _map_back(v, q1, ctx, units, faces) if v.witness else v
+    return _map_back(v, q1, ctx, _axis_scales(units), faces) if v.witness else v
 
 
-def _map_back(verdict: PairVerdict, t1, ctx, units, faces) -> PairVerdict:
+def _axis_scales(units):
+    """``integer_frame``'s raw scales, each [a, b, c, e, d] with one nonzero
+    numerator g, as (slot of g, g, d)."""
+    return [((b != 0) + 2 * (c != 0) + 3 * (e != 0), a + b + c + e, d) for a, b, c, e, d in units]
+
+
+def _map_back(verdict: PairVerdict, t1, ctx, scales, faces) -> PairVerdict:
     """A violation on the int frame, whose first face is ``t1``, as a
-    violation on ``faces``, its witness mapped back into the context ``ctx``
-    through the per-axis ``units``, each scale's raw numerators and
-    denominator: a 2-D coplanar witness lies in the ``plane_axes``
-    projection of ``t1``, so it takes the units of those two axes.  A
-    homogeneous coordinate x / w on an axis of scale (a, b, c, e) / d is
-    built as (a x, b x, c x, e x) / (d w)."""
+    violation on ``faces``, each witness point built in the context ``ctx``
+    one axis at a time (``numeric._on_axes``) through the per-axis
+    ``scales`` (``_axis_scales``): a 2-D coplanar witness takes those of
+    the ``plane_axes`` of ``t1``."""
     witness = verdict.witness
-    if len(witness[0][0]) != len(units):
-        units = [units[i] for i in plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))]
-    witness = tuple(
-        Point(tuple(
-            _reduced(ctx, a * n, b * n, c * n, e * n, d * w)
-            for (a, b, c, e, d), n in zip(units, x)
-        ))
-        for x, w in witness
-    )
+    if len(witness[0][0]) != len(scales):
+        scales = [scales[i] for i in plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))]
+    witness = tuple(Point(_on_axes(ctx, scales, x, w)) for x, w in witness)
     return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, witness)
+
+
+@lru_cache(maxsize=16)
+def _graph_plan(graph):
+    """The graph's sorted 3-cliques, each as label indices too, and every
+    clique pair a < b in order as (a, b, bits with a and b set, shared),
+    ``shared`` the index pairs (i, j), clique a's i-th label equal to
+    clique b's j-th."""
+    cliques = tuple(enumerate_cliques3(graph))
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    faces = tuple(tuple(map(index.__getitem__, f)) for f in cliques)
+    pairs = tuple(
+        (a, b, (1 << a) | (1 << b), tuple((i, fb.index(x)) for i, x in enumerate(fa) if x in fb))
+        for (a, fa), (b, fb) in combinations(enumerate(faces), 2)
+    )
+    return cliques, faces, pairs
 
 
 @lru_cache(maxsize=256)
 def _table_plan(graph, pattern: tuple):
-    """The part of ``verify_catalog``'s table that depends only on the graph
-    and the equality pattern of the squared distances, as tuples, which
-    every caller shares: the sorted 3-cliques, each clique as label indices,
-    and every clique pair a < b in order as (a, b, bits with a and b set,
-    orbit id, shared), ``shared`` the index pairs (i, j) of the labels the
-    two cliques share, clique a's i-th equal to clique b's j-th.  Two pairs
-    share an orbit when an element of the isometry group
-    (``geometry._isometries``) maps one to the other."""
-    cliques = tuple(enumerate_cliques3(graph))
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    faces = tuple(tuple(map(index.__getitem__, f)) for f in cliques)
+    """``_graph_plan``'s cliques and faces, and the orbits of its clique
+    pairs under the isometry group of a distance ``pattern``
+    (``geometry._isometries``), in the order of their first pairs, each as
+    its member pairs, the graph plan's tuples, in pair order."""
+    cliques, faces, pairs = _graph_plan(graph)
     # a clique's image is looked up by its label set, one bit per label; an
     # image that is no clique goes to the sink index m
     m = len(cliques)
@@ -496,18 +492,17 @@ def _table_plan(graph, pattern: tuple):
     moves = [tuple(1 << c for c in g) for g in _isometries(pattern)]
     images = [[key.get(h[i] | h[j] | h[k], m) for h in moves] for i, j, k in faces]
     # orbit ids on a flat (m + 1) x (m + 1) table, both orders of each pair
-    row, n = m + 1, 0
+    row = m + 1
     orbit = [None] * (row * row)
-    pairs = []
-    for a, b in combinations(range(m), 2):
+    orbits = []
+    for pair in pairs:
+        a, b = pair[0], pair[1]
         if orbit[a * row + b] is None:
             for ga, gb in zip(images[a], images[b]):
-                orbit[ga * row + gb] = orbit[gb * row + ga] = n
-            n += 1
-        fa, fb = faces[a], faces[b]
-        shared = tuple((i, fb.index(x)) for i, x in enumerate(fa) if x in fb)
-        pairs.append((a, b, (1 << a) | (1 << b), orbit[a * row + b], shared))
-    return cliques, faces, tuple(pairs)
+                orbit[ga * row + gb] = orbit[gb * row + ga] = len(orbits)
+            orbits.append([])
+        orbits[orbit[a * row + b]].append(pair)
+    return cliques, faces, tuple(map(tuple, orbits))
 
 
 def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
@@ -515,57 +510,55 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     of its violations per triangulation, in catalog order.
 
     All triangulations draw their faces from the 3-cliques of the catalog's
-    graph, so every clique pair is decided once, in sorted order, for the
-    placement.  A label permutation that keeps the placement's exact squared
-    distances (``geometry.isometry_group``) is a congruence, so it maps
-    admissible pairs to admissible pairs and violating ones to violating
-    ones: the predicate runs on one pair of each admissible orbit and on
-    every violating pair, so each kind and witness is the pair's own.  A
-    permutation keeps the distances exactly when it keeps which of them are
-    equal, so the group and the orbits are computed once per (graph,
-    equality pattern) (``_table_plan``).  Each clique is tested for
-    degeneracy once, for the reports' degenerate-face violations and for
-    every pair it is in: a pair with a degenerate face is decided here,
-    every other one by ``pair_intersection_check`` on the one int Point per
-    label, given the pair's shared index pairs from the plan.
-    A report lists its degenerate faces, then its violating face pairs in
-    the order of ``combinations(tri.faces, 2)``.  All of it runs on the
-    placement's ``geometry.integer_frame``, where labels on equal points
-    are refused, so equal labels are equal points, and each witness is
-    built in the field; a placement with no frame raises ValueError, one
-    of two contexts ContextMismatchError.
+    graph, so every clique pair is decided once for the placement.  A label
+    permutation that keeps the placement's exact squared distances
+    (``geometry.isometry_group``) is a congruence: it keeps degenerate
+    faces, admissible pairs and violating pairs.  So the walk takes the
+    orbits of the clique pairs (``_table_plan``) in turn and decides the
+    first pair of each: an admissible orbit's other pairs are skipped, a
+    violating orbit's each get ``pair_intersection_check``, so each kind
+    and witness is the pair's own, and an orbit with a degenerate face is
+    all ``degenerate_face`` violations.  One matrix of squared distances
+    gives the equality pattern the orbits depend on and tests each clique
+    for degeneracy once (``geometry._collinear``).  A report lists its
+    degenerate faces, then its violating face pairs in the order of
+    ``combinations(tri.faces, 2)``.  All of it runs on the placement's
+    ``geometry.integer_frame``, where labels on equal points are refused,
+    and each witness is built in the field; a placement with no frame
+    raises ValueError, one of two contexts ContextMismatchError.
     """
     labels = catalog.task.graph.vertices
     ctx, ints, units = integer_frame([p.coords for p in placement.values()])
     placement = dict(zip(placement, ints))
     check_placement(labels, placement)
     ints = [placement[v] for v in labels]
-    cliques, faces, pairs = _table_plan(catalog.task.graph, _distance_pattern(ints, ctx, units))
+    d = _sq_distances(ints, ctx, units)[0]
+    cliques, faces, orbits = _table_plan(catalog.task.graph, _distance_pattern(d))
     points = [Point(p) for p in ints]
     corners = [(points[i], points[j], points[k]) for i, j, k in faces]
-    degenerate = [face_is_degenerate(ints[i], ints[j], ints[k]) for i, j, k in faces]
-    admissible = [False] * len(pairs)  # by orbit id; no more orbits than pairs
-    decided = []  # (bits, violation) in pair order
-    for a, b, bits, o, shared in pairs:
-        if admissible[o]:
-            continue
-        fa, fb = cliques[a], cliques[b]
+    degenerate = [_collinear(d, i, j, k) for i, j, k in faces]
+    scales = _axis_scales(units)
+    decided = []  # (a, b, bits, violation), sorted into pair order below
+    for members in orbits:
+        a, b = members[0][:2]
         if degenerate[a] or degenerate[b]:
-            v = PairVerdict((fa, fb), 0, "violation", "degenerate_face")
-        else:
+            decided += [(a, b, bits, PairVerdict((cliques[a], cliques[b]), 0, "violation",
+                                                 "degenerate_face")) for a, b, bits, _ in members]
+            continue
+        for a, b, bits, shared in members:
             v = pair_intersection_check(corners[a], corners[b], shared)
             if v.admissible:
-                admissible[o] = True
-                continue
+                break  # the first pair: the whole orbit is admissible
             i, j, k = faces[a]
-            v = _map_back(v, (ints[i], ints[j], ints[k]), ctx, units, (fa, fb))
-        decided.append((bits, v))
+            v = _map_back(v, (ints[i], ints[j], ints[k]), ctx, scales, (cliques[a], cliques[b]))
+            decided.append((a, b, bits, v))
+    decided.sort()
     at = {f: k for k, f in enumerate(cliques)}
     reports = []
     for tri in catalog.triangulations:
         face_ids = [at[f] for f in tri.faces]
         mask = sum(1 << a for a in face_ids)
-        found = [v for bits, v in decided if mask & bits == bits]
+        found = [v for _, _, bits, v in decided if mask & bits == bits]
         if face_ids != sorted(face_ids):
             # the order of combinations(tri.faces, 2): by the two faces' positions
             pos = {f: k for k, f in enumerate(tri.faces)}

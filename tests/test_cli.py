@@ -601,13 +601,20 @@ PREDICATE_DIGESTS = {
     "pairs-field": "3b6ec525ffd75126817f27f961cec98f9aca5595a041394ff3e23d9f1935216b",
     "pairs-r5": "69218682443251becaa893ad47af882ec652a050a7bb4b72235ba8da2bac7672",
 }
+# the calls of verify.pair_intersection_check each section makes: equal
+# outputs from more calls mean a pair table that decides an orbit again
+PREDICATE_CALLS = {
+    "report": 125, "catalogs": 1980, "degenerate": 840, "pairs-r3": 5000,
+    "pairs-r4": 6000, "pairs-field": 5000, "pairs-r5": 11000,
+}
 
 
 def test_predicate_digest_script_runs_its_sections():
     # the digest compares two trees' outputs; it reads flextri's result
     # types, so a change to one must keep it running.  Its sections must
-    # also reproduce their recorded hashes: a predicate or pair-table
-    # change that moves a witness, or reorders one, fails here
+    # also reproduce their recorded hashes and call counts: a predicate or
+    # pair-table change that moves a witness, or reorders one, fails here,
+    # and so does a walk that runs the predicate more often
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "predicate_digest.py"), *PREDICATE_DIGESTS],
         capture_output=True, text=True, timeout=120,
@@ -616,7 +623,8 @@ def test_predicate_digest_script_runs_its_sections():
     lines = proc.stdout.splitlines()
     for name, digest in PREDICATE_DIGESTS.items():
         (line,) = [x for x in lines if x.split()[0] == name]
-        assert re.fullmatch(rf"{name} +[0-9a-f]{{64}}  items=\d+ flagged=\d+ calls=\d+ .* s", line)
+        n = PREDICATE_CALLS[name]
+        assert re.fullmatch(rf"{name} +[0-9a-f]{{64}}  items=\d+ flagged=\d+ calls={n} .* s", line)
         assert line.split()[1] == digest, line
 
 

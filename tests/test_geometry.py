@@ -3,12 +3,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flextri.geometry import (
     DEFAULT_PARAMS,
     ParameterError,
     Point,
     RealizationParams,
+    _collinear,
+    _sq_distances,
     check_placement,
     circumradius_sq,
     construction_coords,
@@ -30,6 +34,7 @@ from flextri.numeric import (
     QuadExt,
     solve_linear,
 )
+from flextri.surfaces import enumerate_cliques3
 from flextri.verify import verify_catalog
 
 from conftest import dist_sq, field_frame, scale, scale_placement
@@ -522,6 +527,69 @@ def test_face_degeneracy():
     d = make_point(CTX, 0, 1, 0)
     assert face_is_degenerate(a.coords, b.coords, c.coords)
     assert not face_is_degenerate(a.coords, b.coords, d.coords)
+
+
+@st.composite
+def _triples(draw):
+    """Three small int points of R^3, R^4 or R^5, in any order: three drawn
+    freely, or the third equal to one of the others, or on their line."""
+    coord = st.integers(-3, 3)
+    point = st.tuples(*[coord] * draw(st.sampled_from((3, 4, 5))))
+    a, b = draw(point), draw(point)
+    c = draw(st.one_of(
+        point,
+        st.sampled_from((a, b)),
+        st.builds(lambda s: tuple(x + s * (y - x) for x, y in zip(a, b)), coord),
+    ))
+    return draw(st.permutations((a, b, c)))
+
+
+@given(_triples())
+@settings(max_examples=300, deadline=None)
+def test_gram_test_equals_face_is_degenerate(triple):
+    # on unit scales the matrix is the plain squared distances; the test
+    # reads its three entries from each vertex in turn
+    d = _sq_distances(triple, QQ, [[1, 0, 0, 0, 1]] * len(triple[0]))[0]
+    expected = face_is_degenerate(*triple)
+    assert all(_collinear(d, i, j, k) == expected for i, j, k in
+               ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)))
+
+
+def _scaled_axes(points: dict, scales) -> dict:
+    """A placement of rational coordinates with axis i multiplied by
+    scales[i], in the scales' context."""
+    ctx = scales[0].ctx
+    return {v: Point(tuple(s * QuadExt(c.a, ctx=ctx) for s, c in zip(scales, p.coords)))
+            for v, p in points.items()}
+
+
+def test_gram_test_equals_face_is_degenerate_on_every_clique(
+    sweep_placements, moebius_points, torus_catalog, moebius_catalog
+):
+    # every clique of the sweep's placements, and of the Moebius placement
+    # with E = 2B, where face ABE is degenerate, on frames of Q(sqrt2,
+    # sqrt3) and Q(sqrt5) whose scales are not 1: the one distance matrix
+    # of each frame decides each clique as face_is_degenerate does
+    collinear = dict(moebius_points, E=scale(moebius_points["B"], 2))
+    root5 = QuadExt(0, 1, ctx=CTX_SQRT5)
+    cases = [(points, torus_catalog) for points in sweep_placements.values()] + [
+        (_scaled_axes(collinear, scales), moebius_catalog)
+        for scales in ((S2, S6, QuadExt(Fraction(3, 2), ctx=CTX)),
+                       (root5, QuadExt(Fraction(1, 3), ctx=CTX_SQRT5), 2 * root5))
+    ]
+    found = 0
+    for points, catalog in cases:
+        labels = catalog.task.graph.vertices
+        ctx, ints, units = integer_frame([points[v].coords for v in labels])
+        assert any(u[:4] != [1, 0, 0, 0] or u[4] != 1 for u in units)
+        d = _sq_distances(ints, ctx, units)[0]
+        for f in enumerate_cliques3(catalog.task.graph):
+            i, j, k = map(labels.index, f)
+            degenerate = face_is_degenerate(ints[i], ints[j], ints[k])
+            assert _collinear(d, i, j, k) == degenerate
+            assert degenerate == face_is_degenerate(*(points[v].coords for v in f))
+            found += degenerate
+    assert found == 2  # ABE on each of the two Moebius frames
 
 
 def test_placement_rejects_colliding_labels(moebius_catalog, moebius_points):

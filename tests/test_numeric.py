@@ -17,6 +17,7 @@ from flextri.numeric import (
     ContextMismatchError,
     FieldContext,
     QuadExt,
+    _on_axes,
     _reduced,
     parse_rational,
     solve_linear,
@@ -131,6 +132,28 @@ def test_constructor_equals_the_fraction_reference(args, ctx):
     assert x == ref and hash(x) == hash(ref) and repr(x) == repr(ref)
     assert all(type(v) is int for v in x._n)
     assert x._n[4] > 0 and math.gcd(*x._n) == 1
+
+
+_AXIS = st.tuples(st.integers(0, 3), st.integers(1, 10**4), st.integers(1, 10**4),
+                  st.integers(-10**6, 10**6))
+
+
+@given(st.lists(_AXIS, min_size=1, max_size=5), st.integers(1, 10**4))
+@settings(max_examples=300, deadline=None)
+@example([(1, 3, 4, 0)], 7)  # a zero numerator is 0 / 1
+@example([(3, 6, 4, -10), (0, 2, 1, 5)], 3)  # negative, and a gcd left for the build
+@example([(2, 1, 1, 5)], 1)  # d w = 1: already in lowest terms
+@example([(0, 5, 3, 2), (1, 1, 2, -6), (2, 4, 9, 0), (3, 7, 2, 14)], 12)  # every slot
+def test_on_axes_equals_the_generic_build(axes, w):
+    # each axis's scale is g / d times the basis element of one slot: the
+    # build in that slot alone equals the generic build of
+    # (a x, b x, c x, e x) / (d w), coordinate by coordinate
+    point = _on_axes(CTX, [axis[:3] for axis in axes], [axis[3] for axis in axes], w)
+    assert len(point) == len(axes)
+    for (slot, g, d, x), v in zip(axes, point):
+        a, b, c, e = (g * (s == slot) for s in range(4))
+        assert v._n == _reduced(CTX, a * x, b * x, c * x, e * x, d * w)._n
+        assert v.ctx is CTX and all(type(n) is int for n in v._n)
 
 
 @pytest.mark.parametrize(

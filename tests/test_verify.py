@@ -22,6 +22,7 @@ from flextri.numeric import (
     QQ,
     ContextMismatchError,
     QuadExt,
+    _reduced,
     solve_linear,
 )
 from flextri.enumeration import Catalog
@@ -29,6 +30,8 @@ from flextri.surfaces import Triangulation, enumerate_cliques3
 from flextri.verify import (
     EmbeddingReport,
     PairVerdict,
+    _axis_scales,
+    _map_back,
     _pair_check,
     pair_intersection_check,
     verify_catalog,
@@ -475,17 +478,19 @@ def test_verify_catalog_table_checks_and_selection(
 def test_verify_catalog_tests_each_face_for_degeneracy_once(
     monkeypatch, suspension_points, torus_catalog
 ):
-    # one test per 3-clique of the graph serves the reports' degenerate-face
+    # one Gram test per 3-clique of the graph, on the placement's one
+    # matrix of squared distances, serves the reports' degenerate-face
     # violations and every pair the clique is in
     tested = []
+    collinear = verify._collinear
 
-    def spy(a, b, c):
-        tested.append((a, b, c))
-        return face_is_degenerate(a, b, c)
+    def spy(d, i, j, k):
+        tested.append((i, j, k))
+        return collinear(d, i, j, k)
 
-    monkeypatch.setattr(verify, "face_is_degenerate", spy)
-    ints, _ = field_frame(suspension_points)
-    cliques = [tuple(ints[v] for v in f) for f in enumerate_cliques3(torus_catalog.task.graph)]
+    monkeypatch.setattr(verify, "_collinear", spy)
+    graph = torus_catalog.task.graph
+    cliques = [tuple(map(graph.vertices.index, f)) for f in enumerate_cliques3(graph)]
     verify_catalog(suspension_points, torus_catalog)
     assert tested == cliques
 
@@ -874,6 +879,37 @@ def test_suspension_witnesses_equal_the_field_oracle(suspension_points, torus_ca
     t = tuple(suspension_points[x] for x in "CDF")
     v = pair_intersection_check(t, t)
     assert (v.shared, v.kind, v.witness) == (3, "coplanar_overlap", t)
+
+
+def test_map_back_equals_the_generic_build():
+    # each witness coordinate x / w is built on its axis alone, through the
+    # one nonzero numerator of the axis's scale; that equals the generic
+    # build (a x, b x, c x, e x) / (d w) in lowest terms.  The four axes
+    # carry 6/5, 3 sqrt2 / 4, 2 sqrt3 / 3 and 5 sqrt6 / 2: one per basis
+    # slot; the coordinates include 0 and negatives and the weights w > 1
+    units = [[6, 0, 0, 0, 5], [0, 3, 0, 0, 4], [0, 0, 2, 0, 3], [0, 0, 0, 5, 2]]
+    assert _axis_scales(units) == [(0, 6, 5), (1, 3, 4), (2, 2, 3), (3, 5, 2)]
+    t1 = ((0, 0, 0, 0), (1, 2, 0, 0), (0, 1, 3, 0))
+    faces = (("A", "B", "C"), ("D", "E", "F"))
+
+    def generic(witness, units):
+        return tuple(
+            Point(tuple(_reduced(CTX, a * n, b * n, c * n, e * n, d * w)
+                        for (a, b, c, e, d), n in zip(units, x)))
+            for x, w in witness
+        )
+
+    # a 2-D coplanar witness lies on t1's plane_axes, here (1, 2)
+    assert plane_axes((1, 2, 0, 0), (0, 1, 3, 0)) == (1, 2)
+    for witness, kind, axes in (
+        ((((5, -3, 0, 7), 6), ((0, 0, 0, 0), 1), ((-4, 9, 12, -1), 15), ((8, 8, 8, 8), 4)),
+         "interior_crossing", range(4)),
+        ((((6, -9), 12), ((0, 4), 3), ((-1, 0), 1)), "coplanar_overlap", (1, 2)),
+    ):
+        v = PairVerdict(faces, 0, "violation", kind, witness)
+        mapped = _map_back(v, t1, CTX, _axis_scales(units), faces)
+        assert (mapped.faces, mapped.shared, mapped.kind) == (faces, 0, kind)
+        assert mapped.witness == generic(witness, [units[i] for i in axes])
 
 
 def test_pairs_and_placements_of_mixed_dimension_are_refused(moebius_points, moebius_catalog):
