@@ -83,12 +83,17 @@ class RealizationParams(_Value, frozen=True):
         self._set_slots(k)
 
 
-def check_placement(labels, placement: dict) -> None:
-    """Raise ValueError unless every label has a point and no two share one."""
+def _placed(labels, placement: dict) -> list:
+    """The labels' points, in order; ValueError names any label with none."""
     missing = [v for v in labels if v not in placement]
     if missing:
         raise ValueError(f"placement missing vertices {missing}")
-    pts = [placement[v] for v in labels]
+    return [placement[v] for v in labels]
+
+
+def check_placement(labels, placement: dict) -> None:
+    """Raise ValueError unless every label has a point and no two share one."""
+    pts = _placed(labels, placement)
     if len(set(pts)) != len(pts):
         raise ValueError("placement maps distinct labels to equal points")
 
@@ -277,7 +282,7 @@ def isometry_group(labels, placement: dict) -> list[dict]:
     comes first.
     """
     labels = list(labels)
-    ctx, ints, units = integer_frame([placement[v].coords for v in labels])
+    ctx, ints, units = integer_frame([p.coords for p in _placed(labels, placement)])
     perms = _isometries(_distance_pattern(_sq_distances(ints, ctx, units)[0]))
     return [dict(zip(labels, map(labels.__getitem__, p))) for p in perms]
 

@@ -25,17 +25,13 @@ of a trace, or of [v, x] for a pair on one vertex v.  A witness leaves the
 body as homogeneous points and each coordinate x / w is built in the
 field on its axis alone: g x / (d w) for an axis scale g / d times one
 basis element (``_map_back``; a 2-D coplanar witness on the first face's
-``plane_axes``).  ``verify_catalog`` frames its placement, refuses two
-labels on one frame point, and takes one matrix of squared distances: its
-equality pattern gives the isometry group and the orbits of the clique
-pairs (``_table_plan``, per graph and pattern, over ``_graph_plan``, per
-graph), and its entries test each 3-clique for degeneracy once
-(``geometry._collinear``).  The walk decides the first pair of each orbit
-by ``pair_intersection_check``, given its shared index pairs, skips the
-rest of an admissible orbit and decides every pair of a violating one.  A
-direct call without the shared vertices recovers them by coordinate
-equality and tests both faces with ``face_is_degenerate``; on QuadExt
-points it frames the six points of its pair in one pass.
+``plane_axes``).  ``verify_catalog`` decides each clique pair of a
+catalog once per placement, one isometry orbit at a time, on plans cached
+per graph (``_graph_plan``), per graph and distance pattern
+(``_table_plan``) and per catalog (``_catalog_plan``).  A direct call
+without the shared vertices recovers them by coordinate equality and tests
+both faces with ``face_is_degenerate``; on QuadExt points it frames the six
+points of its pair in one pass.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ from .geometry import (
     _isometries,
     _one_dimension,
     _orient3d,
+    _placed,
     _sq_distances,
     _sub,
     check_placement,
@@ -440,7 +437,7 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     if face_is_degenerate(*q1) or face_is_degenerate(*q2):
         return PairVerdict(faces, 0, "violation", "degenerate_face")
     v = _pair_check(q1, q2, shared, faces)
-    return _map_back(v, q1, ctx, _axis_scales(units), faces) if v.witness else v
+    return _map_back(v, q1, ctx, _axis_scales(units), faces, {}) if v.witness else v
 
 
 def _axis_scales(units):
@@ -449,25 +446,32 @@ def _axis_scales(units):
     return [((b != 0) + 2 * (c != 0) + 3 * (e != 0), a + b + c + e, d) for a, b, c, e, d in units]
 
 
-def _map_back(verdict: PairVerdict, t1, ctx, scales, faces) -> PairVerdict:
+def _map_back(verdict: PairVerdict, t1, ctx, scales, faces, built: dict) -> PairVerdict:
     """A violation on the int frame, whose first face is ``t1``, as a
     violation on ``faces``, each witness point built in the context ``ctx``
     one axis at a time (``numeric._on_axes``) through the per-axis
     ``scales`` (``_axis_scales``): a 2-D coplanar witness takes those of
-    the ``plane_axes`` of ``t1``."""
-    witness = verdict.witness
+    the ``plane_axes`` of ``t1``.  ``built`` keeps each (axes, x, w) as a
+    frozen Point, shared when met again; axes is None for an ambient one."""
+    witness, axes = verdict.witness, None
     if len(witness[0][0]) != len(scales):
-        scales = [scales[i] for i in plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))]
-    witness = tuple(Point(_on_axes(ctx, scales, x, w)) for x, w in witness)
-    return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, witness)
+        axes = plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))
+        scales = [scales[i] for i in axes]
+    points = []
+    for x, w in witness:
+        p = built.get((axes, x, w))
+        if p is None:
+            p = built[axes, x, w] = Point(_on_axes(ctx, scales, x, w))
+        points.append(p)
+    return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, tuple(points))
 
 
 @lru_cache(maxsize=16)
 def _graph_plan(graph):
-    """The graph's sorted 3-cliques, each as label indices too, and every
+    """The graph's sorted 3-cliques, each as label indices too, every
     clique pair a < b in order as (a, b, bits with a and b set, shared),
     ``shared`` the index pairs (i, j), clique a's i-th label equal to
-    clique b's j-th."""
+    clique b's j-th, and each clique's index."""
     cliques = tuple(enumerate_cliques3(graph))
     index = {v: k for k, v in enumerate(graph.vertices)}
     faces = tuple(tuple(map(index.__getitem__, f)) for f in cliques)
@@ -475,7 +479,18 @@ def _graph_plan(graph):
         (a, b, (1 << a) | (1 << b), tuple((i, fb.index(x)) for i, x in enumerate(fa) if x in fb))
         for (a, fa), (b, fb) in combinations(enumerate(faces), 2)
     )
-    return cliques, faces, pairs
+    return cliques, faces, pairs, {f: k for k, f in enumerate(cliques)}
+
+
+@lru_cache(maxsize=16)
+def _catalog_plan(graph, triangulations: tuple):
+    """Per triangulation, by its faces: clique ids, bit mask, face positions if unsorted."""
+    at, plan = _graph_plan(graph)[3], []
+    for faces in triangulations:
+        ids = [at[f] for f in faces]
+        pos = None if ids == sorted(ids) else {f: k for k, f in enumerate(faces)}
+        plan.append((tuple(ids), sum(1 << a for a in ids), pos))
+    return tuple(plan)
 
 
 @lru_cache(maxsize=256)
@@ -484,7 +499,7 @@ def _table_plan(graph, pattern: tuple):
     pairs under the isometry group of a distance ``pattern``
     (``geometry._isometries``), in the order of their first pairs, each as
     its member pairs, the graph plan's tuples, in pair order."""
-    cliques, faces, pairs = _graph_plan(graph)
+    cliques, faces, pairs, _ = _graph_plan(graph)
     # a clique's image is looked up by its label set, one bit per label; an
     # image that is no clique goes to the sink index m
     m = len(cliques)
@@ -520,24 +535,23 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     and witness is the pair's own, and an orbit with a degenerate face is
     all ``degenerate_face`` violations.  One matrix of squared distances
     gives the equality pattern the orbits depend on and tests each clique
-    for degeneracy once (``geometry._collinear``).  A report lists its
-    degenerate faces, then its violating face pairs in the order of
-    ``combinations(tri.faces, 2)``.  All of it runs on the placement's
-    ``geometry.integer_frame``, where labels on equal points are refused,
-    and each witness is built in the field; a placement with no frame
-    raises ValueError, one of two contexts ContextMismatchError.
+    for degeneracy once (``geometry._collinear``).  Each witness point is
+    built in the field once per call.  A report lists its degenerate faces,
+    then its violating face pairs in the order of ``combinations(tri.faces,
+    2)``, read through ``_catalog_plan``.  All of it runs on the
+    ``geometry.integer_frame`` of the graph's labels, where labels on equal
+    points are refused; a missing label or no frame raises ValueError, two
+    contexts ContextMismatchError.
     """
-    labels = catalog.task.graph.vertices
-    ctx, ints, units = integer_frame([p.coords for p in placement.values()])
-    placement = dict(zip(placement, ints))
-    check_placement(labels, placement)
-    ints = [placement[v] for v in labels]
+    graph = catalog.task.graph
+    ctx, ints, units = integer_frame([p.coords for p in _placed(graph.vertices, placement)])
+    check_placement(graph.vertices, dict(zip(graph.vertices, ints)))
     d = _sq_distances(ints, ctx, units)[0]
-    cliques, faces, orbits = _table_plan(catalog.task.graph, _distance_pattern(d))
+    cliques, faces, orbits = _table_plan(graph, _distance_pattern(d))
     points = [Point(p) for p in ints]
     corners = [(points[i], points[j], points[k]) for i, j, k in faces]
     degenerate = [_collinear(d, i, j, k) for i, j, k in faces]
-    scales = _axis_scales(units)
+    scales, built = _axis_scales(units), {}
     decided = []  # (a, b, bits, violation), sorted into pair order below
     for members in orbits:
         a, b = members[0][:2]
@@ -549,19 +563,15 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
             v = pair_intersection_check(corners[a], corners[b], shared)
             if v.admissible:
                 break  # the first pair: the whole orbit is admissible
-            i, j, k = faces[a]
-            v = _map_back(v, (ints[i], ints[j], ints[k]), ctx, scales, (cliques[a], cliques[b]))
+            t1 = [ints[i] for i in faces[a]]
+            v = _map_back(v, t1, ctx, scales, (cliques[a], cliques[b]), built)
             decided.append((a, b, bits, v))
     decided.sort()
-    at = {f: k for k, f in enumerate(cliques)}
     reports = []
-    for tri in catalog.triangulations:
-        face_ids = [at[f] for f in tri.faces]
-        mask = sum(1 << a for a in face_ids)
+    for face_ids, mask, pos in _catalog_plan(graph, tuple(t.faces for t in catalog.triangulations)):
         found = [v for _, _, bits, v in decided if mask & bits == bits]
-        if face_ids != sorted(face_ids):
+        if pos:
             # the order of combinations(tri.faces, 2): by the two faces' positions
-            pos = {f: k for k, f in enumerate(tri.faces)}
             found.sort(key=lambda v: sorted(map(pos.__getitem__, v.faces)))
         violations = [
             PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")

@@ -628,6 +628,23 @@ def test_predicate_digest_script_runs_its_sections():
         assert line.split()[1] == digest, line
 
 
+def test_walk_counts_script_totals():
+    # over the sweep grid verify_catalog takes 630 orbits and makes 911
+    # predicate calls; the violations among them return 420 witness points,
+    # of which 171 distinct ones are built in the field
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "walk_counts.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 17  # the source line, 15 placements, the totals
+    assert lines[-1].split() == [
+        "total", "calls=911", "orbits=630", "admissible=594", "violation=317",
+        "witness_points=420", "built=171",
+    ]
+
+
 # -- cold start ------------------------------------------------------------
 
 LAYERS = ("cli", "enumeration", "geometry", "numeric", "surfaces", "verify")

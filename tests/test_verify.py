@@ -9,6 +9,7 @@ from flextri.geometry import (
     Point,
     construction_coords,
     face_is_degenerate,
+    integer_frame,
     isometry_group,
     make_point,
     orientation_sign,
@@ -21,6 +22,7 @@ from flextri.numeric import (
     CTX_SQRT5,
     QQ,
     ContextMismatchError,
+    FieldContext,
     QuadExt,
     _reduced,
     solve_linear,
@@ -601,6 +603,79 @@ def test_verify_catalog_refuses_a_placement_of_two_contexts(moebius_points, moeb
         pair_intersection_check(*(tuple(points[v] for v in f) for f in ("ABC", "ADE")))
 
 
+def test_verify_catalog_frames_only_the_graphs_labels(suspension_points, torus_catalog):
+    # Z = (sqrt3, 0, 0) is no vertex of K_2,2,2,2: with it, axis 0 would mix
+    # sqrt2 and sqrt3 and have no int frame, but the graph's own points
+    # frame as before and give the same reports
+    z = make_point(CTX, QuadExt(0, 0, 1, ctx=CTX), 0, 0)
+    with pytest.raises(ValueError, match="axis 0 mixes basis elements"):
+        verify_catalog(dict(suspension_points, A=z), torus_catalog)
+    reports = verify_catalog(suspension_points, torus_catalog)
+    assert verify_catalog(dict(suspension_points, Z=z), torus_catalog) == reports
+    # a missing label is named before any frame is taken, here one that
+    # would have none
+    partial = {v: p for v, p in suspension_points.items() if v != "C"}
+    for points in (partial, dict(partial, A=z)):
+        with pytest.raises(ValueError, match=r"placement missing vertices \['C'\]"):
+            verify_catalog(points, torus_catalog)
+
+
+def test_two_equal_contexts_are_one_context(suspension_points, torus_catalog):
+    # a fresh FieldContext(2, 3) is another object equal to CTX: points of
+    # the two mixed are points of one field, to make_point, to the frame
+    # and to verify_catalog
+    fresh = FieldContext(2, 3)
+    assert fresh is not CTX and fresh == CTX
+
+    def rebuilt(p):
+        return Point(tuple(QuadExt(x.a, x.b, x.c, x.e, ctx=fresh) for x in p.coords))
+
+    # the fresh context first, so the frame reads CTX's values against it
+    mixed = {v: rebuilt(p) if v in "ACEG" else p for v, p in suspension_points.items()}
+    assert all(x.ctx is fresh for x in mixed["A"].coords)
+    for v, p in mixed.items():
+        assert make_point(CTX, *p.coords) == make_point(fresh, *p.coords) == suspension_points[v]
+    coords = [p.coords for p in suspension_points.values()]
+    assert integer_frame([p.coords for p in mixed.values()]) == integer_frame(coords)
+    assert verify_catalog(mixed, torus_catalog) == verify_catalog(suspension_points, torus_catalog)
+
+
+def test_verify_catalog_builds_each_witness_point_once(
+    monkeypatch, suspension_points, torus_catalog
+):
+    # each violating pair's int witness points are read back through one
+    # dict per call: a point met again, on the same axes, is the Point
+    # built the first time.  Below k = 3 the 16-cell diagram's 36 violating
+    # pairs give 48 points on 12 distinct ones; at k = 3 its 48 give 48 on
+    # 8; the suspension's 25 give 36 on 23 keys, of 6 distinct values, as a
+    # homogeneous (x, w) is keyed as the predicate returns it, unreduced
+    built, returned = [], []
+    on_axes, check = verify._on_axes, verify.pair_intersection_check
+
+    def build_spy(*args):
+        built.append(on_axes(*args))
+        return built[-1]
+
+    def check_spy(t1, t2, shared=None):
+        v = check(t1, t2, shared)
+        returned.extend(v.witness)
+        return v
+
+    monkeypatch.setattr(verify, "_on_axes", build_spy)
+    monkeypatch.setattr(verify, "pair_intersection_check", check_spy)
+    for points, n_points, n_built in (
+        (sixteen_cell_diagram(Fraction(2)), 48, 12),
+        (sixteen_cell_diagram(Fraction(3)), 48, 8),
+        (suspension_points, 36, 23),
+    ):
+        built.clear()
+        returned.clear()
+        reports = verify_catalog(points, torus_catalog)
+        assert (len(returned), len(built)) == (n_points, n_built)
+        witness = [p for r in reports for v in r.violations for p in v.witness]
+        assert len({id(p) for p in witness}) == n_built
+
+
 def test_per_axis_scaling_keeps_verdicts_and_kinds(
     suspension_points, moebius_points, torus_catalog, moebius_catalog
 ):
@@ -907,7 +982,7 @@ def test_map_back_equals_the_generic_build():
         ((((6, -9), 12), ((0, 4), 3), ((-1, 0), 1)), "coplanar_overlap", (1, 2)),
     ):
         v = PairVerdict(faces, 0, "violation", kind, witness)
-        mapped = _map_back(v, t1, CTX, _axis_scales(units), faces)
+        mapped = _map_back(v, t1, CTX, _axis_scales(units), faces, {})
         assert (mapped.faces, mapped.shared, mapped.kind) == (faces, 0, kind)
         assert mapped.witness == generic(witness, [units[i] for i in axes])
 
