@@ -11,7 +11,10 @@ call on the torus catalog, and one line:
 - ``witness_points``: the points of the int witnesses those violations
   return, each of which the report names as a field point;
 - ``built``: the field points ``_map_back`` builds for them, one
-  ``numeric._on_axes`` call each.
+  ``numeric._on_axes`` call each;
+- ``distinct``: the distinct values among the witness points of the
+  reports.  ``_map_back`` keys each point by its lowest terms, so
+  ``built`` equals ``distinct``; more would mean a value built twice.
 
 A last line gives the totals.  The counts are deterministic: they depend on
 the placements and the code, not on the machine.
@@ -27,7 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FIELDS = ("orbits", "admissible", "violation", "witness_points", "built")
+FIELDS = ("orbits", "admissible", "violation", "witness_points", "built", "distinct")
 
 
 def _spy(module, name, count):
@@ -79,7 +82,8 @@ def main() -> int:
             else construction_coords(construction, RealizationParams(k))
         )
         counts.update(dict.fromkeys(FIELDS, 0))
-        verify.verify_catalog(points, catalog)
+        reports = verify.verify_catalog(points, catalog)
+        counts["distinct"] = len({p for r in reports for v in r.violations for p in v.witness})
         for name in FIELDS:
             totals[name] += counts[name]
         print(f"{placement_key(construction, k):<24}"

@@ -200,17 +200,21 @@ def _sq_distances(pts, ctx, units) -> tuple[list[list[int]], int]:
     |p_i - p_j|^2 = d[i][j] / den.  The squared distance of two int points
     is sum_i s_i^2 (x_i - y_i)^2; s_i is a rational times one basis element,
     so s_i^2 = (a^2 + d1 b^2 + d2 c^2 + d1 d2 e^2) / d^2 is rational, read
-    off its raw ints, and the weights are the s_i^2 over their common
-    denominator."""
+    off its raw ints, and the weights are the s_i^2 over their least
+    common denominator: over the lcm of the d^2, then reduced by one gcd."""
     d1, d2 = ctx.d1, ctx.d2
-    sq = [Fraction(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d)
-          for a, b, c, e, d in units]
-    den = math.lcm(*(q.denominator for q in sq))
-    weights = [q.numerator * (den // q.denominator) for q in sq]
-    n = len(pts)
+    sq = [(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d) for a, b, c, e, d in units]
+    den = math.lcm(*[m for _, m in sq])
+    weights = [n * (den // m) for n, m in sq]
+    g = math.gcd(den, *weights)
+    weights, den, n = [w // g for w in weights], den // g, len(pts)
     d = [[0] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        d[i][j] = d[j][i] = sum(w * (x - y) ** 2 for w, x, y in zip(weights, pts[i], pts[j]))
+    for i, p in enumerate(pts):
+        for j in range(i + 1, n):
+            s = 0
+            for w, x, y in zip(weights, p, pts[j]):
+                s += w * (x - y) * (x - y)
+            d[i][j] = d[j][i] = s
     return d, den
 
 

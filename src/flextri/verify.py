@@ -22,22 +22,23 @@ inside the first face is found on its plane, on the one form
 ``_edge_lines`` gives of its edge lines on a coordinate pair: the polygon
 clip ``_clip`` of a coplanar pair and the segment clip ``_clip_segment``
 of a trace, or of [v, x] for a pair on one vertex v.  A witness leaves the
-body as homogeneous points and each coordinate x / w is built in the
-field on its axis alone: g x / (d w) for an axis scale g / d times one
+body as homogeneous points; each value is built in the field once per
+call, on its axes alone: g x / (d w) for an axis scale g / d times one
 basis element (``_map_back``; a 2-D coplanar witness on the first face's
-``plane_axes``).  ``verify_catalog`` decides each clique pair of a
-catalog once per placement, one isometry orbit at a time, on plans cached
-per graph (``_graph_plan``), per graph and distance pattern
-(``_table_plan``) and per catalog (``_catalog_plan``).  A direct call
-without the shared vertices recovers them by coordinate equality and tests
-both faces with ``face_is_degenerate``; on QuadExt points it frames the six
-points of its pair in one pass.
+``plane_axes``).  ``verify_catalog`` decides each clique pair of a catalog
+once per placement, one isometry orbit at a time, and files each violation
+into the reports that hold both faces, on plans cached per graph
+(``_graph_plan``), per graph and distance pattern (``_table_plan``) and
+per catalog (``_catalog_plan``).  A direct call without the shared
+vertices recovers them by coordinate equality and tests both faces with
+``face_is_degenerate``; on QuadExt points it frames its six points at once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from operator import itemgetter
 
 from .geometry import (
@@ -104,9 +105,12 @@ def _crossing(p, h, q, k):
 
 def _dedupe(points):
     seen = []
-    for x, w in points:
-        if all(any(a * v != b * w for a, b in zip(x, y)) for y, v in seen):
-            seen.append((x, w))
+    for (x, y), w in points:
+        for (a, b), v in seen:
+            if x * v == a * w and y * v == b * w:
+                break
+        else:
+            seen.append(((x, y), w))
     return seen
 
 
@@ -150,8 +154,8 @@ def _clip(poly, tri, axes):
     """Sutherland-Hodgman on homogeneous points: the part of the convex
     polygon ``poly``, the second face of a coplanar pair, inside the closed
     triangle ``tri`` of int points, read on the coordinate pair ``axes``
-    (``_edge_lines``), in walking order.  The walk is closed, so it can
-    repeat a point."""
+    (``_edge_lines``), in walking order, or ``poly`` itself when no edge
+    line cuts it.  The walk is closed, so it can repeat a point."""
     i, j = axes
     for dx, dy, c0 in _edge_lines(tri, axes):
         if not poly:
@@ -221,14 +225,15 @@ def _coplanar_check(t1, t2, shared, axes):
     t1[i] == t2[j].  Returns (admissible, witness, kind)."""
     i, j = axes
     t1, t2 = ([(p[i], p[j]) for p in t] for t in (t1, t2))
-    poly = _dedupe(_clip([(q, 1) for q in t2], t1, (0, 1)))
+    poly = [(q, 1) for q in t2]
+    clipped = _clip(poly, t1, (0, 1))
     shared_pts = [t1[k] for k, _ in shared]
-    offenders = [p for p in poly if not _in_shared_hull(p, shared_pts)]
+    offenders = [p for p in _dedupe(clipped) if not _in_shared_hull(p, shared_pts)]
     if not offenders:
         return True, (), None
-    contained = any(
-        all(dx * y - dy * x + c0 >= 0 for dx, dy, c0 in _edge_lines(s, (0, 1)) for x, y in t)
-        for s, t in ((t2, t1), (t1, t2))
+    # T2 lies in T1 when no edge line of T1 cut it: the clip returned it
+    contained = clipped is poly or all(
+        dx * y - dy * x + c0 >= 0 for dx, dy, c0 in _edge_lines(t2, (0, 1)) for x, y in t1
     )
     kind = "containment" if contained else "coplanar_overlap"
     return False, tuple(offenders), kind
@@ -437,7 +442,7 @@ def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     if face_is_degenerate(*q1) or face_is_degenerate(*q2):
         return PairVerdict(faces, 0, "violation", "degenerate_face")
     v = _pair_check(q1, q2, shared, faces)
-    return _map_back(v, q1, ctx, _axis_scales(units), faces, {}) if v.witness else v
+    return _map_back(v, (0, 1, 2), q, ctx, _axis_scales(units), faces, None) if v.witness else v
 
 
 def _axis_scales(units):
@@ -446,37 +451,42 @@ def _axis_scales(units):
     return [((b != 0) + 2 * (c != 0) + 3 * (e != 0), a + b + c + e, d) for a, b, c, e, d in units]
 
 
-def _map_back(verdict: PairVerdict, t1, ctx, scales, faces, built: dict) -> PairVerdict:
-    """A violation on the int frame, whose first face is ``t1``, as a
-    violation on ``faces``, each witness point built in the context ``ctx``
-    one axis at a time (``numeric._on_axes``) through the per-axis
-    ``scales`` (``_axis_scales``): a 2-D coplanar witness takes those of
-    the ``plane_axes`` of ``t1``.  ``built`` keeps each (axes, x, w) as a
-    frozen Point, shared when met again; axes is None for an ambient one."""
+def _map_back(verdict: PairVerdict, face, pts, ctx, scales, faces, built) -> PairVerdict:
+    """The violation ``verdict`` on the int frame, named in place by
+    ``faces``, each witness point built in the context ``ctx`` one axis at
+    a time (``numeric._on_axes``) through the per-axis ``scales``
+    (``_axis_scales``), a 2-D coplanar one through those of the
+    ``plane_axes`` of the first face, ``pts`` at the indices ``face``.
+    ``built`` maps (axes, x, w), axes None if ambient, to the Point of x / w;
+    a miss looks up (x / g, w / g), g = gcd(w, *x), too; None builds anew."""
     witness, axes = verdict.witness, None
     if len(witness[0][0]) != len(scales):
-        axes = plane_axes(_sub(t1[1], t1[0]), _sub(t1[2], t1[0]))
+        p0, p1, p2 = [pts[i] for i in face]
+        axes = plane_axes(_sub(p1, p0), _sub(p2, p0))
         scales = [scales[i] for i in axes]
     points = []
     for x, w in witness:
-        p = built.get((axes, x, w))
+        p = Point(_on_axes(ctx, scales, x, w)) if built is None else built.get((axes, x, w))
         if p is None:
-            p = built[axes, x, w] = Point(_on_axes(ctx, scales, x, w))
+            g = gcd(w, *x)
+            key = axes, tuple([a // g for a in x]), w // g
+            p = built.get(key) or Point(_on_axes(ctx, scales, key[1], key[2]))
+            built[key] = built[axes, x, w] = p
         points.append(p)
-    return PairVerdict(faces, verdict.shared, verdict.verdict, verdict.kind, tuple(points))
+    verdict.faces, verdict.witness = faces, tuple(points)
+    return verdict
 
 
 @lru_cache(maxsize=16)
 def _graph_plan(graph):
-    """The graph's sorted 3-cliques, each as label indices too, every
-    clique pair a < b in order as (a, b, bits with a and b set, shared),
-    ``shared`` the index pairs (i, j), clique a's i-th label equal to
-    clique b's j-th, and each clique's index."""
+    """The graph's sorted 3-cliques, each as label indices too, every clique
+    pair a < b in order as (a, b, shared), ``shared`` the index pairs (i, j),
+    clique a's i-th label equal to clique b's j-th, and each clique's index."""
     cliques = tuple(enumerate_cliques3(graph))
     index = {v: k for k, v in enumerate(graph.vertices)}
     faces = tuple(tuple(map(index.__getitem__, f)) for f in cliques)
     pairs = tuple(
-        (a, b, (1 << a) | (1 << b), tuple((i, fb.index(x)) for i, x in enumerate(fa) if x in fb))
+        (a, b, tuple((i, fb.index(x)) for i, x in enumerate(fa) if x in fb))
         for (a, fa), (b, fb) in combinations(enumerate(faces), 2)
     )
     return cliques, faces, pairs, {f: k for k, f in enumerate(cliques)}
@@ -484,13 +494,13 @@ def _graph_plan(graph):
 
 @lru_cache(maxsize=16)
 def _catalog_plan(graph, triangulations: tuple):
-    """Per triangulation, by its faces: clique ids, bit mask, face positions if unsorted."""
-    at, plan = _graph_plan(graph)[3], []
-    for faces in triangulations:
-        ids = [at[f] for f in faces]
-        pos = None if ids == sorted(ids) else {f: k for k, f in enumerate(faces)}
-        plan.append((tuple(ids), sum(1 << a for a in ids), pos))
-    return tuple(plan)
+    """Per triangulation its clique ids and, unless in clique order, each
+    face's position; per clique the set of triangulations that hold it."""
+    at = _graph_plan(graph)[3]
+    ids = [[at[f] for f in faces] for faces in triangulations]
+    plan = tuple((tuple(c), None if c == sorted(c) else {f: k for k, f in enumerate(faces)})
+                 for c, faces in zip(ids, triangulations))
+    return plan, tuple(frozenset(t for t, c in enumerate(ids) if a in c) for a in range(len(at)))
 
 
 @lru_cache(maxsize=256)
@@ -535,10 +545,10 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     and witness is the pair's own, and an orbit with a degenerate face is
     all ``degenerate_face`` violations.  One matrix of squared distances
     gives the equality pattern the orbits depend on and tests each clique
-    for degeneracy once (``geometry._collinear``).  Each witness point is
+    for degeneracy once (``geometry._collinear``).  Each witness value is
     built in the field once per call.  A report lists its degenerate faces,
     then its violating face pairs in the order of ``combinations(tri.faces,
-    2)``, read through ``_catalog_plan``.  All of it runs on the
+    2)``, each filed through ``_catalog_plan``.  All of it runs on the
     ``geometry.integer_frame`` of the graph's labels, where labels on equal
     points are refused; a missing label or no frame raises ValueError, two
     contexts ContextMismatchError.
@@ -550,32 +560,33 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     cliques, faces, orbits = _table_plan(graph, _distance_pattern(d))
     points = [Point(p) for p in ints]
     corners = [(points[i], points[j], points[k]) for i, j, k in faces]
-    degenerate = [_collinear(d, i, j, k) for i, j, k in faces]
+    degenerate = {c for c, (i, j, k) in enumerate(faces) if _collinear(d, i, j, k)}
     scales, built = _axis_scales(units), {}
-    decided = []  # (a, b, bits, violation), sorted into pair order below
+    decided = []  # (a, b, violation), sorted into pair order below
     for members in orbits:
         a, b = members[0][:2]
-        if degenerate[a] or degenerate[b]:
-            decided += [(a, b, bits, PairVerdict((cliques[a], cliques[b]), 0, "violation",
-                                                 "degenerate_face")) for a, b, bits, _ in members]
+        if a in degenerate or b in degenerate:
+            decided += [(a, b, PairVerdict((cliques[a], cliques[b]), 0, "violation",
+                                           "degenerate_face")) for a, b, _ in members]
             continue
-        for a, b, bits, shared in members:
+        for a, b, shared in members:
             v = pair_intersection_check(corners[a], corners[b], shared)
             if v.admissible:
                 break  # the first pair: the whole orbit is admissible
-            t1 = [ints[i] for i in faces[a]]
-            v = _map_back(v, t1, ctx, scales, (cliques[a], cliques[b]), built)
-            decided.append((a, b, bits, v))
+            v = _map_back(v, faces[a], ints, ctx, scales, (cliques[a], cliques[b]), built)
+            decided.append((a, b, v))
     decided.sort()
+    plan, held = _catalog_plan(graph, tuple(t.faces for t in catalog.triangulations))
+    founds = [[] for _ in plan]
+    for a, b, v in decided:  # in pair order, to each triangulation of both faces
+        for t in held[a] & held[b]:
+            founds[t].append(v)
     reports = []
-    for face_ids, mask, pos in _catalog_plan(graph, tuple(t.faces for t in catalog.triangulations)):
-        found = [v for _, _, bits, v in decided if mask & bits == bits]
+    for (face_ids, pos), found in zip(plan, founds):
         if pos:
             # the order of combinations(tri.faces, 2): by the two faces' positions
             found.sort(key=lambda v: sorted(map(pos.__getitem__, v.faces)))
-        violations = [
-            PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")
-            for a in face_ids if degenerate[a]
-        ]
-        reports.append(EmbeddingReport(violations + found))
+        lone = [PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")
+                for a in face_ids if a in degenerate] if degenerate else []
+        reports.append(EmbeddingReport(lone + found))
     return reports

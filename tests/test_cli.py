@@ -631,7 +631,7 @@ def test_predicate_digest_script_runs_its_sections():
 def test_walk_counts_script_totals():
     # over the sweep grid verify_catalog takes 630 orbits and makes 911
     # predicate calls; the violations among them return 420 witness points,
-    # of which 171 distinct ones are built in the field
+    # of which the 86 distinct values are built in the field, each once
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "walk_counts.py")],
         capture_output=True, text=True, timeout=120,
@@ -639,9 +639,12 @@ def test_walk_counts_script_totals():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 17  # the source line, 15 placements, the totals
+    for line in lines[1:]:
+        counts = dict(field.split("=") for field in line.split()[1:])
+        assert counts["built"] == counts["distinct"], line
     assert lines[-1].split() == [
         "total", "calls=911", "orbits=630", "admissible=594", "violation=317",
-        "witness_points=420", "built=171",
+        "witness_points=420", "built=86", "distinct=86",
     ]
 
 

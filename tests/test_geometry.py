@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -590,6 +591,39 @@ def test_gram_test_equals_face_is_degenerate_on_every_clique(
             assert degenerate == face_is_degenerate(*(points[v].coords for v in f))
             found += degenerate
     assert found == 2  # ABE on each of the two Moebius frames
+
+
+def _sq_distances_reference(pts, ctx, units):
+    """``_sq_distances`` by ``Fraction``: each s_i^2 as a Fraction, the
+    weights over the lcm of their denominators, one generator sum per pair."""
+    d1, d2 = ctx.d1, ctx.d2
+    sq = [Fraction(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d)
+          for a, b, c, e, d in units]
+    den = math.lcm(*(q.denominator for q in sq))
+    weights = [q.numerator * (den // q.denominator) for q in sq]
+    n = len(pts)
+    d = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = sum(w * (x - y) ** 2 for w, x, y in zip(weights, pts[i], pts[j]))
+    return d, den
+
+
+def test_sq_distances_equals_the_fraction_reference():
+    # seeded scales on every basis slot of each field, with numerators and
+    # denominators that share factors or not, in R^3 and R^4: the matrix
+    # and the lowest-terms den, which the metrics divide by, both agree
+    rng = random.Random(20221)
+    for ctx, slots in ((QQ, (0,)), (CTX_SQRT5, (0, 1)), (CTX, (0, 1, 2, 3))):
+        for dim in (3, 4):
+            for _ in range(60):
+                units = []
+                for _ in range(dim):
+                    unit = [0, 0, 0, 0, rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35))]
+                    unit[rng.choice(slots)] = rng.randint(1, 12)
+                    units.append(unit)
+                pts = [tuple(rng.randint(-20, 20) for _ in range(dim))
+                       for _ in range(rng.randint(2, 8))]
+                assert _sq_distances(pts, ctx, units) == _sq_distances_reference(pts, ctx, units)
 
 
 def test_placement_rejects_colliding_labels(moebius_catalog, moebius_points):

@@ -644,11 +644,11 @@ def test_verify_catalog_builds_each_witness_point_once(
     monkeypatch, suspension_points, torus_catalog
 ):
     # each violating pair's int witness points are read back through one
-    # dict per call: a point met again, on the same axes, is the Point
-    # built the first time.  Below k = 3 the 16-cell diagram's 36 violating
-    # pairs give 48 points on 12 distinct ones; at k = 3 its 48 give 48 on
-    # 8; the suspension's 25 give 36 on 23 keys, of 6 distinct values, as a
-    # homogeneous (x, w) is keyed as the predicate returns it, unreduced
+    # dict per call, keyed in lowest terms: a value met again, on the same
+    # axes, is the Point built the first time, however the predicate wrote
+    # it.  Below k = 3 the 16-cell diagram's 36 violating pairs give 48
+    # points on 12 distinct values; at k = 3 its 48 give 48 on 8; the
+    # suspension's 25 give 36 on 6, reached by 23 distinct (x, w)
     built, returned = [], []
     on_axes, check = verify._on_axes, verify.pair_intersection_check
 
@@ -666,14 +666,14 @@ def test_verify_catalog_builds_each_witness_point_once(
     for points, n_points, n_built in (
         (sixteen_cell_diagram(Fraction(2)), 48, 12),
         (sixteen_cell_diagram(Fraction(3)), 48, 8),
-        (suspension_points, 36, 23),
+        (suspension_points, 36, 6),
     ):
         built.clear()
         returned.clear()
         reports = verify_catalog(points, torus_catalog)
         assert (len(returned), len(built)) == (n_points, n_built)
         witness = [p for r in reports for v in r.violations for p in v.witness]
-        assert len({id(p) for p in witness}) == n_built
+        assert len({id(p) for p in witness}) == len(set(witness)) == n_built
 
 
 def test_per_axis_scaling_keeps_verdicts_and_kinds(
@@ -981,10 +981,12 @@ def test_map_back_equals_the_generic_build():
          "interior_crossing", range(4)),
         ((((6, -9), 12), ((0, 4), 3), ((-1, 0), 1)), "coplanar_overlap", (1, 2)),
     ):
-        v = PairVerdict(faces, 0, "violation", kind, witness)
-        mapped = _map_back(v, t1, CTX, _axis_scales(units), faces, {})
-        assert (mapped.faces, mapped.shared, mapped.kind) == (faces, 0, kind)
-        assert mapped.witness == generic(witness, [units[i] for i in axes])
+        # through a dict, as verify_catalog maps, and with none, as a direct call
+        for built in ({}, None):
+            v = PairVerdict(faces, 0, "violation", kind, witness)
+            mapped = _map_back(v, (0, 1, 2), t1, CTX, _axis_scales(units), faces, built)
+            assert (mapped.faces, mapped.shared, mapped.kind) == (faces, 0, kind)
+            assert mapped.witness == generic(witness, [units[i] for i in axes])
 
 
 def test_pairs_and_placements_of_mixed_dimension_are_refused(moebius_points, moebius_catalog):
@@ -1111,6 +1113,62 @@ def _relabelled(catalog, seed):
                       for t in catalog.triangulations]
     assert any(list(t.faces) != sorted(t.faces) for t in triangulations)
     return Catalog(catalog.task, triangulations, catalog.rejected)
+
+
+def _scan_reports(catalog, violations, degenerate):
+    """Each triangulation's report as a scan of the placement's
+    ``violations``, keyed by their two cliques, assembles it: its faces in
+    ``degenerate``, then every violation whose two faces it holds, in the
+    order of ``combinations(tri.faces, 2)``."""
+    reports = []
+    for tri in catalog.triangulations:
+        found = [PairVerdict((f, f), 3, "violation", "degenerate_face")
+                 for f in tri.faces if f in degenerate]
+        found += [v for a, b in combinations(tri.faces, 2)
+                  if (v := violations.get(frozenset((a, b))))]
+        reports.append(EmbeddingReport(found))
+    return reports
+
+
+def test_reports_equal_the_scan_of_every_violation(
+    monkeypatch, sweep_placements, moebius_points, torus_catalog, moebius_catalog
+):
+    # verify_catalog files each violation into the triangulations that hold
+    # both of its faces, from each clique's bit mask of them; a scan of all
+    # violations per triangulation gives the same reports in the same
+    # order, on sorted catalogs and on relabelled ones whose faces are not
+    # in clique order, with and without degenerate faces (ABE at E = 2B)
+    violations = {}
+    map_back = verify._map_back
+
+    def spy(*args):
+        v = map_back(*args)
+        violations[frozenset(v.faces)] = v
+        return v
+
+    monkeypatch.setattr(verify, "_map_back", spy)
+    collinear = dict(moebius_points, E=scale(moebius_points["B"], 2))
+    cases = [(points, torus_catalog) for points in sweep_placements.values()] + [
+        (ASYMMETRIC_TORUS, torus_catalog),
+        (RANDOM_START_TORUS, torus_catalog),
+        (ASYMMETRIC_TORUS, _relabelled(torus_catalog, 31)),
+        (sweep_placements["suspension:14/5"], _relabelled(torus_catalog, 33)),
+        (collinear, moebius_catalog),
+        (collinear, _relabelled(moebius_catalog, 32)),
+    ]
+    found = 0
+    for points, catalog in cases:
+        cliques = enumerate_cliques3(catalog.task.graph)
+        degenerate = {f for f in cliques if face_is_degenerate(*(points[v].coords for v in f))}
+        violations.clear()
+        reports = verify_catalog(points, catalog)
+        violations.update(
+            (frozenset((a, b)), PairVerdict((a, b), 0, "violation", "degenerate_face"))
+            for a, b in combinations(cliques, 2) if a in degenerate or b in degenerate
+        )
+        assert reports == _scan_reports(catalog, violations, degenerate)
+        found += sum(len(r.violations) for r in reports)
+    assert found
 
 
 def _catalog_orbits(group, catalog):
