@@ -7,7 +7,7 @@ named placements in QuadExt coordinates, and ``orthogonal_project`` drops
 one axis.  ``integer_frame`` is the one way from the field to exact int
 arithmetic: it writes coordinate tuples of one context whose axes each
 carry one basis element of the field as int tuples under a positive scale
-per axis, each scale as its raw ints, and refuses any other point set.
+per axis, each scale as (slot, g, d), and refuses any other point set.
 ``plane_axes``, ``face_is_degenerate`` and ``orientation_sign`` take
 coordinate tuples, so they serve field points and the int frame alike.
 The metrics and ``isometry_group`` run on the int frame too: each s_i^2 is
@@ -162,13 +162,13 @@ def integer_frame(coords):
     naming the axis when an axis mixes basis elements.  The coordinates are
     read as their int numerators and denominator: a value with one nonzero
     numerator is in lowest terms.  Returns the context, one int tuple per
-    input, and each s_i as its raw numerators and denominator
-    [a, b, c, e, d], s_i = (a + b sqrt d1 + c sqrt d2 + e sqrt(d1 d2)) / d,
-    one of a, b, c, e nonzero and d > 0.
+    input, and each s_i as (slot, g, d): g / d > 0 times the basis element
+    of its slot (0 to 3: 1, sqrt d1, sqrt d2, sqrt(d1 d2)), the form that
+    ``numeric._on_axes`` and ``_sq_distances`` read.
     """
     _one_dimension(coords)
     ctx = coords[0][0].ctx if coords else None
-    columns, units = [], []
+    columns, scales = [], []
     for i, axis in enumerate(zip(*coords)):
         ns = []
         for x in axis:
@@ -188,22 +188,20 @@ def integer_frame(coords):
             nums = [x * (den // d) for x, d in zip(nums, dens)]
         g = math.gcd(*nums) or 1
         columns.append(nums if g == 1 else [x // g for x in nums])
-        unit = [0, 0, 0, 0, den]
-        unit[slot] = g
-        units.append(unit)
-    return ctx, list(zip(*columns)), units
+        scales.append((slot, g, den))
+    return ctx, list(zip(*columns)), scales
 
 
-def _sq_distances(pts, ctx, units) -> tuple[list[list[int]], int]:
+def _sq_distances(pts, ctx, scales) -> tuple[list[list[int]], int]:
     """The squared distances of int frame points ``pts`` under the frame's
-    context and ``units``: (d, den), an int matrix and an int den > 0 with
-    |p_i - p_j|^2 = d[i][j] / den.  The squared distance of two int points
-    is sum_i s_i^2 (x_i - y_i)^2; s_i is a rational times one basis element,
-    so s_i^2 = (a^2 + d1 b^2 + d2 c^2 + d1 d2 e^2) / d^2 is rational, read
-    off its raw ints, and the weights are the s_i^2 over their least
-    common denominator: over the lcm of the d^2, then reduced by one gcd."""
-    d1, d2 = ctx.d1, ctx.d2
-    sq = [(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d) for a, b, c, e, d in units]
+    context and ``scales`` (slot, g, d): (d, den), an int matrix and an int
+    den > 0 with |p_i - p_j|^2 = d[i][j] / den.  The squared distance of
+    two int points is sum_i s_i^2 (x_i - y_i)^2, and s_i^2 = g^2 (1, d1,
+    d2, d1 d2)[slot] / d^2 is rational; the weights are the s_i^2 over
+    their least common denominator: over the lcm of the d^2, then reduced
+    by one gcd."""
+    squares = 1, ctx.d1, ctx.d2, ctx.d1 * ctx.d2
+    sq = [(g * g * squares[slot], d * d) for slot, g, d in scales]
     den = math.lcm(*[m for _, m in sq])
     weights = [n * (den // m) for n, m in sq]
     g = math.gcd(den, *weights)
@@ -286,8 +284,8 @@ def isometry_group(labels, placement: dict) -> list[dict]:
     comes first.
     """
     labels = list(labels)
-    ctx, ints, units = integer_frame([p.coords for p in _placed(labels, placement)])
-    perms = _isometries(_distance_pattern(_sq_distances(ints, ctx, units)[0]))
+    ctx, ints, scales = integer_frame([p.coords for p in _placed(labels, placement)])
+    perms = _isometries(_distance_pattern(_sq_distances(ints, ctx, scales)[0]))
     return [dict(zip(labels, map(labels.__getitem__, p))) for p in perms]
 
 
@@ -405,8 +403,8 @@ SHAPES = ("equilateral", "isosceles", "scalene")
 def _distance_matrix(points) -> tuple:
     """(ctx, d, den): the context of a list of Points and their squared
     distances on its int frame, |p_i - p_j|^2 = d[i][j] / den."""
-    ctx, ints, units = integer_frame([p.coords for p in points])
-    return ctx, *_sq_distances(ints, ctx, units)
+    ctx, ints, scales = integer_frame([p.coords for p in points])
+    return ctx, *_sq_distances(ints, ctx, scales)
 
 
 def _det(m) -> int:

@@ -68,10 +68,14 @@ def enumerate_cliques3(graph: LabeledGraph) -> list[Triangle]:
 
 
 class Triangulation(_Value, frozen=True):
+    """A face set over ``graph``, its faces stored sorted whatever order
+    they come in: equal face sets give equal, equally hashed
+    triangulations, and readers may rely on that order."""
+
     __slots__ = ("graph", "faces")
 
     def __init__(self, graph: LabeledGraph, faces: tuple[Triangle, ...]):
-        self._set_slots(graph, faces)  # faces in canonical order
+        self._set_slots(graph, tuple(sorted(faces)))
 
 
 def _face_edges(f: Triangle) -> tuple[frozenset, frozenset, frozenset]:

@@ -6,32 +6,32 @@ shared vertex, or the shared edge).  Every decision reduces to exact signs
 of int expressions; degenerate configurations (coplanarity, collinear
 contact) are decided by case analysis, never perturbed.
 
-The predicate body, ``_pair_check``, takes two faces of int coordinate
-tuples and their shared vertices as index pairs (i, j), t1[i] == t2[j].
-Field points reach it through ``geometry.integer_frame``: int points times
-one positive scale per axis, a rational multiple of one basis element of
-the field, a diagonal map that keeps every sign the predicate tests.
-``_check_dim3`` decides the pairs of R^3, and those of R^4 and up whose
-points span a flat of dimension 3 at most, on three coordinates onto which
-it projects one-to-one; ``_check_rank`` dispatches a pair of R^4 and up on
-that affine rank.  The plane values alone decide a pair whose vertices off
-the shared ones lie strictly on one side of the first face's plane.  A
-point the body derives is homogeneous, an int numerator tuple over a
-positive int denominator, compared by cross-multiplication.  What lies
-inside the first face is found on its plane, on the one form
-``_edge_lines`` gives of its edge lines on a coordinate pair: the polygon
-clip ``_clip`` of a coplanar pair and the segment clip ``_clip_segment``
-of a trace, or of [v, x] for a pair on one vertex v.  A witness leaves the
-body as homogeneous points; each value is built in the field once per
-call, on its axes alone: g x / (d w) for an axis scale g / d times one
-basis element (``_map_back``; a 2-D coplanar witness on the first face's
-``plane_axes``).  ``verify_catalog`` decides each clique pair of a catalog
-once per placement, one isometry orbit at a time, and files each violation
-into the reports that hold both faces, on plans cached per graph
-(``_graph_plan``), per graph and distance pattern (``_table_plan``) and
-per catalog (``_catalog_plan``).  A direct call without the shared
-vertices recovers them by coordinate equality and tests both faces with
-``face_is_degenerate``; on QuadExt points it frames its six points at once.
+The one predicate, ``pair_intersection_check``, takes two faces of Points.
+Field points it frames (``geometry.integer_frame``): int points times one
+positive scale per axis, a rational multiple of one basis element of the
+field, a diagonal map that keeps every sign the predicate tests.  It then
+tests both faces for degeneracy, recovers the shared vertices as index
+pairs (i, j), t1[i] == t2[j], when none are given, and dispatches on
+dimension.  ``_check_dim3`` decides the pairs of R^3, and those of R^4 and
+up whose points span a flat of dimension 3 at most, on three coordinates
+onto which it projects one-to-one; ``_check_rank`` dispatches a pair of
+R^4 and up on that affine rank.  The plane values alone decide a pair
+whose vertices off the shared ones lie strictly on one side of the first
+face's plane.  A point the predicate derives is homogeneous, an int
+numerator tuple over a positive int denominator, compared by
+cross-multiplication.  What lies inside the first face is found on its
+plane, on the one form ``_edge_lines`` gives of its edge lines on a
+coordinate pair: the polygon clip ``_clip`` of a coplanar pair and the
+segment clip ``_clip_segment`` of a trace, or of [v, x] for a pair on one
+vertex v.  A witness leaves the int frame as homogeneous points; each value
+is built in the field once per call, on its axes alone: g x / (d w) for an
+axis scale (slot, g, d), g / d times one basis element (``_map_back``; a
+2-D coplanar witness on the first face's ``plane_axes``).
+``verify_catalog`` decides each clique pair of a catalog once per
+placement, one isometry orbit at a time, on int Points with the shared
+vertices given, and files each violation into the reports that hold both
+faces, on plans cached per graph (``_graph_plan``), per graph and distance
+pattern (``_table_plan``) and per catalog (``_catalog_plan``).
 """
 
 from __future__ import annotations
@@ -389,76 +389,64 @@ def _check_rank(t1, t2, shared):
     return _check_dim3(t1, t2, shared, (tuple(map(get, t1)), tuple(map(get, t2))))
 
 
-# -- public predicates -----------------------------------------------------
-
-def _pair_check(t1, t2, shared, faces) -> PairVerdict:
-    """The pair predicate on two nondegenerate faces of int coordinate
-    tuples; the verdict names ``faces``."""
-    if shared is None:
-        shared = [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
-    n_shared = len(shared)
-    if n_shared == 3:
-        return PairVerdict(faces, 3, "violation", "coplanar_overlap", tuple((p, 1) for p in t1))
-    dim = len(t1[0])
-    if dim < 3:
-        raise ValueError(f"unsupported dimension {dim}")
-    ok, witness, kind = (_check_dim3 if dim == 3 else _check_rank)(t1, t2, shared)
-    if ok:
-        return PairVerdict(faces, n_shared, "admissible")
-    return PairVerdict(faces, n_shared, "violation", kind, witness)
-
+# -- the public predicate --------------------------------------------------
 
 def pair_intersection_check(t1, t2, shared=None) -> PairVerdict:
     """Exact verdict for one pair of triangles (tuples of Points of R^3 or
     higher).
 
-    ``shared`` is a sequence of index pairs (i, j) with t1[i] == t2[j]; when
-    omitted it is recovered from coordinate equality, and both faces are
-    tested for degeneracy first: a face with collinear vertices makes the
-    pair a ``degenerate_face`` violation.  Passing ``shared``, as
-    ``verify_catalog`` does once it has tested every clique, turns that
-    test off for int points.  Six points of more than one dimension, or of
-    a dimension below 3, raise ValueError.  QuadExt points are always
-    tested, then decided on the int frame of the six points
+    ``shared`` is a sequence of index pairs (i, j) with t1[i] == t2[j].
+    QuadExt points are decided on the int frame of their six points
     (``geometry.integer_frame``, in one pass over their coordinates), and a
-    witness is mapped back; a pair with no frame raises ValueError, and a
-    pair of two contexts ContextMismatchError.  Int points are a frame,
-    decided as given, and each witness point is homogeneous, (x, w), x an
-    int tuple (of length 2 for a coplanar witness), w a positive int.  The
-    verdict names the faces by the Points given, of either kind.
+    witness is mapped back (``_map_back``); a pair with no frame raises
+    ValueError, and a pair of two contexts ContextMismatchError.  Int points
+    are a frame, decided as given, and each witness point is homogeneous,
+    (x, w), x an int tuple (of length 2 for a coplanar witness), w a
+    positive int.  Both faces are tested for degeneracy on the frame, on
+    int points only when ``shared`` is omitted (``verify_catalog`` passes
+    it, having tested every clique): a face with collinear vertices makes
+    the pair a ``degenerate_face`` violation.  An omitted ``shared`` is
+    recovered from coordinate equality.  Then ``_check_dim3`` decides a
+    pair of R^3 and ``_check_rank`` one of R^4 and up.  Six points of more
+    than one dimension raise ValueError, and so do two distinct faces of a
+    dimension below 3.  The verdict names the faces by the Points given,
+    of either kind.
     """
     (a, b, c), (d, e, f) = t1, t2
     faces = (a, b, c), (d, e, f)
-    t1, t2 = (a.coords, b.coords, c.coords), (d.coords, e.coords, f.coords)
-    if type(t1[0][0]) is int:
-        (a, b, c), (d, e, f) = t1, t2
-        if not len(a) == len(b) == len(c) == len(d) == len(e) == len(f):
-            _one_dimension(t1 + t2)
-        if shared is None and (face_is_degenerate(*t1) or face_is_degenerate(*t2)):
-            return PairVerdict(faces, 0, "violation", "degenerate_face")
-        return _pair_check(t1, t2, shared, faces)
-    ctx, q, units = integer_frame(t1 + t2)
-    q1, q2 = tuple(q[:3]), tuple(q[3:])
-    if face_is_degenerate(*q1) or face_is_degenerate(*q2):
+    (a, b, c), (d, e, f) = t1, t2 = (a.coords, b.coords, c.coords), (d.coords, e.coords, f.coords)
+    field = type(a[0]) is not int
+    if field:
+        ctx, pts, scales = integer_frame(t1 + t2)
+        t1, t2 = tuple(pts[:3]), tuple(pts[3:])
+    elif not len(a) == len(b) == len(c) == len(d) == len(e) == len(f):
+        _one_dimension(t1 + t2)
+    if (field or shared is None) and (face_is_degenerate(*t1) or face_is_degenerate(*t2)):
         return PairVerdict(faces, 0, "violation", "degenerate_face")
-    v = _pair_check(q1, q2, shared, faces)
-    return _map_back(v, (0, 1, 2), q, ctx, _axis_scales(units), faces, None) if v.witness else v
-
-
-def _axis_scales(units):
-    """``integer_frame``'s raw scales, each [a, b, c, e, d] with one nonzero
-    numerator g, as (slot of g, g, d)."""
-    return [((b != 0) + 2 * (c != 0) + 3 * (e != 0), a + b + c + e, d) for a, b, c, e, d in units]
+    if shared is None:
+        shared = [(i, j) for i in range(3) for j in range(3) if t1[i] == t2[j]]
+    n_shared = len(shared)
+    if n_shared == 3:
+        witness, kind = tuple((p, 1) for p in t1), "coplanar_overlap"
+    else:
+        dim = len(t1[0])
+        if dim < 3:
+            raise ValueError(f"unsupported dimension {dim}")
+        ok, witness, kind = (_check_dim3 if dim == 3 else _check_rank)(t1, t2, shared)
+        if ok:
+            return PairVerdict(faces, n_shared, "admissible")
+    v = PairVerdict(faces, n_shared, "violation", kind, witness)
+    return _map_back(v, (0, 1, 2), pts, ctx, scales, faces, None) if field else v
 
 
 def _map_back(verdict: PairVerdict, face, pts, ctx, scales, faces, built) -> PairVerdict:
     """The violation ``verdict`` on the int frame, named in place by
     ``faces``, each witness point built in the context ``ctx`` one axis at
-    a time (``numeric._on_axes``) through the per-axis ``scales``
-    (``_axis_scales``), a 2-D coplanar one through those of the
-    ``plane_axes`` of the first face, ``pts`` at the indices ``face``.
-    ``built`` maps (axes, x, w), axes None if ambient, to the Point of x / w;
-    a miss looks up (x / g, w / g), g = gcd(w, *x), too; None builds anew."""
+    a time (``numeric._on_axes``) through the frame's per-axis ``scales``
+    (slot, g, d), a 2-D coplanar one through those of the ``plane_axes``
+    of the first face, ``pts`` at the indices ``face``.  ``built`` maps
+    (axes, x, w), axes None if ambient, to the Point of x / w; a miss looks
+    up (x / g, w / g), g = gcd(w, *x), too; None builds anew."""
     witness, axes = verdict.witness, None
     if len(witness[0][0]) != len(scales):
         p0, p1, p2 = [pts[i] for i in face]
@@ -494,13 +482,12 @@ def _graph_plan(graph):
 
 @lru_cache(maxsize=16)
 def _catalog_plan(graph, triangulations: tuple):
-    """Per triangulation its clique ids and, unless in clique order, each
-    face's position; per clique the set of triangulations that hold it."""
+    """Per triangulation its clique ids, sorted as its faces are
+    (``surfaces.Triangulation``); per clique the set of triangulations that
+    hold it."""
     at = _graph_plan(graph)[3]
-    ids = [[at[f] for f in faces] for faces in triangulations]
-    plan = tuple((tuple(c), None if c == sorted(c) else {f: k for k, f in enumerate(faces)})
-                 for c, faces in zip(ids, triangulations))
-    return plan, tuple(frozenset(t for t, c in enumerate(ids) if a in c) for a in range(len(at)))
+    ids = tuple(tuple(map(at.__getitem__, faces)) for faces in triangulations)
+    return ids, tuple(frozenset(t for t, c in enumerate(ids) if a in c) for a in range(len(at)))
 
 
 @lru_cache(maxsize=256)
@@ -554,15 +541,14 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
     contexts ContextMismatchError.
     """
     graph = catalog.task.graph
-    ctx, ints, units = integer_frame([p.coords for p in _placed(graph.vertices, placement)])
+    ctx, ints, scales = integer_frame([p.coords for p in _placed(graph.vertices, placement)])
     check_placement(graph.vertices, dict(zip(graph.vertices, ints)))
-    d = _sq_distances(ints, ctx, units)[0]
+    d = _sq_distances(ints, ctx, scales)[0]
     cliques, faces, orbits = _table_plan(graph, _distance_pattern(d))
     points = [Point(p) for p in ints]
     corners = [(points[i], points[j], points[k]) for i, j, k in faces]
     degenerate = {c for c, (i, j, k) in enumerate(faces) if _collinear(d, i, j, k)}
-    scales, built = _axis_scales(units), {}
-    decided = []  # (a, b, violation), sorted into pair order below
+    built, decided = {}, []  # decided: (a, b, violation), sorted into pair order below
     for members in orbits:
         a, b = members[0][:2]
         if a in degenerate or b in degenerate:
@@ -582,10 +568,7 @@ def verify_catalog(placement: dict, catalog) -> list[EmbeddingReport]:
         for t in held[a] & held[b]:
             founds[t].append(v)
     reports = []
-    for (face_ids, pos), found in zip(plan, founds):
-        if pos:
-            # the order of combinations(tri.faces, 2): by the two faces' positions
-            found.sort(key=lambda v: sorted(map(pos.__getitem__, v.faces)))
+    for face_ids, found in zip(plan, founds):
         lone = [PairVerdict((cliques[a], cliques[a]), 3, "violation", "degenerate_face")
                 for a in face_ids if a in degenerate] if degenerate else []
         reports.append(EmbeddingReport(lone + found))

@@ -46,13 +46,18 @@ def scale_placement(points: dict, r) -> dict:
     return {label: scale(p, r) for label, p in points.items()}
 
 
+def axis_scale(ctx, scale) -> QuadExt:
+    """An ``integer_frame`` scale (slot, g, d) as the field value g / d
+    times the basis element of its slot (1, sqrt d1, sqrt d2, sqrt(d1 d2))."""
+    slot, g, d = scale
+    return QuadExt(*(Fraction(g, d) if k == slot else 0 for k in range(4)), ctx=ctx)
+
+
 def field_frame(points: dict):
     """The ``integer_frame`` of a placement as {label: int tuple} and its
-    scales as field values, each raw [a, b, c, e, d] rebuilt as
-    (a + b sqrt d1 + c sqrt d2 + e sqrt(d1 d2)) / d."""
-    ctx, ints, units = integer_frame([p.coords for p in points.values()])
-    scales = tuple(QuadExt(*(Fraction(x, d) for x in u[:4]), ctx=ctx) for *u, d in units)
-    return dict(zip(points, ints, strict=True)), scales
+    scales as field values (``axis_scale``)."""
+    ctx, ints, scales = integer_frame([p.coords for p in points.values()])
+    return dict(zip(points, ints, strict=True)), tuple(axis_scale(ctx, s) for s in scales)
 
 
 def field_isometry_group(labels, placement: dict) -> list[dict]:

@@ -648,6 +648,32 @@ def test_walk_counts_script_totals():
     ]
 
 
+def test_line_coverage_script_counts_code_lines(tmp_path):
+    # --count runs no tests: one line per module of src/flextri, in path
+    # order, then a total that is their sum
+    script = ROOT / "scripts" / "line_coverage.py"
+    proc = subprocess.run([sys.executable, str(script), "--count"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = proc.stdout.splitlines()
+    names = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "src" / "flextri").glob("*.py"))
+    counts = []
+    for line, name in zip(modules, names, strict=True):
+        match = re.fullmatch(rf"{re.escape(name)}: (\d+) code lines", line)
+        assert match, line
+        counts.append(int(match[1]))
+    assert total == f"total: {sum(counts)} code lines"
+    # a code line holds a token other than a comment or a docstring; a
+    # string that opens no body is code, on every line it spans
+    code_lines = runpy.run_path(str(script))["code_lines"]
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Module\ndocstring."""\n\n# a comment\nclass A:\n    """Class."""\n\n'
+                      '    def f(self):\n        """Method\n        docstring."""\n'
+                      '        x = """two\n        lines"""  # trailing\n        return x\n',
+                      encoding="utf-8")
+    assert code_lines(sample) == 5  # class, def, the string's two lines, return
+
+
 # -- cold start ------------------------------------------------------------
 
 LAYERS = ("cli", "enumeration", "geometry", "numeric", "surfaces", "verify")

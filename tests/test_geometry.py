@@ -38,7 +38,7 @@ from flextri.numeric import (
 from flextri.surfaces import enumerate_cliques3
 from flextri.verify import verify_catalog
 
-from conftest import dist_sq, field_frame, scale, scale_placement
+from conftest import axis_scale, dist_sq, field_frame, scale, scale_placement
 
 CTX = CTX_SQRT2_SQRT3
 S2 = QuadExt(0, 1, ctx=CTX)
@@ -475,10 +475,10 @@ def test_integer_frame_scales():
     )
     assert ints["B"] == (8, 0, -4)
     assert ints["H"] == (1, 1, 1)
-    # integer_frame itself returns the context and each scale's raw ints
+    # integer_frame itself returns the context and each scale as (slot, g, d)
     pts = sixteen_cell_diagram(Fraction(4))
-    ctx, _, units = integer_frame([p.coords for p in pts.values()])
-    assert ctx is CTX and units == [[0, 1, 0, 0, 4], [0, 0, 0, 1, 4], [1, 0, 0, 0, 4]]
+    ctx, _, scales = integer_frame([p.coords for p in pts.values()])
+    assert ctx is CTX and scales == [(1, 1, 4), (3, 1, 4), (0, 1, 4)]
     # an axis that is zero everywhere keeps the scale 1; the gcd of an
     # axis's numerators moves into its scale
     ints, scales = field_frame({"A": make_point(CTX, 0, 6, 0), "B": make_point(CTX, 0, -4, S2)})
@@ -550,7 +550,7 @@ def _triples(draw):
 def test_gram_test_equals_face_is_degenerate(triple):
     # on unit scales the matrix is the plain squared distances; the test
     # reads its three entries from each vertex in turn
-    d = _sq_distances(triple, QQ, [[1, 0, 0, 0, 1]] * len(triple[0]))[0]
+    d = _sq_distances(triple, QQ, [(0, 1, 1)] * len(triple[0]))[0]
     expected = face_is_degenerate(*triple)
     assert all(_collinear(d, i, j, k) == expected for i, j, k in
                ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)))
@@ -581,9 +581,9 @@ def test_gram_test_equals_face_is_degenerate_on_every_clique(
     found = 0
     for points, catalog in cases:
         labels = catalog.task.graph.vertices
-        ctx, ints, units = integer_frame([points[v].coords for v in labels])
-        assert any(u[:4] != [1, 0, 0, 0] or u[4] != 1 for u in units)
-        d = _sq_distances(ints, ctx, units)[0]
+        ctx, ints, scales = integer_frame([points[v].coords for v in labels])
+        assert any(s != (0, 1, 1) for s in scales)
+        d = _sq_distances(ints, ctx, scales)[0]
         for f in enumerate_cliques3(catalog.task.graph):
             i, j, k = map(labels.index, f)
             degenerate = face_is_degenerate(ints[i], ints[j], ints[k])
@@ -593,12 +593,11 @@ def test_gram_test_equals_face_is_degenerate_on_every_clique(
     assert found == 2  # ABE on each of the two Moebius frames
 
 
-def _sq_distances_reference(pts, ctx, units):
-    """``_sq_distances`` by ``Fraction``: each s_i^2 as a Fraction, the
-    weights over the lcm of their denominators, one generator sum per pair."""
-    d1, d2 = ctx.d1, ctx.d2
-    sq = [Fraction(a * a + d1 * b * b + d2 * c * c + d1 * d2 * e * e, d * d)
-          for a, b, c, e, d in units]
+def _sq_distances_reference(pts, ctx, scales):
+    """``_sq_distances`` by ``Fraction``: each s_i^2 squared in the field
+    (``axis_scale``) and read as a Fraction, the weights over the lcm of
+    their denominators, one generator sum per pair."""
+    sq = [(s * s).a for s in (axis_scale(ctx, scale) for scale in scales)]
     den = math.lcm(*(q.denominator for q in sq))
     weights = [q.numerator * (den // q.denominator) for q in sq]
     n = len(pts)
@@ -616,14 +615,14 @@ def test_sq_distances_equals_the_fraction_reference():
     for ctx, slots in ((QQ, (0,)), (CTX_SQRT5, (0, 1)), (CTX, (0, 1, 2, 3))):
         for dim in (3, 4):
             for _ in range(60):
-                units = []
+                scales = []
                 for _ in range(dim):
-                    unit = [0, 0, 0, 0, rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35))]
-                    unit[rng.choice(slots)] = rng.randint(1, 12)
-                    units.append(unit)
+                    d = rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35))
+                    slot = rng.choice(slots)
+                    scales.append((slot, rng.randint(1, 12), d))
                 pts = [tuple(rng.randint(-20, 20) for _ in range(dim))
                        for _ in range(rng.randint(2, 8))]
-                assert _sq_distances(pts, ctx, units) == _sq_distances_reference(pts, ctx, units)
+                assert _sq_distances(pts, ctx, scales) == _sq_distances_reference(pts, ctx, scales)
 
 
 def test_placement_rejects_colliding_labels(moebius_catalog, moebius_points):

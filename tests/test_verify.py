@@ -27,14 +27,13 @@ from flextri.numeric import (
     _reduced,
     solve_linear,
 )
-from flextri.enumeration import Catalog
+from flextri.enumeration import Catalog, complement_pairing
 from flextri.surfaces import Triangulation, enumerate_cliques3
 from flextri.verify import (
     EmbeddingReport,
     PairVerdict,
-    _axis_scales,
+    _check_dim3,
     _map_back,
-    _pair_check,
     pair_intersection_check,
     verify_catalog,
 )
@@ -181,6 +180,21 @@ def test_int_points_without_shared_are_tested_for_degeneracy(t1, t2):
     assert pair_intersection_check(*ints) == PairVerdict(ints, 0, "violation", "degenerate_face")
     field = tuple(tuple(pt(*p) for p in t) for t in (t1, t2))
     assert pair_intersection_check(*field) == PairVerdict(field, 0, "violation", "degenerate_face")
+
+
+def test_field_points_with_shared_are_tested_for_degeneracy():
+    # passing the shared vertices skips the degeneracy test on int Points
+    # only: on QuadExt points, of Q and on a sqrt2 axis, a collinear face
+    # sharing a vertex with the other is still a degenerate_face violation,
+    # in either order
+    line = ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+    face = ((0, 0, 0), (1, 0, 5), (0, 1, 5))
+    root2 = QuadExt(0, 1, ctx=CTX)
+    for place in (pt, lambda *c: make_point(CTX, root2 * c[0], *c[1:])):
+        t1, t2 = (tuple(place(*p) for p in t) for t in (line, face))
+        for a, b in ((t1, t2), (t2, t1)):
+            verdict = pair_intersection_check(a, b, [(0, 0)])
+            assert verdict == PairVerdict((a, b), 0, "violation", "degenerate_face")
 
 
 def test_vertex_touch_without_sharing_label_is_violation():
@@ -840,9 +854,9 @@ def test_direct_calls_frame_only_pairs_of_one_context(monkeypatch, suspension_po
 
     def spy(t1, t2, *rest):
         seen.append({type(c) for p in t1 + t2 for c in p})
-        return _pair_check(t1, t2, *rest)
+        return _check_dim3(t1, t2, *rest)
 
-    monkeypatch.setattr(verify, "_pair_check", spy)
+    monkeypatch.setattr(verify, "_check_dim3", spy)
     rotated = _rotated_xy(suspension_points)
     cases = [("CDF", "FGH"), ("BCD", "FGH"), ("ABC", "EFG"), ("ACD", "BGH")]
     verdicts = set()
@@ -944,7 +958,7 @@ def test_suspension_witnesses_equal_the_field_oracle(suspension_points, torus_ca
     for r in verify_catalog(suspension_points, torus_catalog):
         for v in r.violations:
             ta, tb = (tuple(points[x] for x in f) for f in v.faces)
-            expected = _pair_check(ta, tb, None, (ta, tb))
+            expected = pair_intersection_check(tuple(map(Point, ta)), tuple(map(Point, tb)))
             assert (v.shared, v.kind) == (expected.shared, expected.kind)
             assert v.witness == _field_witness(expected.witness, ta, scales)
             found.add((v.kind, v.witness[0].dim))
@@ -962,8 +976,9 @@ def test_map_back_equals_the_generic_build():
     # build (a x, b x, c x, e x) / (d w) in lowest terms.  The four axes
     # carry 6/5, 3 sqrt2 / 4, 2 sqrt3 / 3 and 5 sqrt6 / 2: one per basis
     # slot; the coordinates include 0 and negatives and the weights w > 1
+    scales = [(0, 6, 5), (1, 3, 4), (2, 2, 3), (3, 5, 2)]
+    # the same four scales as (a, b, c, e, d), (a + b sqrt2 + c sqrt3 + e sqrt6) / d
     units = [[6, 0, 0, 0, 5], [0, 3, 0, 0, 4], [0, 0, 2, 0, 3], [0, 0, 0, 5, 2]]
-    assert _axis_scales(units) == [(0, 6, 5), (1, 3, 4), (2, 2, 3), (3, 5, 2)]
     t1 = ((0, 0, 0, 0), (1, 2, 0, 0), (0, 1, 3, 0))
     faces = (("A", "B", "C"), ("D", "E", "F"))
 
@@ -984,7 +999,7 @@ def test_map_back_equals_the_generic_build():
         # through a dict, as verify_catalog maps, and with none, as a direct call
         for built in ({}, None):
             v = PairVerdict(faces, 0, "violation", kind, witness)
-            mapped = _map_back(v, (0, 1, 2), t1, CTX, _axis_scales(units), faces, built)
+            mapped = _map_back(v, (0, 1, 2), t1, CTX, scales, faces, built)
             assert (mapped.faces, mapped.shared, mapped.kind) == (faces, 0, kind)
             assert mapped.witness == generic(witness, [units[i] for i in axes])
 
@@ -1033,7 +1048,7 @@ def _full_table_reports(points, catalog):
             if face_is_degenerate(*ta) or face_is_degenerate(*tb):
                 table[a, b] = PairVerdict((a, b), 0, "violation", "degenerate_face")
             else:
-                v = _pair_check(ta, tb, shared, (ta, tb))
+                v = pair_intersection_check(tuple(map(Point, ta)), tuple(map(Point, tb)), shared)
                 witness = _field_witness(v.witness, ta, scales)
                 table[a, b] = PairVerdict((a, b), v.shared, v.verdict, v.kind, witness)
     reports = []
@@ -1087,8 +1102,8 @@ def test_orbit_table_equals_the_full_table(
         (ASYMMETRIC_TORUS, torus_catalog, 1),
         (RANDOM_START_TORUS, torus_catalog, 1),
         # the faces of each triangulation relabelled by an automorphism of
-        # the graph, so no longer in sorted order: a report keeps the order
-        # of its triangulation's face pairs
+        # the graph, so the catalog lists its triangulations in another
+        # order: a report keeps the order of its triangulation's face pairs
         (perturbed, _relabelled(torus_catalog, 31), 1),
         (moebius_points, _relabelled(moebius_catalog, 32), 24),
     )
@@ -1106,13 +1121,36 @@ def test_orbit_table_equals_the_full_table(
 
 
 def _relabelled(catalog, seed):
-    """The catalog with each triangulation's faces relabelled, in their
-    order, by one seeded automorphism of its graph."""
+    """The catalog with each triangulation's faces relabelled by one seeded
+    automorphism of its graph."""
     (g,) = _automorphisms(catalog.task.graph, seed, 1)
     triangulations = [Triangulation(t.graph, tuple(_image(g, f) for f in t.faces))
                       for t in catalog.triangulations]
-    assert any(list(t.faces) != sorted(t.faces) for t in triangulations)
+    assert any(t.faces != s.faces for t, s in zip(triangulations, catalog.triangulations))
     return Catalog(catalog.task, triangulations, catalog.rejected)
+
+
+def test_a_catalog_of_reversed_face_lists_is_the_enumerated_one(
+    suspension_points, torus_catalog
+):
+    # a triangulation stores its faces sorted, whatever order they come in:
+    # the catalog whose tori list their faces reversed holds the enumerated
+    # tori, with their hashes, pairs the same six complements, and gets the
+    # same reports, violations and their order included
+    reversed_catalog = Catalog(
+        torus_catalog.task,
+        [Triangulation(t.graph, t.faces[::-1]) for t in torus_catalog.triangulations],
+        torus_catalog.rejected,
+    )
+    for t, r in zip(torus_catalog.triangulations, reversed_catalog.triangulations, strict=True):
+        assert r == t and hash(r) == hash(t)
+    pairs, unmatched = complement_pairing(torus_catalog)
+    assert len(pairs) == 6 and not unmatched
+    assert complement_pairing(reversed_catalog) == (pairs, unmatched)
+    for points in (suspension_points, sixteen_cell_diagram(Fraction(2))):
+        reports = verify_catalog(points, torus_catalog)
+        assert any(len(r.violations) > 1 for r in reports)
+        assert verify_catalog(points, reversed_catalog) == reports
 
 
 def _scan_reports(catalog, violations, degenerate):
@@ -1136,8 +1174,9 @@ def test_reports_equal_the_scan_of_every_violation(
     # verify_catalog files each violation into the triangulations that hold
     # both of its faces, from each clique's bit mask of them; a scan of all
     # violations per triangulation gives the same reports in the same
-    # order, on sorted catalogs and on relabelled ones whose faces are not
-    # in clique order, with and without degenerate faces (ABE at E = 2B)
+    # order, on enumerated catalogs and on relabelled ones that list their
+    # triangulations in another order, with and without degenerate faces
+    # (ABE at E = 2B)
     violations = {}
     map_back = verify._map_back
 
